@@ -70,7 +70,6 @@ from .evolve import (
     run_evolution,
 )
 from .execute import (
-    ProgramState,
     new_state,
     reset,
     run_batch,

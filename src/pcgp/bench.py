@@ -65,8 +65,22 @@ def _scale_columns(feats: np.ndarray):
     return scaled, lo, hi
 
 
+def _number(cell: str, what: str, where: str) -> float:
+    try:
+        value = float(cell)
+    except ValueError:
+        raise DatasetError(f"{where}: non-numeric {what} {cell!r}") from None
+    if not math.isfinite(value):
+        raise DatasetError(f"{where}: non-finite {what} {cell!r}")
+    return value
+
+
 def load_csv(path, task: str) -> Dataset:
-    """Read a header-plus-rows CSV whose last column is the target."""
+    """Read a header-plus-rows CSV whose last column is the target.
+
+    Features and regression targets must be finite numbers; anything
+    else raises a DatasetError naming the row and column.
+    """
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}")
     with open(path, newline="") as fh:
@@ -79,6 +93,7 @@ def load_csv(path, task: str) -> Dataset:
     data = rows[1:]
     if not data:
         raise DatasetError(f"{path}: header but no data rows")
+    header = rows[0]
     feats = np.empty((len(data), width - 1), dtype=float)
     raw_targets = []
     for i, row in enumerate(data):
@@ -87,18 +102,12 @@ def load_csv(path, task: str) -> Dataset:
             raise DatasetError(
                 f"{path} row {rownum}: expected {width} values, got {len(row)}")
         for j, cell in enumerate(row[:-1]):
-            try:
-                feats[i, j] = float(cell)
-            except ValueError:
-                raise DatasetError(
-                    f"{path} row {rownum}: non-numeric feature {cell!r}") from None
+            feats[i, j] = _number(
+                cell, "feature", f"{path} row {rownum} column {j + 1} ({header[j]!r})")
         cell = row[-1].strip()
         if task == "regression":
-            try:
-                raw_targets.append(float(cell))
-            except ValueError:
-                raise DatasetError(
-                    f"{path} row {rownum}: non-numeric target {cell!r}") from None
+            raw_targets.append(_number(
+                cell, "target", f"{path} row {rownum} column {width} ({header[-1]!r})"))
         else:
             raw_targets.append(cell)
     scaled, lo, hi = _scale_columns(feats)
@@ -135,7 +144,7 @@ def classification_fitness(g: Genome, d: Dataset,
     the lowest index).  State is reset once, then rows run in file order."""
     _check_dataset(g, d, "classification", d.n_classes)
     graph = decode(g, settings, fset)
-    outputs = run_supervised(graph, g, d.features)      # (n_out, rows)
+    outputs = run_supervised(graph, d.features)      # (n_out, rows)
     predicted = np.argmax(outputs, axis=0)
     return float(np.mean(predicted == d.targets))
 
@@ -147,7 +156,7 @@ def regression_fitness(g: Genome, d: Dataset,
         raise ConfigError(f"dataset is for {d.task}, not regression")
     _check_dataset(g, d, "regression", d.targets.shape[1])
     graph = decode(g, settings, fset)
-    outputs = run_supervised(graph, g, d.features)
+    outputs = run_supervised(graph, d.features)
     return float(-np.mean((outputs.T - d.targets) ** 2))
 
 
@@ -169,7 +178,7 @@ def cartpole_fitness(g: Genome, settings: DecodeSettings, fset: FunctionSet,
     total = CART_MASS + POLE_MASS
     pml = POLE_MASS * POLE_HALF_LENGTH
     for survived in range(episode_len):
-        out, state = step(graph, g, state, (x, xd, th, thd))
+        out, state = step(graph, state, (x, xd, th, thd))
         force = FORCE if out[0] > 0.0 else -FORCE
         s, c = math.sin(th), math.cos(th)
         temp = (force + pml * thd * thd * s) / total

@@ -11,12 +11,14 @@ strictly left and the program is feedforward.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DecodeError
 from .functions import FunctionSet
-from .genome import F_OFF, X_OFF, Y_OFF, Genome, GenomeMode, ladder_positions
+from .genome import C_OFF, F_OFF, X_OFF, Y_OFF, Genome, GenomeMode, ladder_positions
 
 
 @dataclass(frozen=True)
@@ -41,15 +43,23 @@ class DecodeSettings:
             raise ValueError(f"input_start {self.input_start} outside [-1, 0]")
 
 
+class Plan(NamedTuple):
+    """A graph's active nodes in evaluation order, flat for the interpreter."""
+
+    nodes: list         # (node, fn, target_a, target_b, param) per active node
+    outputs: list       # output target indices
+    feedforward: bool   # no followed connection of an active node recurs
+
+
 @dataclass(frozen=True, eq=False)
 class DecodedGraph:
-    """Concrete program graph produced from one genome.
+    """The program decoded from one genome; execution needs nothing else.
 
     Indices in targets/output_targets address the unified space: values
     below n_in are program inputs, the rest are computational nodes in
-    stored order.  components labels every node (active or not) with its
-    weakly-connected component, numbered by first appearance; it is
-    computed on first access since only subgraph operators need it.
+    stored order.  plan and components are derived on first access.
+    components labels every node (active or not) with its
+    weakly-connected component, numbered by first appearance.
     """
 
     n_in: int
@@ -60,23 +70,39 @@ class DecodedGraph:
     recurrent_flags: np.ndarray  # (n_nodes, 2) bool
     function_index: np.ndarray   # (n_nodes,) int
     arity: np.ndarray            # (n_nodes,) int, from the function set
+    params: np.ndarray           # (n_nodes,) parameter genes: const value or weight
     active: np.ndarray           # (n_nodes,) bool
     fset: FunctionSet
     use_weights: bool
-    _components: np.ndarray | None = None  # lazily filled cache
 
     @property
     def n_nodes(self) -> int:
         return self.function_index.shape[0]
 
-    @property
+    @cached_property
+    def plan(self) -> Plan:
+        targets = self.targets.tolist()
+        recurrent = self.recurrent_flags.tolist()
+        findex = self.function_index.tolist()
+        arities = self.arity.tolist()
+        params = self.params.tolist()
+        functions = self.fset.functions
+        nodes = []
+        feedforward = True
+        for i in np.flatnonzero(self.active).tolist():
+            ta, tb = targets[i]
+            nodes.append((i, functions[findex[i]].apply, ta, tb, params[i]))
+            k = arities[i]
+            if (k >= 1 and recurrent[i][0]) or (k >= 2 and recurrent[i][1]):
+                feedforward = False
+        return Plan(nodes, self.output_targets.tolist(), feedforward)
+
+    @cached_property
     def components(self) -> np.ndarray:
         """(n_nodes,) int component label per node."""
-        if self._components is None:
-            labels = _components(self.n_in, self.n_nodes, self.targets)
-            labels.setflags(write=False)
-            object.__setattr__(self, "_components", labels)
-        return self._components
+        labels = _components(self.n_in, self.n_nodes, self.targets)
+        labels.setflags(write=False)
+        return labels
 
 
 def connection_position(x, node_pos, settings: DecodeSettings, mode: GenomeMode):
@@ -207,35 +233,38 @@ def decode(g: Genome, settings: DecodeSettings, fset: FunctionSet) -> DecodedGra
         recurrent_flags = np.zeros((0, 2), dtype=bool)
         output_targets = field.lookup(out_points, total)
 
-    active = _trace_active(n_in, n_nodes, targets, arity, output_targets)
+    params = g.nodes[:, C_OFF]
+    active = np.array(_reachable(n_in, targets.tolist(), np.minimum(arity, 2).tolist(),
+                                 output_targets.tolist()), dtype=bool)
 
     for a in (positions, targets, output_targets, recurrent_flags,
-              function_index, arity, active):
+              function_index, arity, params, active):
         a.setflags(write=False)
     return DecodedGraph(n_in, n_out, positions, targets, output_targets,
-                        recurrent_flags, function_index, arity, active,
+                        recurrent_flags, function_index, arity, params, active,
                         fset, settings.use_weights)
 
 
-def _trace_active(n_in, n_nodes, targets, arity, output_targets):
-    """Arity-aware backward reachability from the output targets."""
-    if n_nodes == 0:
-        return np.zeros(0, dtype=bool)
-    flags = [False] * n_nodes
-    target_rows = targets.tolist()
-    arities = arity.tolist()
-    stack = [t - n_in for t in output_targets.tolist() if t >= n_in]
+def _reachable(n_in, target_rows, fans, roots) -> list[bool]:
+    """Backward reachability over computational nodes; cycle-safe.
+
+    Starts from the root entities (inputs among them end the walk) and
+    follows the first fans[i] connections of every visited node i.
+    Returns one visited flag per node.
+    """
+    seen = [False] * len(target_rows)
+    stack = [t - n_in for t in roots if t >= n_in]
     while stack:
         i = stack.pop()
-        if flags[i]:
+        if seen[i]:
             continue
-        flags[i] = True
+        seen[i] = True
         row = target_rows[i]
-        for k in range(min(arities[i], 2)):
-            t = row[k]
-            if t >= n_in and not flags[t - n_in]:
-                stack.append(t - n_in)
-    return np.array(flags, dtype=bool)
+        for k in range(fans[i]):
+            t = row[k] - n_in
+            if t >= 0 and not seen[t]:
+                stack.append(t)
+    return seen
 
 
 def _components(n_in, n_nodes, targets):
@@ -280,17 +309,7 @@ def output_trace(graph: DecodedGraph, output: int, arity_aware: bool = False) ->
     followed even when its function consumes fewer; cycle-safe either
     way.
     """
-    seen: set[int] = set()
-    t = graph.output_targets[output]
-    stack = [t - graph.n_in] if t >= graph.n_in else []
-    while stack:
-        i = stack.pop()
-        if i in seen:
-            continue
-        seen.add(i)
-        fan = min(graph.arity[i], 2) if arity_aware else 2
-        for k in range(fan):
-            t = graph.targets[i, k]
-            if t >= graph.n_in and (t - graph.n_in) not in seen:
-                stack.append(t - graph.n_in)
-    return seen
+    fans = np.minimum(graph.arity, 2).tolist() if arity_aware else [2] * graph.n_nodes
+    seen = _reachable(graph.n_in, graph.targets.tolist(), fans,
+                      [int(graph.output_targets[output])])
+    return {i for i, hit in enumerate(seen) if hit}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .decode import DecodeSettings, decode
 from .functions import FunctionSet
-from .genome import C_OFF, Genome
+from .genome import Genome
 
 
 def _quote(text: str) -> str:
@@ -32,7 +32,7 @@ def to_dot(g: Genome, settings: DecodeSettings, fset: FunctionSet) -> str:
         fn = graph.fset[graph.function_index[i]]
         label = fn.name
         if graph.use_weights:
-            label += f" w={g.nodes[i, C_OFF]:.3g}"
+            label += f" w={graph.params[i]:.3g}"
         style = "" if graph.active[i] else ", style=dashed"
         lines.append(f"  n{i} [shape=ellipse, label={_quote(label)}{style}];")
     for j in range(graph.n_out):

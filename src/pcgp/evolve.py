@@ -4,11 +4,18 @@ Both are deterministic given (params, seed), including under parallel
 fitness evaluation: every child gets its own random stream derived from
 (seed, generation, slot), so results never depend on scheduling order.
 Budgets count fitness evaluations, not generations; copied individuals
-(elites, unmodified tournament winners) are never re-evaluated.
+(elites, unmodified tournament winners) are never re-evaluated.  The
+generation that reaches the budget always completes, so a run may
+overshoot it by less than one generation's fresh evaluations: budget
+10 with lambda 4 runs 1 + 3 * 4 = 13 evaluations.
+
+A NaN fitness becomes the worst-fitness sentinel FAILED_FITNESS (-inf),
+with a warning, so selection always has an order to work with.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -86,21 +93,26 @@ class RunRecord:
 def evaluate_population(genomes, fit, workers: int = 1, isolate: bool = True):
     """Fitness of each genome, order preserved.
 
-    With isolate, an individual's failure becomes a worst-fitness
-    sentinel plus a warning instead of aborting the whole batch.
+    A NaN fitness becomes the worst-fitness sentinel plus a warning.
+    With isolate, so does an individual's failure, instead of aborting
+    the whole batch.
     """
     genomes = list(genomes)
     if not genomes:
         return []
 
     def call(g):
-        if not isolate:
-            return float(fit(g))
         try:
-            return float(fit(g))
+            value = float(fit(g))
         except Exception as e:  # noqa: BLE001 - isolation is the contract
+            if not isolate:
+                raise
             warnings.warn(f"fitness evaluation failed ({e!r}); using sentinel")
             return FAILED_FITNESS
+        if math.isnan(value):
+            warnings.warn("fitness evaluation returned NaN; using sentinel")
+            return FAILED_FITNESS
+        return value
 
     if workers <= 1:
         return [call(g) for g in genomes]

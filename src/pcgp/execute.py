@@ -7,106 +7,62 @@ what makes recurrent programs stateful.  Feedforward graphs can instead
 be evaluated on a whole input batch at once; both paths produce
 bitwise-identical results.
 
-Only active nodes are ever computed — inactive genetic material cannot
-influence outputs.  Any non-finite node value is replaced by 0.0.
+Everything needed comes from the DecodedGraph, and only active nodes
+are ever computed — inactive genetic material cannot influence outputs.
+State is a plain array holding one value per computational node.  Any
+non-finite node value is replaced by 0.0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .decode import DecodedGraph
-from .genome import C_OFF, Genome
 
 
-@dataclass
-class ProgramState:
-    """One value per computational node; the recurrent memory."""
-
-    values: np.ndarray
+def new_state(graph: DecodedGraph) -> np.ndarray:
+    """Zeroed recurrent memory: one value per computational node."""
+    return np.zeros(graph.n_nodes)
 
 
-def new_state(graph: DecodedGraph) -> ProgramState:
-    return ProgramState(np.zeros(graph.n_nodes))
+def reset(state: np.ndarray) -> np.ndarray:
+    return np.zeros_like(state)
 
 
-def reset(state: ProgramState) -> ProgramState:
-    return ProgramState(np.zeros_like(state.values))
-
-
-@dataclass
-class _Program:
-    """Flattened per-active-node instructions, built once per graph."""
-
-    plan: list          # (node, fn, target_a, target_b, param) tuples
-    out_targets: list   # resolved output target indices
-    batch_ok: bool      # no followed connection of an active node recurs
-
-
-def _compile(graph: DecodedGraph, genome: Genome) -> _Program:
-    plan = []
-    batch_ok = True
-    if graph.n_nodes:
-        targets = graph.targets.tolist()
-        recurrent = graph.recurrent_flags.tolist()
-        findex = graph.function_index.tolist()
-        arities = graph.arity.tolist()
-        params = genome.nodes[:, C_OFF].tolist()
-        functions = graph.fset.functions
-        for i in np.flatnonzero(graph.active).tolist():
-            ta, tb = targets[i]
-            plan.append((i, functions[findex[i]].apply, ta, tb, params[i]))
-            k = arities[i]
-            if (k >= 1 and recurrent[i][0]) or (k >= 2 and recurrent[i][1]):
-                batch_ok = False
-    return _Program(plan, graph.output_targets.tolist(), batch_ok)
-
-
-def _program(graph: DecodedGraph, genome: Genome) -> _Program:
-    cached = graph.__dict__.get("_program_cache")
-    if cached is not None and cached[0] is genome:
-        return cached[1]
-    prog = _compile(graph, genome)
-    object.__setattr__(graph, "_program_cache", (genome, prog))
-    return prog
-
-
-def step(graph: DecodedGraph, genome: Genome, state: ProgramState, inputs):
+def step(graph: DecodedGraph, state: np.ndarray, inputs):
     """One synchronous update; returns (outputs, new state)."""
     n_in = graph.n_in
     if len(inputs) != n_in:
         raise ValueError(f"expected {n_in} inputs, got {len(inputs)}")
-    prog = _program(graph, genome)
-    prev = state.values
-    cur = prev.copy()
+    plan = graph.plan
+    cur = state.copy()
     weighted = graph.use_weights
     # non-finite results are defined to become 0.0, so the IEEE warnings
     # on the way there are expected noise
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for i, fn, ta, tb, param in prog.plan:
-            a = inputs[ta] if ta < n_in else (cur[ta - n_in] if ta - n_in < i else prev[ta - n_in])
-            b = inputs[tb] if tb < n_in else (cur[tb - n_in] if tb - n_in < i else prev[tb - n_in])
+        for i, fn, ta, tb, param in plan.nodes:
+            a = inputs[ta] if ta < n_in else (cur[ta - n_in] if ta - n_in < i else state[ta - n_in])
+            b = inputs[tb] if tb < n_in else (cur[tb - n_in] if tb - n_in < i else state[tb - n_in])
             v = fn(a, b, param)
             if weighted:
                 v = v * param
             cur[i] = v if math.isfinite(v) else 0.0
-    out = np.array([inputs[t] if t < n_in else cur[t - n_in] for t in prog.out_targets],
+    out = np.array([inputs[t] if t < n_in else cur[t - n_in] for t in plan.outputs],
                    dtype=float)
-    return out, ProgramState(cur)
+    return out, cur
 
 
-def run_batch(graph: DecodedGraph, genome: Genome, batch: np.ndarray) -> np.ndarray:
+def run_batch(graph: DecodedGraph, batch: np.ndarray) -> np.ndarray:
     """Evaluate a feedforward graph on all rows of batch at once.
 
     batch is (rows, n_in); the result is (n_out, rows).  Raises
     ValueError when the active graph has recurrent data flow (use
     run_sequence for that).
     """
-    prog = _program(graph, genome)
-    if not prog.batch_ok:
+    plan = graph.plan
+    if not plan.feedforward:
         raise ValueError("graph has recurrent connections; run_batch needs feedforward flow")
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 2 or batch.shape[1] != graph.n_in:
@@ -118,7 +74,7 @@ def run_batch(graph: DecodedGraph, genome: Genome, batch: np.ndarray) -> np.ndar
     # non-finite results are defined to become 0.0, so the IEEE warnings
     # on the way there are expected noise
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for i, fn, ta, tb, param in prog.plan:
+        for i, fn, ta, tb, param in plan.nodes:
             a = cols[ta] if ta < n_in else vals[ta - n_in]
             b = cols[tb] if tb < n_in else vals[tb - n_in]
             v = fn(a, b, param)
@@ -126,24 +82,23 @@ def run_batch(graph: DecodedGraph, genome: Genome, batch: np.ndarray) -> np.ndar
                 v = v * param
             finite = np.isfinite(v)
             vals[i] = v if finite.all() else np.where(finite, v, 0.0)
-    return np.stack([cols[t] if t < n_in else vals[t - n_in] for t in prog.out_targets])
+    return np.stack([cols[t] if t < n_in else vals[t - n_in] for t in plan.outputs])
 
 
-def run_sequence(graph: DecodedGraph, genome: Genome, rows: np.ndarray) -> np.ndarray:
+def run_sequence(graph: DecodedGraph, rows: np.ndarray) -> np.ndarray:
     """Feed rows through the program one step at a time, state carrying
     over between rows; state starts zeroed.  Returns (n_out, rows)."""
     rows = np.asarray(rows, dtype=float)
     state = new_state(graph)
     outs = np.empty((graph.n_out, rows.shape[0]))
     for k in range(rows.shape[0]):
-        out, state = step(graph, genome, state, rows[k])
+        out, state = step(graph, state, rows[k])
         outs[:, k] = out
     return outs
 
 
-def run_supervised(graph: DecodedGraph, genome: Genome, batch: np.ndarray) -> np.ndarray:
+def run_supervised(graph: DecodedGraph, batch: np.ndarray) -> np.ndarray:
     """Batch evaluation when the data flow allows it, sequential otherwise."""
-    prog = _program(graph, genome)
-    if prog.batch_ok:
-        return run_batch(graph, genome, batch)
-    return run_sequence(graph, genome, batch)
+    if graph.plan.feedforward:
+        return run_batch(graph, batch)
+    return run_sequence(graph, batch)

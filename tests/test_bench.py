@@ -75,6 +75,25 @@ def test_non_numeric_regression_target(tmp_path):
         load_csv(path, "regression")
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_non_finite_feature_names_row_and_column(tmp_path, cell):
+    path = write(tmp_path, f"f,g,t\n1,2,a\n3,{cell},b\n")
+    with pytest.raises(DatasetError, match=r"row 3 column 2 \('g'\): non-finite feature"):
+        load_csv(path, "classification")
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_non_finite_regression_target_names_row_and_column(tmp_path, cell):
+    path = write(tmp_path, f"f,y\n1,2.0\n2,{cell}\n")
+    with pytest.raises(DatasetError, match=r"row 3 column 2 \('y'\): non-finite target"):
+        load_csv(path, "regression")
+
+
+def test_nan_class_label_is_just_a_label(tmp_path):
+    d = load_csv(write(tmp_path, "f,t\n1,nan\n2,a\n"), "classification")
+    assert d.labels == ("nan", "a")
+
+
 def test_empty_and_header_only_files(tmp_path):
     with pytest.raises(DatasetError, match="empty"):
         load_csv(write(tmp_path, ""), "classification")
@@ -130,7 +149,7 @@ def test_accuracy_matches_confusion_matrix_oracle():
 
     for _ in range(10):
         g = random_genome(GenomeMode.PCGP, 3, 3, 6, rng)
-        out = run_supervised(decode(g, SETTINGS, FSET), g, feats)
+        out = run_supervised(decode(g, SETTINGS, FSET), feats)
         confusion = np.zeros((3, 3), dtype=int)
         for row in range(20):
             confusion[targets[row], np.argmax(out[:, row])] += 1

@@ -256,8 +256,8 @@ def test_output_graph_self_cross_keeps_behavior():
         s = DecodeSettings(recurrency=float(rng.random() * 0.8), input_start=-0.5)
         child = output_graph(a, a, s, FSET, rng)
         x = rng.uniform(-1, 1, (6, 2))
-        got = run_supervised(decode(child, s, FSET), child, x)
-        want = run_supervised(decode(a, s, FSET), a, x)
+        got = run_supervised(decode(child, s, FSET), x)
+        want = run_supervised(decode(a, s, FSET), x)
         assert got.tolist() == want.tolist()
 
 

@@ -315,6 +315,28 @@ def test_decode_deterministic_and_components_partition(mode, seed):
         assert flat.tolist() == list(range(d1.n_nodes))
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(list(GenomeMode)), st.integers(0, 2**31 - 1))
+def test_arity_aware_output_traces_cover_exactly_the_active_nodes(mode, seed):
+    rng = np.random.default_rng(seed)
+    g = random_genome(mode, 2, int(rng.integers(1, 4)), int(rng.integers(0, 15)), rng)
+    d = decode(g, random_settings(rng), FSET)
+    union = set().union(*(output_trace(d, k, arity_aware=True) for k in range(d.n_out)))
+    assert sorted(union) == np.flatnonzero(d.active).tolist()
+
+
+def test_params_and_plan_come_from_decode():
+    rng = np.random.default_rng(4)
+    g = random_genome(GenomeMode.PCGP, 2, 1, 8, rng)
+    d = decode(g, DecodeSettings(recurrency=0.5, use_weights=True), FSET)
+    assert d.params.tolist() == g.nodes[:, -1].tolist()
+    assert not d.params.flags.writeable
+    assert d.plan is d.plan and d.components is d.components
+    assert [node[0] for node in d.plan.nodes] == np.flatnonzero(d.active).tolist()
+    assert [node[4] for node in d.plan.nodes] == d.params[d.active].tolist()
+    assert d.plan.outputs == d.output_targets.tolist()
+
+
 def test_recurrent_flag_definition():
     rng = np.random.default_rng(9)
     g = random_genome(GenomeMode.PCGP, 2, 1, 10, rng)

@@ -1,6 +1,7 @@
 """Tests for the 1+lambda EA and the generational GA."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,10 +48,18 @@ def test_generation_count_and_evaluation_column():
 
 
 def test_budget_overshoot_is_bounded():
-    params = make_params(lambda_=7, budget=100, seed=1)
-    _, log = one_plus_lambda(hash_fitness, params)
-    assert log[-1].evaluations >= 100
-    assert log[-1].evaluations <= 100 + 7
+    # the generation that reaches the budget always completes, so a run
+    # overshoots by less than one generation's fresh evaluations
+    lam = make_params(lambda_=7, budget=100, seed=1)
+    ga_params = make_params(algorithm="ga", population=20, budget=25,
+                            crossover="single_point")
+    _, crossed, mutated, _ = _channel_sizes(ga_params)
+    assert run_evolution(hash_fitness, replace(lam, lambda_=4, budget=10))[1][-1].evaluations == 13
+    assert run_evolution(hash_fitness, ga_params)[1][-1].evaluations == 38
+    for params, fresh in ((lam, lam.lambda_), (ga_params, crossed + mutated)):
+        for budget in range(params.budget, params.budget + 2 * fresh + 1):
+            _, log = run_evolution(hash_fitness, replace(params, budget=budget))
+            assert budget <= log[-1].evaluations < budget + fresh
 
 
 def test_neutral_drift_replaces_parent_on_ties():
@@ -244,6 +253,42 @@ def test_evaluate_population_isolates_failures():
     with pytest.warns(UserWarning):
         out = evaluate_population(genomes, fit, workers=2)
     assert out == [1.0, 1.0, FAILED_FITNESS, 1.0]
+
+
+@pytest.mark.parametrize("isolate", [True, False])
+def test_evaluate_population_maps_nan_to_sentinel(isolate):
+    rng = np.random.default_rng(0)
+    genomes = [random_genome(GenomeMode.CGP, 1, 1, 3, rng) for _ in range(3)]
+    fits = iter([1.0, float("nan"), float("inf")])
+    with pytest.warns(UserWarning, match="NaN"):
+        out = evaluate_population(genomes, lambda g: next(fits), isolate=isolate)
+    assert out == [1.0, FAILED_FITNESS, float("inf")]
+
+
+def nan_for_half(g):
+    value = hash_fitness(g)
+    return float("nan") if value < 0.5 else value
+
+
+def test_one_plus_lambda_replaces_a_nan_parent():
+    params = make_params(budget=60, seed=3)
+    calls = iter(range(10**6))
+
+    def fit(g):
+        return float("nan") if next(calls) == 0 else hash_fitness(g)
+
+    with pytest.warns(UserWarning, match="NaN"):
+        _, log = one_plus_lambda(fit, params)
+    assert all(np.isfinite(r.best_fitness) for r in log)
+
+
+def test_ga_survives_nan_fitness():
+    params = make_params(algorithm="ga", population=10, crossover="single_point",
+                         budget=100, seed=5)
+    with pytest.warns(UserWarning, match="NaN"):
+        _, log = ga(nan_for_half, params)
+    assert log[-1].evaluations >= 100
+    assert all(r.best_fitness >= 0.5 for r in log)
 
 
 # -------------------------------------------------------------- determinism

@@ -34,7 +34,7 @@ def test_weighted_square():
     # single mult node fed twice by the input, weighted by its c gene
     g = cgp([[0.1, 0.1, f_gene("mult"), 0.5]], [0.9])
     d = decode(g, DecodeSettings(use_weights=True), FSET)
-    out, _ = step(d, g, new_state(d), np.array([0.8]))
+    out, _ = step(d, new_state(d), np.array([0.8]))
     assert out[0] == pytest.approx(0.32, abs=1e-12)
 
 
@@ -46,7 +46,7 @@ def test_self_loop_accumulator():
     state = new_state(d)
     seen = []
     for _ in range(3):
-        out, state = step(d, g, state, np.array([1.0]))
+        out, state = step(d, state, np.array([1.0]))
         seen.append(out[0])
     assert seen == [1.0, 2.0, 3.0]
 
@@ -57,8 +57,8 @@ def test_feedforward_statelessness():
     d = decode(g, DecodeSettings(), FSET)
     s = new_state(d)
     x = np.array([0.3, 0.7])
-    o1, s = step(d, g, s, x)
-    o2, s = step(d, g, s, x)
+    o1, s = step(d, s, x)
+    o2, s = step(d, s, x)
     assert o1.tolist() == o2.tolist()
 
 
@@ -66,15 +66,15 @@ def test_input_length_checked():
     g = cgp([[0.1, 0.1, f_gene("add"), 0.5]], [0.9])
     d = decode(g, DecodeSettings(), FSET)
     with pytest.raises(ValueError):
-        step(d, g, new_state(d), np.array([1.0, 2.0]))
+        step(d, new_state(d), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
-        run_batch(d, g, np.zeros((4, 2)))
+        run_batch(d, np.zeros((4, 2)))
 
 
 def test_zero_nodes_pass_through():
     g = make_genome(GenomeMode.CGP, 2, 2, np.zeros((0, 4)), [0.1, 0.9])
     d = decode(g, DecodeSettings(), FSET)
-    out, _ = step(d, g, new_state(d), np.array([3.0, 4.0]))
+    out, _ = step(d, new_state(d), np.array([3.0, 4.0]))
     assert out.tolist() == [3.0, 4.0]
 
 
@@ -84,13 +84,13 @@ def test_reset_contract():
     g = cgp([[0.2, 0.8, f_gene("add"), 0.5]], [0.9])
     d = decode(g, DecodeSettings(recurrency=1.0), FSET)
     s = new_state(d)
-    _, s = step(d, g, s, np.array([1.0]))
-    assert s.values[0] == 1.0
+    _, s = step(d, s, np.array([1.0]))
+    assert s[0] == 1.0
     r = reset(s)
-    assert r.values.tolist() == [0.0]
-    assert reset(r).values.tolist() == [0.0]
-    out_fresh, _ = step(d, g, new_state(d), np.array([1.0]))
-    out_reset, _ = step(d, g, r, np.array([1.0]))
+    assert r.tolist() == [0.0]
+    assert reset(r).tolist() == [0.0]
+    out_fresh, _ = step(d, new_state(d), np.array([1.0]))
+    out_reset, _ = step(d, r, np.array([1.0]))
     assert out_fresh.tolist() == out_reset.tolist()
 
 
@@ -109,8 +109,8 @@ def test_weights_off_ignores_params():
         )
         s = DecodeSettings(recurrency=float(rng.random()), input_start=-0.5)
         x = rng.uniform(-2, 2, (6, 2))
-        a = run_sequence(decode(g, s, fset), g, x)
-        b = run_sequence(decode(altered, s, fset), altered, x)
+        a = run_sequence(decode(g, s, fset), x)
+        b = run_sequence(decode(altered, s, fset), x)
         assert a.tolist() == b.tolist()
 
 
@@ -127,7 +127,7 @@ def test_junk_nodes_cannot_interfere():
         nodes[~d.active, -4:] = rng.random((int((~d.active).sum()), 4))
         h = make_genome(g.mode, g.n_in, g.n_out, nodes, g.outputs, g.inputs)
         x = rng.uniform(-1, 1, (5, 2))
-        assert run_sequence(d, g, x).tolist() == run_sequence(decode(h, s, FSET), h, x).tolist()
+        assert run_sequence(d, x).tolist() == run_sequence(decode(h, s, FSET), x).tolist()
 
 
 def test_outputs_always_finite():
@@ -138,8 +138,8 @@ def test_outputs_always_finite():
         s = DecodeSettings(recurrency=float(rng.random()), input_start=-0.3)
         d = decode(g, s, FSET)
         x = rng.uniform(-1e8, 1e8, (8, 2))
-        assert np.isfinite(run_sequence(d, g, x)).all()
-        assert np.isfinite(run_supervised(d, g, x)).all()
+        assert np.isfinite(run_sequence(d, x)).all()
+        assert np.isfinite(run_supervised(d, x)).all()
 
 
 # --------------------------------------------------------------- batching
@@ -151,8 +151,8 @@ def test_batch_equals_stepping_bitwise(mode, seed):
     g = random_genome(mode, 2, 2, int(rng.integers(0, 15)), rng)
     d = decode(g, DecodeSettings(use_weights=bool(rng.integers(0, 2))), FSET)
     x = rng.uniform(-3, 3, (7, 2))
-    batched = run_batch(d, g, x)
-    stepped = run_sequence(d, g, x)
+    batched = run_batch(d, x)
+    stepped = run_sequence(d, x)
     assert batched.tolist() == stepped.tolist()
 
 
@@ -160,8 +160,8 @@ def test_batch_refuses_recurrent_flow():
     g = cgp([[0.2, 0.8, f_gene("add"), 0.5]], [0.9])
     d = decode(g, DecodeSettings(recurrency=1.0), FSET)
     with pytest.raises(ValueError):
-        run_batch(d, g, np.ones((3, 1)))
-    out = run_supervised(d, g, np.ones((3, 1)))
+        run_batch(d, np.ones((3, 1)))
+    out = run_supervised(d, np.ones((3, 1)))
     assert out[0].tolist() == [1.0, 2.0, 3.0]
 
 
@@ -170,4 +170,4 @@ def test_supervised_dispatch_matches_sequence_when_recurrent():
     g = random_genome(GenomeMode.CGP, 2, 1, 10, rng)
     d = decode(g, DecodeSettings(recurrency=0.9), FSET)
     x = rng.uniform(-1, 1, (6, 2))
-    assert run_supervised(d, g, x).tolist() == run_sequence(d, g, x).tolist()
+    assert run_supervised(d, x).tolist() == run_sequence(d, x).tolist()
