@@ -56,10 +56,16 @@ class Dataset:
         return len(self.labels)
 
 
-def _scale_columns(feats: np.ndarray):
+def _scale_columns(feats: np.ndarray, path, header):
     lo = feats.min(axis=0)
     hi = feats.max(axis=0)
-    span = hi - lo
+    with np.errstate(over="ignore"):
+        span = hi - lo
+    wide = np.flatnonzero(~np.isfinite(span))
+    if wide.size:
+        j = int(wide[0])
+        raise DatasetError(f"{path} column {j + 1} ({header[j]!r}): feature range "
+                           f"[{lo[j]}, {hi[j]}] is too wide to scale")
     safe = np.where(span > 0, span, 1.0)
     scaled = np.where(span > 0, (feats - lo) / safe, 0.5)
     return scaled, lo, hi
@@ -79,7 +85,8 @@ def load_csv(path, task: str) -> Dataset:
     """Read a header-plus-rows CSV whose last column is the target.
 
     Features and regression targets must be finite numbers; anything
-    else raises a DatasetError naming the row and column.
+    else raises a DatasetError naming the row and column.  So does a
+    feature column whose max - min overflows to inf.
     """
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}")
@@ -110,7 +117,7 @@ def load_csv(path, task: str) -> Dataset:
                 cell, "target", f"{path} row {rownum} column {width} ({header[-1]!r})"))
         else:
             raw_targets.append(cell)
-    scaled, lo, hi = _scale_columns(feats)
+    scaled, lo, hi = _scale_columns(feats, path, header)
     if task == "classification":
         index = {}
         for t in raw_targets:

@@ -10,6 +10,7 @@ the package's presets/ directory.
 from __future__ import annotations
 
 import json
+from dataclasses import MISSING, fields
 from importlib import resources
 
 from .bench import TASKS, cartpole_fitness, classification_fitness, load_csv, \
@@ -18,7 +19,7 @@ from .crossover import OPERATORS as CROSSOVER_OPERATORS
 from .crossover import POSITIONAL_ONLY
 from .decode import DecodeSettings
 from .errors import ConfigError, ParseError
-from .evolve import ALGORITHMS, EvoParams
+from .evolve import EvoParams
 from .functions import DEFAULT_FUNCTION_NAMES, FunctionSet
 from .genome import GenomeMode, SizeBounds
 from .mutate import OPERATORS as MUTATION_OPERATORS
@@ -26,9 +27,15 @@ from .mutate import MutationParams
 
 PROBLEM_TASKS = TASKS + ("rl",)
 
+
+def _field_defaults(cls, skip=()) -> dict:
+    """Config keys and defaults of the dataclass fields that have one."""
+    return {{"lambda_": "lambda"}.get(f.name, f.name): f.default
+            for f in fields(cls) if f.default is not MISSING and f.name not in skip}
+
+
 DEFAULTS = {
     "mode": "CGP",
-    "algorithm": "one_plus_lambda",
     "task": None,
     "data": None,
     "episode_len": 500,
@@ -36,27 +43,9 @@ DEFAULTS = {
     "n_nodes": 20,
     "size_min": None,            # None: round(0.5 * n_nodes)
     "size_max": None,            # None: round(1.5 * n_nodes)
-    "recurrency": 0.0,
-    "input_start": -1.0,
-    "use_weights": False,
-    "operator": "gene",
-    "node_rate": 0.1,
-    "output_rate": 0.3,
-    "input_rate": 0.0,
-    "require_active": False,
-    "delta_frac": 0.2,
-    "modify_rate": 0.6,
-    "add_inverted": False,
-    "crossover": None,
-    "lambda": 5,
-    "population": 50,
-    "elitism": 0.1,
-    "crossover_fraction": 0.5,
-    "mutation_fraction": 0.5,
-    "tournament_size": 3,
-    "budget": 20000,
-    "seed": 0,
-    "workers": 1,
+    **_field_defaults(DecodeSettings),
+    **_field_defaults(MutationParams),
+    **_field_defaults(EvoParams, skip=("settings",)),
 }
 
 # Tunable ranges; sweeps sample these, validation enforces them.
@@ -79,9 +68,7 @@ INT_KEYS = ("lambda", "population", "n_nodes", "size_min", "size_max", "budget",
 BOOL_KEYS = ("use_weights", "require_active", "add_inverted")
 CHOICES = {
     "mode": ("CGP", "PCGP"),
-    "algorithm": ALGORITHMS,
-    "operator": MUTATION_OPERATORS,
-    "task": PROBLEM_TASKS,
+    "task": (None, *PROBLEM_TASKS),
 }
 # Population values used when sweeping (tuning grid); validation accepts
 # any integer in RANGES["population"] so hand-written configs may sit
@@ -122,21 +109,21 @@ def _check_number(key, value):
 
 
 def validate_config(cfg: dict) -> None:
-    """Raise ConfigError on unknown keys, type errors or range violations."""
+    """Raise ConfigError unless cfg describes a run that can start.
+
+    The document is checked here: unknown keys, JSON types, the tuning
+    RANGES and the problem binding.  Every other rule lives in the
+    dataclasses, so the run objects are then built for a one-input,
+    one-output problem and whatever they reject is a ConfigError too.
+    """
     unknown = sorted(set(cfg) - set(DEFAULTS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     merged = merge_config(cfg)
     for key, allowed in CHOICES.items():
         value = merged[key]
-        if key == "task" and value is None:
-            continue
         if value not in allowed:
             raise ConfigError(f"{key} must be one of {allowed}, got {value!r}")
-    crossover = merged["crossover"]
-    if crossover is not None and crossover not in CROSSOVER_OPERATORS:
-        raise ConfigError(
-            f"crossover must be one of {CROSSOVER_OPERATORS} or null, got {crossover!r}")
     for key in BOOL_KEYS:
         value = merged[key]
         if isinstance(value, int) and not isinstance(value, bool) and value in (0, 1):
@@ -150,32 +137,21 @@ def validate_config(cfg: dict) -> None:
         _check_number(key, value)
         if not lo <= value <= hi:
             raise ConfigError(f"{key} {value} outside allowed range [{lo}, {hi}]")
-    for key, minimum in (("budget", 1), ("workers", 1), ("tournament_size", 1),
-                         ("episode_len", 1), ("n_nodes", 0), ("seed", 0)):
-        if merged[key] < minimum:
-            raise ConfigError(f"{key} must be at least {minimum}")
-    smin, smax = _size_bounds(merged)
-    if not 0 <= smin <= smax:
-        raise ConfigError(f"size bounds [{smin}, {smax}] are inverted")
-    if not smin <= merged["n_nodes"] <= smax:
-        raise ConfigError(
-            f"n_nodes {merged['n_nodes']} outside size bounds [{smin}, {smax}]")
+    if merged["episode_len"] < 1:
+        raise ConfigError("episode_len must be at least 1")
     names = merged["functions"]
     if (not isinstance(names, (list, tuple)) or not names
             or not all(isinstance(n, str) for n in names)):
         raise ConfigError("functions must be a non-empty list of names")
-    FunctionSet.from_names(names)    # raises on unknown names
-    if merged["mode"] == "CGP":
-        if crossover in POSITIONAL_ONLY:
-            raise ConfigError(f"crossover {crossover!r} requires positional genomes")
-        if merged["operator"] == "mixed_subgraph":
-            raise ConfigError("mixed_subgraph mutation requires positional genomes")
-    if (merged["algorithm"] == "ga" and crossover is None
-            and merged["crossover_fraction"] > 0):
-        raise ConfigError("GA with a crossover share needs a crossover operator")
     if merged["task"] in TASKS and merged["data"] is not None \
             and not isinstance(merged["data"], str):
         raise ConfigError("data must be a file path string")
+    try:
+        build_evo_params(merged, 1, 1)
+    except (ValueError, OverflowError) as e:
+        # ValueError: SizeBounds, DecodeSettings or FunctionSet rejected a
+        # value; OverflowError: n_nodes too large to derive size bounds from.
+        raise ConfigError(str(e)) from None
 
 
 def _size_bounds(merged) -> tuple:
@@ -313,11 +289,14 @@ def sample_config(cfg: dict, rng) -> dict:
     """One sweep trial: tunables drawn uniformly from their ranges.
 
     Reals are drawn on a 0.1 grid, population from the tuning grid;
-    operator choices respect the genome mode.  Everything else (mode,
-    algorithm, problem, budget, seed) is inherited from cfg.
+    operator choices respect the genome mode, and population and lambda
+    only take values the budget covers.  Everything else (mode,
+    algorithm, problem, budget, seed) is inherited from cfg, which must
+    be valid.
     """
     merged = merge_config(cfg)
     positional = merged["mode"] == "PCGP"
+    budget = merged["budget"]
     out = dict(cfg)
     mutations = [op for op in MUTATION_OPERATORS
                  if positional or op != "mixed_subgraph"]
@@ -332,9 +311,9 @@ def sample_config(cfg: dict, rng) -> dict:
             out[key] = bool(rng.integers(2))
         elif key == "lambda":
             lo, hi = RANGES["lambda"]
-            out[key] = int(rng.integers(lo, hi + 1))
+            out[key] = int(rng.integers(lo, min(hi, budget - 1) + 1))
         elif key == "population":
-            out[key] = _pick(rng, POPULATION_GRID)
+            out[key] = _pick(rng, [p for p in POPULATION_GRID if p <= budget])
         else:
             out[key] = _pick(rng, _grid(*RANGES[key]))
     return out

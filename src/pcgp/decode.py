@@ -202,7 +202,7 @@ def decode(g: Genome, settings: DecodeSettings, fset: FunctionSet) -> DecodedGra
     function_index = np.minimum(
         np.floor(g.nodes[:, F_OFF] * n_f).astype(int), n_f - 1
     ) if n_nodes else np.zeros(0, dtype=int)
-    arity = fset.arities()[function_index]
+    arity = fset.arities[function_index]
 
     total = n_in + n_nodes
     out_points = output_position(g.outputs, settings, g.mode)

@@ -4,7 +4,9 @@ Both are deterministic given (params, seed), including under parallel
 fitness evaluation: every child gets its own random stream derived from
 (seed, generation, slot), so results never depend on scheduling order.
 Budgets count fitness evaluations, not generations; copied individuals
-(elites, unmodified tournament winners) are never re-evaluated.  The
+(elites, unmodified tournament winners) are never re-evaluated.  A
+budget must cover the first generation (lambda + 1 for 1+lambda, the
+population for the GA); EvoParams rejects a smaller one.  The
 generation that reaches the budget always completes, so a run may
 overshoot it by less than one generation's fresh evaluations: budget
 10 with lambda 4 runs 1 + 3 * 4 = 13 evaluations.
@@ -57,15 +59,18 @@ class EvoParams:
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {self.algorithm!r}")
-        if self.lambda_ < 1:
-            raise ConfigError("lambda must be at least 1")
-        if self.population < 2:
-            raise ConfigError("population must be at least 2")
-        if self.budget < 1:
-            raise ConfigError("budget must be positive")
-        if self.n_nodes < 0 or self.n_in < 1 or self.n_out < 1:
+            raise ConfigError(
+                f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
+        for name, minimum in (("lambda_", 1), ("population", 2), ("budget", 1),
+                              ("workers", 1), ("tournament_size", 1), ("seed", 0)):
+            if getattr(self, name) < minimum:
+                raise ConfigError(f"{name.rstrip('_')} must be at least {minimum}")
+        if self.n_in < 1 or self.n_out < 1:
             raise ConfigError("invalid genome shape")
+        bounds = self.mutation.bounds
+        if not bounds.size_min <= self.n_nodes <= bounds.size_max:
+            raise ConfigError(f"n_nodes {self.n_nodes} outside size bounds "
+                              f"[{bounds.size_min}, {bounds.size_max}]")
         for name in ("elitism", "crossover_fraction", "mutation_fraction"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
@@ -79,6 +84,12 @@ class EvoParams:
                 raise ConfigError("mixed_subgraph mutation requires positional genomes")
         if self.algorithm == "ga" and self.crossover is None and self.crossover_fraction > 0:
             raise ConfigError("GA with a crossover share needs a crossover operator")
+        if self.algorithm == "ga" and self.budget < self.population:
+            raise ConfigError(f"budget {self.budget} must cover the initial "
+                              f"population of {self.population}")
+        if self.algorithm == "one_plus_lambda" and self.budget < self.lambda_ + 1:
+            raise ConfigError(f"budget {self.budget} must cover the initial parent "
+                              f"plus one generation of {self.lambda_}")
 
 
 @dataclass(frozen=True)
@@ -149,8 +160,6 @@ def one_plus_lambda(fit, params: EvoParams, rng=None, on_record=None):
     Offspring replace the parent when at least as fit.  Returns the
     final parent and one RunRecord per generation.
     """
-    if params.budget < params.lambda_ + 1:
-        raise ConfigError("budget must cover the initial parent plus one generation")
     base = _base_seed(params, rng)
     parent = random_genome(params.mode, params.n_in, params.n_out, params.n_nodes,
                            _stream(base, 0, 0))
@@ -212,8 +221,6 @@ def ga(fit, params: EvoParams, rng=None, on_record=None):
     distinct tournament winners, then mutants of tournament winners,
     then plain copies; only newly created individuals cost evaluations.
     """
-    if params.budget < params.population:
-        raise ConfigError("budget must cover the initial population")
     base = _base_seed(params, rng)
     pop = [
         random_genome(params.mode, params.n_in, params.n_out, params.n_nodes,

@@ -9,6 +9,7 @@ nullary ones ignore a and b and use only the node's parameter gene.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -59,9 +60,6 @@ class FunctionSet:
         names = [f.name for f in self.functions]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate function names: {names}")
-        a = np.array([f.arity for f in self.functions], dtype=int)
-        a.setflags(write=False)
-        object.__setattr__(self, "_arities", a)
 
     def __len__(self) -> int:
         return len(self.functions)
@@ -76,8 +74,11 @@ class FunctionSet:
     def names(self) -> tuple[str, ...]:
         return tuple(f.name for f in self.functions)
 
+    @cached_property
     def arities(self) -> np.ndarray:
-        return self._arities
+        a = np.array([f.arity for f in self.functions], dtype=int)
+        a.setflags(write=False)
+        return a
 
     @classmethod
     def from_names(cls, names) -> "FunctionSet":

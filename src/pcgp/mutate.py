@@ -38,8 +38,8 @@ class MutationParams:
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name}={v} outside [0, 1]")
         if self.operator not in OPERATORS:
-            raise ConfigError(f"unknown mutation operator {self.operator!r}; "
-                              f"expected one of {OPERATORS}")
+            raise ConfigError(
+                f"operator must be one of {OPERATORS}, got {self.operator!r}")
 
 
 def _require_pcgp(g: Genome, what: str):

@@ -89,6 +89,14 @@ def test_non_finite_regression_target_names_row_and_column(tmp_path, cell):
         load_csv(path, "regression")
 
 
+def test_feature_range_too_wide_to_scale_names_column(tmp_path):
+    path = write(tmp_path, "f,g,t\n0,-1e308,a\n1,1e308,b\n2,0,a\n")
+    with pytest.raises(DatasetError, match=r"column 2 \('g'\): feature range"):
+        load_csv(path, "classification")
+    d = load_csv(write(tmp_path, "f,t\n-1e308,a\n1e307,b\n", "ok.csv"), "classification")
+    assert np.isfinite(d.features).all()
+
+
 def test_nan_class_label_is_just_a_label(tmp_path):
     d = load_csv(write(tmp_path, "f,t\n1,nan\n2,a\n"), "classification")
     assert d.labels == ("nan", "a")

@@ -112,6 +112,16 @@ def test_validate_override_can_break_config(tmp_path, capsys):
     assert "lambda" in capsys.readouterr().err
 
 
+def test_validate_unknown_function_is_a_config_error(capsys):
+    assert main(["validate", "e0_rl", "--set", 'functions=["add","nope"]']) == 2
+    assert "error: unknown functions" in capsys.readouterr().err
+
+
+def test_validate_rejects_budget_run_would_reject(capsys):
+    assert main(["validate", "e0_rl", "--set", "budget=3"]) == 2
+    assert "error: budget 3 must cover" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------- run
 
 def run_args(tmp_path, data, extra=()):
@@ -202,6 +212,16 @@ def test_sweep_ranks_descending(tmp_path):
     assert fits == sorted(fits, reverse=True)
     trials = sorted(int(r[0]) for r in rows[1:])
     assert trials == [0, 1, 2, 3]
+
+
+def test_ga_sweep_draws_only_populations_the_budget_covers(tmp_path):
+    cfg = write_config(tmp_path, task="rl", episode_len=5, budget=100, n_nodes=4,
+                       algorithm="ga", crossover="single_point")
+    out = tmp_path / "logs"
+    assert main(["sweep", str(cfg), "--trials", "4", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(open(out / "cfg_sweep.csv")))
+    assert sorted(int(r["trial"]) for r in rows) == [0, 1, 2, 3]
+    assert all(int(r["population"]) <= 100 for r in rows)
 
 
 # --------------------------------------------------------------- export-dot

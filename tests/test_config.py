@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcgp.config import (
+    BOOL_KEYS,
     DEFAULTS,
     POPULATION_GRID,
+    PROBLEM_TASKS,
     RANGES,
     build_evo_params,
     build_mutation,
@@ -19,8 +22,12 @@ from pcgp.config import (
     sweep_keys,
     validate_config,
 )
+from pcgp.crossover import OPERATORS as CROSSOVER_OPERATORS
 from pcgp.errors import ConfigError, ParseError
+from pcgp.evolve import ALGORITHMS
+from pcgp.functions import DEFAULT_FUNCTION_NAMES
 from pcgp.genome import GenomeMode
+from pcgp.mutate import OPERATORS as MUTATION_OPERATORS
 
 
 def test_merge_layers_defaults_under_overrides():
@@ -86,8 +93,10 @@ def test_structural_checks():
         validate_config({"n_nodes": 5, "size_min": 10, "size_max": 40})
     with pytest.raises(ConfigError, match="functions"):
         validate_config({"functions": []})
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="unknown functions"):
         validate_config({"functions": ["add", "nope"]})
+    with pytest.raises(ConfigError, match="too large"):
+        validate_config({"n_nodes": 10**400})
 
 
 def test_mode_compatibility_checks():
@@ -98,6 +107,70 @@ def test_mode_compatibility_checks():
     validate_config({"mode": "PCGP", "algorithm": "ga", "crossover": "subgraph"})
     with pytest.raises(ConfigError, match="crossover operator"):
         validate_config({"algorithm": "ga"})          # share 0.5, no operator
+
+
+# Values that pass every key, type and range check, so that drawn configs
+# reach the rules the run objects enforce (sizes, budgets, operator and
+# mode compatibility, function names).
+DOCUMENT_VALID = {
+    "mode": st.sampled_from(["CGP", "PCGP"]),
+    "task": st.sampled_from([None, *PROBLEM_TASKS]),
+    "data": st.none() | st.text(max_size=5),
+    "episode_len": st.integers(1, 600),
+    "functions": st.lists(st.sampled_from([*DEFAULT_FUNCTION_NAMES, "nope"]),
+                          min_size=1, max_size=4),
+    "algorithm": st.sampled_from([*ALGORITHMS, "hill_climb"]),
+    "operator": st.sampled_from([*MUTATION_OPERATORS, "swap"]),
+    "crossover": st.sampled_from([None, *CROSSOVER_OPERATORS, "merge"]),
+    "n_nodes": st.integers(-3, 60),
+    "size_min": st.none() | st.integers(-3, 60),
+    "size_max": st.none() | st.integers(-3, 60),
+    "lambda": st.integers(*RANGES["lambda"]),
+    "population": st.integers(*RANGES["population"]),
+    "budget": st.integers(-1, 300),
+    "seed": st.integers(-2, 2**40),
+    "workers": st.integers(-1, 4),
+    "tournament_size": st.integers(-1, 5),
+    **{key: st.booleans() for key in BOOL_KEYS},
+}
+for _key, (_lo, _hi) in RANGES.items():
+    DOCUMENT_VALID.setdefault(_key, st.floats(_lo, _hi))
+assert set(DOCUMENT_VALID) == set(DEFAULTS)
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fixed_dictionaries(
+    {}, optional={**{key: strategy | JSON_VALUES
+                     for key, strategy in DOCUMENT_VALID.items()},
+                  "recurency": JSON_VALUES}))
+def test_validate_raises_only_config_errors(cfg):
+    try:
+        validate_config(cfg)
+    except ConfigError:
+        pass
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.fixed_dictionaries({}, optional=DOCUMENT_VALID),
+       st.integers(1, 5), st.integers(1, 5))
+def test_validate_accepts_exactly_what_builds(cfg, n_in, n_out):
+    try:
+        validate_config(cfg)
+        accepted = True
+    except ConfigError:
+        accepted = False
+    try:
+        build_evo_params(cfg, n_in, n_out)
+        built = True
+    except (ConfigError, ValueError):
+        built = False
+    assert accepted == built
 
 
 def test_build_settings_and_mutation():
@@ -216,6 +289,14 @@ def test_samples_respect_ranges_and_grid():
             assert lo <= value <= hi
             assert round(value * 10) == pytest.approx(value * 10)
         assert cfg["task"] == "rl" and cfg["budget"] == 100   # inherited
+
+
+def test_samples_fit_the_budget():
+    rng = np.random.default_rng(2)
+    for _ in range(40):
+        cfg = sample_config({"budget": 4}, rng)
+        validate_config(cfg)
+        assert cfg["lambda"] <= 3
 
 
 def test_cgp_samples_avoid_positional_operators():

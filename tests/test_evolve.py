@@ -101,9 +101,8 @@ def test_fitness_failure_propagates_with_context():
 
 
 def test_budget_must_cover_first_generation():
-    params = make_params(lambda_=5, budget=5)
     with pytest.raises(ConfigError):
-        one_plus_lambda(hash_fitness, params)
+        make_params(lambda_=5, budget=5)
 
 
 def test_on_record_callback_sees_every_record():
@@ -164,10 +163,9 @@ def test_ga_best_monotone_with_elitism():
 
 
 def test_ga_budget_must_cover_population():
-    params = make_params(algorithm="ga", population=30, budget=20,
-                         crossover_fraction=0.0)
     with pytest.raises(ConfigError):
-        ga(hash_fitness, params)
+        make_params(algorithm="ga", population=30, budget=20,
+                    crossover_fraction=0.0)
 
 
 def test_ga_crossover_share_needs_operator():
