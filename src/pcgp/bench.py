@@ -3,17 +3,21 @@
 CSV-backed classification and regression plus a built-in cart-pole
 balancing task.  All fitnesses are maximized and deterministic for a
 given genome, so they can drive either evolution loop directly.
+MemoizedFitness, which config.make_fitness returns, adds a memo: it
+scores each distinct active program once.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .decode import DecodeSettings, decode
+from .decode import DecodedGraph, DecodeSettings, decode
 from .errors import ConfigError, DatasetError
 from .execute import new_state, run_supervised, step
 from .functions import FunctionSet
@@ -30,6 +34,7 @@ TIMESTEP = 0.02
 ANGLE_LIMIT = 12.0 * math.pi / 180.0
 POSITION_LIMIT = 2.4
 CARTPOLE_INIT = (0.0, 0.0, 0.05, 0.0)   # slight tilt so doing nothing fails
+MEMO_ENTRIES = 2**16    # programs one MemoizedFitness remembers; oldest go first
 
 
 @dataclass(frozen=True)
@@ -54,6 +59,13 @@ class Dataset:
     @property
     def n_classes(self) -> int:
         return len(self.labels)
+
+    @property
+    def n_out(self) -> int:
+        """Program outputs the task needs: one per class or target column."""
+        if self.task == "classification":
+            return self.n_classes
+        return self.targets.shape[1]
 
 
 def _scale_columns(feats: np.ndarray, path, header):
@@ -132,7 +144,7 @@ def load_csv(path, task: str) -> Dataset:
     return Dataset(scaled, targets, task, lo, hi, labels)
 
 
-def _check_dataset(g: Genome, d: Dataset, task: str, n_out: int):
+def _check_dataset(g: Genome, d: Dataset, task: str):
     if d.task != task:
         raise ConfigError(f"dataset is for {d.task}, not {task}")
     if d.n_rows == 0:
@@ -140,46 +152,30 @@ def _check_dataset(g: Genome, d: Dataset, task: str, n_out: int):
     if g.n_in != d.n_features:
         raise ConfigError(
             f"genome has {g.n_in} inputs but the dataset has {d.n_features} features")
-    if g.n_out != n_out:
+    if g.n_out != d.n_out:
         raise ConfigError(
-            f"genome has {g.n_out} outputs but the task needs {n_out}")
+            f"genome has {g.n_out} outputs but the task needs {d.n_out}")
 
 
-def classification_fitness(g: Genome, d: Dataset,
-                           settings: DecodeSettings, fset: FunctionSet) -> float:
-    """Accuracy in [0,1]; predicted class is the argmax output (ties to
-    the lowest index).  State is reset once, then rows run in file order."""
-    _check_dataset(g, d, "classification", d.n_classes)
-    graph = decode(g, settings, fset)
+def _check_cartpole(g: Genome, episode_len: int):
+    if g.n_in != 4 or g.n_out != 1:
+        raise ConfigError("cart-pole needs 4 inputs and 1 output")
+    if episode_len < 1:
+        raise ConfigError("episode length must be positive")
+
+
+def _accuracy(graph: DecodedGraph, d: Dataset) -> float:
     outputs = run_supervised(graph, d.features)      # (n_out, rows)
     predicted = np.argmax(outputs, axis=0)
     return float(np.mean(predicted == d.targets))
 
 
-def regression_fitness(g: Genome, d: Dataset,
-                       settings: DecodeSettings, fset: FunctionSet) -> float:
-    """Negated mean squared error over all rows and outputs; 0 is perfect."""
-    if d.task != "regression":
-        raise ConfigError(f"dataset is for {d.task}, not regression")
-    _check_dataset(g, d, "regression", d.targets.shape[1])
-    graph = decode(g, settings, fset)
+def _neg_mse(graph: DecodedGraph, d: Dataset) -> float:
     outputs = run_supervised(graph, d.features)
     return float(-np.mean((outputs.T - d.targets) ** 2))
 
 
-def cartpole_fitness(g: Genome, settings: DecodeSettings, fset: FunctionSet,
-                     episode_len: int = 500) -> float:
-    """Fraction of the episode a bang-bang controlled pole stays up.
-
-    The program reads (cart position, cart velocity, pole angle, pole
-    angular velocity) each step and pushes with +/-10 N by the sign of
-    its output.  Euler integration, failure beyond 12 degrees or 2.4 m.
-    """
-    if g.n_in != 4 or g.n_out != 1:
-        raise ConfigError("cart-pole needs 4 inputs and 1 output")
-    if episode_len < 1:
-        raise ConfigError("episode length must be positive")
-    graph = decode(g, settings, fset)
+def _balance(graph: DecodedGraph, episode_len: int) -> float:
     state = new_state(graph)
     x, xd, th, thd = CARTPOLE_INIT
     total = CART_MASS + POLE_MASS
@@ -199,3 +195,70 @@ def cartpole_fitness(g: Genome, settings: DecodeSettings, fset: FunctionSet,
         if abs(th) > ANGLE_LIMIT or abs(x) > POSITION_LIMIT:
             return survived / episode_len
     return 1.0
+
+
+def classification_fitness(g: Genome, d: Dataset,
+                           settings: DecodeSettings, fset: FunctionSet) -> float:
+    """Accuracy in [0,1]; predicted class is the argmax output (ties to
+    the lowest index).  State is reset once, then rows run in file order."""
+    _check_dataset(g, d, "classification")
+    return _accuracy(decode(g, settings, fset), d)
+
+
+def regression_fitness(g: Genome, d: Dataset,
+                       settings: DecodeSettings, fset: FunctionSet) -> float:
+    """Negated mean squared error over all rows and outputs; 0 is perfect."""
+    _check_dataset(g, d, "regression")
+    return _neg_mse(decode(g, settings, fset), d)
+
+
+def cartpole_fitness(g: Genome, settings: DecodeSettings, fset: FunctionSet,
+                     episode_len: int = 500) -> float:
+    """Fraction of the episode a bang-bang controlled pole stays up.
+
+    The program reads (cart position, cart velocity, pole angle, pole
+    angular velocity) each step and pushes with +/-10 N by the sign of
+    its output.  Euler integration, failure beyond 12 degrees or 2.4 m.
+    """
+    _check_cartpole(g, episode_len)
+    return _balance(decode(g, settings, fset), episode_len)
+
+
+class MemoizedFitness:
+    """A bundled task's fitness that scores each distinct program once.
+
+    Cart-pole when data is None, otherwise the dataset's task; the value
+    is the one cartpole_fitness, classification_fitness or
+    regression_fitness gives.  A call checks the genome against the
+    task, decodes it and looks its DecodedGraph.program_key up; a miss
+    scores the graph and stores the value, dropping the oldest entry
+    beyond MEMO_ENTRIES.  Scoring is deterministic, so a hit returns
+    exactly what scoring again would.  Safe to call from several threads.
+    """
+
+    def __init__(self, settings: DecodeSettings, fset: FunctionSet,
+                 data: Dataset | None = None, episode_len: int = 500):
+        self.settings = settings
+        self.fset = fset
+        if data is None:
+            self._check = partial(_check_cartpole, episode_len=episode_len)
+            self._score = partial(_balance, episode_len=episode_len)
+        else:
+            self._check = partial(_check_dataset, d=data, task=data.task)
+            score = _accuracy if data.task == "classification" else _neg_mse
+            self._score = partial(score, d=data)
+        self._memo = {}
+        self._lock = threading.Lock()
+
+    def __call__(self, g: Genome) -> float:
+        self._check(g)
+        graph = decode(g, self.settings, self.fset)
+        key = graph.program_key
+        value = self._memo.get(key)
+        if value is None:
+            value = self._score(graph)
+            with self._lock:
+                self._memo[key] = value
+                if len(self._memo) > MEMO_ENTRIES:
+                    del self._memo[next(iter(self._memo))]
+        return value

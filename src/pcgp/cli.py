@@ -96,8 +96,7 @@ def _cmd_run(args) -> int:
     out = _out_dir(args)
     _write_log(out / f"{tag}_log.csv", log)
     (out / f"{tag}_best.json").write_text(to_json(best) + "\n")
-    final = log[-1].best_fitness if log else None
-    print(f"best fitness: {final}")
+    print(f"best fitness: {log[-1].best_fitness}")
     return 0
 
 
@@ -112,8 +111,7 @@ def _cmd_sweep(args) -> int:
         fit, n_in, n_out = make_fitness(sampled)
         params = build_evo_params(sampled, n_in, n_out)
         _, log = run_evolution(fit, params)
-        fitness = log[-1].best_fitness if log else float("-inf")
-        rows.append((trial, fitness, [sampled[k] for k in keys]))
+        rows.append((trial, log[-1].best_fitness, [sampled[k] for k in keys]))
     rows.sort(key=lambda row: (-row[1], row[0]))
     out = _out_dir(args)
     path = out / f"{tag}_sweep.csv"

@@ -13,8 +13,7 @@ import json
 from dataclasses import MISSING, fields
 from importlib import resources
 
-from .bench import TASKS, cartpole_fitness, classification_fitness, load_csv, \
-    regression_fitness
+from .bench import TASKS, MemoizedFitness, load_csv
 from .crossover import OPERATORS as CROSSOVER_OPERATORS
 from .crossover import POSITIONAL_ONLY
 from .decode import DecodeSettings
@@ -213,7 +212,10 @@ def build_evo_params(cfg: dict, n_in: int, n_out: int) -> EvoParams:
 
 
 def make_fitness(cfg: dict):
-    """Bind the configured problem; returns (fit, n_in, n_out)."""
+    """Bind the configured problem; returns (fit, n_in, n_out).
+
+    fit is a fresh MemoizedFitness, so each call starts an empty memo.
+    """
     merged = merge_config(cfg)
     task = merged["task"]
     settings = build_settings(cfg)
@@ -221,25 +223,11 @@ def make_fitness(cfg: dict):
     if task is None:
         raise ConfigError("config sets no task")
     if task == "rl":
-        episode_len = merged["episode_len"]
-
-        def fit(g):
-            return cartpole_fitness(g, settings, fset, episode_len)
-
-        return fit, 4, 1
+        return MemoizedFitness(settings, fset, episode_len=merged["episode_len"]), 4, 1
     if merged["data"] is None:
         raise ConfigError(f"task {task!r} needs a data file")
     d = load_csv(merged["data"], task)
-    if task == "classification":
-        def fit(g):
-            return classification_fitness(g, d, settings, fset)
-
-        return fit, d.n_features, d.n_classes
-
-    def fit(g):
-        return regression_fitness(g, d, settings, fset)
-
-    return fit, d.n_features, d.targets.shape[1]
+    return MemoizedFitness(settings, fset, data=d), d.n_features, d.n_out
 
 
 # ------------------------------------------------------------------ presets
@@ -313,7 +301,7 @@ def sample_config(cfg: dict, rng) -> dict:
             lo, hi = RANGES["lambda"]
             out[key] = int(rng.integers(lo, min(hi, budget - 1) + 1))
         elif key == "population":
-            out[key] = _pick(rng, [p for p in POPULATION_GRID if p <= budget])
+            out[key] = _pick(rng, [p for p in POPULATION_GRID if p < budget])
         else:
             out[key] = _pick(rng, _grid(*RANGES[key]))
     return out

@@ -98,6 +98,31 @@ class DecodedGraph:
         return Plan(nodes, self.output_targets.tolist(), feedforward)
 
     @cached_property
+    def program_key(self) -> tuple:
+        """The canonical active program: graphs with equal keys compute
+        the same outputs from the same inputs and state history.
+
+        Active nodes are renumbered in plan order, which keeps the
+        fresh-versus-previous-step reading of every connection.  Each
+        contributes its function index, the targets its arity uses and,
+        as float.hex so -0.0 and 0.0 differ, its parameter where it is
+        read: by a nullary function, or by every node when weighted.
+        """
+        n_in = self.n_in
+        plan = self.plan
+        findex = self.function_index.tolist()
+        arity = self.arity.tolist()
+        rank = {n_in + node[0]: n_in + k for k, node in enumerate(plan.nodes)}
+        nodes = []
+        for i, _fn, ta, tb, param in plan.nodes:
+            k = arity[i]
+            used = (ta, tb)[:k]
+            nodes.append((findex[i], *[rank.get(t, t) for t in used],
+                          param.hex() if self.use_weights or k == 0 else None))
+        return (plan.feedforward, tuple(nodes),
+                tuple(rank.get(t, t) for t in plan.outputs))
+
+    @cached_property
     def components(self) -> np.ndarray:
         """(n_nodes,) int component label per node."""
         labels = _components(self.n_in, self.n_nodes, self.targets)

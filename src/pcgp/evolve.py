@@ -5,8 +5,9 @@ fitness evaluation: every child gets its own random stream derived from
 (seed, generation, slot), so results never depend on scheduling order.
 Budgets count fitness evaluations, not generations; copied individuals
 (elites, unmodified tournament winners) are never re-evaluated.  A
-budget must cover the first generation (lambda + 1 for 1+lambda, the
-population for the GA); EvoParams rejects a smaller one.  The
+budget must cover the first generation (lambda + 1 for 1+lambda, more
+than the initial population for the GA); EvoParams rejects a smaller
+one, so every run logs at least one generation.  The
 generation that reaches the budget always completes, so a run may
 overshoot it by less than one generation's fresh evaluations: budget
 10 with lambda 4 runs 1 + 3 * 4 = 13 evaluations.
@@ -84,9 +85,9 @@ class EvoParams:
                 raise ConfigError("mixed_subgraph mutation requires positional genomes")
         if self.algorithm == "ga" and self.crossover is None and self.crossover_fraction > 0:
             raise ConfigError("GA with a crossover share needs a crossover operator")
-        if self.algorithm == "ga" and self.budget < self.population:
+        if self.algorithm == "ga" and self.budget <= self.population:
             raise ConfigError(f"budget {self.budget} must cover the initial "
-                              f"population of {self.population}")
+                              f"population of {self.population} plus one generation")
         if self.algorithm == "one_plus_lambda" and self.budget < self.lambda_ + 1:
             raise ConfigError(f"budget {self.budget} must cover the initial parent "
                               f"plus one generation of {self.lambda_}")

@@ -3,7 +3,8 @@
 Each entry takes (a, b, param) and must accept python/numpy scalars as
 well as numpy arrays, returning bitwise-identical results either way so
 batched and stepwise execution agree exactly.  Unary functions ignore b;
-nullary ones ignore a and b and use only the node's parameter gene.
+nullary ones ignore a and b and use only the node's parameter gene,
+which no other function reads (DecodedGraph.program_key relies on it).
 """
 
 from __future__ import annotations

@@ -122,6 +122,15 @@ def test_validate_rejects_budget_run_would_reject(capsys):
     assert "error: budget 3 must cover" in capsys.readouterr().err
 
 
+def test_run_rejects_ga_budget_that_only_covers_the_population(tmp_path, capsys):
+    args = ["run", "e5", "--task", "rl", "--set", "episode_len=5",
+            "--set", "population=20", "--budget", "20", "--out", str(tmp_path)]
+    assert main(args) == 2
+    assert "error: budget 20 must cover the initial population of 20" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "e5_log.csv").exists()
+
+
 # ---------------------------------------------------------------------- run
 
 def run_args(tmp_path, data, extra=()):
@@ -221,7 +230,7 @@ def test_ga_sweep_draws_only_populations_the_budget_covers(tmp_path):
     assert main(["sweep", str(cfg), "--trials", "4", "--out", str(out)]) == 0
     rows = list(csv.DictReader(open(out / "cfg_sweep.csv")))
     assert sorted(int(r["trial"]) for r in rows) == [0, 1, 2, 3]
-    assert all(int(r["population"]) <= 100 for r in rows)
+    assert all(int(r["population"]) < 100 for r in rows)
 
 
 # --------------------------------------------------------------- export-dot

@@ -166,6 +166,13 @@ def test_ga_budget_must_cover_population():
     with pytest.raises(ConfigError):
         make_params(algorithm="ga", population=30, budget=20,
                     crossover_fraction=0.0)
+    # the initial population alone would leave the log empty
+    with pytest.raises(ConfigError, match="plus one generation"):
+        make_params(algorithm="ga", population=30, budget=30,
+                    crossover_fraction=0.0)
+    _, log = ga(hash_fitness, make_params(algorithm="ga", population=30, budget=31,
+                                          crossover_fraction=0.0))
+    assert [r.generation for r in log] == [1]
 
 
 def test_ga_crossover_share_needs_operator():
