@@ -64,7 +64,7 @@ def _gather_config(args):
     cfg, tag = _resolve_config(args.config)
     cfg = dict(cfg)
     cfg.update(_parse_overrides(getattr(args, "overrides", [])))
-    for key in ("seed", "budget", "workers", "task", "data"):
+    for key in ("seed", "budget", "task", "data"):
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
@@ -146,7 +146,6 @@ def _add_config_options(sub, with_run_flags=True):
     if with_run_flags:
         sub.add_argument("--seed", type=int)
         sub.add_argument("--budget", type=int)
-        sub.add_argument("--workers", type=int)
         sub.add_argument("--task")
         sub.add_argument("--data")
         sub.add_argument("--out", help=f"output directory (default ${LOG_DIR_VAR} or .)")

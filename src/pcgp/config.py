@@ -15,13 +15,14 @@ from importlib import resources
 
 from .bench import TASKS, MemoizedFitness, load_csv
 from .crossover import OPERATORS as CROSSOVER_OPERATORS
-from .crossover import POSITIONAL_ONLY
+from .crossover import POSITIONAL_ONLY as POSITIONAL_CROSSOVERS
 from .decode import DecodeSettings
 from .errors import ConfigError, ParseError
 from .evolve import EvoParams
 from .functions import DEFAULT_FUNCTION_NAMES, FunctionSet
 from .genome import GenomeMode, SizeBounds
 from .mutate import OPERATORS as MUTATION_OPERATORS
+from .mutate import POSITIONAL_ONLY as POSITIONAL_MUTATIONS
 from .mutate import MutationParams
 
 PROBLEM_TASKS = TASKS + ("rl",)
@@ -287,9 +288,9 @@ def sample_config(cfg: dict, rng) -> dict:
     budget = merged["budget"]
     out = dict(cfg)
     mutations = [op for op in MUTATION_OPERATORS
-                 if positional or op != "mixed_subgraph"]
+                 if positional or op not in POSITIONAL_MUTATIONS]
     crossovers = [op for op in CROSSOVER_OPERATORS
-                  if positional or op not in POSITIONAL_ONLY]
+                  if positional or op not in POSITIONAL_CROSSOVERS]
     for key in sweep_keys(cfg):
         if key == "operator":
             out[key] = _pick(rng, mutations)

@@ -1,8 +1,11 @@
 """Evolution loops: an elitist 1+lambda EA and a generational GA.
 
-Both are deterministic given (params, seed), including under parallel
-fitness evaluation: every child gets its own random stream derived from
-(seed, generation, slot), so results never depend on scheduling order.
+Both are deterministic given (params, seed): every child gets its own
+random stream derived from (seed, generation, slot).  Fitness is
+evaluated serially, in slot order; the workers setting is accepted and
+validated but has no effect, because a thread pool over GIL-bound
+Python ran slower than one thread.
+
 Budgets count fitness evaluations, not generations; copied individuals
 (elites, unmodified tournament winners) are never re-evaluated.  A
 budget must cover the first generation (lambda + 1 for 1+lambda, more
@@ -20,17 +23,18 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .crossover import OPERATORS as CROSSOVER_OPERATORS
-from .crossover import POSITIONAL_ONLY, apply_crossover
+from .crossover import POSITIONAL_ONLY as POSITIONAL_CROSSOVERS
+from .crossover import apply_crossover
 from .decode import DecodeSettings, decode
 from .errors import ConfigError
 from .functions import FunctionSet, default_functions
 from .genome import Genome, GenomeMode, random_genome
+from .mutate import POSITIONAL_ONLY as POSITIONAL_MUTATIONS
 from .mutate import MutationParams, apply_mutation
 
 ALGORITHMS = ("one_plus_lambda", "ga")
@@ -55,7 +59,7 @@ class EvoParams:
     crossover: str | None = None
     budget: int = 20000
     seed: int = 0
-    workers: int = 1
+    workers: int = 1              # accepted for old configs; has no effect
     tournament_size: int = 3
 
     def __post_init__(self):
@@ -78,11 +82,12 @@ class EvoParams:
         if self.crossover is not None and self.crossover not in CROSSOVER_OPERATORS:
             raise ConfigError(f"unknown crossover operator {self.crossover!r}")
         if self.mode is GenomeMode.CGP:
-            if self.crossover in POSITIONAL_ONLY:
+            if self.crossover in POSITIONAL_CROSSOVERS:
                 raise ConfigError(
                     f"crossover {self.crossover!r} requires positional genomes")
-            if self.mutation.operator == "mixed_subgraph":
-                raise ConfigError("mixed_subgraph mutation requires positional genomes")
+            if self.mutation.operator in POSITIONAL_MUTATIONS:
+                raise ConfigError(f"{self.mutation.operator} mutation requires "
+                                  "positional genomes")
         if self.algorithm == "ga" and self.crossover is None and self.crossover_fraction > 0:
             raise ConfigError("GA with a crossover share needs a crossover operator")
         if self.algorithm == "ga" and self.budget <= self.population:
@@ -102,17 +107,13 @@ class RunRecord:
     best_active_nodes: int
 
 
-def evaluate_population(genomes, fit, workers: int = 1, isolate: bool = True):
-    """Fitness of each genome, order preserved.
+def evaluate_population(genomes, fit, isolate: bool = True):
+    """Fitness of each genome, evaluated serially in order.
 
     A NaN fitness becomes the worst-fitness sentinel plus a warning.
     With isolate, so does an individual's failure, instead of aborting
     the whole batch.
     """
-    genomes = list(genomes)
-    if not genomes:
-        return []
-
     def call(g):
         try:
             value = float(fit(g))
@@ -126,25 +127,16 @@ def evaluate_population(genomes, fit, workers: int = 1, isolate: bool = True):
             return FAILED_FITNESS
         return value
 
-    if workers <= 1:
-        return [call(g) for g in genomes]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(call, genomes))
+    return [call(g) for g in genomes]
 
 
 def _stream(seed: int, generation: int, slot: int) -> np.random.Generator:
     return np.random.default_rng([seed, generation, slot])
 
 
-def _base_seed(params: EvoParams, rng) -> int:
-    if rng is None:
-        return params.seed
-    return int(rng.integers(0, 2**63 - 1))
-
-
-def _evaluate(genomes, fit, params, generation, evaluations):
+def _evaluate(genomes, fit, generation, evaluations):
     try:
-        return evaluate_population(genomes, fit, params.workers, isolate=False)
+        return evaluate_population(genomes, fit, isolate=False)
     except Exception as e:
         raise RuntimeError(
             f"fitness evaluation failed in generation {generation} "
@@ -155,16 +147,15 @@ def _active_count(g: Genome, params: EvoParams) -> int:
     return int(decode(g, params.settings, params.functions).active.sum())
 
 
-def one_plus_lambda(fit, params: EvoParams, rng=None, on_record=None):
+def one_plus_lambda(fit, params: EvoParams, on_record=None):
     """Elitist single-parent EA with neutral drift.
 
     Offspring replace the parent when at least as fit.  Returns the
     final parent and one RunRecord per generation.
     """
-    base = _base_seed(params, rng)
     parent = random_genome(params.mode, params.n_in, params.n_out, params.n_nodes,
-                           _stream(base, 0, 0))
-    parent_fit = _evaluate([parent], fit, params, 0, 0)[0]
+                           _stream(params.seed, 0, 0))
+    parent_fit = _evaluate([parent], fit, 0, 0)[0]
     evaluations = 1
     generation = 0
     active = _active_count(parent, params)
@@ -173,10 +164,10 @@ def one_plus_lambda(fit, params: EvoParams, rng=None, on_record=None):
         generation += 1
         children = [
             apply_mutation(parent, params.mutation, params.settings, params.functions,
-                           _stream(base, generation, slot))
+                           _stream(params.seed, generation, slot))
             for slot in range(params.lambda_)
         ]
-        fits = _evaluate(children, fit, params, generation, evaluations)
+        fits = _evaluate(children, fit, generation, evaluations)
         evaluations += params.lambda_
         best = int(np.argmax(fits))
         mean = float(np.mean(fits + [parent_fit]))
@@ -215,20 +206,19 @@ def _channel_sizes(params: EvoParams):
     return elites, crossed, mutated, pop - elites - crossed - mutated
 
 
-def ga(fit, params: EvoParams, rng=None, on_record=None):
+def ga(fit, params: EvoParams, on_record=None):
     """Generational GA with elitism, crossover and mutation shares.
 
     Slots are filled elites first, then crossover children from pairs of
     distinct tournament winners, then mutants of tournament winners,
     then plain copies; only newly created individuals cost evaluations.
     """
-    base = _base_seed(params, rng)
     pop = [
         random_genome(params.mode, params.n_in, params.n_out, params.n_nodes,
-                      _stream(base, 0, slot))
+                      _stream(params.seed, 0, slot))
         for slot in range(params.population)
     ]
-    fits = np.array(_evaluate(pop, fit, params, 0, 0), dtype=float)
+    fits = np.array(_evaluate(pop, fit, 0, 0), dtype=float)
     evaluations = params.population
     best_idx = int(np.argmax(fits))
     best, best_fit = pop[best_idx], float(fits[best_idx])
@@ -244,7 +234,7 @@ def ga(fit, params: EvoParams, rng=None, on_record=None):
         next_fits = [float(fits[i]) for i in order[:elites]]
         fresh = []
         for k in range(crossed):
-            slot_rng = _stream(base, generation, elites + k)
+            slot_rng = _stream(params.seed, generation, elites + k)
             first = _tournament(fits, params.tournament_size, slot_rng)
             second = first
             for _ in range(100):
@@ -255,16 +245,16 @@ def ga(fit, params: EvoParams, rng=None, on_record=None):
                                          params.settings, params.functions,
                                          slot_rng, bounds))
         for k in range(mutated):
-            slot_rng = _stream(base, generation, elites + crossed + k)
+            slot_rng = _stream(params.seed, generation, elites + crossed + k)
             winner = _tournament(fits, params.tournament_size, slot_rng)
             fresh.append(apply_mutation(pop[winner], params.mutation, params.settings,
                                         params.functions, slot_rng))
-        fresh_fits = _evaluate(fresh, fit, params, generation, evaluations)
+        fresh_fits = _evaluate(fresh, fit, generation, evaluations)
         evaluations += len(fresh)
         next_pop += fresh
         next_fits += fresh_fits
         for k in range(copied):
-            slot_rng = _stream(base, generation, elites + crossed + mutated + k)
+            slot_rng = _stream(params.seed, generation, elites + crossed + mutated + k)
             winner = _tournament(fits, params.tournament_size, slot_rng)
             next_pop.append(pop[winner])
             next_fits.append(float(fits[winner]))
@@ -281,8 +271,8 @@ def ga(fit, params: EvoParams, rng=None, on_record=None):
     return best, log
 
 
-def run_evolution(fit, params: EvoParams, rng=None, on_record=None):
+def run_evolution(fit, params: EvoParams, on_record=None):
     """Dispatch to the configured algorithm."""
     if params.algorithm == "ga":
-        return ga(fit, params, rng, on_record)
-    return one_plus_lambda(fit, params, rng, on_record)
+        return ga(fit, params, on_record)
+    return one_plus_lambda(fit, params, on_record)

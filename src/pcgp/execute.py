@@ -1,11 +1,11 @@
-"""Evaluating decoded program graphs.
+"""Evaluating decoded program graphs with one interpreter.
 
 Nodes are evaluated in stored (ascending-position) order.  A connection
 to an earlier node reads this step's fresh value; a connection to the
 node itself or a later node reads the previous step's value, which is
-what makes recurrent programs stateful.  Feedforward graphs can instead
-be evaluated on a whole input batch at once; both paths produce
-bitwise-identical results.
+what makes recurrent programs stateful.  A feedforward plan never reads
+the previous step, so run_batch is one step taken on input columns; both
+paths produce bitwise-identical results.
 
 Everything needed comes from the DecodedGraph, and only active nodes
 are ever computed — inactive genetic material cannot influence outputs.
@@ -31,27 +31,43 @@ def reset(state: np.ndarray) -> np.ndarray:
     return np.zeros_like(state)
 
 
-def step(graph: DecodedGraph, state: np.ndarray, inputs):
-    """One synchronous update; returns (outputs, new state)."""
+# (finite, zeroed): a node value v that finite(v) rejects becomes
+# zeroed(v).  The scalar rule is math.isfinite itself, so step makes no
+# extra call per node.
+_SCALAR_RULE = (math.isfinite, lambda v: 0.0)
+_COLUMN_RULE = (lambda v: np.isfinite(v).all(),
+                lambda v: np.where(np.isfinite(v), v, 0.0))
+
+
+def _evaluate(graph: DecodedGraph, x, prev: np.ndarray, rule):
+    """The node loop over input scalars (step) or columns (run_batch);
+    prev holds the previous step's node values and rule is the pair
+    above.  Returns (outputs, node values)."""
+    finite, zeroed = rule
     n_in = graph.n_in
-    if len(inputs) != n_in:
-        raise ValueError(f"expected {n_in} inputs, got {len(inputs)}")
     plan = graph.plan
-    cur = state.copy()
+    cur = prev.copy()
     weighted = graph.use_weights
     # non-finite results are defined to become 0.0, so the IEEE warnings
     # on the way there are expected noise
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i, fn, ta, tb, param in plan.nodes:
-            a = inputs[ta] if ta < n_in else (cur[ta - n_in] if ta - n_in < i else state[ta - n_in])
-            b = inputs[tb] if tb < n_in else (cur[tb - n_in] if tb - n_in < i else state[tb - n_in])
+            a = x[ta] if ta < n_in else (cur[ta - n_in] if ta - n_in < i else prev[ta - n_in])
+            b = x[tb] if tb < n_in else (cur[tb - n_in] if tb - n_in < i else prev[tb - n_in])
             v = fn(a, b, param)
             if weighted:
                 v = v * param
-            cur[i] = v if math.isfinite(v) else 0.0
-    out = np.array([inputs[t] if t < n_in else cur[t - n_in] for t in plan.outputs],
+            cur[i] = v if finite(v) else zeroed(v)
+    out = np.array([x[t] if t < n_in else cur[t - n_in] for t in plan.outputs],
                    dtype=float)
     return out, cur
+
+
+def step(graph: DecodedGraph, state: np.ndarray, inputs):
+    """One synchronous update; returns (outputs, new state)."""
+    if len(inputs) != graph.n_in:
+        raise ValueError(f"expected {graph.n_in} inputs, got {len(inputs)}")
+    return _evaluate(graph, inputs, state, _SCALAR_RULE)
 
 
 def run_batch(graph: DecodedGraph, batch: np.ndarray) -> np.ndarray:
@@ -61,28 +77,13 @@ def run_batch(graph: DecodedGraph, batch: np.ndarray) -> np.ndarray:
     ValueError when the active graph has recurrent data flow (use
     run_sequence for that).
     """
-    plan = graph.plan
-    if not plan.feedforward:
+    if not graph.plan.feedforward:
         raise ValueError("graph has recurrent connections; run_batch needs feedforward flow")
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 2 or batch.shape[1] != graph.n_in:
         raise ValueError(f"batch must be (rows, {graph.n_in})")
-    n_in = graph.n_in
-    cols = batch.T
-    vals = np.zeros((graph.n_nodes, batch.shape[0]))
-    weighted = graph.use_weights
-    # non-finite results are defined to become 0.0, so the IEEE warnings
-    # on the way there are expected noise
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for i, fn, ta, tb, param in plan.nodes:
-            a = cols[ta] if ta < n_in else vals[ta - n_in]
-            b = cols[tb] if tb < n_in else vals[tb - n_in]
-            v = fn(a, b, param)
-            if weighted:
-                v = v * param
-            finite = np.isfinite(v)
-            vals[i] = v if finite.all() else np.where(finite, v, 0.0)
-    return np.stack([cols[t] if t < n_in else vals[t - n_in] for t in plan.outputs])
+    prev = np.zeros((graph.n_nodes, batch.shape[0]))
+    return _evaluate(graph, batch.T, prev, _COLUMN_RULE)[0]
 
 
 def run_sequence(graph: DecodedGraph, rows: np.ndarray) -> np.ndarray:

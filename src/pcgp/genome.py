@@ -84,6 +84,13 @@ def ladder_positions(count: int) -> np.ndarray:
     return pos
 
 
+def _check_ranges(nodes, outputs, inputs):
+    """Every gene in [0, 1]; the comparisons are written so NaN fails."""
+    for name, arr in (("node", nodes), ("output", outputs), ("input", inputs)):
+        if arr is not None and arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
+            raise ValueError(f"{name} genes outside [0, 1]")
+
+
 def make_genome(mode: GenomeMode, n_in: int, n_out: int, nodes, outputs,
                 inputs=None) -> Genome:
     """Validating constructor; copies arrays, sorts PCGP nodes, freezes."""
@@ -105,9 +112,7 @@ def make_genome(mode: GenomeMode, n_in: int, n_out: int, nodes, outputs,
     else:
         if inputs is not None:
             raise ValueError("CGP genomes carry no input position genes")
-    for name, arr in (("node", nodes), ("output", outputs), ("input", inputs)):
-        if arr is not None and arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-            raise ValueError(f"{name} genes outside [0, 1]")
+    _check_ranges(nodes, outputs, inputs)
     nodes.setflags(write=False)
     outputs.setflags(write=False)
     if inputs is not None:
@@ -224,12 +229,14 @@ def from_json(text: str) -> Genome:
     except (KeyError, ValueError, TypeError) as e:
         raise ParseError(f"malformed genome document: {e}") from e
     stride = node_stride(mode)
+    if not isinstance(nodes, list) or not all(isinstance(row, list) for row in nodes):
+        raise ParseError("nodes must be a list of gene lists")
     for i, row in enumerate(nodes):
         if len(row) != stride:
             raise ParseError(f"node {i} has {len(row)} genes, expected {stride}")
     try:
         return make_genome(mode, n_in, n_out, nodes, outputs, inputs)
-    except ValueError as e:
+    except (ValueError, TypeError) as e:
         raise ParseError(str(e)) from e
 
 
@@ -241,9 +248,7 @@ def validate_genome(g: Genome) -> None:
         raise ValueError("node array shape inconsistent with mode")
     if g.outputs.shape != (g.n_out,):
         raise ValueError("output array shape inconsistent with n_out")
-    for name, arr in (("node", g.nodes), ("output", g.outputs), ("input", g.inputs)):
-        if arr is not None and arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-            raise ValueError(f"{name} genes outside [0, 1]")
+    _check_ranges(g.nodes, g.outputs, g.inputs)
     if g.mode is GenomeMode.PCGP:
         if g.inputs is None or g.inputs.shape != (g.n_in,):
             raise ValueError("PCGP genome missing input position genes")

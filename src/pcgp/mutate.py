@@ -18,6 +18,7 @@ from .functions import FunctionSet
 from .genome import Genome, GenomeMode, SizeBounds, make_genome, remove_nodes
 
 OPERATORS = ("gene", "mixed_node", "mixed_subgraph")
+POSITIONAL_ONLY = ("mixed_subgraph",)
 
 
 @dataclass(frozen=True)

@@ -254,6 +254,16 @@ def test_export_dot_invalid_genome(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
+def test_export_dot_nan_gene_is_an_error(tmp_path, capsys):
+    genome_path = tmp_path / "nan.json"
+    genome_path.write_text('{"mode": "CGP", "n_in": 4, "n_out": 1, '
+                           '"nodes": [[NaN, 0.1, 0.2, 0.3]], "outputs": [0.5]}')
+    assert main(["export-dot", str(genome_path), "e0_rl",
+                 str(tmp_path / "out.dot")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out.dot").exists()
+
+
 # ------------------------------------------------------------- entry points
 
 def test_module_entry_point(tmp_path):

@@ -239,7 +239,6 @@ def test_evaluate_population_preserves_order():
     genomes = [random_genome(GenomeMode.CGP, 1, 1, 3, rng) for _ in range(6)]
     want = [g.outputs[0] for g in genomes]
     assert evaluate_population(genomes, lambda g: g.outputs[0]) == want
-    assert evaluate_population(genomes, lambda g: g.outputs[0], workers=3) == want
 
 
 def test_evaluate_population_isolates_failures():
@@ -254,9 +253,6 @@ def test_evaluate_population_isolates_failures():
 
     with pytest.warns(UserWarning, match="sentinel"):
         out = evaluate_population(genomes, fit)
-    assert out == [1.0, 1.0, FAILED_FITNESS, 1.0]
-    with pytest.warns(UserWarning):
-        out = evaluate_population(genomes, fit, workers=2)
     assert out == [1.0, 1.0, FAILED_FITNESS, 1.0]
 
 

@@ -59,6 +59,12 @@ def test_gene_range_enforced():
         cgp([[0.1, 0.2, 0.3, 0.4]], [-0.5])
     with pytest.raises(ValueError):
         pcgp([[0.5, 0.1, 0.2, 0.3, 0.4]], [0.5], [1.2])
+    # NaN compares false against both bounds; it must still be rejected
+    for which, genes in (("node", ([[0.5, 0.1, 0.2, 0.3, np.nan]], [0.5], [0.6])),
+                         ("output", ([[0.5, 0.1, 0.2, 0.3, 0.4]], [np.nan], [0.6])),
+                         ("input", ([[0.5, 0.1, 0.2, 0.3, 0.4]], [0.5], [np.nan]))):
+        with pytest.raises(ValueError, match=f"{which} genes"):
+            pcgp(*genes)
 
 
 def test_zero_nodes_allowed():
@@ -252,6 +258,19 @@ def test_from_json_rejects_garbage():
             "mode": "CGP", "n_in": 1, "n_out": 1,
             "nodes": [[0.5, 0.1, 0.2, 1.3]], "outputs": [0.5],
         }))
+    # NaN or null genes; nodes and rows that are not lists
+    pcgp_doc = {"mode": "PCGP", "n_in": 1, "n_out": 1,
+                "nodes": [[0.5, 0.1, 0.2, 0.3, 0.4]], "outputs": [0.5], "inputs": [0.6]}
+    for bad in ({"nodes": [[0.5, float("nan"), 0.2, 0.3, 0.4]]},
+                {"outputs": [float("nan")]},
+                {"inputs": [float("nan")]},
+                {"nodes": [[0.5, None, 0.2, 0.3, 0.4]]},
+                {"outputs": [None]},
+                {"nodes": 5},
+                {"nodes": [5]},
+                {"outputs": {"a": 0.5}}):
+        with pytest.raises(ParseError):
+            from_json(json.dumps({**pcgp_doc, **bad}))
 
 
 def test_validate_catches_forged_state():
@@ -260,3 +279,6 @@ def test_validate_catches_forged_state():
     bad = Genome(GenomeMode.CGP, 1, 1, g.nodes, np.array([1.5]), None)
     with pytest.raises(ValueError):
         validate_genome(bad)
+    nan = Genome(GenomeMode.CGP, 1, 1, g.nodes, np.array([np.nan]), None)
+    with pytest.raises(ValueError, match="output genes"):
+        validate_genome(nan)
