@@ -182,10 +182,12 @@ def one_plus_lambda(fit, params: EvoParams, on_record=None):
 
 
 def _tournament(fits: np.ndarray, size: int, rng) -> int:
-    idx = rng.integers(0, fits.shape[0], size)
-    vals = fits[idx]
-    tied = np.unique(idx[vals == vals.max()])
-    return int(rng.choice(tied))
+    """Draw size slots with replacement; the fittest wins, ties broken
+    by one uniform draw over the distinct tied slots in ascending order."""
+    idx = rng.integers(0, fits.shape[0], size).tolist()
+    best = max(fits[i] for i in idx)
+    tied = sorted({i for i in idx if fits[i] == best})
+    return tied[rng.integers(len(tied))]
 
 
 def _channel_sizes(params: EvoParams):

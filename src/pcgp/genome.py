@@ -214,20 +214,27 @@ def to_json(g: Genome) -> str:
 
 
 def from_json(text: str) -> Genome:
-    """Parse a genome JSON document, enforcing all genome invariants."""
+    """Parse a genome JSON document, enforcing all genome invariants.
+
+    n_in and n_out must be JSON integers, as to_json writes them: 1.9,
+    2.0, "2" and true are all rejected rather than converted.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"not valid JSON: {e}") from e
     try:
         mode = GenomeMode(doc["mode"])
-        n_in = int(doc["n_in"])
-        n_out = int(doc["n_out"])
+        n_in = doc["n_in"]
+        n_out = doc["n_out"]
         nodes = doc["nodes"]
         outputs = doc["outputs"]
         inputs = doc.get("inputs")
     except (KeyError, ValueError, TypeError) as e:
         raise ParseError(f"malformed genome document: {e}") from e
+    for key, count in (("n_in", n_in), ("n_out", n_out)):
+        if type(count) is not int:      # bool is a subclass of int
+            raise ParseError(f"{key} must be an integer, got {count!r}")
     stride = node_stride(mode)
     if not isinstance(nodes, list) or not all(isinstance(row, list) for row in nodes):
         raise ParseError("nodes must be a list of gene lists")

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcgp.decode import DecodeSettings
 from pcgp.errors import ConfigError
@@ -218,6 +219,30 @@ def test_tournament_prefers_high_fitness():
                        minlength=5)
     assert wins[4] > 800          # expectation ~975
     assert wins[0] < 50           # only when all three draws hit slot 0
+
+
+def _tournament_oracle(fits, size, rng):
+    """Reference tournament on np.unique and rng.choice: _tournament must
+    pick the same winner and consume the same draws."""
+    idx = rng.integers(0, fits.shape[0], size)
+    vals = fits[idx]
+    tied = np.unique(idx[vals == vals.max()])
+    return int(rng.choice(tied))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([-np.inf, 0.0, 0.5, 1.0, FAILED_FITNESS]),
+                min_size=1, max_size=30),
+       st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_tournament_matches_numpy_oracle(values, size, seed):
+    # tie-heavy fitness vectors; the draw after the tournament must agree
+    # too, so both consume exactly the same random numbers
+    fits = np.array(values)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    winner = _tournament(fits, size, ours)
+    assert type(winner) is int
+    assert winner == _tournament_oracle(fits, size, theirs)
+    assert ours.random() == theirs.random()
 
 
 def test_tournament_breaks_ties_uniformly():

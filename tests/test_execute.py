@@ -158,6 +158,49 @@ def test_batch_equals_stepping_bitwise(mode, seed):
         assert batched.tolist() == stepped.tolist()
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(list(GenomeMode)), st.floats(0.0, 1.0), st.booleans(),
+       st.integers(0, 2**31 - 1))
+def test_step_equals_run_sequence_bitwise(mode, recurrency, weights, seed):
+    # run_sequence computes on python floats, step on the state array and
+    # whatever inputs it is given: numpy rows here, python tuples in cart-pole
+    rng = np.random.default_rng(seed)
+    g = random_genome(mode, 2, 2, int(rng.integers(0, 15)), rng)
+    s = DecodeSettings(recurrency=recurrency, use_weights=weights, input_start=-0.5)
+    d = decode(g, s, FSET)
+    x = rng.uniform(-3, 3, (7, 2))
+    # scaled inputs overflow, so the non-finite rule is compared too
+    for xs in (x, x * 1e200):
+        expected = run_sequence(d, xs).tobytes()
+        for as_row in (np.asarray, lambda r: tuple(r.tolist())):
+            state = new_state(d)
+            outs = []
+            for r in xs:
+                out, state = step(d, state, as_row(r))
+                outs.append(out)
+            assert np.array(outs).T.tobytes() == expected
+
+
+def test_run_sequence_shape_rules():
+    g = cgp([[0.1, 0.1, f_gene("add"), 0.5]], [0.9, 0.1, 0.9], n_in=2)
+    d = decode(g, DecodeSettings(), FSET)
+    with pytest.raises(ValueError):
+        run_sequence(d, np.zeros(2))
+    with pytest.raises(ValueError):
+        run_sequence(d, np.zeros((4, 3)))
+    assert run_sequence(d, np.zeros((0, 2))).shape == (3, 0)
+    out = run_sequence(d, np.ones((4, 2)))
+    assert out.shape == (3, 4) and out.flags.c_contiguous
+
+
+def test_batch_broadcasts_nullary_nodes():
+    # a const node's value is one scalar, yet its output row is full
+    g = cgp([[0.1, 0.1, f_gene("const"), 0.75]], [0.9, 0.1])
+    d = decode(g, DecodeSettings(), FSET)
+    out = run_batch(d, np.array([[1.0], [2.0], [3.0]]))
+    assert out.tolist() == [[0.5, 0.5, 0.5], [1.0, 2.0, 3.0]]
+
+
 def test_batch_refuses_recurrent_flow():
     g = cgp([[0.2, 0.8, f_gene("add"), 0.5]], [0.9])
     d = decode(g, DecodeSettings(recurrency=1.0), FSET)

@@ -273,6 +273,19 @@ def test_from_json_rejects_garbage():
             from_json(json.dumps({**pcgp_doc, **bad}))
 
 
+@pytest.mark.parametrize("key", ["n_in", "n_out"])
+@pytest.mark.parametrize("count", [1.9, True, "2", 2.0])
+def test_from_json_counts_must_be_integers(key, count):
+    doc = json.loads(to_json(random_genome(GenomeMode.CGP, 2, 2, 3,
+                                           np.random.default_rng(5))))
+    doc[key] = count
+    with pytest.raises(ParseError, match=f"{key} must be an integer"):
+        from_json(json.dumps(doc))
+    doc[key] = 2
+    g = from_json(json.dumps(doc))
+    assert (g.n_in, g.n_out) == (2, 2)
+
+
 def test_validate_catches_forged_state():
     g = cgp([[0.1, 0.2, 0.3, 0.4]], [0.5])
     validate_genome(g)
