@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -79,28 +80,39 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _write_log(path: Path, log):
+@contextmanager
+def _log_writer(path: Path):
+    """Open a run log and write its header; yields a function that
+    appends one RunRecord row and flushes it, so an interrupted run
+    leaves every finished generation on disk."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(LOG_COLUMNS)
-        for r in log:
+        fh.flush()
+
+        def write(r):
             writer.writerow([r.generation, r.evaluations, r.best_fitness,
                              r.mean_fitness, r.best_active_nodes])
+            fh.flush()
+
+        yield write
 
 
 def _cmd_run(args) -> int:
     cfg, tag = _gather_config(args)
     fit, n_in, n_out = make_fitness(cfg)
     params = build_evo_params(cfg, n_in, n_out)
-    best, log = run_evolution(fit, params)
     out = _out_dir(args)
-    _write_log(out / f"{tag}_log.csv", log)
+    with _log_writer(out / f"{tag}_log.csv") as write:
+        best, log = run_evolution(fit, params, on_record=write)
     (out / f"{tag}_best.json").write_text(to_json(best) + "\n")
     print(f"best fitness: {log[-1].best_fitness}")
     return 0
 
 
 def _cmd_sweep(args) -> int:
+    if args.trials < 0:
+        raise ConfigError(f"--trials must be >= 0, got {args.trials}")
     cfg, tag = _gather_config(args)
     keys = sweep_keys(cfg)
     rng = np.random.default_rng(args.sweep_seed)

@@ -186,13 +186,13 @@ def output_graph(a: Genome, b: Genome, settings: DecodeSettings, fset: FunctionS
         d = graphs[c]
         tr = output_trace(d, k, arity_aware=False)
         picked_nodes[c].extend(tr)
-        t = int(d.output_targets[k])
+        t = d.output_list[k]
         if t < a.n_in:
             used_inputs[c].add(t)
         for i in tr:
-            for t in d.targets[i]:
+            for t in d.target_list[i]:
                 if t < a.n_in:
-                    used_inputs[c].add(int(t))
+                    used_inputs[c].add(t)
     rows = np.concatenate([
         _node_rows(a, sorted(set(picked_nodes[0]))),
         _node_rows(b, sorted(set(picked_nodes[1]))),

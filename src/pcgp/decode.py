@@ -6,19 +6,30 @@ gene produce a real-valued point on that axis, which snaps to the
 nearest eligible entity.  Recurrency widens a connection's reach to the
 right of its source node; at recurrency 0 every connection lands
 strictly left and the program is feedforward.
+
+decode is one pass over python lists: the entity positions are sorted
+once (only when they are not already strictly increasing) and each
+point snaps with bisect.  The nearest entity wins; at equal distance
+the one on the left wins, and of several entities at one position the
+one with the smallest index wins.  python floats apply * + - in the
+same order as numpy's elementwise ops, so every point, and with it
+every target, is what the array formulas connection_position and
+output_position give.  DecodedGraph keeps these lists; its numpy
+attributes are built on first read.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DecodeError
 from .functions import FunctionSet
-from .genome import C_OFF, F_OFF, X_OFF, Y_OFF, Genome, GenomeMode, ladder_positions
+from .genome import Genome, GenomeMode, ladder_positions
 
 
 @dataclass(frozen=True)
@@ -51,51 +62,92 @@ class Plan(NamedTuple):
     feedforward: bool   # no followed connection of an active node recurs
 
 
+def _frozen(values, dtype, shape) -> np.ndarray:
+    a = np.array(values, dtype=dtype).reshape(shape)
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class DecodedGraph:
     """The program decoded from one genome; execution needs nothing else.
 
-    Indices in targets/output_targets address the unified space: values
+    Indices in target_list/output_list address the unified space: values
     below n_in are program inputs, the rest are computational nodes in
-    stored order.  plan and components are derived on first access.
-    components labels every node (active or not) with its
-    weakly-connected component, numbered by first appearance.
+    stored order.  The lists are what decode builds; the read-only numpy
+    attributes (positions, targets, output_targets, recurrent_flags,
+    function_index, arity, params, active), plan and components are
+    derived from them on first access.  components labels every node
+    (active or not) with its weakly-connected component, numbered by
+    first appearance.
     """
 
     n_in: int
     n_out: int
-    positions: np.ndarray        # (n_in + n_nodes,) entity positions
-    targets: np.ndarray          # (n_nodes, 2) int
-    output_targets: np.ndarray   # (n_out,) int
-    recurrent_flags: np.ndarray  # (n_nodes, 2) bool
-    function_index: np.ndarray   # (n_nodes,) int
-    arity: np.ndarray            # (n_nodes,) int, from the function set
-    params: np.ndarray           # (n_nodes,) parameter genes: const value or weight
-    active: np.ndarray           # (n_nodes,) bool
+    n_nodes: int
+    position_list: list   # n_in + n_nodes entity positions (a shared tuple for CGP)
+    target_list: list     # (target_a, target_b) per node
+    output_list: list     # target per output
+    function_list: list   # function index per node
+    arity_list: list      # arity per node, from the function set
+    param_list: list      # parameter gene per node: const value or weight
+    active_list: list     # reachable from an output, per node
     fset: FunctionSet
     use_weights: bool
 
-    @property
-    def n_nodes(self) -> int:
-        return self.function_index.shape[0]
+    @cached_property
+    def positions(self) -> np.ndarray:
+        return _frozen(self.position_list, float, (self.n_in + self.n_nodes,))
+
+    @cached_property
+    def targets(self) -> np.ndarray:
+        return _frozen(self.target_list, int, (self.n_nodes, 2))
+
+    @cached_property
+    def output_targets(self) -> np.ndarray:
+        return _frozen(self.output_list, int, (self.n_out,))
+
+    @cached_property
+    def recurrent_flags(self) -> np.ndarray:
+        """(n_nodes, 2) bool: the target sits at or right of its node."""
+        pos, n_in = self.position_list, self.n_in
+        flags = [(pos[a] >= pos[n_in + i], pos[b] >= pos[n_in + i])
+                 for i, (a, b) in enumerate(self.target_list)]
+        return _frozen(flags, bool, (self.n_nodes, 2))
+
+    @cached_property
+    def function_index(self) -> np.ndarray:
+        return _frozen(self.function_list, int, (self.n_nodes,))
+
+    @cached_property
+    def arity(self) -> np.ndarray:
+        return _frozen(self.arity_list, int, (self.n_nodes,))
+
+    @cached_property
+    def params(self) -> np.ndarray:
+        return _frozen(self.param_list, float, (self.n_nodes,))
+
+    @cached_property
+    def active(self) -> np.ndarray:
+        return _frozen(self.active_list, bool, (self.n_nodes,))
 
     @cached_property
     def plan(self) -> Plan:
-        targets = self.targets.tolist()
-        recurrent = self.recurrent_flags.tolist()
-        findex = self.function_index.tolist()
-        arities = self.arity.tolist()
-        params = self.params.tolist()
+        n_in, pos = self.n_in, self.position_list
+        targets, findex = self.target_list, self.function_list
+        arities, params = self.arity_list, self.param_list
         functions = self.fset.functions
         nodes = []
         feedforward = True
-        for i in np.flatnonzero(self.active).tolist():
+        for i, on in enumerate(self.active_list):
+            if not on:
+                continue
             ta, tb = targets[i]
             nodes.append((i, functions[findex[i]].apply, ta, tb, params[i]))
-            k = arities[i]
-            if (k >= 1 and recurrent[i][0]) or (k >= 2 and recurrent[i][1]):
+            k, here = arities[i], pos[n_in + i]
+            if (k >= 1 and pos[ta] >= here) or (k >= 2 and pos[tb] >= here):
                 feedforward = False
-        return Plan(nodes, self.output_targets.tolist(), feedforward)
+        return Plan(nodes, self.output_list, feedforward)
 
     @cached_property
     def program_key(self) -> tuple:
@@ -110,8 +162,7 @@ class DecodedGraph:
         """
         n_in = self.n_in
         plan = self.plan
-        findex = self.function_index.tolist()
-        arity = self.arity.tolist()
+        findex, arity = self.function_list, self.arity_list
         rank = {n_in + node[0]: n_in + k for k, node in enumerate(plan.nodes)}
         nodes = []
         for i, _fn, ta, tb, param in plan.nodes:
@@ -125,7 +176,7 @@ class DecodedGraph:
     @cached_property
     def components(self) -> np.ndarray:
         """(n_nodes,) int component label per node."""
-        labels = _components(self.n_in, self.n_nodes, self.targets)
+        labels = _components(self.n_in, self.n_nodes, self.target_list)
         labels.setflags(write=False)
         return labels
 
@@ -165,109 +216,90 @@ def snap(point: float, candidates) -> int:
     return int(idx[best])
 
 
-class _SnapField:
-    """All entities sorted by position, for batched nearest lookups.
-
-    Ties in position keep ascending entity index, and run_start maps any
-    entry to the first (smallest-index) entry at the same position, so
-    lookups reproduce snap's tie-breaking exactly.
-    """
-
-    def __init__(self, positions: np.ndarray, assume_sorted: bool = False):
-        n = positions.shape[0]
-        if assume_sorted or n <= 1 or bool(np.all(positions[1:] > positions[:-1])):
-            # Strictly increasing (always true for the CGP ladder): sort
-            # order and run starts are both the identity.
-            self.pos = positions
-            self.idx = None
-            self.run_start = None
-            return
-        order = np.argsort(positions, kind="stable")
-        self.pos = positions[order]
-        self.idx = order
-        starts = np.arange(n)
-        same = self.pos[1:] == self.pos[:-1]
-        starts[1:][same] = 0
-        self.run_start = np.maximum.accumulate(starts)
-
-    def lookup(self, points: np.ndarray, hi) -> np.ndarray:
-        """Nearest entity per point among the first `hi` sorted entries."""
-        points = np.asarray(points, dtype=float)
-        hi = np.asarray(hi)
-        if hi.shape != points.shape:
-            hi = np.broadcast_to(hi, points.shape)
-        j = np.minimum(np.searchsorted(self.pos, points, side="left"), hi)
-        left = np.maximum(j - 1, 0)
-        right = np.minimum(j, self.pos.shape[0] - 1)
-        have_right = j < hi
-        d_left = points - self.pos[left]
-        d_right = self.pos[right] - points
-        take_left = (j > 0) & (~have_right | (d_left <= d_right))
-        k = np.where(take_left, left, right)
-        if self.idx is None:
-            return k
-        return self.idx[self.run_start[k]]
+def _nearest(sorted_pos, point: float, hi: int) -> int:
+    """Slot of the entry nearest to point among the first hi (>= 1)
+    entries of the ascending list sorted_pos; a distance tie takes the
+    left entry."""
+    j = bisect_left(sorted_pos, point, 0, hi)
+    if j and (j == hi or point - sorted_pos[j - 1] <= sorted_pos[j] - point):
+        return j - 1
+    return j
 
 
-def entity_positions(g: Genome, settings: DecodeSettings) -> np.ndarray:
-    """Positions of all addressable entities, inputs first."""
-    if g.mode is GenomeMode.CGP:
-        return ladder_positions(g.n_in + g.n_nodes)
-    return np.concatenate([g.inputs * settings.input_start, g.nodes[:, 0]])
+def _sorted_entities(positions: list):
+    """Positions in ascending order and, per sorted slot, the entity it
+    stands for: the smallest index among the entities at that position,
+    so _nearest followed by this map reproduces snap's tie-breaking."""
+    order = sorted(range(len(positions)), key=positions.__getitem__)   # stable
+    ordered = [positions[i] for i in order]
+    for k in range(1, len(order)):
+        if ordered[k] == ordered[k - 1]:
+            order[k] = order[k - 1]
+    return ordered, order
+
+
+@lru_cache(maxsize=64)
+def _ladder(count: int) -> tuple:
+    """ladder_positions(count) as python floats."""
+    return tuple(ladder_positions(count).tolist())
 
 
 def decode(g: Genome, settings: DecodeSettings, fset: FunctionSet) -> DecodedGraph:
-    n_in, n_nodes, n_out = g.n_in, g.n_nodes, g.n_out
-    positions = entity_positions(g, settings)
+    n_in, n_out = g.n_in, g.n_out
+    rows = g.nodes.tolist()
+    n_nodes = len(rows)
+    total = n_in + n_nodes
+    r, start = settings.recurrency, settings.input_start
+    cgp = g.mode is GenomeMode.CGP
+    if cgp:
+        positions = _ladder(total)
+    else:
+        positions = [x * start for x in g.inputs.tolist()] + [row[0] for row in rows]
     # the CGP ladder is strictly increasing by construction
-    field = _SnapField(positions, assume_sorted=g.mode is GenomeMode.CGP)
-    node_pos = positions[n_in:]
+    if cgp or all(a < b for a, b in zip(positions, positions[1:])):
+        ordered, entity = positions, None
+    else:
+        ordered, entity = _sorted_entities(positions)
 
     n_f = len(fset)
-    function_index = np.minimum(
-        np.floor(g.nodes[:, F_OFF] * n_f).astype(int), n_f - 1
-    ) if n_nodes else np.zeros(0, dtype=int)
-    arity = fset.arities[function_index]
-
-    total = n_in + n_nodes
-    out_points = output_position(g.outputs, settings, g.mode)
-    if n_nodes:
-        conn = connection_position(
-            g.nodes[:, (X_OFF, Y_OFF)], node_pos[:, None], settings, g.mode
-        )
-        if settings.recurrency > 0.0:
-            hi_conn = np.full(2 * n_nodes, total)
+    functions = fset.functions
+    targets, findex, arity, params = [], [], [], []
+    # at recurrency 0 a connection sees the inputs and the nodes strictly
+    # left of its own.  Inputs sit at or left of 0 and PCGP nodes are stored
+    # sorted by position, so the sorted slots are the inputs and then the
+    # nodes in stored order, and those entities are the sorted prefix up to
+    # the first node at its position.
+    hi, prev = total, None
+    for i, (*_, x, y, f, c) in enumerate(rows):
+        p = positions[n_in + i]
+        if r == 0.0 and p != prev:
+            hi, prev = n_in + i, p
+        # connection_position, point by point
+        reach = r * (1.0 - p) + p
+        if cgp:
+            a, b = _nearest(ordered, x * reach, hi), _nearest(ordered, y * reach, hi)
         else:
-            # strictly-left entities only: prefix up to the first position
-            # tie (for the CGP ladder that is simply the node's own rank)
-            bound = (
-                np.arange(n_nodes)
-                if g.mode is GenomeMode.CGP
-                else np.searchsorted(node_pos, node_pos, side="left")
-            )
-            hi_conn = np.repeat(n_in + bound, 2)
-        snapped = field.lookup(
-            np.concatenate([conn.ravel(), out_points]),
-            np.concatenate([hi_conn, np.full(n_out, total)]),
-        )
-        targets = snapped[: 2 * n_nodes].reshape(n_nodes, 2)
-        output_targets = snapped[2 * n_nodes :]
-        recurrent_flags = positions[targets] >= node_pos[:, None]
-    else:
-        targets = np.zeros((0, 2), dtype=int)
-        recurrent_flags = np.zeros((0, 2), dtype=bool)
-        output_targets = field.lookup(out_points, total)
+            span = reach - start
+            a = _nearest(ordered, x * span + start, hi)
+            b = _nearest(ordered, y * span + start, hi)
+        if entity is not None:
+            a, b = entity[a], entity[b]
+        targets.append((a, b))
+        fi = int(f * n_f)
+        if fi == n_f:
+            fi -= 1
+        findex.append(fi)
+        arity.append(functions[fi].arity)
+        params.append(c)
 
-    params = g.nodes[:, C_OFF]
-    active = np.array(_reachable(n_in, targets.tolist(), np.minimum(arity, 2).tolist(),
-                                 output_targets.tolist()), dtype=bool)
-
-    for a in (positions, targets, output_targets, recurrent_flags,
-              function_index, arity, params, active):
-        a.setflags(write=False)
-    return DecodedGraph(n_in, n_out, positions, targets, output_targets,
-                        recurrent_flags, function_index, arity, params, active,
-                        fset, settings.use_weights)
+    out_span = 1.0 - start        # output_position, point by point
+    outputs = [_nearest(ordered, o if cgp else o * out_span + start, total)
+               for o in g.outputs.tolist()]
+    if entity is not None:
+        outputs = [entity[k] for k in outputs]
+    active = _reachable(n_in, targets, arity, outputs)
+    return DecodedGraph(n_in, n_out, n_nodes, positions, targets, outputs, findex,
+                        arity, params, active, fset, settings.use_weights)
 
 
 def _reachable(n_in, target_rows, fans, roots) -> list[bool]:
@@ -284,9 +316,8 @@ def _reachable(n_in, target_rows, fans, roots) -> list[bool]:
         if seen[i]:
             continue
         seen[i] = True
-        row = target_rows[i]
-        for k in range(fans[i]):
-            t = row[k] - n_in
+        for t in target_rows[i][:fans[i]]:
+            t -= n_in
             if t >= 0 and not seen[t]:
                 stack.append(t)
     return seen
@@ -334,7 +365,6 @@ def output_trace(graph: DecodedGraph, output: int, arity_aware: bool = False) ->
     followed even when its function consumes fewer; cycle-safe either
     way.
     """
-    fans = np.minimum(graph.arity, 2).tolist() if arity_aware else [2] * graph.n_nodes
-    seen = _reachable(graph.n_in, graph.targets.tolist(), fans,
-                      [int(graph.output_targets[output])])
+    fans = graph.arity_list if arity_aware else [2] * graph.n_nodes
+    seen = _reachable(graph.n_in, graph.target_list, fans, [graph.output_list[output]])
     return {i for i, hit in enumerate(seen) if hit}

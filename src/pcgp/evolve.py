@@ -144,7 +144,7 @@ def _evaluate(genomes, fit, generation, evaluations):
 
 
 def _active_count(g: Genome, params: EvoParams) -> int:
-    return int(decode(g, params.settings, params.functions).active.sum())
+    return sum(decode(g, params.settings, params.functions).active_list)
 
 
 def one_plus_lambda(fit, params: EvoParams, on_record=None):

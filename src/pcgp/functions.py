@@ -10,7 +10,6 @@ which no other function reads (DecodedGraph.program_key relies on it).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -74,12 +73,6 @@ class FunctionSet:
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(f.name for f in self.functions)
-
-    @cached_property
-    def arities(self) -> np.ndarray:
-        a = np.array([f.arity for f in self.functions], dtype=int)
-        a.setflags(write=False)
-        return a
 
     @classmethod
     def from_names(cls, names) -> "FunctionSet":

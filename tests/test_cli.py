@@ -9,9 +9,12 @@ import sys
 import numpy as np
 import pytest
 
+import pcgp.cli
 from pcgp.cli import LOG_COLUMNS, main
+from pcgp.config import build_evo_params, load_preset, make_fitness
 from pcgp.decode import DecodeSettings
 from pcgp.dot import to_dot
+from pcgp.evolve import run_evolution
 from pcgp.functions import default_functions
 from pcgp.genome import GenomeMode, from_json, make_genome, random_genome, to_json
 
@@ -198,6 +201,60 @@ def test_run_classification_preset(tmp_path, capsys):
     assert (tmp_path / "logs" / "e1_classification_log.csv").exists()
 
 
+def run_config(data):
+    """The config run_args hands to pcgp run."""
+    return {**load_preset("e4"), "budget": 40, "n_nodes": 6,
+            "task": "regression", "data": str(data)}
+
+
+def whole_log_bytes(log, path):
+    """The log file as written after the run, from the finished record list."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(LOG_COLUMNS)
+        for r in log:
+            writer.writerow([r.generation, r.evaluations, r.best_fitness,
+                             r.mean_fitness, r.best_active_nodes])
+    return path.read_bytes()
+
+
+def test_streamed_log_equals_log_written_after_the_run(tmp_path):
+    data = regression_csv(tmp_path)
+    assert main(run_args(tmp_path, data)) == 0
+    cfg = run_config(data)
+    fit, n_in, n_out = make_fitness(cfg)
+    _, log = run_evolution(fit, build_evo_params(cfg, n_in, n_out))
+    assert len(log) > 1
+    streamed = (tmp_path / "logs" / "e4_log.csv").read_bytes()
+    assert streamed == whole_log_bytes(log, tmp_path / "whole.csv")
+
+
+def test_interrupted_run_leaves_every_finished_generation(tmp_path, monkeypatch):
+    data = regression_csv(tmp_path)
+    assert main(run_args(tmp_path, data, ["--tag", "whole"])) == 0
+    whole = (tmp_path / "logs" / "whole_log.csv").read_bytes().splitlines(keepends=True)
+
+    def interrupted_fitness(cfg):
+        fit, n_in, n_out = make_fitness(cfg)
+        calls = [0]
+
+        def counting(g):
+            calls[0] += 1
+            if calls[0] == 14:
+                raise KeyboardInterrupt
+            return fit(g)
+        return counting, n_in, n_out
+
+    monkeypatch.setattr(pcgp.cli, "make_fitness", interrupted_fitness)
+    with pytest.raises(KeyboardInterrupt):
+        main(run_args(tmp_path, data, ["--tag", "cut"]))
+    cut = (tmp_path / "logs" / "cut_log.csv").read_bytes().splitlines(keepends=True)
+    # e4 evaluates one parent, then lambda = 5 children per generation:
+    # calls 2-6 and 7-11 finish generations 1 and 2, call 14 is in the third
+    assert cut == whole[:3]
+    assert not (tmp_path / "logs" / "cut_best.json").exists()
+
+
 # -------------------------------------------------------------------- sweep
 
 def test_sweep_zero_trials_writes_header_only(tmp_path):
@@ -208,6 +265,15 @@ def test_sweep_zero_trials_writes_header_only(tmp_path):
     rows = list(csv.reader(open(out / "cfg_sweep.csv")))
     assert len(rows) == 1
     assert rows[0][:2] == ["trial", "best_fitness"]
+
+
+def test_sweep_negative_trials_is_an_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, task="rl", episode_len=10, budget=12,
+                       n_nodes=4, **{"lambda": 2})
+    out = tmp_path / "logs"
+    assert main(["sweep", str(cfg), "--trials", "-1", "--out", str(out)]) == 2
+    assert "error: --trials must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_ranks_descending(tmp_path):

@@ -8,18 +8,20 @@ from hypothesis import given, settings, strategies as st
 
 from pcgp.decode import (
     DecodeSettings,
-    _SnapField,
+    _nearest,
+    _sorted_entities,
     component_groups,
     connection_position,
     decode,
-    entity_positions,
     output_position,
     output_trace,
     snap,
 )
 from pcgp.errors import DecodeError
 from pcgp.functions import FunctionSet, default_functions
-from pcgp.genome import GenomeMode, make_genome, random_genome
+from pcgp.genome import (
+    C_OFF, F_OFF, X_OFF, Y_OFF, GenomeMode, ladder_positions, make_genome, random_genome,
+)
 
 FSET = default_functions()
 
@@ -128,13 +130,12 @@ def test_snap_matches_linear_oracle(indices, raw_pos, point):
 def test_snap_field_matches_oracle(n, seed):
     rng = np.random.default_rng(seed)
     # coarse grid so duplicate positions occur
-    positions = rng.integers(0, 8, n) / 8.0
-    field = _SnapField(positions)
-    points = rng.uniform(-0.5, 1.5, 16)
+    positions = (rng.integers(0, 8, n) / 8.0).tolist()
+    ordered, entity = _sorted_entities(positions)
+    points = rng.uniform(-0.5, 1.5, 16).tolist()
     cands = list(enumerate(positions))
-    got = field.lookup(points, n)
-    for t, g in zip(points, got):
-        assert g == snap_oracle(t, cands)
+    for t in points:
+        assert entity[_nearest(ordered, t, n)] == snap_oracle(t, cands)
 
 
 # ------------------------------------------------------------ decode: CGP
@@ -281,7 +282,7 @@ def test_decode_matches_snap_oracle_per_connection(mode, seed):
                       int(rng.integers(1, 12)), rng)
     s = random_settings(rng, zero_r=bool(rng.integers(0, 2)))
     d = decode(g, s, FSET)
-    pos = entity_positions(g, s)
+    pos = d.positions
     node_pos = pos[g.n_in:]
     everything = list(enumerate(pos))
     for i in range(g.n_nodes):
@@ -347,3 +348,168 @@ def test_recurrent_flag_definition():
         for k in range(2):
             expect = d.positions[d.targets[i, k]] >= node_pos[i]
             assert d.recurrent_flags[i, k] == expect
+
+
+# ------------------------------------------------ vectorised decode oracle
+# The numpy decode the package used before decode became one pass over
+# python lists, kept here as an independent reference for every array
+# attribute, the plan, the program key and the components.
+
+class _SnapFieldOracle:
+    def __init__(self, positions, assume_sorted=False):
+        n = positions.shape[0]
+        if assume_sorted or n <= 1 or bool(np.all(positions[1:] > positions[:-1])):
+            self.pos, self.idx, self.run_start = positions, None, None
+            return
+        order = np.argsort(positions, kind="stable")
+        self.pos = positions[order]
+        self.idx = order
+        starts = np.arange(n)
+        same = self.pos[1:] == self.pos[:-1]
+        starts[1:][same] = 0
+        self.run_start = np.maximum.accumulate(starts)
+
+    def lookup(self, points, hi):
+        points = np.asarray(points, dtype=float)
+        hi = np.broadcast_to(np.asarray(hi), points.shape)
+        j = np.minimum(np.searchsorted(self.pos, points, side="left"), hi)
+        left = np.maximum(j - 1, 0)
+        right = np.minimum(j, self.pos.shape[0] - 1)
+        have_right = j < hi
+        take_left = (j > 0) & (~have_right | (points - self.pos[left] <= self.pos[right] - points))
+        k = np.where(take_left, left, right)
+        return k if self.idx is None else self.idx[self.run_start[k]]
+
+
+def decode_oracle(g, s, fset):
+    n_in, n_nodes, n_out = g.n_in, g.n_nodes, g.n_out
+    if g.mode is GenomeMode.CGP:
+        positions = ladder_positions(n_in + n_nodes)
+    else:
+        positions = np.concatenate([g.inputs * s.input_start, g.nodes[:, 0]])
+    field = _SnapFieldOracle(positions, assume_sorted=g.mode is GenomeMode.CGP)
+    node_pos = positions[n_in:]
+    n_f = len(fset)
+    function_index = np.minimum(
+        np.floor(g.nodes[:, F_OFF] * n_f).astype(int), n_f - 1
+    ) if n_nodes else np.zeros(0, dtype=int)
+    arity = np.array([f.arity for f in fset], dtype=int)[function_index]
+    total = n_in + n_nodes
+    out_points = output_position(g.outputs, s, g.mode)
+    if n_nodes:
+        conn = connection_position(g.nodes[:, (X_OFF, Y_OFF)], node_pos[:, None], s, g.mode)
+        if s.recurrency > 0.0:
+            hi_conn = np.full(2 * n_nodes, total)
+        else:
+            bound = (np.arange(n_nodes) if g.mode is GenomeMode.CGP
+                     else np.searchsorted(node_pos, node_pos, side="left"))
+            hi_conn = np.repeat(n_in + bound, 2)
+        snapped = field.lookup(np.concatenate([conn.ravel(), out_points]),
+                               np.concatenate([hi_conn, np.full(n_out, total)]))
+        targets = snapped[: 2 * n_nodes].reshape(n_nodes, 2)
+        output_targets = snapped[2 * n_nodes:]
+        recurrent_flags = positions[targets] >= node_pos[:, None]
+    else:
+        targets = np.zeros((0, 2), dtype=int)
+        recurrent_flags = np.zeros((0, 2), dtype=bool)
+        output_targets = field.lookup(out_points, total)
+    active = np.zeros(n_nodes, dtype=bool)
+    stack = [t - n_in for t in output_targets.tolist() if t >= n_in]
+    while stack:
+        i = stack.pop()
+        if not active[i]:
+            active[i] = True
+            stack += [t - n_in for t in targets[i, :min(arity[i], 2)].tolist() if t >= n_in]
+    arrays = dict(positions=positions, targets=targets, output_targets=output_targets,
+                  recurrent_flags=recurrent_flags, function_index=function_index,
+                  arity=arity, params=g.nodes[:, C_OFF], active=active)
+    for a in arrays.values():
+        a.setflags(write=False)
+    return arrays
+
+
+def plan_and_key_oracle(o, n_in, use_weights):
+    """(plan nodes without functions, outputs, feedforward) and program key."""
+    nodes, feedforward = [], True
+    for i in np.flatnonzero(o["active"]).tolist():
+        ta, tb = o["targets"][i].tolist()
+        nodes.append((i, ta, tb, float(o["params"][i])))
+        k = int(o["arity"][i])
+        if (k >= 1 and o["recurrent_flags"][i, 0]) or (k >= 2 and o["recurrent_flags"][i, 1]):
+            feedforward = False
+    outputs = o["output_targets"].tolist()
+    rank = {n_in + node[0]: n_in + k for k, node in enumerate(nodes)}
+    key_nodes = []
+    for i, ta, tb, param in nodes:
+        k = int(o["arity"][i])
+        key_nodes.append((int(o["function_index"][i]), *[rank.get(t, t) for t in (ta, tb)[:k]],
+                          param.hex() if use_weights or k == 0 else None))
+    key = (feedforward, tuple(key_nodes), tuple(rank.get(t, t) for t in outputs))
+    return (nodes, outputs, feedforward), key
+
+
+def components_oracle(n_in, targets):
+    """Labels by first appearance, from a flood fill over undirected edges."""
+    n = len(targets)
+    adj = [set() for _ in range(n)]
+    for i, row in enumerate(targets):
+        for t in row:
+            if t >= n_in:
+                adj[i].add(t - n_in)
+                adj[t - n_in].add(i)
+    labels, next_label = [-1] * n, 0
+    for i in range(n):
+        if labels[i] < 0:
+            stack = [i]
+            while stack:
+                j = stack.pop()
+                if labels[j] < 0:
+                    labels[j] = next_label
+                    stack.extend(adj[j])
+            next_label += 1
+    return labels
+
+
+ARRAY_ATTRIBUTES = ("positions", "targets", "output_targets", "recurrent_flags",
+                    "function_index", "arity", "params", "active")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(list(GenomeMode)),
+    st.integers(1, 4), st.integers(1, 3), st.integers(0, 30),
+    st.booleans(),
+    st.sampled_from([0.0, 0.2, 1.0]),
+    st.sampled_from([-1.0, -0.3, 0.0]),
+    st.booleans(),
+    st.integers(0, 2**31 - 1),
+)
+def test_decode_matches_vectorised_oracle(mode, n_in, n_out, n_nodes, grid, recurrency,
+                                          input_start, use_weights, seed):
+    rng = np.random.default_rng(seed)
+    g = random_genome(mode, n_in, n_out, n_nodes, rng)
+    if grid:
+        # genes on a 1/8 grid: equal positions, points midway between
+        # entities and function genes at exactly 1.0 all occur
+        def eighths(a):
+            return None if a is None else np.round(a * 8) / 8
+        g = make_genome(mode, n_in, n_out, eighths(g.nodes), eighths(g.outputs),
+                        eighths(g.inputs))
+    s = DecodeSettings(recurrency=recurrency, input_start=input_start,
+                       use_weights=use_weights)
+    d = decode(g, s, FSET)
+    o = decode_oracle(g, s, FSET)
+    assert d.n_nodes == n_nodes and type(d.n_nodes) is int
+    for name in ARRAY_ATTRIBUTES:
+        got, want = getattr(d, name), o[name]
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+        assert got.flags.writeable is False, name
+    (nodes, outputs, feedforward), key = plan_and_key_oracle(o, n_in, use_weights)
+    assert [(i, ta, tb, param) for i, _fn, ta, tb, param in d.plan.nodes] == nodes
+    assert [fn for _i, fn, *_ in d.plan.nodes] == [
+        FSET[int(o["function_index"][i])].apply for i, *_ in nodes]
+    assert d.plan.outputs == outputs and d.plan.feedforward is feedforward
+    assert d.program_key == key
+    assert d.components.tolist() == components_oracle(n_in, o["targets"].tolist())
+    assert d.components.flags.writeable is False

@@ -7,6 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pcgp.bench
+import pcgp.crossover
+import pcgp.evolve
+import pcgp.mutate
+from pcgp.config import build_evo_params, load_preset, make_fitness
 from pcgp.decode import DecodeSettings
 from pcgp.errors import ConfigError
 from pcgp.evolve import (
@@ -347,3 +352,33 @@ def test_run_evolution_dispatch():
     _, log = run_evolution(hash_fitness, params)
     _, direct = ga(hash_fitness, params)
     assert log == direct
+
+
+def test_decode_is_looked_up_at_call_time_in_every_module(tmp_path, monkeypatch):
+    """Each module that decodes reads its module-level decode binding
+    per call, so wrapping that binding (as a profiler does) sees every
+    decode of a cart-pole GA with output_graph crossover and
+    require_active mutation, and of a 1+lambda regression run."""
+    calls = {}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    modules = (pcgp.bench, pcgp.evolve, pcgp.mutate, pcgp.crossover)
+    for module in modules:
+        monkeypatch.setattr(module, "decode", counting(module.__name__, module.decode))
+
+    data = tmp_path / "line.csv"
+    data.write_text("x,y\n" + "".join(f"{v},{2 * v}\n" for v in np.linspace(0, 1, 20)))
+    rl = dict(load_preset("e3_rl"), population=10, budget=60, episode_len=5,
+              n_nodes=6, seed=3)
+    regression = dict(load_preset("e4"), task="regression", data=str(data),
+                      budget=40, n_nodes=6, seed=3)
+    assert rl["crossover"] == "output_graph" and rl["require_active"]
+    for cfg in (rl, regression):
+        fit, n_in, n_out = make_fitness(cfg)
+        run_evolution(fit, build_evo_params(cfg, n_in, n_out))
+    assert sorted(calls) == sorted(m.__name__ for m in modules), calls

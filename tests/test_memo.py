@@ -16,7 +16,7 @@ from pcgp.bench import (
     load_csv,
     regression_fitness,
 )
-from pcgp.cli import _write_log
+from pcgp.cli import _log_writer
 from pcgp.config import build_evo_params, load_preset, make_fitness
 from pcgp.decode import DecodeSettings, decode
 from pcgp.errors import ConfigError
@@ -123,7 +123,9 @@ def test_equal_program_keys_score_bitwise_equal(task, mode, recurrency, use_weig
 # ---------------------------------------------------------- memoized runs
 
 def log_bytes(log, path):
-    _write_log(path, log)
+    with _log_writer(path) as write:
+        for r in log:
+            write(r)
     return path.read_bytes()
 
 

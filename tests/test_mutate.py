@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
-from pcgp.decode import DecodeSettings, connection_position, decode, entity_positions
+from pcgp.decode import DecodeSettings, connection_position, decode
 from pcgp.errors import ConfigError, UnsupportedOperatorError
 from pcgp.functions import default_functions
 from pcgp.genome import GenomeMode, SizeBounds, flatten, make_genome, random_genome, validate_genome
@@ -200,7 +200,7 @@ def test_subgraph_addition_hits_pool_positions():
     p = params(delta_frac=0.3, bounds=SizeBounds(10, 40))  # adds 3
     h = subgraph_addition(g, p, s, rng)
     assert h.n_nodes == 11
-    positions = entity_positions(h, s)
+    positions = decode(h, s, FSET).positions
     new = h.nodes[h.nodes[:, -1] != marker]
     assert new.shape[0] == 3
     for row in new:
