@@ -19,7 +19,8 @@ import numpy as np
 
 from .decode import DecodedGraph, DecodeSettings, decode
 from .errors import ConfigError, DatasetError
-from .execute import new_state, run_supervised, step
+from .execute import run_feedback, run_supervised
+from .execute import step  # noqa: F401 - unused; evobench wraps pcgp.bench.step
 from .functions import FunctionSet
 from .genome import Genome
 
@@ -176,25 +177,34 @@ def _neg_mse(graph: DecodedGraph, d: Dataset) -> float:
 
 
 def _balance(graph: DecodedGraph, episode_len: int) -> float:
-    state = new_state(graph)
-    x, xd, th, thd = CARTPOLE_INIT
-    total = CART_MASS + POLE_MASS
-    pml = POLE_MASS * POLE_HALF_LENGTH
-    for survived in range(episode_len):
-        out, state = step(graph, state, (x, xd, th, thd))
-        force = FORCE if out[0] > 0.0 else -FORCE
-        s, c = math.sin(th), math.cos(th)
-        temp = (force + pml * thd * thd * s) / total
-        thdd = (GRAVITY * s - c * temp) / (
-            POLE_HALF_LENGTH * (4.0 / 3.0 - POLE_MASS * c * c / total))
-        xdd = temp - pml * thdd * c / total
-        x += TIMESTEP * xd
-        xd += TIMESTEP * xdd
-        th += TIMESTEP * thd
-        thd += TIMESTEP * thdd
-        if abs(th) > ANGLE_LIMIT or abs(x) > POSITION_LIMIT:
-            return survived / episode_len
-    return 1.0
+    outs = []
+    fell_at = None
+
+    def observations():
+        nonlocal fell_at
+        # each row is the state before a time step; the step's push is
+        # read from the output the program gave for that row
+        x, xd, th, thd = CARTPOLE_INIT
+        total = CART_MASS + POLE_MASS
+        pml = POLE_MASS * POLE_HALF_LENGTH
+        for survived in range(episode_len):
+            yield x, xd, th, thd
+            force = FORCE if outs[-1][0] > 0.0 else -FORCE
+            s, c = math.sin(th), math.cos(th)
+            temp = (force + pml * thd * thd * s) / total
+            thdd = (GRAVITY * s - c * temp) / (
+                POLE_HALF_LENGTH * (4.0 / 3.0 - POLE_MASS * c * c / total))
+            xdd = temp - pml * thdd * c / total
+            x += TIMESTEP * xd
+            xd += TIMESTEP * xdd
+            th += TIMESTEP * thd
+            thd += TIMESTEP * thdd
+            if abs(th) > ANGLE_LIMIT or abs(x) > POSITION_LIMIT:
+                fell_at = survived
+                return
+
+    run_feedback(graph, observations(), outs)
+    return 1.0 if fell_at is None else fell_at / episode_len
 
 
 def classification_fitness(g: Genome, d: Dataset,

@@ -9,6 +9,9 @@ silently degrading.
 Operators whose random choices matter for exactness expose injection
 seams (explicit cut offset, weight vector, output choices, component
 picks) so tests can pin them down.
+
+Those in READS_GRAPHS take the parents' decoded graphs as an optional
+pair and decode the parents themselves when it is None.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .genome import (
 OPERATORS = ("single_point", "random_node", "aligned_node",
              "proportional", "output_graph", "subgraph")
 POSITIONAL_ONLY = ("aligned_node", "output_graph", "subgraph")
+READS_GRAPHS = ("output_graph", "subgraph")
 
 
 def _check_mates(a: Genome, b: Genome):
@@ -162,8 +166,16 @@ def proportional(a: Genome, b: Genome, rng, weights=None) -> Genome:
     return unflatten(a.mode, a.n_in, a.n_out, np.concatenate([mix, tail[low:]]))
 
 
+def _parent_graphs(a: Genome, b: Genome, settings: DecodeSettings, fset: FunctionSet,
+                   graphs) -> tuple:
+    if graphs is None:
+        return decode(a, settings, fset), decode(b, settings, fset)
+    return graphs
+
+
 def output_graph(a: Genome, b: Genome, settings: DecodeSettings, fset: FunctionSet,
-                 rng, bounds: SizeBounds | None = None, output_choices=None) -> Genome:
+                 rng, bounds: SizeBounds | None = None, output_choices=None,
+                 graphs=None) -> Genome:
     """Recombine whole per-output program graphs.
 
     Each output is inherited from one parent together with every node
@@ -179,7 +191,7 @@ def output_graph(a: Genome, b: Genome, settings: DecodeSettings, fset: FunctionS
         choices = np.asarray(output_choices, dtype=int)
         if choices.shape != (a.n_out,):
             raise ValueError(f"need {a.n_out} output choices")
-    graphs = (decode(a, settings, fset), decode(b, settings, fset))
+    graphs = _parent_graphs(a, b, settings, fset, graphs)
     picked_nodes = ([], [])
     used_inputs = (set(), set())
     for k, c in enumerate(choices):
@@ -211,7 +223,7 @@ def output_graph(a: Genome, b: Genome, settings: DecodeSettings, fset: FunctionS
 
 def subgraph(a: Genome, b: Genome, settings: DecodeSettings, fset: FunctionSet,
              rng, bounds: SizeBounds | None = None,
-             select_a=None, select_b=None) -> Genome:
+             select_a=None, select_b=None, graphs=None) -> Genome:
     """Union of coin-flipped weakly-connected components of both parents.
 
     Component selection masks can be injected for tests; input and
@@ -220,8 +232,9 @@ def subgraph(a: Genome, b: Genome, settings: DecodeSettings, fset: FunctionSet,
     _require_pcgp(a, "subgraph")
     _check_mates(a, b)
     parts = []
-    for g, given in ((a, select_a), (b, select_b)):
-        comps = component_groups(decode(g, settings, fset))
+    graphs = _parent_graphs(a, b, settings, fset, graphs)
+    for g, graph, given in zip((a, b), graphs, (select_a, select_b)):
+        comps = component_groups(graph)
         take = (rng.random(len(comps)) < 0.5) if given is None else np.asarray(given, bool)
         if len(take) != len(comps):
             raise ValueError(f"need {len(comps)} component picks, got {len(take)}")
@@ -235,7 +248,8 @@ def subgraph(a: Genome, b: Genome, settings: DecodeSettings, fset: FunctionSet,
 
 
 def apply_crossover(a: Genome, b: Genome, operator: str, settings: DecodeSettings,
-                    fset: FunctionSet, rng, bounds: SizeBounds | None = None) -> Genome:
+                    fset: FunctionSet, rng, bounds: SizeBounds | None = None,
+                    graphs=None) -> Genome:
     if operator == "single_point":
         return single_point(a, b, rng)
     if operator == "random_node":
@@ -245,7 +259,7 @@ def apply_crossover(a: Genome, b: Genome, operator: str, settings: DecodeSetting
     if operator == "proportional":
         return proportional(a, b, rng)
     if operator == "output_graph":
-        return output_graph(a, b, settings, fset, rng, bounds)
+        return output_graph(a, b, settings, fset, rng, bounds, graphs=graphs)
     if operator == "subgraph":
-        return subgraph(a, b, settings, fset, rng, bounds)
+        return subgraph(a, b, settings, fset, rng, bounds, graphs=graphs)
     raise ConfigError(f"unknown crossover operator {operator!r}; expected one of {OPERATORS}")

@@ -6,6 +6,10 @@ evaluated serially, in slot order; the workers setting is accepted and
 validated but has no effect, because a thread pool over GIL-bound
 Python ran slower than one thread.
 
+Each loop keeps a decoded graph per population slot, None until an
+operator or the active-node count first reads it.  Elites, copies and
+a mutant that is its own parent carry theirs into the next generation.
+
 Budgets count fitness evaluations, not generations; copied individuals
 (elites, unmodified tournament winners) are never re-evaluated.  A
 budget must cover the first generation (lambda + 1 for 1+lambda, more
@@ -29,13 +33,14 @@ import numpy as np
 
 from .crossover import OPERATORS as CROSSOVER_OPERATORS
 from .crossover import POSITIONAL_ONLY as POSITIONAL_CROSSOVERS
+from .crossover import READS_GRAPHS as GRAPH_CROSSOVERS
 from .crossover import apply_crossover
 from .decode import DecodeSettings, decode
 from .errors import ConfigError
 from .functions import FunctionSet, default_functions
-from .genome import Genome, GenomeMode, random_genome
+from .genome import GenomeMode, random_genome
 from .mutate import POSITIONAL_ONLY as POSITIONAL_MUTATIONS
-from .mutate import MutationParams, apply_mutation
+from .mutate import MutationParams, apply_mutation, reads_graph
 
 ALGORITHMS = ("one_plus_lambda", "ga")
 FAILED_FITNESS = float("-inf")
@@ -143,8 +148,12 @@ def _evaluate(genomes, fit, generation, evaluations):
             f"after {evaluations} evaluations") from e
 
 
-def _active_count(g: Genome, params: EvoParams) -> int:
-    return sum(decode(g, params.settings, params.functions).active_list)
+def _graph(graphs: list, pop: list, i: int, params: EvoParams):
+    """The decoded graph of pop[i], decoded on first read and kept in graphs[i]."""
+    graph = graphs[i]
+    if graph is None:
+        graph = graphs[i] = decode(pop[i], params.settings, params.functions)
+    return graph
 
 
 def one_plus_lambda(fit, params: EvoParams, on_record=None):
@@ -158,13 +167,13 @@ def one_plus_lambda(fit, params: EvoParams, on_record=None):
     parent_fit = _evaluate([parent], fit, 0, 0)[0]
     evaluations = 1
     generation = 0
-    active = _active_count(parent, params)
+    graph = decode(parent, params.settings, params.functions)
     log = []
     while evaluations < params.budget:
         generation += 1
         children = [
             apply_mutation(parent, params.mutation, params.settings, params.functions,
-                           _stream(params.seed, generation, slot))
+                           _stream(params.seed, generation, slot), graph)
             for slot in range(params.lambda_)
         ]
         fits = _evaluate(children, fit, generation, evaluations)
@@ -172,9 +181,11 @@ def one_plus_lambda(fit, params: EvoParams, on_record=None):
         best = int(np.argmax(fits))
         mean = float(np.mean(fits + [parent_fit]))
         if fits[best] >= parent_fit:
+            if children[best] is not parent:
+                graph = decode(children[best], params.settings, params.functions)
             parent, parent_fit = children[best], fits[best]
-            active = _active_count(parent, params)
-        record = RunRecord(generation, evaluations, parent_fit, mean, active)
+        record = RunRecord(generation, evaluations, parent_fit, mean,
+                           sum(graph.active_list))
         log.append(record)
         if on_record is not None:
             on_record(record)
@@ -187,6 +198,8 @@ def _tournament(fits: np.ndarray, size: int, rng) -> int:
     idx = rng.integers(0, fits.shape[0], size).tolist()
     best = max(fits[i] for i in idx)
     tied = sorted({i for i in idx if fits[i] == best})
+    if len(tied) == 1:
+        return tied[0]      # integers(1) would leave the stream unchanged
     return tied[rng.integers(len(tied))]
 
 
@@ -220,21 +233,23 @@ def ga(fit, params: EvoParams, on_record=None):
                       _stream(params.seed, 0, slot))
         for slot in range(params.population)
     ]
+    graphs = [None] * params.population
     fits = np.array(_evaluate(pop, fit, 0, 0), dtype=float)
     evaluations = params.population
     best_idx = int(np.argmax(fits))
     best, best_fit = pop[best_idx], float(fits[best_idx])
-    best_active = _active_count(best, params)
+    best_active = sum(_graph(graphs, pop, best_idx, params).active_list)
     generation = 0
     log = []
     bounds = params.mutation.bounds
+    cross_graphs = params.crossover in GRAPH_CROSSOVERS
+    mutate_graph = reads_graph(params.mutation)
     while evaluations < params.budget:
         generation += 1
         elites, crossed, mutated, copied = _channel_sizes(params)
         order = np.argsort(-fits, kind="stable")
-        next_pop = [pop[i] for i in order[:elites]]
-        next_fits = [float(fits[i]) for i in order[:elites]]
-        fresh = []
+        elite = order[:elites].tolist()
+        fresh, fresh_graphs = [], []
         for k in range(crossed):
             slot_rng = _stream(params.seed, generation, elites + k)
             first = _tournament(fits, params.tournament_size, slot_rng)
@@ -243,28 +258,39 @@ def ga(fit, params: EvoParams, on_record=None):
                 second = _tournament(fits, params.tournament_size, slot_rng)
                 if second != first:
                     break
+            pair = None
+            if cross_graphs:
+                pair = (_graph(graphs, pop, first, params),
+                        _graph(graphs, pop, second, params))
             fresh.append(apply_crossover(pop[first], pop[second], params.crossover,
                                          params.settings, params.functions,
-                                         slot_rng, bounds))
+                                         slot_rng, bounds, pair))
+            fresh_graphs.append(None)
         for k in range(mutated):
             slot_rng = _stream(params.seed, generation, elites + crossed + k)
             winner = _tournament(fits, params.tournament_size, slot_rng)
-            fresh.append(apply_mutation(pop[winner], params.mutation, params.settings,
-                                        params.functions, slot_rng))
+            graph = _graph(graphs, pop, winner, params) if mutate_graph else None
+            child = apply_mutation(pop[winner], params.mutation, params.settings,
+                                   params.functions, slot_rng, graph)
+            fresh.append(child)
+            fresh_graphs.append(graphs[winner] if child is pop[winner] else None)
         fresh_fits = _evaluate(fresh, fit, generation, evaluations)
         evaluations += len(fresh)
-        next_pop += fresh
-        next_fits += fresh_fits
-        for k in range(copied):
-            slot_rng = _stream(params.seed, generation, elites + crossed + mutated + k)
-            winner = _tournament(fits, params.tournament_size, slot_rng)
-            next_pop.append(pop[winner])
-            next_fits.append(float(fits[winner]))
-        pop, fits = next_pop, np.array(next_fits, dtype=float)
+        copies = [
+            _tournament(fits, params.tournament_size,
+                        _stream(params.seed, generation, elites + crossed + mutated + k))
+            for k in range(copied)
+        ]
+        # elites and copies are gathered after variation, so they carry
+        # the graphs decoded for this generation's parents
+        pop = [pop[i] for i in elite] + fresh + [pop[i] for i in copies]
+        graphs = [graphs[i] for i in elite] + fresh_graphs + [graphs[i] for i in copies]
+        fits = np.array([float(fits[i]) for i in elite] + fresh_fits
+                        + [float(fits[i]) for i in copies], dtype=float)
         gen_best = int(np.argmax(fits))
         if fits[gen_best] >= best_fit:
             best, best_fit = pop[gen_best], float(fits[gen_best])
-            best_active = _active_count(best, params)
+            best_active = sum(_graph(graphs, pop, gen_best, params).active_list)
         record = RunRecord(generation, evaluations, best_fit,
                            float(fits.mean()), best_active)
         log.append(record)

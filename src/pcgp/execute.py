@@ -5,7 +5,9 @@ over from row to row.  step is one row of input scalars; run_batch is
 one row of input columns, valid only for a feedforward plan, which never
 reads a previous row; run_sequence is all rows in one call, computed on
 python floats, whose + - * / round and overflow to inf exactly as
-numpy's float64 does.  All three are bitwise-identical where they
+numpy's float64 does; run_feedback is the same on rows that may be
+made one at a time from the outputs of the row before, such as a
+cart-pole episode.  All of them are bitwise-identical where they
 overlap.
 
 Within a row, nodes are evaluated in stored (ascending-position) order.
@@ -45,18 +47,18 @@ _COLUMN_RULE = (lambda v: np.isfinite(v).all(),
                 lambda v: np.where(np.isfinite(v), v, 0.0))
 
 
-def _evaluate(graph: DecodedGraph, rows, cur, rule) -> list:
-    """The node loop: runs the plan on each input row in turn and returns
-    each row's list of output values.  A row holds n_in scalars (step,
-    run_sequence) or n_in columns (run_batch).  cur holds one value per
-    node, last row's values on entry, and is updated in place; rule is
-    one of the pairs above."""
+def _evaluate(graph: DecodedGraph, rows, cur, rule, outs: list) -> list:
+    """The node loop: runs the plan on each input row in turn, appends
+    each row's list of output values to outs as the row finishes, and
+    returns outs.  A row holds n_in scalars (step, run_feedback) or n_in
+    columns (run_batch).  cur holds one value per node, last row's
+    values on entry, and is updated in place; rule is one of the pairs
+    above."""
     finite, zeroed = rule
     n_in = graph.n_in
     plan = graph.plan
     nodes, outputs = plan.nodes, plan.outputs
     weighted = graph.use_weights
-    outs = []
     # non-finite results are defined to become 0.0 and underflow to a tiny
     # or zero value is a result like any other, so numpy's IEEE warnings
     # on the way are expected noise
@@ -80,7 +82,7 @@ def step(graph: DecodedGraph, state: np.ndarray, inputs):
     if len(inputs) != graph.n_in:
         raise ValueError(f"expected {graph.n_in} inputs, got {len(inputs)}")
     cur = state.copy()
-    (out,) = _evaluate(graph, (inputs,), cur, _SCALAR_RULE)
+    (out,) = _evaluate(graph, (inputs,), cur, _SCALAR_RULE, [])
     return np.array(out, dtype=float), cur
 
 
@@ -99,7 +101,7 @@ def run_batch(graph: DecodedGraph, batch: np.ndarray) -> np.ndarray:
     # a feedforward plan never reads last row's values, so cur starts as
     # zeros; assigning into its rows broadcasts a nullary node's scalar
     cur = np.zeros((graph.n_nodes, batch.shape[0]))
-    (row,) = _evaluate(graph, (batch.T,), cur, _COLUMN_RULE)
+    (row,) = _evaluate(graph, (batch.T,), cur, _COLUMN_RULE, [])
     return np.array(row, dtype=float)
 
 
@@ -110,9 +112,18 @@ def run_sequence(graph: DecodedGraph, rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != graph.n_in:
         raise ValueError(f"rows must be (rows, {graph.n_in})")
-    outs = _evaluate(graph, rows.tolist(), [0.0] * graph.n_nodes, _SCALAR_RULE)
+    outs = run_feedback(graph, rows.tolist(), [])
     # copied into C order, so reductions over the result sum row-major
     return np.array(outs, dtype=float).reshape(len(outs), graph.n_out).T.copy()
+
+
+def run_feedback(graph: DecodedGraph, rows, outs: list) -> list:
+    """Feed rows through the program in order, node values carrying over
+    from row to row; state starts zeroed.  rows is an iterable of n_in
+    floats each, and each row's list of outputs is appended to outs
+    before the next row is drawn, so rows may be a generator that reads
+    outs[-1] to make its next row.  Returns outs."""
+    return _evaluate(graph, rows, [0.0] * graph.n_nodes, _SCALAR_RULE, outs)
 
 
 def run_supervised(graph: DecodedGraph, batch: np.ndarray) -> np.ndarray:

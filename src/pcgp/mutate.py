@@ -4,6 +4,9 @@ mixed operators that pick between them by probability.
 All operators take a parent and return a fresh child; size bounds are
 enforced by truncating the edit rather than failing, so application
 always succeeds.  The subgraph pair works only on positional genomes.
+
+Operators that may read the parent's decoded graph take it as an
+optional argument and decode the parent themselves when it is None.
 """
 
 from __future__ import annotations
@@ -43,6 +46,11 @@ class MutationParams:
                 f"operator must be one of {OPERATORS}, got {self.operator!r}")
 
 
+def reads_graph(params: MutationParams) -> bool:
+    """Whether apply_mutation with params may read the parent's graph."""
+    return params.require_active or params.operator == "mixed_subgraph"
+
+
 def _require_pcgp(g: Genome, what: str):
     if g.mode is not GenomeMode.PCGP:
         raise UnsupportedOperatorError(f"{what} is defined only for positional genomes")
@@ -58,7 +66,7 @@ def _mutate_array(arr: np.ndarray, rate: float, rng) -> np.ndarray:
 
 
 def gene_mutation(g: Genome, params: MutationParams, settings: DecodeSettings,
-                  fset: FunctionSet, rng) -> Genome:
+                  fset: FunctionSet, rng, graph=None) -> Genome:
     """Replace genes independently at the per-kind rates.
 
     With require_active set, the draw repeats on the original parent
@@ -67,7 +75,9 @@ def gene_mutation(g: Genome, params: MutationParams, settings: DecodeSettings,
     """
     active = None
     if params.require_active and g.n_nodes:
-        flags = decode(g, settings, fset).active
+        if graph is None:
+            graph = decode(g, settings, fset)
+        flags = graph.active
         if flags.any():
             active = flags
     nodes, outputs, inputs = g.nodes, g.outputs, g.inputs
@@ -120,10 +130,10 @@ def add_probability(n_nodes: int, params: MutationParams) -> float:
 
 
 def mixed_node_mutate(g: Genome, params: MutationParams, settings: DecodeSettings,
-                      fset: FunctionSet, rng) -> Genome:
+                      fset: FunctionSet, rng, graph=None) -> Genome:
     u = rng.random()
     if u < params.modify_rate:
-        return gene_mutation(g, params, settings, fset, rng)
+        return gene_mutation(g, params, settings, fset, rng, graph)
     if u < params.modify_rate + add_probability(g.n_nodes, params):
         return node_addition(g, params, rng)
     return node_deletion(g, params, rng)
@@ -176,14 +186,15 @@ def subgraph_addition(g: Genome, params: MutationParams,
 
 
 def subgraph_deletion(g: Genome, params: MutationParams, settings: DecodeSettings,
-                      fset: FunctionSet, rng) -> Genome:
+                      fset: FunctionSet, rng, graph=None) -> Genome:
     """Delete nodes from one multi-node weakly-connected component.
 
     Falls back to plain node deletion when every component is a
     singleton.
     """
     _require_pcgp(g, "subgraph deletion")
-    graph = decode(g, settings, fset)
+    if graph is None:
+        graph = decode(g, settings, fset)
     multi = [c for c in component_groups(graph) if c.size > 1]
     if not multi:
         return node_deletion(g, params, rng)
@@ -195,20 +206,20 @@ def subgraph_deletion(g: Genome, params: MutationParams, settings: DecodeSetting
 
 
 def mixed_subgraph_mutate(g: Genome, params: MutationParams, settings: DecodeSettings,
-                          fset: FunctionSet, rng) -> Genome:
+                          fset: FunctionSet, rng, graph=None) -> Genome:
     _require_pcgp(g, "mixed subgraph mutation")
     u = rng.random()
     if u < params.modify_rate:
-        return gene_mutation(g, params, settings, fset, rng)
+        return gene_mutation(g, params, settings, fset, rng, graph)
     if u < params.modify_rate + add_probability(g.n_nodes, params):
         return subgraph_addition(g, params, settings, rng)
-    return subgraph_deletion(g, params, settings, fset, rng)
+    return subgraph_deletion(g, params, settings, fset, rng, graph)
 
 
 def apply_mutation(g: Genome, params: MutationParams, settings: DecodeSettings,
-                   fset: FunctionSet, rng) -> Genome:
+                   fset: FunctionSet, rng, graph=None) -> Genome:
     if params.operator == "gene":
-        return gene_mutation(g, params, settings, fset, rng)
+        return gene_mutation(g, params, settings, fset, rng, graph)
     if params.operator == "mixed_node":
-        return mixed_node_mutate(g, params, settings, fset, rng)
-    return mixed_subgraph_mutate(g, params, settings, fset, rng)
+        return mixed_node_mutate(g, params, settings, fset, rng, graph)
+    return mixed_subgraph_mutate(g, params, settings, fset, rng, graph)

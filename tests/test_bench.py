@@ -1,18 +1,32 @@
 """Tests for dataset ingestion and the three fitness functions."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings as hsettings, strategies as st
 
 from pcgp.bench import (
+    ANGLE_LIMIT,
+    CART_MASS,
+    CARTPOLE_INIT,
+    FORCE,
+    GRAVITY,
+    POLE_HALF_LENGTH,
+    POLE_MASS,
+    POSITION_LIMIT,
+    TIMESTEP,
     Dataset,
     cartpole_fitness,
     classification_fitness,
     load_csv,
     regression_fitness,
 )
-from pcgp.decode import DecodeSettings
+from pcgp.decode import DecodeSettings, decode
 from pcgp.errors import ConfigError, DatasetError
-from pcgp.functions import default_functions
+from pcgp.execute import new_state, step
+from pcgp.functions import Function, FunctionSet, default_functions
 from pcgp.genome import GenomeMode, make_genome, random_genome
 
 FSET = default_functions()
@@ -262,6 +276,61 @@ def test_cartpole_recurrent_controller_allowed():
     settings = DecodeSettings(recurrency=0.6, input_start=-0.5, use_weights=True)
     fit = cartpole_fitness(g, settings, FSET, episode_len=100)
     assert 0.0 <= fit <= 1.0
+
+
+def step_balance(graph, episode_len):
+    """The episode as one step call per time step, kept as the oracle."""
+    state = new_state(graph)
+    x, xd, th, thd = CARTPOLE_INIT
+    total = CART_MASS + POLE_MASS
+    pml = POLE_MASS * POLE_HALF_LENGTH
+    for survived in range(episode_len):
+        out, state = step(graph, state, (x, xd, th, thd))
+        force = FORCE if out[0] > 0.0 else -FORCE
+        s, c = math.sin(th), math.cos(th)
+        temp = (force + pml * thd * thd * s) / total
+        thdd = (GRAVITY * s - c * temp) / (
+            POLE_HALF_LENGTH * (4.0 / 3.0 - POLE_MASS * c * c / total))
+        xdd = temp - pml * thdd * c / total
+        x += TIMESTEP * xd
+        xd += TIMESTEP * xdd
+        th += TIMESTEP * thd
+        thd += TIMESTEP * thdd
+        if abs(th) > ANGLE_LIMIT or abs(x) > POSITION_LIMIT:
+            return survived / episode_len
+    return 1.0
+
+
+# default functions plus two whose values are non-finite: overflow to
+# +-inf, and nan (inf - inf) or -inf
+BLOWUP = FunctionSet(FSET.functions + (
+    Function("overflow", 2, lambda a, b, c: (a - b + 0.5) * 1e308 * 1e10),
+    Function("nan", 1, lambda a, b, c: a * math.inf - math.inf),
+))
+
+
+@hsettings(max_examples=300, deadline=None)
+@given(st.sampled_from(["cgp", "pcgp", "balancer"]), st.integers(0, 15),
+       st.sampled_from([0.0, 0.2, 1.0]), st.booleans(), st.booleans(),
+       st.integers(1, 50), st.integers(0, 2**31 - 1))
+def test_episode_matches_step_oracle(kind, n_nodes, recurrency, weights, blowup,
+                                     episode_len, seed):
+    """One interpreter call per episode scores every controller to the
+    same float bytes as one step call per time step."""
+    fset = BLOWUP if blowup else FSET
+    settings = DecodeSettings(recurrency=recurrency, input_start=-0.5,
+                              use_weights=weights or kind == "balancer")
+    if kind == "balancer":
+        add = (FSET.names.index("add") + 0.5) / len(fset)
+        g = make_genome(GenomeMode.CGP, 4, 1, [[0.10, 0.33, add, 0.1],
+                                               [0.45, 0.65, add, 1.0],
+                                               [0.70, 0.82, add, 1.0]], [0.95])
+    else:
+        mode = GenomeMode.CGP if kind == "cgp" else GenomeMode.PCGP
+        g = random_genome(mode, 4, 1, n_nodes, np.random.default_rng(seed))
+    got = cartpole_fitness(g, settings, fset, episode_len)
+    want = step_balance(decode(g, settings, fset), episode_len)
+    assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
 def test_cartpole_shape_errors():

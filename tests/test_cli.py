@@ -262,7 +262,8 @@ def test_sweep_zero_trials_writes_header_only(tmp_path):
                        n_nodes=4, **{"lambda": 2})
     out = tmp_path / "logs"
     assert main(["sweep", str(cfg), "--trials", "0", "--out", str(out)]) == 0
-    rows = list(csv.reader(open(out / "cfg_sweep.csv")))
+    with open(out / "cfg_sweep.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
     assert len(rows) == 1
     assert rows[0][:2] == ["trial", "best_fitness"]
 
@@ -281,7 +282,8 @@ def test_sweep_ranks_descending(tmp_path):
                        n_nodes=4, **{"lambda": 2})
     out = tmp_path / "logs"
     assert main(["sweep", str(cfg), "--trials", "4", "--out", str(out)]) == 0
-    rows = list(csv.reader(open(out / "cfg_sweep.csv")))
+    with open(out / "cfg_sweep.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
     assert len(rows) == 5
     fits = [float(r[1]) for r in rows[1:]]
     assert fits == sorted(fits, reverse=True)
@@ -294,7 +296,8 @@ def test_ga_sweep_draws_only_populations_the_budget_covers(tmp_path):
                        algorithm="ga", crossover="single_point")
     out = tmp_path / "logs"
     assert main(["sweep", str(cfg), "--trials", "4", "--out", str(out)]) == 0
-    rows = list(csv.DictReader(open(out / "cfg_sweep.csv")))
+    with open(out / "cfg_sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert sorted(int(r["trial"]) for r in rows) == [0, 1, 2, 3]
     assert all(int(r["population"]) < 100 for r in rows)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
+import pcgp.crossover
 from pcgp.crossover import (
     aligned_node,
     apply_crossover,
@@ -335,3 +336,34 @@ def test_operators_deterministic_under_seed():
         c1 = apply_crossover(a, b, op, SET, FSET, np.random.default_rng(42))
         c2 = apply_crossover(a, b, op, SET, FSET, np.random.default_rng(42))
         assert flatten(c1).tolist() == flatten(c2).tolist(), op
+
+
+def _refuse_decode(*_args):
+    raise AssertionError("decoded a parent whose graph was given")
+
+
+@hsettings(max_examples=80, deadline=None)
+@given(st.sampled_from(["output_graph", "subgraph"]),
+       st.integers(0, 12), st.integers(0, 12),
+       st.sampled_from([0.0, 0.2, 1.0]), st.booleans(), st.integers(0, 2**31 - 1))
+def test_given_graphs_match_decoding(op, n_a, n_b, recurrency, capped, seed):
+    """Handed the parents' graphs, output_graph and subgraph (directly and
+    through apply_crossover) decode nothing and give the child bytes and
+    leave the stream state they give when they decode the parents."""
+    rng = np.random.default_rng(seed)
+    a = random_genome(GenomeMode.PCGP, 2, 3, n_a, rng)
+    b = random_genome(GenomeMode.PCGP, 2, 3, n_b, rng)
+    s = DecodeSettings(recurrency=recurrency, input_start=-0.5)
+    bounds = SizeBounds(0, 4) if capped else None
+    graphs = (decode(a, s, FSET), decode(b, s, FSET))
+    direct = {"output_graph": output_graph, "subgraph": subgraph}[op]
+    r_self, r_given, r_apply = (np.random.default_rng(seed + 1) for _ in range(3))
+    want = direct(a, b, s, FSET, r_self, bounds)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pcgp.crossover, "decode", _refuse_decode)
+        got = direct(a, b, s, FSET, r_given, bounds, graphs=graphs)
+        applied = apply_crossover(a, b, op, s, FSET, r_apply, bounds, graphs)
+    for child, stream in ((got, r_given), (applied, r_apply)):
+        assert flatten(child).tobytes() == flatten(want).tobytes()
+        assert child.n_nodes == want.n_nodes
+        assert stream.bit_generator.state == r_self.bit_generator.state

@@ -357,8 +357,10 @@ def test_run_evolution_dispatch():
 def test_decode_is_looked_up_at_call_time_in_every_module(tmp_path, monkeypatch):
     """Each module that decodes reads its module-level decode binding
     per call, so wrapping that binding (as a profiler does) sees every
-    decode of a cart-pole GA with output_graph crossover and
-    require_active mutation, and of a 1+lambda regression run."""
+    decode: of a cart-pole GA with output_graph crossover and
+    require_active mutation and of a 1+lambda regression run (both
+    decode in pcgp.bench and pcgp.evolve; the loops hand the operators
+    their parents' graphs), and of the operators called without graphs."""
     calls = {}
 
     def counting(name, original):
@@ -381,4 +383,44 @@ def test_decode_is_looked_up_at_call_time_in_every_module(tmp_path, monkeypatch)
     for cfg in (rl, regression):
         fit, n_in, n_out = make_fitness(cfg)
         run_evolution(fit, build_evo_params(cfg, n_in, n_out))
+    assert sorted(calls) == ["pcgp.bench", "pcgp.evolve"], calls
+
+    params = build_evo_params(rl, 4, 1)
+    rng = np.random.default_rng(0)
+    a, b = (random_genome(GenomeMode.PCGP, 4, 1, 6, rng) for _ in range(2))
+    pcgp.crossover.output_graph(a, b, params.settings, params.functions, rng)
+    pcgp.mutate.gene_mutation(a, params.mutation, params.settings, params.functions, rng)
     assert sorted(calls) == sorted(m.__name__ for m in modules), calls
+    assert calls["pcgp.crossover"] == 2 and calls["pcgp.mutate"] == 1
+
+
+@pytest.mark.parametrize("preset, overrides", [
+    ("e3_rl", {}),
+    ("e3_rl", {"crossover": "subgraph", "operator": "mixed_subgraph"}),
+    ("e0_rl", {"require_active": True}),
+])
+def test_loops_decode_each_individual_at_most_once(monkeypatch, preset, overrides):
+    """The loops keep every graph they decode beside their population and
+    hand it to the operators, so a cart-pole run with graph-reading
+    crossover and mutation decodes no genome twice, and its operators
+    decode none."""
+    decoded = []            # the genomes themselves, so no id is reused
+    calls = {}
+
+    def counting(name, original):
+        def wrapper(g, *args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            decoded.append(g)
+            return original(g, *args, **kwargs)
+        return wrapper
+
+    for module in (pcgp.evolve, pcgp.mutate, pcgp.crossover):
+        monkeypatch.setattr(module, "decode", counting(module.__name__, module.decode))
+    cfg = dict(load_preset(preset), population=10, budget=300, episode_len=20,
+               n_nodes=6, seed=5, **overrides)
+    fit, n_in, n_out = make_fitness(cfg)
+    _, log = run_evolution(fit, build_evo_params(cfg, n_in, n_out))
+    assert len(log) > 5
+    assert set(calls) == {"pcgp.evolve"}, calls
+    ids = [id(g) for g in decoded]
+    assert len(ids) == len(set(ids))

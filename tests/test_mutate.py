@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
+import pcgp.mutate
 from pcgp.decode import DecodeSettings, connection_position, decode
 from pcgp.errors import ConfigError, UnsupportedOperatorError
 from pcgp.functions import default_functions
@@ -288,3 +289,36 @@ def test_operators_deterministic_under_seed():
     a = apply_mutation(g, p, s, FSET, np.random.default_rng(99))
     b = apply_mutation(g, p, s, FSET, np.random.default_rng(99))
     assert flatten(a).tolist() == flatten(b).tolist()
+
+
+def _refuse_decode(*_args):
+    raise AssertionError("decoded a parent whose graph was given")
+
+
+@hsettings(max_examples=80, deadline=None)
+@given(st.sampled_from(["gene_mutation", "subgraph_deletion",
+                        "gene", "mixed_node", "mixed_subgraph"]),
+       st.integers(0, 15), st.sampled_from([0.0, 0.2, 1.0]), st.integers(0, 2**31 - 1))
+def test_given_graph_matches_decoding(op, n_nodes, recurrency, seed):
+    """Handed the parent's graph, gene_mutation with require_active,
+    subgraph_deletion and apply_mutation decode nothing and give the
+    child bytes and leave the stream state they give when they decode
+    the parent."""
+    rng = np.random.default_rng(seed)
+    g = random_genome(GenomeMode.PCGP, 2, 2, n_nodes, rng)
+    p = params(operator="gene" if op in ("gene_mutation", "subgraph_deletion") else op,
+               bounds=SizeBounds(0, 20), node_rate=0.05, require_active=True,
+               delta_frac=float(rng.uniform(0.1, 0.5)),
+               modify_rate=float(rng.uniform(0.1, 0.9)))
+    s = DecodeSettings(recurrency=recurrency, input_start=-0.5)
+    graph = decode(g, s, FSET)
+    mutate = {"gene_mutation": gene_mutation,
+              "subgraph_deletion": subgraph_deletion}.get(op, apply_mutation)
+    r_self, r_given = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    want = mutate(g, p, s, FSET, r_self)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pcgp.mutate, "decode", _refuse_decode)
+        got = mutate(g, p, s, FSET, r_given, graph)
+    assert flatten(got).tobytes() == flatten(want).tobytes()
+    assert got.n_nodes == want.n_nodes
+    assert r_given.bit_generator.state == r_self.bit_generator.state
