@@ -99,12 +99,16 @@ def load_csv(path, task: str) -> Dataset:
 
     Features and regression targets must be finite numbers; anything
     else raises a DatasetError naming the row and column.  So does a
-    feature column whose max - min overflows to inf.
+    feature column whose max - min overflows to inf, and a file that
+    cannot be read as text.
     """
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}")
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
+    try:
+        with open(path, newline="") as fh:
+            rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
+    except (OSError, UnicodeDecodeError) as e:
+        raise DatasetError(f"cannot read {path}: {e}") from None
     if not rows:
         raise DatasetError(f"empty file: {path}")
     width = len(rows[0])

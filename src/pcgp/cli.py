@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -30,13 +31,12 @@ from .config import (
     validate_config,
 )
 from .dot import to_dot
-from .errors import CgpError, ConfigError
-from .evolve import run_evolution
+from .errors import CgpError, ConfigError, ParseError
+from .evolve import RunRecord, run_evolution
 from .genome import from_json, to_json
 
 LOG_DIR_VAR = "PCGP_LOG_DIR"
-LOG_COLUMNS = ("generation", "evaluations", "best_fitness", "mean_fitness",
-               "best_active_nodes")
+LOG_COLUMNS = tuple(f.name for f in fields(RunRecord))
 
 
 def _resolve_config(token: str):
@@ -91,8 +91,7 @@ def _log_writer(path: Path):
         fh.flush()
 
         def write(r):
-            writer.writerow([r.generation, r.evaluations, r.best_fitness,
-                             r.mean_fitness, r.best_active_nodes])
+            writer.writerow([getattr(r, name) for name in LOG_COLUMNS])
             fh.flush()
 
         yield write
@@ -138,7 +137,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     cfg, _ = _gather_config(args)
-    genome = from_json(Path(args.genome).read_text())
+    try:
+        text = Path(args.genome).read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ParseError(f"cannot read genome {args.genome}: {e}") from None
+    genome = from_json(text)
     dot = to_dot(genome, build_settings(cfg), build_functions(cfg))
     Path(args.dest).write_text(dot)
     print(f"wrote {args.dest}")

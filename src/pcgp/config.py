@@ -1,16 +1,19 @@
 """Run configuration: JSON documents, validation, presets and sweeps.
 
-A config is one flat JSON object whose keys mirror the dataclass field
-names of EvoParams, DecodeSettings and MutationParams, plus the problem
-binding (task, data, episode_len, functions) and genome sizing.  CLI
-flags override these top-level scalars.  Bundled presets e0..e5 live in
-the package's presets/ directory.
+A config is one flat JSON object.  Every key that names a field of
+EvoParams, DecodeSettings or MutationParams (``lambda`` for ``lambda_``)
+reaches that field, and its default and JSON type are the field's: a
+float field takes any number, a bool field true, false, 0 or 1.  The
+other keys are the genome mode and sizing (mode, n_nodes, size_min,
+size_max) and the problem binding (task, data, episode_len, functions).
+CLI flags override these top-level scalars.  Bundled presets e0..e5 live
+in the package's presets/ directory.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, fields
+from dataclasses import fields
 from importlib import resources
 
 from .bench import TASKS, MemoizedFitness, load_csv
@@ -28,10 +31,13 @@ from .mutate import MutationParams
 PROBLEM_TASKS = TASKS + ("rl",)
 
 
-def _field_defaults(cls, skip=()) -> dict:
-    """Config keys and defaults of the dataclass fields that have one."""
-    return {{"lambda_": "lambda"}.get(f.name, f.name): f.default
-            for f in fields(cls) if f.default is not MISSING and f.name not in skip}
+_CONFIG_KEYS = {"lambda_": "lambda"}    # fields whose config key differs
+
+
+def _field_defaults(cls) -> dict:
+    """Config keys and defaults of the dataclass fields with a scalar default."""
+    return {_CONFIG_KEYS.get(f.name, f.name): f.default for f in fields(cls)
+            if isinstance(f.default, (int, float, str, type(None)))}
 
 
 DEFAULTS = {
@@ -45,7 +51,7 @@ DEFAULTS = {
     "size_max": None,            # None: round(1.5 * n_nodes)
     **_field_defaults(DecodeSettings),
     **_field_defaults(MutationParams),
-    **_field_defaults(EvoParams, skip=("settings",)),
+    **_field_defaults(EvoParams),
 }
 
 # Tunable ranges; sweeps sample these, validation enforces them.
@@ -63,11 +69,11 @@ RANGES = {
     "crossover_fraction": (0.1, 1.0),
     "mutation_fraction": (0.1, 1.0),
 }
-INT_KEYS = ("lambda", "population", "n_nodes", "size_min", "size_max", "budget",
-            "seed", "workers", "tournament_size", "episode_len")
-BOOL_KEYS = ("use_weights", "require_active", "add_inverted")
+NULLABLE_INT_KEYS = ("size_min", "size_max")
+INT_KEYS = (*(k for k, v in DEFAULTS.items() if type(v) is int), *NULLABLE_INT_KEYS)
+BOOL_KEYS = tuple(k for k, v in DEFAULTS.items() if type(v) is bool)
 CHOICES = {
-    "mode": ("CGP", "PCGP"),
+    "mode": tuple(m.name for m in GenomeMode),
     "task": (None, *PROBLEM_TASKS),
 }
 # Population values used when sweeping (tuning grid); validation accepts
@@ -83,6 +89,8 @@ def load_config(path) -> dict:
             cfg = json.load(fh)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: invalid JSON ({e})") from None
+    except (OSError, UnicodeDecodeError) as e:
+        raise ParseError(f"cannot read config {path}: {e}") from None
     if not isinstance(cfg, dict):
         raise ParseError(f"{path}: config must be a JSON object")
     return cfg
@@ -131,7 +139,7 @@ def validate_config(cfg: dict) -> None:
         if not isinstance(value, bool):
             raise ConfigError(f"{key} must be true or false, got {value!r}")
     for key in INT_KEYS:
-        _check_int(key, merged[key], allow_none=key in ("size_min", "size_max"))
+        _check_int(key, merged[key], allow_none=key in NULLABLE_INT_KEYS)
     for key, (lo, hi) in RANGES.items():
         value = merged[key]
         _check_number(key, value)
@@ -154,36 +162,35 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError(str(e)) from None
 
 
-def _size_bounds(merged) -> tuple:
+def _build(cls, merged: dict, **given):
+    """A cls whose fields not in `given` are read from their config keys.
+
+    A field with a float default gets float() and one with a bool
+    default bool(), so 0 and 0.0, or 1 and true, build equal objects.
+    """
+    for f in fields(cls):
+        if f.name not in given:
+            value = merged[_CONFIG_KEYS.get(f.name, f.name)]
+            if isinstance(f.default, (bool, float)):
+                value = type(f.default)(value)
+            given[f.name] = value
+    return cls(**given)
+
+
+def _mutation(merged: dict) -> MutationParams:
     n = merged["n_nodes"]
-    smin = merged["size_min"]
-    smax = merged["size_max"]
-    if smin is None:
-        smin = round(0.5 * n)
-    if smax is None:
-        smax = round(1.5 * n)
-    return smin, smax
+    smin, smax = merged["size_min"], merged["size_max"]
+    bounds = SizeBounds(round(0.5 * n) if smin is None else smin,
+                        round(1.5 * n) if smax is None else smax)
+    return _build(MutationParams, merged, bounds=bounds)
 
 
 def build_settings(cfg: dict) -> DecodeSettings:
-    merged = merge_config(cfg)
-    return DecodeSettings(recurrency=float(merged["recurrency"]),
-                          input_start=float(merged["input_start"]),
-                          use_weights=bool(merged["use_weights"]))
+    return _build(DecodeSettings, merge_config(cfg))
 
 
 def build_mutation(cfg: dict) -> MutationParams:
-    merged = merge_config(cfg)
-    smin, smax = _size_bounds(merged)
-    return MutationParams(bounds=SizeBounds(smin, smax),
-                          node_rate=float(merged["node_rate"]),
-                          output_rate=float(merged["output_rate"]),
-                          input_rate=float(merged["input_rate"]),
-                          require_active=bool(merged["require_active"]),
-                          delta_frac=float(merged["delta_frac"]),
-                          modify_rate=float(merged["modify_rate"]),
-                          operator=merged["operator"],
-                          add_inverted=bool(merged["add_inverted"]))
+    return _mutation(merge_config(cfg))
 
 
 def build_functions(cfg: dict) -> FunctionSet:
@@ -192,24 +199,10 @@ def build_functions(cfg: dict) -> FunctionSet:
 
 def build_evo_params(cfg: dict, n_in: int, n_out: int) -> EvoParams:
     merged = merge_config(cfg)
-    return EvoParams(mode=GenomeMode[merged["mode"]],
-                     n_in=n_in,
-                     n_out=n_out,
-                     n_nodes=merged["n_nodes"],
-                     mutation=build_mutation(cfg),
-                     settings=build_settings(cfg),
-                     functions=build_functions(cfg),
-                     algorithm=merged["algorithm"],
-                     lambda_=merged["lambda"],
-                     population=merged["population"],
-                     elitism=float(merged["elitism"]),
-                     crossover_fraction=float(merged["crossover_fraction"]),
-                     mutation_fraction=float(merged["mutation_fraction"]),
-                     crossover=merged["crossover"],
-                     budget=merged["budget"],
-                     seed=merged["seed"],
-                     workers=merged["workers"],
-                     tournament_size=merged["tournament_size"])
+    return _build(EvoParams, merged, mode=GenomeMode[merged["mode"]],
+                  n_in=n_in, n_out=n_out, mutation=_mutation(merged),
+                  settings=_build(DecodeSettings, merged),
+                  functions=FunctionSet.from_names(merged["functions"]))
 
 
 def make_fitness(cfg: dict):
@@ -219,8 +212,8 @@ def make_fitness(cfg: dict):
     """
     merged = merge_config(cfg)
     task = merged["task"]
-    settings = build_settings(cfg)
-    fset = build_functions(cfg)
+    settings = _build(DecodeSettings, merged)
+    fset = FunctionSet.from_names(merged["functions"])
     if task is None:
         raise ConfigError("config sets no task")
     if task == "rl":

@@ -66,11 +66,10 @@ class Genome:
         return node_stride(self.mode)
 
     def node_positions(self) -> np.ndarray:
-        """Positions of the computational nodes, in stored order."""
+        """Positions of the computational nodes, in stored order (read-only)."""
         if self.mode is GenomeMode.PCGP:
             return self.nodes[:, 0]
-        k = np.arange(self.n_in, self.n_in + self.n_nodes)
-        return (k + 0.5) / (self.n_in + self.n_nodes)
+        return ladder_positions(self.n_in + self.n_nodes)[self.n_in:]
 
 
 @lru_cache(maxsize=64)
@@ -143,7 +142,7 @@ def node_position(g: Genome, index: int, input_start: float = -1.0) -> float:
     if not 0 <= index < total:
         raise IndexError(f"index {index} out of range for {total} positions")
     if g.mode is GenomeMode.CGP:
-        return (index + 0.5) / total
+        return float(ladder_positions(total)[index])
     if index < g.n_in:
         return float(g.inputs[index] * input_start)
     return float(g.nodes[index - g.n_in, 0])

@@ -109,6 +109,47 @@ def test_validate_missing_file(capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def run_cli(*args):
+    return subprocess.run([sys.executable, "-m", "pcgp.cli", *map(str, args)],
+                          capture_output=True, text=True)
+
+
+def assert_clean_error(proc):
+    """Exit 2 with an `error:` line, as every input error ends."""
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert any(line.startswith("error: ") for line in proc.stderr.splitlines())
+
+
+def test_run_missing_data_file_is_an_error(tmp_path):
+    assert_clean_error(run_cli("run", "e4", "--task", "regression",
+                               "--data", tmp_path / "missing.csv", "--out", tmp_path))
+
+
+def test_run_data_directory_is_an_error(tmp_path):
+    assert_clean_error(run_cli("run", "e4", "--task", "regression",
+                               "--data", tmp_path, "--out", tmp_path))
+
+
+def test_run_non_utf8_data_is_an_error(tmp_path):
+    data = tmp_path / "latin.csv"
+    data.write_bytes(b"x,y\n0.5,caf\xe9\n")
+    assert_clean_error(run_cli("run", "e4", "--task", "regression",
+                               "--data", data, "--out", tmp_path))
+
+
+def test_validate_non_utf8_config_is_an_error(tmp_path):
+    cfg = tmp_path / "latin.json"
+    cfg.write_bytes(b'{"data": "caf\xe9"}')
+    assert_clean_error(run_cli("validate", cfg))
+
+
+def test_export_dot_missing_genome_is_an_error(tmp_path):
+    dest = tmp_path / "out.dot"
+    assert_clean_error(run_cli("export-dot", tmp_path / "nope.json", "e4", dest))
+    assert not dest.exists()
+
+
 def test_validate_override_can_break_config(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["validate", str(cfg), "--set", "lambda=99"]) == 2
@@ -157,6 +198,12 @@ def test_run_writes_log_and_best(tmp_path, capsys):
     assert evals[-1] >= 40
     best = from_json((tmp_path / "logs" / "e4_best.json").read_text())
     assert best.n_in == 1 and best.n_out == 1
+
+
+def test_log_header_bytes(tmp_path):
+    assert main(run_args(tmp_path, regression_csv(tmp_path))) == 0
+    assert (tmp_path / "logs" / "e4_log.csv").read_bytes().startswith(
+        b"generation,evaluations,best_fitness,mean_fitness,best_active_nodes\n")
 
 
 def test_run_byte_identical_for_same_seed(tmp_path):

@@ -1,15 +1,20 @@
 """Tests for config documents, validation, presets and sweep sampling."""
 
+import math
+from dataclasses import dataclass, fields, is_dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcgp.config import (
     BOOL_KEYS,
+    CHOICES,
     DEFAULTS,
     POPULATION_GRID,
     PROBLEM_TASKS,
     RANGES,
+    _build,
     build_evo_params,
     build_mutation,
     build_settings,
@@ -23,11 +28,13 @@ from pcgp.config import (
     validate_config,
 )
 from pcgp.crossover import OPERATORS as CROSSOVER_OPERATORS
+from pcgp.decode import DecodeSettings
 from pcgp.errors import ConfigError, ParseError
-from pcgp.evolve import ALGORITHMS
-from pcgp.functions import DEFAULT_FUNCTION_NAMES
-from pcgp.genome import GenomeMode
+from pcgp.evolve import ALGORITHMS, EvoParams
+from pcgp.functions import DEFAULT_FUNCTION_NAMES, FunctionSet
+from pcgp.genome import GenomeMode, SizeBounds
 from pcgp.mutate import OPERATORS as MUTATION_OPERATORS
+from pcgp.mutate import MutationParams
 
 
 def test_merge_layers_defaults_under_overrides():
@@ -46,6 +53,13 @@ def test_load_config_errors(tmp_path):
     arr.write_text("[1,2]")
     with pytest.raises(ParseError):
         load_config(arr)
+    for unreadable in (tmp_path / "missing.json", tmp_path):
+        with pytest.raises(ParseError, match="cannot read config"):
+            load_config(unreadable)
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"data": "\xe9"}')
+    with pytest.raises(ParseError, match="cannot read config"):
+        load_config(latin)
 
 
 def test_unknown_keys_rejected():
@@ -131,10 +145,13 @@ DOCUMENT_VALID = {
     "seed": st.integers(-2, 2**40),
     "workers": st.integers(-1, 4),
     "tournament_size": st.integers(-1, 5),
-    **{key: st.booleans() for key in BOOL_KEYS},
+    **{key: st.booleans() | st.sampled_from([0, 1]) for key in BOOL_KEYS},
 }
 for _key, (_lo, _hi) in RANGES.items():
-    DOCUMENT_VALID.setdefault(_key, st.floats(_lo, _hi))
+    # Integer spellings of real keys too, so that a lost float() shows.
+    _whole = (st.integers(math.ceil(_lo), math.floor(_hi))
+              if math.ceil(_lo) <= math.floor(_hi) else st.nothing())
+    DOCUMENT_VALID.setdefault(_key, st.floats(_lo, _hi) | _whole)
 assert set(DOCUMENT_VALID) == set(DEFAULTS)
 
 JSON_VALUES = st.recursive(
@@ -171,6 +188,155 @@ def test_validate_accepts_exactly_what_builds(cfg, n_in, n_out):
     except (ConfigError, ValueError):
         built = False
     assert accepted == built
+
+
+# The builders as they were written by hand, field by field, before they
+# were derived from the dataclass fields: the oracle for the derived ones.
+
+def _size_bounds(merged) -> tuple:
+    n = merged["n_nodes"]
+    smin = merged["size_min"]
+    smax = merged["size_max"]
+    if smin is None:
+        smin = round(0.5 * n)
+    if smax is None:
+        smax = round(1.5 * n)
+    return smin, smax
+
+
+def oracle_settings(cfg: dict) -> DecodeSettings:
+    merged = merge_config(cfg)
+    return DecodeSettings(recurrency=float(merged["recurrency"]),
+                          input_start=float(merged["input_start"]),
+                          use_weights=bool(merged["use_weights"]))
+
+
+def oracle_mutation(cfg: dict) -> MutationParams:
+    merged = merge_config(cfg)
+    smin, smax = _size_bounds(merged)
+    return MutationParams(bounds=SizeBounds(smin, smax),
+                          node_rate=float(merged["node_rate"]),
+                          output_rate=float(merged["output_rate"]),
+                          input_rate=float(merged["input_rate"]),
+                          require_active=bool(merged["require_active"]),
+                          delta_frac=float(merged["delta_frac"]),
+                          modify_rate=float(merged["modify_rate"]),
+                          operator=merged["operator"],
+                          add_inverted=bool(merged["add_inverted"]))
+
+
+def oracle_evo_params(cfg: dict, n_in: int, n_out: int) -> EvoParams:
+    merged = merge_config(cfg)
+    return EvoParams(mode=GenomeMode[merged["mode"]],
+                     n_in=n_in,
+                     n_out=n_out,
+                     n_nodes=merged["n_nodes"],
+                     mutation=oracle_mutation(cfg),
+                     settings=oracle_settings(cfg),
+                     functions=FunctionSet.from_names(merged["functions"]),
+                     algorithm=merged["algorithm"],
+                     lambda_=merged["lambda"],
+                     population=merged["population"],
+                     elitism=float(merged["elitism"]),
+                     crossover_fraction=float(merged["crossover_fraction"]),
+                     mutation_fraction=float(merged["mutation_fraction"]),
+                     crossover=merged["crossover"],
+                     budget=merged["budget"],
+                     seed=merged["seed"],
+                     workers=merged["workers"],
+                     tournament_size=merged["tournament_size"])
+
+
+def field_types(obj, prefix=""):
+    """(path, type) of every field, nested dataclasses included."""
+    out = []
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        out.append((prefix + f.name, type(value)))
+        if is_dataclass(value):
+            out += field_types(value, f"{prefix}{f.name}.")
+    return out
+
+
+def built_or_error(build, *args):
+    try:
+        return build(*args)
+    except (ConfigError, ValueError, OverflowError) as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.fixed_dictionaries({}, optional=DOCUMENT_VALID),
+       st.integers(1, 5), st.integers(1, 5))
+def test_builders_match_hand_written_oracle(cfg, n_in, n_out):
+    """About a third of the drawn documents are valid: those build equal
+    objects with equal field types, and the rest fail with the same error."""
+    for build, oracle, args in ((build_settings, oracle_settings, ()),
+                                (build_mutation, oracle_mutation, ()),
+                                (build_evo_params, oracle_evo_params, (n_in, n_out))):
+        got = built_or_error(build, cfg, *args)
+        want = built_or_error(oracle, cfg, *args)
+        assert got == want
+        if is_dataclass(want):
+            assert field_types(got) == field_types(want)   # 0 == 0.0 hides a lost float()
+
+
+FIELD_HOLDERS = {EvoParams: lambda p: p, DecodeSettings: lambda p: p.settings,
+                 MutationParams: lambda p: p.mutation}
+FIELD_KEYS = [(key, cls) for key in DEFAULTS for cls in FIELD_HOLDERS
+              if {"lambda": "lambda_"}.get(key, key) in {f.name for f in fields(cls)}]
+# The keys whose field holds an object made from the config value.
+FIELD_VALUES = {"mode": lambda name: GenomeMode[name], "functions": FunctionSet.from_names}
+OTHER_CHOICES = {"operator": MUTATION_OPERATORS, "algorithm": ALGORITHMS,
+                 "crossover": CROSSOVER_OPERATORS, "mode": CHOICES["mode"]}
+
+
+def non_default(key):
+    default = DEFAULTS[key]
+    if key in OTHER_CHOICES:
+        return next(v for v in OTHER_CHOICES[key] if v != default)
+    if key == "functions":
+        return default[:2]
+    if type(default) is bool:
+        return not default
+    if key in RANGES and isinstance(default, float):
+        lo, hi = RANGES[key]
+        return (lo + hi) / 2
+    return default + 1
+
+
+def test_every_field_key_is_covered():
+    assert len(FIELD_KEYS) == len({key for key, _ in FIELD_KEYS})
+    assert {"mode", "n_nodes", "lambda", "recurrency", "operator",
+            "workers"} <= {key for key, _ in FIELD_KEYS}
+
+
+@pytest.mark.parametrize("key, cls", FIELD_KEYS, ids=[k for k, _ in FIELD_KEYS])
+def test_non_default_value_reaches_its_field(key, cls):
+    value = non_default(key)
+    assert value != DEFAULTS[key]
+    cfg = {key: value}
+    if key == "algorithm":
+        cfg["crossover"] = "single_point"
+    validate_config(cfg)
+    obj = FIELD_HOLDERS[cls](build_evo_params(cfg, 1, 1))
+    got = getattr(obj, {"lambda": "lambda_"}.get(key, key))
+    want = FIELD_VALUES.get(key, lambda v: v)(value)
+    assert got == want and type(got) is type(want)
+
+
+def test_builder_converts_by_the_field_default():
+    @dataclass
+    class Knobs:
+        lambda_: int = 1
+        rate: float = 0.5
+        flag: bool = False
+        name: str | None = None
+        given: object = None
+
+    got = _build(Knobs, {"lambda": 2, "rate": 1, "flag": 1, "name": "x"}, given=3)
+    assert got == Knobs(2, 1.0, True, "x", 3)
+    assert [type(getattr(got, f.name)) for f in fields(got)] == [int, float, bool, str, int]
 
 
 def test_build_settings_and_mutation():
