@@ -56,6 +56,7 @@ from .errors import (
     ConfigError,
     DatasetError,
     DecodeError,
+    OutputError,
     ParseError,
     SizeError,
     UnsupportedOperatorError,

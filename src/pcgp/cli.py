@@ -31,7 +31,7 @@ from .config import (
     validate_config,
 )
 from .dot import to_dot
-from .errors import CgpError, ConfigError, ParseError
+from .errors import CgpError, ConfigError, OutputError, ParseError
 from .evolve import RunRecord, run_evolution
 from .genome import from_json, to_json
 
@@ -73,10 +73,19 @@ def _gather_config(args):
     return cfg, getattr(args, "tag", None) or tag
 
 
+@contextmanager
+def _output(path):
+    """Report an OSError raised while writing path as an OutputError naming it."""
+    try:
+        yield
+    except OSError as e:
+        raise OutputError(f"cannot write {path}: {e.strerror or e}") from None
+
+
 def _out_dir(args) -> Path:
-    chosen = args.out or os.environ.get(LOG_DIR_VAR) or "."
-    path = Path(chosen)
-    path.mkdir(parents=True, exist_ok=True)
+    path = Path(args.out or os.environ.get(LOG_DIR_VAR) or ".")
+    with _output(path):
+        path.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -85,16 +94,18 @@ def _log_writer(path: Path):
     """Open a run log and write its header; yields a function that
     appends one RunRecord row and flushes it, so an interrupted run
     leaves every finished generation on disk."""
-    with open(path, "w", newline="") as fh:
+    with _output(path):
+        fh = open(path, "w", newline="")
+    with fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(LOG_COLUMNS)
-        fh.flush()
 
-        def write(r):
-            writer.writerow([getattr(r, name) for name in LOG_COLUMNS])
-            fh.flush()
+        def write(row):
+            with _output(path):
+                writer.writerow(row)
+                fh.flush()
 
-        yield write
+        write(LOG_COLUMNS)
+        yield lambda r: write([getattr(r, name) for name in LOG_COLUMNS])
 
 
 def _cmd_run(args) -> int:
@@ -104,7 +115,9 @@ def _cmd_run(args) -> int:
     out = _out_dir(args)
     with _log_writer(out / f"{tag}_log.csv") as write:
         best, log = run_evolution(fit, params, on_record=write)
-    (out / f"{tag}_best.json").write_text(to_json(best) + "\n")
+    best_path = out / f"{tag}_best.json"
+    with _output(best_path):
+        best_path.write_text(to_json(best) + "\n")
     print(f"best fitness: {log[-1].best_fitness}")
     return 0
 
@@ -113,6 +126,7 @@ def _cmd_sweep(args) -> int:
     if args.trials < 0:
         raise ConfigError(f"--trials must be >= 0, got {args.trials}")
     cfg, tag = _gather_config(args)
+    out = _out_dir(args)
     keys = sweep_keys(cfg)
     rng = np.random.default_rng(args.sweep_seed)
     rows = []
@@ -124,9 +138,8 @@ def _cmd_sweep(args) -> int:
         _, log = run_evolution(fit, params)
         rows.append((trial, log[-1].best_fitness, [sampled[k] for k in keys]))
     rows.sort(key=lambda row: (-row[1], row[0]))
-    out = _out_dir(args)
     path = out / f"{tag}_sweep.csv"
-    with open(path, "w", newline="") as fh:
+    with _output(path), open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["trial", "best_fitness", *keys])
         for trial, fitness, values in rows:
@@ -143,7 +156,8 @@ def _cmd_export_dot(args) -> int:
         raise ParseError(f"cannot read genome {args.genome}: {e}") from None
     genome = from_json(text)
     dot = to_dot(genome, build_settings(cfg), build_functions(cfg))
-    Path(args.dest).write_text(dot)
+    with _output(args.dest):
+        Path(args.dest).write_text(dot)
     print(f"wrote {args.dest}")
     return 0
 

@@ -10,17 +10,17 @@ Operators whose random choices matter for exactness expose injection
 seams (explicit cut offset, weight vector, output choices, component
 picks) so tests can pin them down.
 
-Those in READS_GRAPHS take the parents' decoded graphs as an optional
-pair and decode the parents themselves when it is None.
+Those in READS_GRAPHS read the parents' decoded graphs, which the
+caller hands them as a pair; no operator decodes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .decode import DecodeSettings, component_groups, decode, output_trace
+from .decode import component_groups, output_trace
+from .decode import decode  # noqa: F401 - unused; evobench wraps pcgp.<module>.decode
 from .errors import ConfigError, UnsupportedOperatorError
-from .functions import FunctionSet
 from .genome import (
     Genome,
     GenomeMode,
@@ -166,17 +166,9 @@ def proportional(a: Genome, b: Genome, rng, weights=None) -> Genome:
     return unflatten(a.mode, a.n_in, a.n_out, np.concatenate([mix, tail[low:]]))
 
 
-def _parent_graphs(a: Genome, b: Genome, settings: DecodeSettings, fset: FunctionSet,
-                   graphs) -> tuple:
-    if graphs is None:
-        return decode(a, settings, fset), decode(b, settings, fset)
-    return graphs
-
-
-def output_graph(a: Genome, b: Genome, settings: DecodeSettings, fset: FunctionSet,
-                 rng, bounds: SizeBounds | None = None, output_choices=None,
-                 graphs=None) -> Genome:
-    """Recombine whole per-output program graphs.
+def output_graph(a: Genome, b: Genome, graphs, rng, bounds: SizeBounds | None = None,
+                 output_choices=None) -> Genome:
+    """Recombine whole per-output program graphs, read off graphs.
 
     Each output is inherited from one parent together with every node
     its trace reaches (arity ignored).  Inputs referenced by only one
@@ -191,7 +183,6 @@ def output_graph(a: Genome, b: Genome, settings: DecodeSettings, fset: FunctionS
         choices = np.asarray(output_choices, dtype=int)
         if choices.shape != (a.n_out,):
             raise ValueError(f"need {a.n_out} output choices")
-    graphs = _parent_graphs(a, b, settings, fset, graphs)
     picked_nodes = ([], [])
     used_inputs = (set(), set())
     for k, c in enumerate(choices):
@@ -221,9 +212,8 @@ def output_graph(a: Genome, b: Genome, settings: DecodeSettings, fset: FunctionS
     return make_genome(a.mode, a.n_in, a.n_out, rows, outputs, inputs)
 
 
-def subgraph(a: Genome, b: Genome, settings: DecodeSettings, fset: FunctionSet,
-             rng, bounds: SizeBounds | None = None,
-             select_a=None, select_b=None, graphs=None) -> Genome:
+def subgraph(a: Genome, b: Genome, graphs, rng, bounds: SizeBounds | None = None,
+             select_a=None, select_b=None) -> Genome:
     """Union of coin-flipped weakly-connected components of both parents.
 
     Component selection masks can be injected for tests; input and
@@ -232,7 +222,6 @@ def subgraph(a: Genome, b: Genome, settings: DecodeSettings, fset: FunctionSet,
     _require_pcgp(a, "subgraph")
     _check_mates(a, b)
     parts = []
-    graphs = _parent_graphs(a, b, settings, fset, graphs)
     for g, graph, given in zip((a, b), graphs, (select_a, select_b)):
         comps = component_groups(graph)
         take = (rng.random(len(comps)) < 0.5) if given is None else np.asarray(given, bool)
@@ -247,9 +236,8 @@ def subgraph(a: Genome, b: Genome, settings: DecodeSettings, fset: FunctionSet,
     return make_genome(a.mode, a.n_in, a.n_out, rows, outputs, inputs)
 
 
-def apply_crossover(a: Genome, b: Genome, operator: str, settings: DecodeSettings,
-                    fset: FunctionSet, rng, bounds: SizeBounds | None = None,
-                    graphs=None) -> Genome:
+def apply_crossover(a: Genome, b: Genome, operator: str, rng,
+                    bounds: SizeBounds | None = None, graphs=None) -> Genome:
     if operator == "single_point":
         return single_point(a, b, rng)
     if operator == "random_node":
@@ -259,7 +247,7 @@ def apply_crossover(a: Genome, b: Genome, operator: str, settings: DecodeSetting
     if operator == "proportional":
         return proportional(a, b, rng)
     if operator == "output_graph":
-        return output_graph(a, b, settings, fset, rng, bounds, graphs=graphs)
+        return output_graph(a, b, graphs, rng, bounds)
     if operator == "subgraph":
-        return subgraph(a, b, settings, fset, rng, bounds, graphs=graphs)
+        return subgraph(a, b, graphs, rng, bounds)
     raise ConfigError(f"unknown crossover operator {operator!r}; expected one of {OPERATORS}")

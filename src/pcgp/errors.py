@@ -27,3 +27,7 @@ class ConfigError(CgpError):
 
 class DatasetError(CgpError):
     """A dataset file could not be ingested."""
+
+
+class OutputError(CgpError):
+    """An output file or directory could not be written."""

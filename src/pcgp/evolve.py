@@ -9,6 +9,8 @@ Python ran slower than one thread.
 Each loop keeps a decoded graph per population slot, None until an
 operator or the active-node count first reads it.  Elites, copies and
 a mutant that is its own parent carry theirs into the next generation.
+The operators never decode: reads_graph and READS_GRAPHS say which of
+them read a graph, and the loops hand them their parents' graphs.
 
 Budgets count fitness evaluations, not generations; copied individuals
 (elites, unmodified tournament winners) are never re-evaluated.  A
@@ -112,21 +114,14 @@ class RunRecord:
     best_active_nodes: int
 
 
-def evaluate_population(genomes, fit, isolate: bool = True):
+def evaluate_population(genomes, fit):
     """Fitness of each genome, evaluated serially in order.
 
-    A NaN fitness becomes the worst-fitness sentinel plus a warning.
-    With isolate, so does an individual's failure, instead of aborting
-    the whole batch.
+    A NaN fitness becomes the worst-fitness sentinel plus a warning; a
+    raising fitness propagates.
     """
     def call(g):
-        try:
-            value = float(fit(g))
-        except Exception as e:  # noqa: BLE001 - isolation is the contract
-            if not isolate:
-                raise
-            warnings.warn(f"fitness evaluation failed ({e!r}); using sentinel")
-            return FAILED_FITNESS
+        value = float(fit(g))
         if math.isnan(value):
             warnings.warn("fitness evaluation returned NaN; using sentinel")
             return FAILED_FITNESS
@@ -141,7 +136,7 @@ def _stream(seed: int, generation: int, slot: int) -> np.random.Generator:
 
 def _evaluate(genomes, fit, generation, evaluations):
     try:
-        return evaluate_population(genomes, fit, isolate=False)
+        return evaluate_population(genomes, fit)
     except Exception as e:
         raise RuntimeError(
             f"fitness evaluation failed in generation {generation} "
@@ -172,7 +167,7 @@ def one_plus_lambda(fit, params: EvoParams, on_record=None):
     while evaluations < params.budget:
         generation += 1
         children = [
-            apply_mutation(parent, params.mutation, params.settings, params.functions,
+            apply_mutation(parent, params.mutation, params.settings,
                            _stream(params.seed, generation, slot), graph)
             for slot in range(params.lambda_)
         ]
@@ -263,7 +258,6 @@ def ga(fit, params: EvoParams, on_record=None):
                 pair = (_graph(graphs, pop, first, params),
                         _graph(graphs, pop, second, params))
             fresh.append(apply_crossover(pop[first], pop[second], params.crossover,
-                                         params.settings, params.functions,
                                          slot_rng, bounds, pair))
             fresh_graphs.append(None)
         for k in range(mutated):
@@ -271,7 +265,7 @@ def ga(fit, params: EvoParams, on_record=None):
             winner = _tournament(fits, params.tournament_size, slot_rng)
             graph = _graph(graphs, pop, winner, params) if mutate_graph else None
             child = apply_mutation(pop[winner], params.mutation, params.settings,
-                                   params.functions, slot_rng, graph)
+                                   slot_rng, graph)
             fresh.append(child)
             fresh_graphs.append(graphs[winner] if child is pop[winner] else None)
         fresh_fits = _evaluate(fresh, fit, generation, evaluations)

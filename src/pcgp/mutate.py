@@ -5,8 +5,8 @@ All operators take a parent and return a fresh child; size bounds are
 enforced by truncating the edit rather than failing, so application
 always succeeds.  The subgraph pair works only on positional genomes.
 
-Operators that may read the parent's decoded graph take it as an
-optional argument and decode the parent themselves when it is None.
+Operators that read the parent's decoded graph (reads_graph says
+which) are handed it by the caller; no operator decodes.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decode import DecodeSettings, component_groups, decode
+from .decode import DecodeSettings, component_groups
+from .decode import decode  # noqa: F401 - unused; evobench wraps pcgp.<module>.decode
 from .errors import ConfigError, UnsupportedOperatorError
-from .functions import FunctionSet
 from .genome import Genome, GenomeMode, SizeBounds, make_genome, remove_nodes
 
 OPERATORS = ("gene", "mixed_node", "mixed_subgraph")
@@ -65,18 +65,16 @@ def _mutate_array(arr: np.ndarray, rate: float, rng) -> np.ndarray:
     return out
 
 
-def gene_mutation(g: Genome, params: MutationParams, settings: DecodeSettings,
-                  fset: FunctionSet, rng, graph=None) -> Genome:
+def gene_mutation(g: Genome, params: MutationParams, rng, graph=None) -> Genome:
     """Replace genes independently at the per-kind rates.
 
     With require_active set, the draw repeats on the original parent
     until some gene of an active computational node changed (at most 100
-    attempts), so offspring are never behaviorally silent copies.
+    attempts), so offspring are never behaviorally silent copies; graph,
+    the parent's decoded graph, is read only then.
     """
     active = None
     if params.require_active and g.n_nodes:
-        if graph is None:
-            graph = decode(g, settings, fset)
         flags = graph.active
         if flags.any():
             active = flags
@@ -129,11 +127,10 @@ def add_probability(n_nodes: int, params: MutationParams) -> float:
     return min(1.0, max(0.0, frac)) * (1.0 - params.modify_rate)
 
 
-def mixed_node_mutate(g: Genome, params: MutationParams, settings: DecodeSettings,
-                      fset: FunctionSet, rng, graph=None) -> Genome:
+def mixed_node_mutate(g: Genome, params: MutationParams, rng, graph=None) -> Genome:
     u = rng.random()
     if u < params.modify_rate:
-        return gene_mutation(g, params, settings, fset, rng, graph)
+        return gene_mutation(g, params, rng, graph)
     if u < params.modify_rate + add_probability(g.n_nodes, params):
         return node_addition(g, params, rng)
     return node_deletion(g, params, rng)
@@ -185,16 +182,13 @@ def subgraph_addition(g: Genome, params: MutationParams,
                        np.concatenate([g.nodes, rows]), g.outputs, g.inputs)
 
 
-def subgraph_deletion(g: Genome, params: MutationParams, settings: DecodeSettings,
-                      fset: FunctionSet, rng, graph=None) -> Genome:
-    """Delete nodes from one multi-node weakly-connected component.
+def subgraph_deletion(g: Genome, params: MutationParams, rng, graph) -> Genome:
+    """Delete nodes from one multi-node weakly-connected component of graph.
 
     Falls back to plain node deletion when every component is a
     singleton.
     """
     _require_pcgp(g, "subgraph deletion")
-    if graph is None:
-        graph = decode(g, settings, fset)
     multi = [c for c in component_groups(graph) if c.size > 1]
     if not multi:
         return node_deletion(g, params, rng)
@@ -206,20 +200,20 @@ def subgraph_deletion(g: Genome, params: MutationParams, settings: DecodeSetting
 
 
 def mixed_subgraph_mutate(g: Genome, params: MutationParams, settings: DecodeSettings,
-                          fset: FunctionSet, rng, graph=None) -> Genome:
+                          rng, graph) -> Genome:
     _require_pcgp(g, "mixed subgraph mutation")
     u = rng.random()
     if u < params.modify_rate:
-        return gene_mutation(g, params, settings, fset, rng, graph)
+        return gene_mutation(g, params, rng, graph)
     if u < params.modify_rate + add_probability(g.n_nodes, params):
         return subgraph_addition(g, params, settings, rng)
-    return subgraph_deletion(g, params, settings, fset, rng, graph)
+    return subgraph_deletion(g, params, rng, graph)
 
 
 def apply_mutation(g: Genome, params: MutationParams, settings: DecodeSettings,
-                   fset: FunctionSet, rng, graph=None) -> Genome:
+                   rng, graph=None) -> Genome:
     if params.operator == "gene":
-        return gene_mutation(g, params, settings, fset, rng, graph)
+        return gene_mutation(g, params, rng, graph)
     if params.operator == "mixed_node":
-        return mixed_node_mutate(g, params, settings, fset, rng, graph)
-    return mixed_subgraph_mutate(g, params, settings, fset, rng, graph)
+        return mixed_node_mutate(g, params, rng, graph)
+    return mixed_subgraph_mutate(g, params, settings, rng, graph)

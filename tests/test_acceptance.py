@@ -200,13 +200,12 @@ def test_c05_operator_statistics_within_three_sigma():
     within 3 sigma of their multinomial expectation; the growth
     probability hits its endpoints exactly."""
     rng = np.random.default_rng(505)
-    settings = DecodeSettings()
     bounds = SizeBounds(10, 40)
 
     rate = 0.25
     params = MutationParams(bounds=bounds, node_rate=rate, output_rate=0.0)
     parent = random_genome(GenomeMode.CGP, 2, 1, 2500, rng)  # 10^4 node genes
-    child = gene_mutation(parent, params, settings, FSET, rng)
+    child = gene_mutation(parent, params, rng)
     changed = int(np.count_nonzero(child.nodes != parent.nodes))
     n_genes = parent.nodes.size
     sigma = math.sqrt(n_genes * rate * (1.0 - rate))
@@ -222,7 +221,7 @@ def test_c05_operator_statistics_within_three_sigma():
     trials = 10_000
     counts = {"modify": 0, "add": 0, "delete": 0}
     for _ in range(trials):
-        delta = mixed_node_mutate(parent, mixed, settings, FSET, rng).n_nodes - parent.n_nodes
+        delta = mixed_node_mutate(parent, mixed, rng).n_nodes - parent.n_nodes
         counts["modify" if delta == 0 else "add" if delta == burst else "delete"] += 1
     for branch, p in probs.items():
         sigma = math.sqrt(trials * p * (1.0 - p))

@@ -150,6 +150,50 @@ def test_export_dot_missing_genome_is_an_error(tmp_path):
     assert not dest.exists()
 
 
+def assert_output_error(proc, path):
+    """A path that cannot be written ends like bad input, naming the path."""
+    assert_clean_error(proc)
+    assert f"error: cannot write {path}: " in proc.stderr
+
+
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+def test_out_that_is_a_file_is_an_error(tmp_path, verb):
+    out = tmp_path / "afile"
+    out.write_text("")
+    extra = ["--trials", "0"] if verb == "sweep" else []
+    assert_output_error(run_cli(verb, "e0_rl", "--out", out, *extra), out)
+
+
+def test_unwritable_log_is_an_error(tmp_path):
+    data = regression_csv(tmp_path)
+    log = tmp_path / "logs" / "e4_log.csv"
+    log.mkdir(parents=True)
+    assert_output_error(run_cli(*run_args(tmp_path, data)), log)
+
+
+def test_unwritable_best_genome_is_an_error(tmp_path):
+    data = regression_csv(tmp_path)
+    best = tmp_path / "logs" / "e4_best.json"
+    best.mkdir(parents=True)
+    assert_output_error(run_cli(*run_args(tmp_path, data)), best)
+    assert len((tmp_path / "logs" / "e4_log.csv").read_text().splitlines()) > 1
+
+
+def test_unwritable_sweep_csv_is_an_error(tmp_path):
+    table = tmp_path / "logs" / "e0_rl_sweep.csv"
+    table.mkdir(parents=True)
+    assert_output_error(run_cli("sweep", "e0_rl", "--trials", "0",
+                                "--out", tmp_path / "logs"), table)
+
+
+def test_export_dot_unwritable_destination_is_an_error(tmp_path):
+    genome = tmp_path / "g.json"
+    genome.write_text(to_json(random_genome(GenomeMode.CGP, 4, 1, 3,
+                                            np.random.default_rng(0))))
+    dest = tmp_path / "nodir" / "out.dot"
+    assert_output_error(run_cli("export-dot", genome, "e0_rl", dest), dest)
+
+
 def test_validate_override_can_break_config(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["validate", str(cfg), "--set", "lambda=99"]) == 2

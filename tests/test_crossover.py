@@ -6,6 +6,11 @@ from hypothesis import given, settings as hsettings, strategies as st
 
 import pcgp.crossover
 from pcgp.crossover import (
+    _cap_rows,
+    _check_mates,
+    _coin_mix,
+    _node_rows,
+    _require_pcgp,
     aligned_node,
     apply_crossover,
     output_graph,
@@ -14,7 +19,7 @@ from pcgp.crossover import (
     single_point,
     subgraph,
 )
-from pcgp.decode import DecodeSettings, decode
+from pcgp.decode import DecodeSettings, component_groups, decode, output_trace
 from pcgp.errors import ConfigError, UnsupportedOperatorError
 from pcgp.execute import run_supervised
 from pcgp.functions import default_functions
@@ -27,6 +32,10 @@ SET = DecodeSettings(input_start=-1.0)
 
 def rnd(mode, n_nodes, seed, n_in=2, n_out=2):
     return random_genome(mode, n_in, n_out, n_nodes, np.random.default_rng(seed))
+
+
+def graphs_of(a, b, s=SET):
+    return decode(a, s, FSET), decode(b, s, FSET)
 
 
 # ------------------------------------------------------------ mate checks
@@ -44,16 +53,17 @@ def test_positional_only_operators_reject_plain_genomes():
     rng = np.random.default_rng(0)
     with pytest.raises(UnsupportedOperatorError):
         aligned_node(a, b, rng)
+    graphs = graphs_of(a, b)
     with pytest.raises(UnsupportedOperatorError):
-        output_graph(a, b, SET, FSET, rng)
+        output_graph(a, b, graphs, rng)
     with pytest.raises(UnsupportedOperatorError):
-        subgraph(a, b, SET, FSET, rng)
+        subgraph(a, b, graphs, rng)
 
 
 def test_apply_crossover_unknown_name():
     a, b = rnd(GenomeMode.CGP, 5, 0), rnd(GenomeMode.CGP, 5, 1)
     with pytest.raises(ConfigError):
-        apply_crossover(a, b, "bogus", SET, FSET, np.random.default_rng(0))
+        apply_crossover(a, b, "bogus", np.random.default_rng(0))
 
 
 # ------------------------------------------------------------ single point
@@ -232,7 +242,7 @@ def two_trace_parents():
 
 def test_output_graph_disjoint_traces():
     a, b = two_trace_parents()
-    child = output_graph(a, b, SET, FSET, np.random.default_rng(0),
+    child = output_graph(a, b, graphs_of(a, b), np.random.default_rng(0),
                          output_choices=[0, 1])
     assert child.n_nodes == 3
     assert sorted(np.round(child.nodes[:, 0], 6).tolist()) == [0.2, 0.6, 0.7]
@@ -243,7 +253,7 @@ def test_output_graph_disjoint_traces():
 
 def test_output_graph_all_from_one_parent():
     a, b = two_trace_parents()
-    child = output_graph(a, b, SET, FSET, np.random.default_rng(0),
+    child = output_graph(a, b, graphs_of(a, b), np.random.default_rng(0),
                          output_choices=[0, 0])
     for row in child.nodes.tolist():
         assert row in a.nodes.tolist()
@@ -255,7 +265,7 @@ def test_output_graph_self_cross_keeps_behavior():
     for _ in range(10):
         a = random_genome(GenomeMode.PCGP, 2, 2, 10, rng)
         s = DecodeSettings(recurrency=float(rng.random() * 0.8), input_start=-0.5)
-        child = output_graph(a, a, s, FSET, rng)
+        child = output_graph(a, a, graphs_of(a, a, s), rng)
         x = rng.uniform(-1, 1, (6, 2))
         got = run_supervised(decode(child, s, FSET), x)
         want = run_supervised(decode(a, s, FSET), x)
@@ -266,7 +276,7 @@ def test_output_graph_truncates_at_size_max():
     rng = np.random.default_rng(5)
     a = random_genome(GenomeMode.PCGP, 2, 2, 30, rng)
     b = random_genome(GenomeMode.PCGP, 2, 2, 30, rng)
-    child = output_graph(a, b, SET, FSET, rng, bounds=SizeBounds(0, 4))
+    child = output_graph(a, b, graphs_of(a, b), rng, bounds=SizeBounds(0, 4))
     assert child.n_nodes <= 4
 
 
@@ -287,10 +297,10 @@ def chain(positions, seed, n_in=1, n_out=1):
 def test_subgraph_union_of_selected_components():
     a = chain([0.2, 0.4], 1)
     b = chain([0.3, 0.5, 0.7], 2)
-    both = subgraph(a, b, SET, FSET, np.random.default_rng(0),
+    both = subgraph(a, b, graphs_of(a, b), np.random.default_rng(0),
                     select_a=[True], select_b=[True])
     assert both.n_nodes == 5
-    none = subgraph(a, b, SET, FSET, np.random.default_rng(0),
+    none = subgraph(a, b, graphs_of(a, b), np.random.default_rng(0),
                     select_a=[False], select_b=[False])
     assert none.n_nodes == 0
 
@@ -298,7 +308,7 @@ def test_subgraph_union_of_selected_components():
 def test_subgraph_self_cross_under_forced_selection():
     a = chain([0.2, 0.4, 0.6], 3)
     n_comp = max(decode(a, SET, FSET).components) + 1
-    child = subgraph(a, a, SET, FSET, np.random.default_rng(9),
+    child = subgraph(a, a, graphs_of(a, a), np.random.default_rng(9),
                      select_a=[True] * n_comp, select_b=[False] * n_comp)
     assert flatten(child).tolist() == flatten(a).tolist()
 
@@ -306,7 +316,7 @@ def test_subgraph_self_cross_under_forced_selection():
 def test_subgraph_truncates_at_size_max():
     a = chain([0.1, 0.3, 0.5], 4)
     b = chain([0.2, 0.4, 0.6], 5)
-    child = subgraph(a, b, SET, FSET, np.random.default_rng(1),
+    child = subgraph(a, b, graphs_of(a, b), np.random.default_rng(1),
                      bounds=SizeBounds(0, 4), select_a=[True], select_b=[True])
     assert child.n_nodes == 4
 
@@ -323,8 +333,8 @@ def test_children_always_valid(op, seed):
         else (GenomeMode.CGP if rng.random() < 0.5 else GenomeMode.PCGP)
     a = random_genome(mode, 2, 2, int(rng.integers(0, 12)), rng)
     b = random_genome(mode, 2, 2, int(rng.integers(0, 12)), rng)
-    child = apply_crossover(a, b, op, DecodeSettings(input_start=-0.5), FSET, rng,
-                            bounds=SizeBounds(0, 20))
+    graphs = graphs_of(a, b, DecodeSettings(input_start=-0.5))
+    child = apply_crossover(a, b, op, rng, SizeBounds(0, 20), graphs)
     validate_genome(child)
     assert child.n_nodes <= 20
 
@@ -333,13 +343,83 @@ def test_operators_deterministic_under_seed():
     a, b = rnd(GenomeMode.PCGP, 8, 0), rnd(GenomeMode.PCGP, 6, 1)
     for op in ("single_point", "random_node", "aligned_node",
                "proportional", "output_graph", "subgraph"):
-        c1 = apply_crossover(a, b, op, SET, FSET, np.random.default_rng(42))
-        c2 = apply_crossover(a, b, op, SET, FSET, np.random.default_rng(42))
+        c1 = apply_crossover(a, b, op, np.random.default_rng(42), graphs=graphs_of(a, b))
+        c2 = apply_crossover(a, b, op, np.random.default_rng(42), graphs=graphs_of(a, b))
         assert flatten(c1).tolist() == flatten(c2).tolist(), op
 
 
+# The graph-reading operators as they were when each decoded the
+# parents itself when handed no graphs; the oracle for the operators
+# that are handed them.
+
+def _old_parent_graphs(a, b, settings, fset, graphs):
+    if graphs is None:
+        return decode(a, settings, fset), decode(b, settings, fset)
+    return graphs
+
+
+def _old_output_graph(a, b, settings, fset, rng, bounds=None, output_choices=None,
+                      graphs=None):
+    _require_pcgp(a, "output graph")
+    _check_mates(a, b)
+    if output_choices is None:
+        choices = rng.integers(0, 2, a.n_out)
+    else:
+        choices = np.asarray(output_choices, dtype=int)
+        if choices.shape != (a.n_out,):
+            raise ValueError(f"need {a.n_out} output choices")
+    graphs = _old_parent_graphs(a, b, settings, fset, graphs)
+    picked_nodes = ([], [])
+    used_inputs = (set(), set())
+    for k, c in enumerate(choices):
+        d = graphs[c]
+        tr = output_trace(d, k, arity_aware=False)
+        picked_nodes[c].extend(tr)
+        t = d.output_list[k]
+        if t < a.n_in:
+            used_inputs[c].add(t)
+        for i in tr:
+            for t in d.target_list[i]:
+                if t < a.n_in:
+                    used_inputs[c].add(t)
+    rows = np.concatenate([
+        _node_rows(a, sorted(set(picked_nodes[0]))),
+        _node_rows(b, sorted(set(picked_nodes[1]))),
+    ])
+    rows = _cap_rows(rows, bounds, rng)
+    outputs = np.where(choices == 0, a.outputs, b.outputs)
+    flags = np.zeros((2, a.n_in), dtype=bool)
+    for side in (0, 1):
+        flags[side, list(used_inputs[side])] = True
+    coins = rng.random(a.n_in) < 0.5
+    inputs = np.where(flags[0] & ~flags[1], a.inputs,
+                      np.where(flags[1] & ~flags[0], b.inputs,
+                               np.where(coins, b.inputs, a.inputs)))
+    return make_genome(a.mode, a.n_in, a.n_out, rows, outputs, inputs)
+
+
+def _old_subgraph(a, b, settings, fset, rng, bounds=None, select_a=None, select_b=None,
+                  graphs=None):
+    _require_pcgp(a, "subgraph")
+    _check_mates(a, b)
+    parts = []
+    graphs = _old_parent_graphs(a, b, settings, fset, graphs)
+    for g, graph, given in zip((a, b), graphs, (select_a, select_b)):
+        comps = component_groups(graph)
+        take = (rng.random(len(comps)) < 0.5) if given is None else np.asarray(given, bool)
+        if len(take) != len(comps):
+            raise ValueError(f"need {len(comps)} component picks, got {len(take)}")
+        chosen = [c for c, t in zip(comps, take) if t]
+        idx = np.sort(np.concatenate(chosen)) if chosen else np.zeros(0, int)
+        parts.append(_node_rows(g, idx))
+    rows = _cap_rows(np.concatenate(parts), bounds, rng)
+    outputs = _coin_mix(a.outputs, b.outputs, rng)
+    inputs = _coin_mix(a.inputs, b.inputs, rng)
+    return make_genome(a.mode, a.n_in, a.n_out, rows, outputs, inputs)
+
+
 def _refuse_decode(*_args):
-    raise AssertionError("decoded a parent whose graph was given")
+    raise AssertionError("an operator decoded")
 
 
 @hsettings(max_examples=80, deadline=None)
@@ -349,21 +429,23 @@ def _refuse_decode(*_args):
 def test_given_graphs_match_decoding(op, n_a, n_b, recurrency, capped, seed):
     """Handed the parents' graphs, output_graph and subgraph (directly and
     through apply_crossover) decode nothing and give the child bytes and
-    leave the stream state they give when they decode the parents."""
+    leave the stream state of the old operators, which decoded the
+    parents themselves."""
     rng = np.random.default_rng(seed)
     a = random_genome(GenomeMode.PCGP, 2, 3, n_a, rng)
     b = random_genome(GenomeMode.PCGP, 2, 3, n_b, rng)
     s = DecodeSettings(recurrency=recurrency, input_start=-0.5)
     bounds = SizeBounds(0, 4) if capped else None
-    graphs = (decode(a, s, FSET), decode(b, s, FSET))
+    graphs = graphs_of(a, b, s)
+    old = {"output_graph": _old_output_graph, "subgraph": _old_subgraph}[op]
     direct = {"output_graph": output_graph, "subgraph": subgraph}[op]
-    r_self, r_given, r_apply = (np.random.default_rng(seed + 1) for _ in range(3))
-    want = direct(a, b, s, FSET, r_self, bounds)
+    r_old, r_direct, r_apply = (np.random.default_rng(seed + 1) for _ in range(3))
+    want = old(a, b, s, FSET, r_old, bounds)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pcgp.crossover, "decode", _refuse_decode)
-        got = direct(a, b, s, FSET, r_given, bounds, graphs=graphs)
-        applied = apply_crossover(a, b, op, s, FSET, r_apply, bounds, graphs)
-    for child, stream in ((got, r_given), (applied, r_apply)):
+        got = direct(a, b, graphs, r_direct, bounds)
+        applied = apply_crossover(a, b, op, r_apply, bounds, graphs)
+    for child, stream in ((got, r_direct), (applied, r_apply)):
         assert flatten(child).tobytes() == flatten(want).tobytes()
         assert child.n_nodes == want.n_nodes
-        assert stream.bit_generator.state == r_self.bit_generator.state
+        assert stream.bit_generator.state == r_old.bit_generator.state

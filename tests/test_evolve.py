@@ -12,7 +12,8 @@ import pcgp.crossover
 import pcgp.evolve
 import pcgp.mutate
 from pcgp.config import build_evo_params, load_preset, make_fitness
-from pcgp.decode import DecodeSettings
+from pcgp.crossover import READS_GRAPHS, apply_crossover
+from pcgp.decode import DecodeSettings, decode
 from pcgp.errors import ConfigError
 from pcgp.evolve import (
     FAILED_FITNESS,
@@ -26,8 +27,10 @@ from pcgp.evolve import (
     run_evolution,
 )
 from pcgp.functions import default_functions
-from pcgp.genome import GenomeMode, SizeBounds, flatten, random_genome
-from pcgp.mutate import MutationParams
+from pcgp.genome import GenomeMode, SizeBounds, flatten, random_genome, validate_genome
+from pcgp.mutate import MutationParams, apply_mutation, reads_graph
+
+FSET = default_functions()
 
 
 def hash_fitness(g):
@@ -271,28 +274,30 @@ def test_evaluate_population_preserves_order():
     assert evaluate_population(genomes, lambda g: g.outputs[0]) == want
 
 
-def test_evaluate_population_isolates_failures():
+def test_evaluate_population_propagates_failures():
+    """A raising fitness stops the batch; nothing after it is scored."""
     rng = np.random.default_rng(0)
     genomes = [random_genome(GenomeMode.CGP, 1, 1, 3, rng) for _ in range(4)]
     doomed = genomes[2]
+    scored = []
 
     def fit(g):
         if g is doomed:
             raise RuntimeError("bad genome")
+        scored.append(g)
         return 1.0
 
-    with pytest.warns(UserWarning, match="sentinel"):
-        out = evaluate_population(genomes, fit)
-    assert out == [1.0, 1.0, FAILED_FITNESS, 1.0]
+    with pytest.raises(RuntimeError, match="bad genome"):
+        evaluate_population(genomes, fit)
+    assert scored == genomes[:2]
 
 
-@pytest.mark.parametrize("isolate", [True, False])
-def test_evaluate_population_maps_nan_to_sentinel(isolate):
+def test_evaluate_population_maps_nan_to_sentinel():
     rng = np.random.default_rng(0)
     genomes = [random_genome(GenomeMode.CGP, 1, 1, 3, rng) for _ in range(3)]
     fits = iter([1.0, float("nan"), float("inf")])
     with pytest.warns(UserWarning, match="NaN"):
-        out = evaluate_population(genomes, lambda g: next(fits), isolate=isolate)
+        out = evaluate_population(genomes, lambda g: next(fits))
     assert out == [1.0, FAILED_FITNESS, float("inf")]
 
 
@@ -359,8 +364,8 @@ def test_decode_is_looked_up_at_call_time_in_every_module(tmp_path, monkeypatch)
     per call, so wrapping that binding (as a profiler does) sees every
     decode: of a cart-pole GA with output_graph crossover and
     require_active mutation and of a 1+lambda regression run (both
-    decode in pcgp.bench and pcgp.evolve; the loops hand the operators
-    their parents' graphs), and of the operators called without graphs."""
+    decode in pcgp.bench and pcgp.evolve).  The operators never decode:
+    handed graphs, they hit no decode binding."""
     calls = {}
 
     def counting(name, original):
@@ -385,13 +390,17 @@ def test_decode_is_looked_up_at_call_time_in_every_module(tmp_path, monkeypatch)
         run_evolution(fit, build_evo_params(cfg, n_in, n_out))
     assert sorted(calls) == ["pcgp.bench", "pcgp.evolve"], calls
 
+    before = dict(calls)
     params = build_evo_params(rl, 4, 1)
     rng = np.random.default_rng(0)
     a, b = (random_genome(GenomeMode.PCGP, 4, 1, 6, rng) for _ in range(2))
-    pcgp.crossover.output_graph(a, b, params.settings, params.functions, rng)
-    pcgp.mutate.gene_mutation(a, params.mutation, params.settings, params.functions, rng)
-    assert sorted(calls) == sorted(m.__name__ for m in modules), calls
-    assert calls["pcgp.crossover"] == 2 and calls["pcgp.mutate"] == 1
+    graphs = tuple(decode(g, params.settings, params.functions) for g in (a, b))
+    pcgp.crossover.output_graph(a, b, graphs, rng)
+    pcgp.crossover.subgraph(a, b, graphs, rng)
+    pcgp.mutate.gene_mutation(a, params.mutation, rng, graphs[0])
+    pcgp.mutate.mixed_subgraph_mutate(a, replace(params.mutation, modify_rate=0.0),
+                                      params.settings, rng, graphs[0])
+    assert calls == before
 
 
 @pytest.mark.parametrize("preset, overrides", [
@@ -424,3 +433,81 @@ def test_loops_decode_each_individual_at_most_once(monkeypatch, preset, override
     assert set(calls) == {"pcgp.evolve"}, calls
     ids = [id(g) for g in decoded]
     assert len(ids) == len(set(ids))
+
+
+# --------------------------------------------- which operators read graphs
+
+class Tripwire:
+    """Stand-in for a graph the tables say is unread: any attribute read raises."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"read .{name} of a graph the tables say is unread")
+
+
+class Reads:
+    """A decoded graph that counts the attribute reads made through it."""
+
+    def __init__(self, graph):
+        self.graph, self.count = graph, 0
+
+    def __getattr__(self, name):
+        self.count += 1
+        return getattr(self.graph, name)
+
+
+def _supports(mode, op, positional_only):
+    return mode is GenomeMode.PCGP or op not in positional_only
+
+
+OPERATOR_CASES = (
+    [("mutation", op, active, mode)
+     for op in pcgp.mutate.OPERATORS for active in (False, True) for mode in GenomeMode
+     if _supports(mode, op, pcgp.mutate.POSITIONAL_ONLY)]
+    + [("crossover", op, False, mode)
+       for op in pcgp.crossover.OPERATORS for mode in GenomeMode
+       if _supports(mode, op, pcgp.crossover.POSITIONAL_ONLY)])
+
+
+def _tables_say_read(kind, op, active):
+    if kind == "mutation":
+        return reads_graph(MutationParams(SizeBounds(0, 20), operator=op,
+                                          require_active=active))
+    return op in READS_GRAPHS
+
+
+def _vary(case, seed, modify_rate=0.5):
+    """One child from the case's operator, handed counting graphs where the
+    tables say it reads them and Tripwires elsewhere; returns the reads."""
+    kind, op, active, mode = case
+    rng = np.random.default_rng(seed)
+    a, b = (random_genome(mode, 2, 2, int(rng.integers(0, 13)), rng) for _ in range(2))
+    s = DecodeSettings(input_start=-0.5)
+    reads = []
+    if _tables_say_read(kind, op, active):
+        reads = [Reads(decode(g, s, FSET)) for g in (a, b)]
+    graph_a, graph_b = reads or (Tripwire(), Tripwire())
+    if kind == "mutation":
+        p = MutationParams(SizeBounds(0, 20), node_rate=0.1, delta_frac=0.3,
+                           modify_rate=modify_rate, operator=op, require_active=active)
+        child = apply_mutation(a, p, s, rng, graph_a)
+    else:
+        child = apply_crossover(a, b, op, rng, SizeBounds(0, 20), (graph_a, graph_b))
+    validate_genome(child)
+    return sum(r.count for r in reads)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(OPERATOR_CASES), st.integers(0, 2**31 - 1), st.floats(0.0, 1.0))
+def test_graph_tables_cover_every_graph_read(case, seed, modify_rate):
+    """reads_graph and READS_GRAPHS are the only record of which operators
+    read a graph: every mutation operator with and without require_active
+    and every crossover, in each mode it supports, reads no attribute of
+    a graph the tables say it does not read."""
+    _vary(case, seed, modify_rate)
+
+
+@pytest.mark.parametrize("case", [c for c in OPERATOR_CASES if _tables_say_read(*c[:3])],
+                         ids=lambda c: "-".join(map(str, c[:3])) + "-" + c[3].value)
+def test_graph_tables_name_only_graph_readers(case):
+    """Every operator the tables say reads a graph does read one."""
+    assert sum(_vary(case, seed) for seed in range(20))

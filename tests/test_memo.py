@@ -110,7 +110,7 @@ def test_equal_program_keys_score_bitwise_equal(task, mode, recurrency, use_weig
                               input_rate=0.1)
     parent = random_genome(mode, 4, n_out, 8, rng)
     family = [parent, _silent_mutant(parent, s, rng)]
-    family += [gene_mutation(parent, mutation, s, FSET, rng) for _ in range(6)]
+    family += [gene_mutation(parent, mutation, rng) for _ in range(6)]
     assert key(family[1], s) == key(parent, s)
     memo = MemoizedFitness(s, FSET, data=data, episode_len=EPISODE)
     scores = {}

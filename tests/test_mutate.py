@@ -5,12 +5,23 @@ import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
 import pcgp.mutate
-from pcgp.decode import DecodeSettings, connection_position, decode
+from pcgp.decode import DecodeSettings, component_groups, connection_position, decode
 from pcgp.errors import ConfigError, UnsupportedOperatorError
 from pcgp.functions import default_functions
-from pcgp.genome import GenomeMode, SizeBounds, flatten, make_genome, random_genome, validate_genome
+from pcgp.genome import (
+    GenomeMode,
+    SizeBounds,
+    flatten,
+    make_genome,
+    random_genome,
+    remove_nodes,
+    validate_genome,
+)
 from pcgp.mutate import (
     MutationParams,
+    _burst_size,
+    _mutate_array,
+    _require_pcgp,
     add_probability,
     apply_mutation,
     gene_mutation,
@@ -37,7 +48,7 @@ def params(**kw):
 def test_zero_rates_identity():
     g = random_genome(GenomeMode.PCGP, 2, 2, 8, np.random.default_rng(0))
     p = params(node_rate=0.0, output_rate=0.0, input_rate=0.0)
-    h = gene_mutation(g, p, SET, FSET, np.random.default_rng(1))
+    h = gene_mutation(g, p, np.random.default_rng(1))
     assert flatten(h).tolist() == flatten(g).tolist()
 
 
@@ -45,7 +56,7 @@ def test_gene_change_rate_binomial():
     rng = np.random.default_rng(7)
     g = random_genome(GenomeMode.CGP, 2, 1, 2500, rng)  # 10^4 node genes
     rate = 0.25
-    h = gene_mutation(g, params(node_rate=rate), SET, FSET, rng)
+    h = gene_mutation(g, params(node_rate=rate), rng)
     changed = int((h.nodes != g.nodes).sum())
     n = g.nodes.size
     sigma = (n * rate * (1 - rate)) ** 0.5
@@ -60,16 +71,17 @@ def test_require_active_touches_active_gene():
         if not d.active.any():
             continue
         h = gene_mutation(g, params(node_rate=0.02, output_rate=0.0,
-                                    require_active=True), SET, FSET, rng)
+                                    require_active=True), rng, d)
         assert (h.nodes[d.active] != g.nodes[d.active]).any()
 
 
 def test_require_active_without_active_nodes_terminates():
     # outputs point at inputs; no retry loop can ever satisfy the goal
     g = make_genome(GenomeMode.CGP, 1, 1, [[0.9, 0.9, 0.1, 0.5]], [0.1])
-    assert not decode(g, SET, FSET).active.any()
+    d = decode(g, SET, FSET)
+    assert not d.active.any()
     h = gene_mutation(g, params(node_rate=0.0, output_rate=1.0, require_active=True),
-                      SET, FSET, np.random.default_rng(2))
+                      np.random.default_rng(2), d)
     validate_genome(h)
 
 
@@ -142,7 +154,7 @@ def test_mixed_node_branch_frequencies():
     trials = 10_000
     counts = {0: 0, 2: 0, -2: 0}
     for _ in range(trials):
-        h = mixed_node_mutate(g, p, SET, FSET, rng)
+        h = mixed_node_mutate(g, p, rng)
         counts[h.n_nodes - g.n_nodes] += 1
     for delta, prob in ((0, 0.6), (2, 0.2), (-2, 0.2)):
         sigma = (trials * prob * (1 - prob)) ** 0.5
@@ -153,7 +165,7 @@ def test_mixed_node_always_modifies_when_modify_rate_is_one():
     rng = np.random.default_rng(19)
     g = random_genome(GenomeMode.CGP, 2, 1, 25, rng)
     for _ in range(50):
-        assert mixed_node_mutate(g, params(modify_rate=1.0), SET, FSET, rng).n_nodes == 25
+        assert mixed_node_mutate(g, params(modify_rate=1.0), rng).n_nodes == 25
 
 
 # ---------------------------------------------------- subgraph operators
@@ -163,10 +175,11 @@ def test_subgraph_ops_reject_plain_mode():
     g = random_genome(GenomeMode.CGP, 2, 1, 12, rng)
     with pytest.raises(UnsupportedOperatorError):
         subgraph_addition(g, params(), SET, rng)
+    graph = decode(g, SET, FSET)
     with pytest.raises(UnsupportedOperatorError):
-        subgraph_deletion(g, params(), SET, FSET, rng)
+        subgraph_deletion(g, params(), rng, graph)
     with pytest.raises(UnsupportedOperatorError):
-        mixed_subgraph_mutate(g, params(), SET, FSET, rng)
+        mixed_subgraph_mutate(g, params(), SET, rng, graph)
 
 
 def test_invert_connection_round_trip():
@@ -238,7 +251,7 @@ def test_subgraph_deletion_removes_only_from_multinode_component():
     d = decode(g, s, FSET)
     assert sorted(np.bincount(d.components).tolist()) == [1, 1, 1, 2]
     p = params(delta_frac=0.5, bounds=SizeBounds(3, 40))  # burst 2
-    h = subgraph_deletion(g, p, s, FSET, np.random.default_rng(1))
+    h = subgraph_deletion(g, p, np.random.default_rng(1), d)
     # only the 2-node component can shrink, and it shrinks entirely
     assert h.n_nodes == 3
     assert h.nodes[:, 0].tolist() == [0.6, 0.7, 0.8]
@@ -249,14 +262,14 @@ def test_subgraph_deletion_singleton_fallback():
     nodes = [[x, 0.0, 0.0, 0.1, 0.9] for x in np.linspace(0.1, 0.9, 6)]
     g = make_genome(GenomeMode.PCGP, 1, 1, nodes, [0.95], [1.0])
     p = params(delta_frac=0.5, bounds=SizeBounds(4, 40))  # burst 2
-    h = subgraph_deletion(g, p, s, FSET, np.random.default_rng(3))
+    h = subgraph_deletion(g, p, np.random.default_rng(3), decode(g, s, FSET))
     assert h.n_nodes == 4  # node_deletion fallback removed 2 anywhere
 
 
 def test_subgraph_deletion_respects_size_min():
     g, s = chain_and_singletons()
     p = params(delta_frac=0.3, bounds=SizeBounds(4, 40))
-    h = subgraph_deletion(g, p, s, FSET, np.random.default_rng(5))
+    h = subgraph_deletion(g, p, np.random.default_rng(5), decode(g, s, FSET))
     assert h.n_nodes == 4
 
 
@@ -277,7 +290,7 @@ def test_children_always_valid(op, seed):
                delta_frac=float(rng.uniform(0.1, 0.5)),
                modify_rate=float(rng.uniform(0.1, 0.9)))
     s = DecodeSettings(recurrency=float(rng.random()), input_start=-0.5)
-    h = apply_mutation(g, p, s, FSET, rng)
+    h = apply_mutation(g, p, s, rng, decode(g, s, FSET))
     validate_genome(h)
     assert 5 <= h.n_nodes <= 20
 
@@ -286,13 +299,77 @@ def test_operators_deterministic_under_seed():
     g = random_genome(GenomeMode.PCGP, 2, 2, 15, np.random.default_rng(0))
     p = params(operator="mixed_subgraph", bounds=SizeBounds(5, 20))
     s = DecodeSettings(recurrency=0.4, input_start=-0.5)
-    a = apply_mutation(g, p, s, FSET, np.random.default_rng(99))
-    b = apply_mutation(g, p, s, FSET, np.random.default_rng(99))
+    graph = decode(g, s, FSET)
+    a = apply_mutation(g, p, s, np.random.default_rng(99), graph)
+    b = apply_mutation(g, p, s, np.random.default_rng(99), graph)
     assert flatten(a).tolist() == flatten(b).tolist()
 
 
+# The operators as they were when each decoded its parent itself when
+# handed no graph; the oracle for the operators that are handed it.
+
+def _old_gene_mutation(g, params, settings, fset, rng, graph=None):
+    active = None
+    if params.require_active and g.n_nodes:
+        if graph is None:
+            graph = decode(g, settings, fset)
+        flags = graph.active
+        if flags.any():
+            active = flags
+    nodes, outputs, inputs = g.nodes, g.outputs, g.inputs
+    for _ in range(100):
+        nodes = _mutate_array(g.nodes, params.node_rate, rng)
+        outputs = _mutate_array(g.outputs, params.output_rate, rng)
+        if g.mode is GenomeMode.PCGP:
+            inputs = _mutate_array(g.inputs, params.input_rate, rng)
+        if active is None or bool(np.any(nodes[active] != g.nodes[active])):
+            break
+    return make_genome(g.mode, g.n_in, g.n_out, nodes, outputs, inputs)
+
+
+def _old_mixed_node_mutate(g, params, settings, fset, rng, graph=None):
+    u = rng.random()
+    if u < params.modify_rate:
+        return _old_gene_mutation(g, params, settings, fset, rng, graph)
+    if u < params.modify_rate + add_probability(g.n_nodes, params):
+        return node_addition(g, params, rng)
+    return node_deletion(g, params, rng)
+
+
+def _old_subgraph_deletion(g, params, settings, fset, rng, graph=None):
+    _require_pcgp(g, "subgraph deletion")
+    if graph is None:
+        graph = decode(g, settings, fset)
+    multi = [c for c in component_groups(graph) if c.size > 1]
+    if not multi:
+        return node_deletion(g, params, rng)
+    comp = multi[rng.integers(len(multi))]
+    k = min(_burst_size(params), comp.size, max(0, g.n_nodes - params.bounds.size_min))
+    if k <= 0:
+        return g
+    return remove_nodes(g, rng.choice(comp, size=k, replace=False))
+
+
+def _old_mixed_subgraph_mutate(g, params, settings, fset, rng, graph=None):
+    _require_pcgp(g, "mixed subgraph mutation")
+    u = rng.random()
+    if u < params.modify_rate:
+        return _old_gene_mutation(g, params, settings, fset, rng, graph)
+    if u < params.modify_rate + add_probability(g.n_nodes, params):
+        return subgraph_addition(g, params, settings, rng)
+    return _old_subgraph_deletion(g, params, settings, fset, rng, graph)
+
+
+def _old_apply_mutation(g, params, settings, fset, rng, graph=None):
+    if params.operator == "gene":
+        return _old_gene_mutation(g, params, settings, fset, rng, graph)
+    if params.operator == "mixed_node":
+        return _old_mixed_node_mutate(g, params, settings, fset, rng, graph)
+    return _old_mixed_subgraph_mutate(g, params, settings, fset, rng, graph)
+
+
 def _refuse_decode(*_args):
-    raise AssertionError("decoded a parent whose graph was given")
+    raise AssertionError("an operator decoded")
 
 
 @hsettings(max_examples=80, deadline=None)
@@ -302,8 +379,8 @@ def _refuse_decode(*_args):
 def test_given_graph_matches_decoding(op, n_nodes, recurrency, seed):
     """Handed the parent's graph, gene_mutation with require_active,
     subgraph_deletion and apply_mutation decode nothing and give the
-    child bytes and leave the stream state they give when they decode
-    the parent."""
+    child bytes and leave the stream state of the old operators, which
+    decoded the parent themselves."""
     rng = np.random.default_rng(seed)
     g = random_genome(GenomeMode.PCGP, 2, 2, n_nodes, rng)
     p = params(operator="gene" if op in ("gene_mutation", "subgraph_deletion") else op,
@@ -312,13 +389,21 @@ def test_given_graph_matches_decoding(op, n_nodes, recurrency, seed):
                modify_rate=float(rng.uniform(0.1, 0.9)))
     s = DecodeSettings(recurrency=recurrency, input_start=-0.5)
     graph = decode(g, s, FSET)
-    mutate = {"gene_mutation": gene_mutation,
-              "subgraph_deletion": subgraph_deletion}.get(op, apply_mutation)
-    r_self, r_given = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-    want = mutate(g, p, s, FSET, r_self)
+    r_old, r_new = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    if op == "gene_mutation":
+        want = _old_gene_mutation(g, p, s, FSET, r_old)
+    elif op == "subgraph_deletion":
+        want = _old_subgraph_deletion(g, p, s, FSET, r_old)
+    else:
+        want = _old_apply_mutation(g, p, s, FSET, r_old)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pcgp.mutate, "decode", _refuse_decode)
-        got = mutate(g, p, s, FSET, r_given, graph)
+        if op == "gene_mutation":
+            got = gene_mutation(g, p, r_new, graph)
+        elif op == "subgraph_deletion":
+            got = subgraph_deletion(g, p, r_new, graph)
+        else:
+            got = apply_mutation(g, p, s, r_new, graph)
     assert flatten(got).tobytes() == flatten(want).tobytes()
     assert got.n_nodes == want.n_nodes
-    assert r_given.bit_generator.state == r_self.bit_generator.state
+    assert r_new.bit_generator.state == r_old.bit_generator.state
