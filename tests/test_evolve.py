@@ -292,13 +292,17 @@ def test_evaluate_population_propagates_failures():
     assert scored == genomes[:2]
 
 
-def test_evaluate_population_maps_nan_to_sentinel():
+@pytest.mark.parametrize("numpy_scalar", [True, False])
+def test_evaluate_population_maps_nan_to_sentinel(numpy_scalar):
+    """NaN maps to the sentinel whether fitness returns a numpy or Python float."""
     rng = np.random.default_rng(0)
     genomes = [random_genome(GenomeMode.CGP, 1, 1, 3, rng) for _ in range(3)]
-    fits = iter([1.0, float("nan"), float("inf")])
+    box = np.float64 if numpy_scalar else float
+    fits = iter([box(1.0), box("nan"), box("inf")])
     with pytest.warns(UserWarning, match="NaN"):
         out = evaluate_population(genomes, lambda g: next(fits))
     assert out == [1.0, FAILED_FITNESS, float("inf")]
+    assert all(type(v) is float for v in out)
 
 
 def nan_for_half(g):
