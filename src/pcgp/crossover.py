@@ -12,6 +12,13 @@ picks) so tests can pin them down.
 
 Those in READS_GRAPHS read the parents' decoded graphs, which the
 caller hands them as a pair; no operator decodes.
+
+Crossover enforces only size_max.  The four operators that do not read
+graphs give a child whose node count lies between its parents' counts.
+output_graph and subgraph keep the nodes they inherit and drop random
+rows only above size_max (_cap_rows), so their children can fall below
+size_min; mutation does not grow them back unless add_inverted is set
+(see SizeBounds).
 """
 
 from __future__ import annotations

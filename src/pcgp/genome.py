@@ -38,7 +38,18 @@ X_OFF, Y_OFF, F_OFF, C_OFF = -4, -3, -2, -1
 
 @dataclass(frozen=True)
 class SizeBounds:
-    """Inclusive bounds on the computational-node count."""
+    """Inclusive bounds on the computational-node count.
+
+    Mutation keeps a size that is inside the bounds inside them, but
+    crossover enforces only size_max.  single_point, random_node,
+    aligned_node and proportional give a child whose size lies between
+    its parents' sizes.  output_graph and subgraph keep only the nodes
+    they inherit, cut down to size_max, so their children can fall
+    below size_min.  Below size_min, node_deletion and subgraph_deletion
+    remove nothing and add_probability is 0, so mixed_node and
+    mixed_subgraph never change the size there.  With add_inverted the
+    add probability there is 1 - modify_rate, so they only grow it.
+    """
 
     size_min: int
     size_max: int

@@ -306,8 +306,8 @@ def test_c08_cartpole_recurrent_weighted_controller():
 def test_c09_logs_byte_identical_across_reruns_and_workers(
         tmp_path, parabola_csv):
     """The same config and seed produce byte-identical log CSVs on
-    rerun, and a parallel population evaluation produces the same bytes
-    as the sequential one."""
+    rerun, and a run with workers=3 writes the same bytes as one with
+    workers=1 (workers has no effect: fitness is evaluated serially)."""
     def run_once(preset, out, tag, *extra):
         out.mkdir(exist_ok=True)
         code = cli.main([

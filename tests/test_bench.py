@@ -8,26 +8,14 @@ import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
 from pcgp.bench import (
-    ANGLE_LIMIT,
-    CART_MASS,
-    CARTPOLE_INIT,
-    FORCE,
-    GRAVITY,
-    POLE_HALF_LENGTH,
-    POLE_MASS,
-    POSITION_LIMIT,
-    TIMESTEP,
-    Dataset,
-    cartpole_fitness,
-    classification_fitness,
-    load_csv,
-    regression_fitness,
+    Dataset, cartpole_fitness, classification_fitness, load_csv, regression_fitness,
 )
 from pcgp.decode import DecodeSettings, decode
 from pcgp.errors import ConfigError, DatasetError
-from pcgp.execute import new_state, step
 from pcgp.functions import Function, FunctionSet, default_functions
 from pcgp.genome import GenomeMode, make_genome, random_genome
+
+import reference
 
 FSET = default_functions()
 SETTINGS = DecodeSettings()
@@ -278,29 +266,6 @@ def test_cartpole_recurrent_controller_allowed():
     assert 0.0 <= fit <= 1.0
 
 
-def step_balance(graph, episode_len):
-    """The episode as one step call per time step, kept as the oracle."""
-    state = new_state(graph)
-    x, xd, th, thd = CARTPOLE_INIT
-    total = CART_MASS + POLE_MASS
-    pml = POLE_MASS * POLE_HALF_LENGTH
-    for survived in range(episode_len):
-        out, state = step(graph, state, (x, xd, th, thd))
-        force = FORCE if out[0] > 0.0 else -FORCE
-        s, c = math.sin(th), math.cos(th)
-        temp = (force + pml * thd * thd * s) / total
-        thdd = (GRAVITY * s - c * temp) / (
-            POLE_HALF_LENGTH * (4.0 / 3.0 - POLE_MASS * c * c / total))
-        xdd = temp - pml * thdd * c / total
-        x += TIMESTEP * xd
-        xd += TIMESTEP * xdd
-        th += TIMESTEP * thd
-        thd += TIMESTEP * thdd
-        if abs(th) > ANGLE_LIMIT or abs(x) > POSITION_LIMIT:
-            return survived / episode_len
-    return 1.0
-
-
 # default functions plus two whose values are non-finite: overflow to
 # +-inf, and nan (inf - inf) or -inf
 BLOWUP = FunctionSet(FSET.functions + (
@@ -329,7 +294,7 @@ def test_episode_matches_step_oracle(kind, n_nodes, recurrency, weights, blowup,
         mode = GenomeMode.CGP if kind == "cgp" else GenomeMode.PCGP
         g = random_genome(mode, 4, 1, n_nodes, np.random.default_rng(seed))
     got = cartpole_fitness(g, settings, fset, episode_len)
-    want = step_balance(decode(g, settings, fset), episode_len)
+    want = reference.step_balance(decode(g, settings, fset), episode_len)
     assert struct.pack("<d", got) == struct.pack("<d", want)
 
 

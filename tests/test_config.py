@@ -32,9 +32,11 @@ from pcgp.decode import DecodeSettings
 from pcgp.errors import ConfigError, ParseError
 from pcgp.evolve import ALGORITHMS, EvoParams
 from pcgp.functions import DEFAULT_FUNCTION_NAMES, FunctionSet
-from pcgp.genome import GenomeMode, SizeBounds
+from pcgp.genome import GenomeMode
 from pcgp.mutate import OPERATORS as MUTATION_OPERATORS
 from pcgp.mutate import MutationParams
+
+from reference import oracle_evo_params, oracle_mutation, oracle_settings
 
 
 def test_merge_layers_defaults_under_overrides():
@@ -188,63 +190,6 @@ def test_validate_accepts_exactly_what_builds(cfg, n_in, n_out):
     except (ConfigError, ValueError):
         built = False
     assert accepted == built
-
-
-# The builders as they were written by hand, field by field, before they
-# were derived from the dataclass fields: the oracle for the derived ones.
-
-def _size_bounds(merged) -> tuple:
-    n = merged["n_nodes"]
-    smin = merged["size_min"]
-    smax = merged["size_max"]
-    if smin is None:
-        smin = round(0.5 * n)
-    if smax is None:
-        smax = round(1.5 * n)
-    return smin, smax
-
-
-def oracle_settings(cfg: dict) -> DecodeSettings:
-    merged = merge_config(cfg)
-    return DecodeSettings(recurrency=float(merged["recurrency"]),
-                          input_start=float(merged["input_start"]),
-                          use_weights=bool(merged["use_weights"]))
-
-
-def oracle_mutation(cfg: dict) -> MutationParams:
-    merged = merge_config(cfg)
-    smin, smax = _size_bounds(merged)
-    return MutationParams(bounds=SizeBounds(smin, smax),
-                          node_rate=float(merged["node_rate"]),
-                          output_rate=float(merged["output_rate"]),
-                          input_rate=float(merged["input_rate"]),
-                          require_active=bool(merged["require_active"]),
-                          delta_frac=float(merged["delta_frac"]),
-                          modify_rate=float(merged["modify_rate"]),
-                          operator=merged["operator"],
-                          add_inverted=bool(merged["add_inverted"]))
-
-
-def oracle_evo_params(cfg: dict, n_in: int, n_out: int) -> EvoParams:
-    merged = merge_config(cfg)
-    return EvoParams(mode=GenomeMode[merged["mode"]],
-                     n_in=n_in,
-                     n_out=n_out,
-                     n_nodes=merged["n_nodes"],
-                     mutation=oracle_mutation(cfg),
-                     settings=oracle_settings(cfg),
-                     functions=FunctionSet.from_names(merged["functions"]),
-                     algorithm=merged["algorithm"],
-                     lambda_=merged["lambda"],
-                     population=merged["population"],
-                     elitism=float(merged["elitism"]),
-                     crossover_fraction=float(merged["crossover_fraction"]),
-                     mutation_fraction=float(merged["mutation_fraction"]),
-                     crossover=merged["crossover"],
-                     budget=merged["budget"],
-                     seed=merged["seed"],
-                     workers=merged["workers"],
-                     tournament_size=merged["tournament_size"])
 
 
 def field_types(obj, prefix=""):

@@ -6,25 +6,16 @@ from hypothesis import given, settings as hsettings, strategies as st
 
 import pcgp.crossover
 from pcgp.crossover import (
-    _cap_rows,
-    _check_mates,
-    _coin_mix,
-    _node_rows,
-    _require_pcgp,
-    aligned_node,
-    apply_crossover,
-    output_graph,
-    proportional,
-    random_node,
-    single_point,
-    subgraph,
+    aligned_node, apply_crossover, output_graph, proportional, random_node, single_point, subgraph,
 )
-from pcgp.decode import DecodeSettings, component_groups, decode, output_trace
+from pcgp.decode import DecodeSettings, decode, output_trace
 from pcgp.errors import ConfigError, UnsupportedOperatorError
 from pcgp.execute import run_supervised
 from pcgp.functions import default_functions
 from pcgp.genome import GenomeMode, SizeBounds, flatten, make_genome, random_genome, validate_genome
 from pcgp.mutate import invert_connection_position
+
+import reference
 
 FSET = default_functions()
 SET = DecodeSettings(input_start=-1.0)
@@ -258,6 +249,9 @@ def test_output_graph_all_from_one_parent():
     for row in child.nodes.tolist():
         assert row in a.nodes.tolist()
     assert child.outputs.tolist() == a.outputs.tolist()
+    # b's output 0 reads in0 itself, so in0 is b's too (with rng 0 the coin would pick a's)
+    child = output_graph(a, b, graphs_of(a, b), np.random.default_rng(0), output_choices=[1, 1])
+    assert child.inputs.tolist() == b.inputs.tolist()
 
 
 def test_output_graph_self_cross_keeps_behavior():
@@ -270,6 +264,10 @@ def test_output_graph_self_cross_keeps_behavior():
         got = run_supervised(decode(child, s, FSET), x)
         want = run_supervised(decode(a, s, FSET), x)
         assert got.tolist() == want.tolist()
+        # traces follow both connections, whatever the function's arity
+        d = decode(a, s, FSET)
+        both = output_graph(a, a, (d, d), rng, output_choices=[0, 0])
+        assert both.n_nodes == len(output_trace(d, 0) | output_trace(d, 1))
 
 
 def test_output_graph_truncates_at_size_max():
@@ -303,6 +301,10 @@ def test_subgraph_union_of_selected_components():
     none = subgraph(a, b, graphs_of(a, b), np.random.default_rng(0),
                     select_a=[False], select_b=[False])
     assert none.n_nodes == 0
+    # drawn, each parent's one component is taken when its draw is below 1/2
+    draws = np.random.default_rng(8).random(2)
+    drawn = subgraph(a, b, graphs_of(a, b), np.random.default_rng(8))
+    assert drawn.n_nodes == 2 * (draws[0] < 0.5) + 3 * (draws[1] < 0.5)
 
 
 def test_subgraph_self_cross_under_forced_selection():
@@ -348,76 +350,6 @@ def test_operators_deterministic_under_seed():
         assert flatten(c1).tolist() == flatten(c2).tolist(), op
 
 
-# The graph-reading operators as they were when each decoded the
-# parents itself when handed no graphs; the oracle for the operators
-# that are handed them.
-
-def _old_parent_graphs(a, b, settings, fset, graphs):
-    if graphs is None:
-        return decode(a, settings, fset), decode(b, settings, fset)
-    return graphs
-
-
-def _old_output_graph(a, b, settings, fset, rng, bounds=None, output_choices=None,
-                      graphs=None):
-    _require_pcgp(a, "output graph")
-    _check_mates(a, b)
-    if output_choices is None:
-        choices = rng.integers(0, 2, a.n_out)
-    else:
-        choices = np.asarray(output_choices, dtype=int)
-        if choices.shape != (a.n_out,):
-            raise ValueError(f"need {a.n_out} output choices")
-    graphs = _old_parent_graphs(a, b, settings, fset, graphs)
-    picked_nodes = ([], [])
-    used_inputs = (set(), set())
-    for k, c in enumerate(choices):
-        d = graphs[c]
-        tr = output_trace(d, k, arity_aware=False)
-        picked_nodes[c].extend(tr)
-        t = d.output_list[k]
-        if t < a.n_in:
-            used_inputs[c].add(t)
-        for i in tr:
-            for t in d.target_list[i]:
-                if t < a.n_in:
-                    used_inputs[c].add(t)
-    rows = np.concatenate([
-        _node_rows(a, sorted(set(picked_nodes[0]))),
-        _node_rows(b, sorted(set(picked_nodes[1]))),
-    ])
-    rows = _cap_rows(rows, bounds, rng)
-    outputs = np.where(choices == 0, a.outputs, b.outputs)
-    flags = np.zeros((2, a.n_in), dtype=bool)
-    for side in (0, 1):
-        flags[side, list(used_inputs[side])] = True
-    coins = rng.random(a.n_in) < 0.5
-    inputs = np.where(flags[0] & ~flags[1], a.inputs,
-                      np.where(flags[1] & ~flags[0], b.inputs,
-                               np.where(coins, b.inputs, a.inputs)))
-    return make_genome(a.mode, a.n_in, a.n_out, rows, outputs, inputs)
-
-
-def _old_subgraph(a, b, settings, fset, rng, bounds=None, select_a=None, select_b=None,
-                  graphs=None):
-    _require_pcgp(a, "subgraph")
-    _check_mates(a, b)
-    parts = []
-    graphs = _old_parent_graphs(a, b, settings, fset, graphs)
-    for g, graph, given in zip((a, b), graphs, (select_a, select_b)):
-        comps = component_groups(graph)
-        take = (rng.random(len(comps)) < 0.5) if given is None else np.asarray(given, bool)
-        if len(take) != len(comps):
-            raise ValueError(f"need {len(comps)} component picks, got {len(take)}")
-        chosen = [c for c, t in zip(comps, take) if t]
-        idx = np.sort(np.concatenate(chosen)) if chosen else np.zeros(0, int)
-        parts.append(_node_rows(g, idx))
-    rows = _cap_rows(np.concatenate(parts), bounds, rng)
-    outputs = _coin_mix(a.outputs, b.outputs, rng)
-    inputs = _coin_mix(a.inputs, b.inputs, rng)
-    return make_genome(a.mode, a.n_in, a.n_out, rows, outputs, inputs)
-
-
 def _refuse_decode(*_args):
     raise AssertionError("an operator decoded")
 
@@ -429,18 +361,17 @@ def _refuse_decode(*_args):
 def test_given_graphs_match_decoding(op, n_a, n_b, recurrency, capped, seed):
     """Handed the parents' graphs, output_graph and subgraph (directly and
     through apply_crossover) decode nothing and give the child bytes and
-    leave the stream state of the old operators, which decoded the
-    parents themselves."""
+    leave the stream state they give when handed the reference decodes
+    of the parents."""
     rng = np.random.default_rng(seed)
     a = random_genome(GenomeMode.PCGP, 2, 3, n_a, rng)
     b = random_genome(GenomeMode.PCGP, 2, 3, n_b, rng)
     s = DecodeSettings(recurrency=recurrency, input_start=-0.5)
     bounds = SizeBounds(0, 4) if capped else None
     graphs = graphs_of(a, b, s)
-    old = {"output_graph": _old_output_graph, "subgraph": _old_subgraph}[op]
     direct = {"output_graph": output_graph, "subgraph": subgraph}[op]
-    r_old, r_direct, r_apply = (np.random.default_rng(seed + 1) for _ in range(3))
-    want = old(a, b, s, FSET, r_old, bounds)
+    r_ref, r_direct, r_apply = (np.random.default_rng(seed + 1) for _ in range(3))
+    want = direct(a, b, [reference.decode(g, s, FSET) for g in (a, b)], r_ref, bounds)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pcgp.crossover, "decode", _refuse_decode)
         got = direct(a, b, graphs, r_direct, bounds)
@@ -448,4 +379,4 @@ def test_given_graphs_match_decoding(op, n_a, n_b, recurrency, capped, seed):
     for child, stream in ((got, r_direct), (applied, r_apply)):
         assert flatten(child).tobytes() == flatten(want).tobytes()
         assert child.n_nodes == want.n_nodes
-        assert stream.bit_generator.state == r_old.bit_generator.state
+        assert stream.bit_generator.state == r_ref.bit_generator.state

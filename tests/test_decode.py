@@ -7,21 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcgp.decode import (
-    DecodeSettings,
-    _nearest,
-    _sorted_entities,
-    component_groups,
-    connection_position,
-    decode,
-    output_position,
-    output_trace,
-    snap,
+    DecodeSettings, _nearest, _sorted_entities, component_groups, connection_position, decode,
+    output_position, output_trace, snap,
 )
 from pcgp.errors import DecodeError
 from pcgp.functions import FunctionSet, default_functions
-from pcgp.genome import (
-    C_OFF, F_OFF, X_OFF, Y_OFF, GenomeMode, ladder_positions, make_genome, random_genome,
-)
+from pcgp.genome import GenomeMode, make_genome, random_genome
+
+import reference
 
 FSET = default_functions()
 
@@ -282,21 +275,9 @@ def test_decode_matches_snap_oracle_per_connection(mode, seed):
                       int(rng.integers(1, 12)), rng)
     s = random_settings(rng, zero_r=bool(rng.integers(0, 2)))
     d = decode(g, s, FSET)
-    pos = d.positions
-    node_pos = pos[g.n_in:]
-    everything = list(enumerate(pos))
-    for i in range(g.n_nodes):
-        if s.recurrency > 0:
-            cands = everything
-        else:
-            cands = [(j, p) for j, p in enumerate(pos)
-                     if j < g.n_in or p < node_pos[i]]
-        for col, off in ((0, -4), (1, -3)):
-            point = connection_position(g.nodes[i, off], node_pos[i], s, mode)
-            assert d.targets[i, col] == snap_oracle(point, cands)
-    for k in range(g.n_out):
-        point = output_position(g.outputs[k], s, mode)
-        assert d.output_targets[k] == snap_oracle(point, everything)
+    want = reference.decode(g, s, FSET, snap=snap_oracle)
+    assert d.target_list == want.target_list
+    assert d.output_list == want.output_list
 
 
 @settings(max_examples=30, deadline=None)
@@ -350,128 +331,13 @@ def test_recurrent_flag_definition():
             assert d.recurrent_flags[i, k] == expect
 
 
-# ------------------------------------------------ vectorised decode oracle
-# The numpy decode the package used before decode became one pass over
-# python lists, kept here as an independent reference for every array
-# attribute, the plan, the program key and the components.
+# ------------------------------------------------ the reference decode
+# reference.decode (snap over explicit candidate lists) pins every array
+# attribute; the reference's oracles pin the plan, key and components.
 
-class _SnapFieldOracle:
-    def __init__(self, positions, assume_sorted=False):
-        n = positions.shape[0]
-        if assume_sorted or n <= 1 or bool(np.all(positions[1:] > positions[:-1])):
-            self.pos, self.idx, self.run_start = positions, None, None
-            return
-        order = np.argsort(positions, kind="stable")
-        self.pos = positions[order]
-        self.idx = order
-        starts = np.arange(n)
-        same = self.pos[1:] == self.pos[:-1]
-        starts[1:][same] = 0
-        self.run_start = np.maximum.accumulate(starts)
-
-    def lookup(self, points, hi):
-        points = np.asarray(points, dtype=float)
-        hi = np.broadcast_to(np.asarray(hi), points.shape)
-        j = np.minimum(np.searchsorted(self.pos, points, side="left"), hi)
-        left = np.maximum(j - 1, 0)
-        right = np.minimum(j, self.pos.shape[0] - 1)
-        have_right = j < hi
-        take_left = (j > 0) & (~have_right | (points - self.pos[left] <= self.pos[right] - points))
-        k = np.where(take_left, left, right)
-        return k if self.idx is None else self.idx[self.run_start[k]]
-
-
-def decode_oracle(g, s, fset):
-    n_in, n_nodes, n_out = g.n_in, g.n_nodes, g.n_out
-    if g.mode is GenomeMode.CGP:
-        positions = ladder_positions(n_in + n_nodes)
-    else:
-        positions = np.concatenate([g.inputs * s.input_start, g.nodes[:, 0]])
-    field = _SnapFieldOracle(positions, assume_sorted=g.mode is GenomeMode.CGP)
-    node_pos = positions[n_in:]
-    n_f = len(fset)
-    function_index = np.minimum(
-        np.floor(g.nodes[:, F_OFF] * n_f).astype(int), n_f - 1
-    ) if n_nodes else np.zeros(0, dtype=int)
-    arity = np.array([f.arity for f in fset], dtype=int)[function_index]
-    total = n_in + n_nodes
-    out_points = output_position(g.outputs, s, g.mode)
-    if n_nodes:
-        conn = connection_position(g.nodes[:, (X_OFF, Y_OFF)], node_pos[:, None], s, g.mode)
-        if s.recurrency > 0.0:
-            hi_conn = np.full(2 * n_nodes, total)
-        else:
-            bound = (np.arange(n_nodes) if g.mode is GenomeMode.CGP
-                     else np.searchsorted(node_pos, node_pos, side="left"))
-            hi_conn = np.repeat(n_in + bound, 2)
-        snapped = field.lookup(np.concatenate([conn.ravel(), out_points]),
-                               np.concatenate([hi_conn, np.full(n_out, total)]))
-        targets = snapped[: 2 * n_nodes].reshape(n_nodes, 2)
-        output_targets = snapped[2 * n_nodes:]
-        recurrent_flags = positions[targets] >= node_pos[:, None]
-    else:
-        targets = np.zeros((0, 2), dtype=int)
-        recurrent_flags = np.zeros((0, 2), dtype=bool)
-        output_targets = field.lookup(out_points, total)
-    active = np.zeros(n_nodes, dtype=bool)
-    stack = [t - n_in for t in output_targets.tolist() if t >= n_in]
-    while stack:
-        i = stack.pop()
-        if not active[i]:
-            active[i] = True
-            stack += [t - n_in for t in targets[i, :min(arity[i], 2)].tolist() if t >= n_in]
-    arrays = dict(positions=positions, targets=targets, output_targets=output_targets,
-                  recurrent_flags=recurrent_flags, function_index=function_index,
-                  arity=arity, params=g.nodes[:, C_OFF], active=active)
-    for a in arrays.values():
-        a.setflags(write=False)
-    return arrays
-
-
-def plan_and_key_oracle(o, n_in, use_weights):
-    """(plan nodes without functions, outputs, feedforward) and program key."""
-    nodes, feedforward = [], True
-    for i in np.flatnonzero(o["active"]).tolist():
-        ta, tb = o["targets"][i].tolist()
-        nodes.append((i, ta, tb, float(o["params"][i])))
-        k = int(o["arity"][i])
-        if (k >= 1 and o["recurrent_flags"][i, 0]) or (k >= 2 and o["recurrent_flags"][i, 1]):
-            feedforward = False
-    outputs = o["output_targets"].tolist()
-    rank = {n_in + node[0]: n_in + k for k, node in enumerate(nodes)}
-    key_nodes = []
-    for i, ta, tb, param in nodes:
-        k = int(o["arity"][i])
-        key_nodes.append((int(o["function_index"][i]), *[rank.get(t, t) for t in (ta, tb)[:k]],
-                          param.hex() if use_weights or k == 0 else None))
-    key = (feedforward, tuple(key_nodes), tuple(rank.get(t, t) for t in outputs))
-    return (nodes, outputs, feedforward), key
-
-
-def components_oracle(n_in, targets):
-    """Labels by first appearance, from a flood fill over undirected edges."""
-    n = len(targets)
-    adj = [set() for _ in range(n)]
-    for i, row in enumerate(targets):
-        for t in row:
-            if t >= n_in:
-                adj[i].add(t - n_in)
-                adj[t - n_in].add(i)
-    labels, next_label = [-1] * n, 0
-    for i in range(n):
-        if labels[i] < 0:
-            stack = [i]
-            while stack:
-                j = stack.pop()
-                if labels[j] < 0:
-                    labels[j] = next_label
-                    stack.extend(adj[j])
-            next_label += 1
-    return labels
-
-
-ARRAY_ATTRIBUTES = ("positions", "targets", "output_targets", "recurrent_flags",
-                    "function_index", "arity", "params", "active")
+ARRAY_ATTRIBUTES = dict(positions=float, targets=int, output_targets=int,
+                        recurrent_flags=bool, function_index=int, arity=int,
+                        params=float, active=bool)
 
 
 @settings(max_examples=300, deadline=None)
@@ -498,18 +364,21 @@ def test_decode_matches_vectorised_oracle(mode, n_in, n_out, n_nodes, grid, recu
     s = DecodeSettings(recurrency=recurrency, input_start=input_start,
                        use_weights=use_weights)
     d = decode(g, s, FSET)
-    o = decode_oracle(g, s, FSET)
+    ref = reference.decode(g, s, FSET)
     assert d.n_nodes == n_nodes and type(d.n_nodes) is int
-    for name in ARRAY_ATTRIBUTES:
-        got, want = getattr(d, name), o[name]
-        assert got.dtype == want.dtype and got.shape == want.shape, name
+    pos = ref.positions
+    flags = pos[ref.targets] >= pos[n_in:, None]
+    for name, dtype in ARRAY_ATTRIBUTES.items():
+        got = getattr(d, name)
+        want = flags if name == "recurrent_flags" else getattr(ref, name)
+        assert got.dtype == want.dtype == np.dtype(dtype) and got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
         assert got.flags.writeable is False, name
-    (nodes, outputs, feedforward), key = plan_and_key_oracle(o, n_in, use_weights)
+    (nodes, outputs, feedforward), key = reference.plan_and_key_oracle(ref)
     assert [(i, ta, tb, param) for i, _fn, ta, tb, param in d.plan.nodes] == nodes
     assert [fn for _i, fn, *_ in d.plan.nodes] == [
-        FSET[int(o["function_index"][i])].apply for i, *_ in nodes]
+        FSET[int(ref.function_index[i])].apply for i, *_ in nodes]
     assert d.plan.outputs == outputs and d.plan.feedforward is feedforward
     assert d.program_key == key
-    assert d.components.tolist() == components_oracle(n_in, o["targets"].tolist())
+    assert d.components.tolist() == reference.components_oracle(n_in, ref.target_list)
     assert d.components.flags.writeable is False

@@ -5,13 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pcgp.bench
 import pcgp.crossover
 import pcgp.evolve
 import pcgp.mutate
-from pcgp.config import build_evo_params, load_preset, make_fitness
+from pcgp.config import build_evo_params, load_preset, make_fitness, preset_names
 from pcgp.crossover import READS_GRAPHS, apply_crossover
 from pcgp.decode import DecodeSettings, decode
 from pcgp.errors import ConfigError
@@ -29,6 +29,8 @@ from pcgp.evolve import (
 from pcgp.functions import default_functions
 from pcgp.genome import GenomeMode, SizeBounds, flatten, random_genome, validate_genome
 from pcgp.mutate import MutationParams, apply_mutation, reads_graph
+
+import reference
 
 FSET = default_functions()
 
@@ -229,15 +231,6 @@ def test_tournament_prefers_high_fitness():
     assert wins[0] < 50           # only when all three draws hit slot 0
 
 
-def _tournament_oracle(fits, size, rng):
-    """Reference tournament on np.unique and rng.choice: _tournament must
-    pick the same winner and consume the same draws."""
-    idx = rng.integers(0, fits.shape[0], size)
-    vals = fits[idx]
-    tied = np.unique(idx[vals == vals.max()])
-    return int(rng.choice(tied))
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from([-np.inf, 0.0, 0.5, 1.0, FAILED_FITNESS]),
                 min_size=1, max_size=30),
@@ -249,7 +242,7 @@ def test_tournament_matches_numpy_oracle(values, size, seed):
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
     winner = _tournament(fits, size, ours)
     assert type(winner) is int
-    assert winner == _tournament_oracle(fits, size, theirs)
+    assert winner == reference.tournament(fits, size, theirs)
     assert ours.random() == theirs.random()
 
 
@@ -515,3 +508,97 @@ def test_graph_tables_cover_every_graph_read(case, seed, modify_rate):
 def test_graph_tables_name_only_graph_readers(case):
     """Every operator the tables say reads a graph does read one."""
     assert sum(_vary(case, seed) for seed in range(20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(OPERATOR_CASES), st.booleans(), st.integers(0, 2**31 - 1))
+def test_size_rule(case, inverted, seed):
+    """Crossover enforces only size_max: output_graph and subgraph
+    children may fall below size_min, and the other four stay between
+    their parents' sizes.  Mutation keeps a size inside the bounds inside
+    them; below size_min it never changes it unless add_inverted is
+    set, and then it only grows it."""
+    kind, op, active, mode = case
+    rng = np.random.default_rng(seed)
+    bounds = SizeBounds(10, 30)
+    a, b = (random_genome(mode, 2, 2, int(rng.integers(0, 31)), rng) for _ in range(2))
+    s = DecodeSettings(input_start=-0.5)
+    graphs = [decode(g, s, FSET) for g in (a, b)]
+    if kind == "crossover":
+        n = apply_crossover(a, b, op, rng, bounds, graphs).n_nodes
+        low, high = sorted((a.n_nodes, b.n_nodes))
+        assert n <= 30 if op in ("output_graph", "subgraph") else low <= n <= high
+    else:
+        p = MutationParams(bounds, delta_frac=0.3, operator=op, require_active=active,
+                           add_inverted=inverted)
+        n = apply_mutation(a, p, s, rng, graphs[0]).n_nodes
+        assert n == a.n_nodes if a.n_nodes < 10 and not inverted else min(a.n_nodes, 10) <= n <= 30
+
+
+def test_graph_crossovers_fall_below_size_min():
+    """Parents at size_min give output_graph and subgraph children below it."""
+    rng = np.random.default_rng(1)
+    a, b = (random_genome(GenomeMode.PCGP, 2, 2, 10, rng) for _ in range(2))
+    graphs = [decode(g, DecodeSettings(), FSET) for g in (a, b)]
+    for op in ("output_graph", "subgraph"):
+        assert min(apply_crossover(a, b, op, rng, SizeBounds(10, 30), graphs).n_nodes
+                   for _ in range(20)) < 10, op
+
+
+# -------------------------------------------------- the reference pipeline
+
+@pytest.fixture(scope="module")
+def tiny_data(tmp_path_factory):
+    """12-row CSVs of two features and three classes or a real target."""
+    x = np.random.default_rng(8).random((12, 2)).tolist()
+    paths = {}
+    for task, targets in (("classification", [f"c{k % 3}" for k in range(12)]),
+                          ("regression", [a * b for a, b in x])):
+        path = tmp_path_factory.mktemp("data") / f"{task}.csv"
+        path.write_text("a,b,t\n" + "".join(f"{a!r},{b!r},{t}\n" for (a, b), t in zip(x, targets)))
+        paths[task] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize("case", OPERATOR_CASES,
+                         ids=lambda c: "-".join(map(str, c[:3])) + "-" + c[3].value)
+@settings(max_examples=3, deadline=None)
+@given(preset=st.sampled_from(preset_names()),
+       task=st.sampled_from(["rl", "classification", "regression"]),
+       recurrency=st.sampled_from([0.0, 0.5, 1.0]), weights=st.booleans(),
+       active=st.booleans(), pick=st.integers(0, 2), seed=st.integers(0, 2**16))
+@example(preset="e3_rl", task="rl", recurrency=0.0, weights=True, active=True, pick=0, seed=1)
+@example(preset="e1_classification", task="classification", recurrency=0.5, weights=False,
+         active=False, pick=1, seed=2)
+@example(preset="e4", task="regression", recurrency=1.0, weights=True, active=True, pick=2, seed=3)
+def test_runs_match_the_reference_pipeline(tiny_data, case, preset, task, recurrency,
+                                           weights, active, pick, seed):
+    """A small whole run through make_fitness, build_evo_params and
+    run_evolution (memo, carried graphs, bisect decode, batched rows,
+    list tournament) logs the same records and returns the same best
+    genome bytes as reference.run, which takes none of those paths, or
+    fails in the same generation for the same cause.  Mutation cases run
+    1+lambda, crossover cases the GA."""
+    kind, op, case_active, mode = case
+    cfg = dict(load_preset(preset), mode=mode.value, task=task, data=tiny_data.get(task),
+               recurrency=recurrency, use_weights=weights, n_nodes=6, budget=60,
+               episode_len=15, population=10, seed=seed)
+    if kind == "mutation":
+        cfg.update(algorithm="one_plus_lambda", operator=op, require_active=case_active,
+                   crossover=None)
+    else:
+        mutations = [m for m in pcgp.mutate.OPERATORS
+                     if _supports(mode, m, pcgp.mutate.POSITIONAL_ONLY)]
+        cfg.update(algorithm="ga", crossover=op, operator=mutations[pick % len(mutations)],
+                   require_active=active)
+
+    def outcome(run):
+        try:
+            best, log = run()
+        except RuntimeError as e:       # a failed fitness call, named by generation
+            return str(e), repr(e.__cause__)
+        return repr(log), flatten(best).tobytes()
+
+    fit, n_in, n_out = make_fitness(cfg)
+    assert outcome(lambda: run_evolution(fit, build_evo_params(cfg, n_in, n_out))) \
+        == outcome(lambda: reference.run(cfg))

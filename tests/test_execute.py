@@ -5,16 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcgp.decode import DecodeSettings, decode
-from pcgp.execute import (
-    new_state,
-    reset,
-    run_batch,
-    run_sequence,
-    run_supervised,
-    step,
-)
+from pcgp.execute import new_state, reset, run_batch, run_sequence, run_supervised, step
 from pcgp.functions import FunctionSet, default_functions
 from pcgp.genome import GenomeMode, make_genome, random_genome
+
+import reference
 
 FSET = default_functions()
 
@@ -173,12 +168,7 @@ def test_step_equals_run_sequence_bitwise(mode, recurrency, weights, seed):
     for xs in (x, x * 1e200):
         expected = run_sequence(d, xs).tobytes()
         for as_row in (np.asarray, lambda r: tuple(r.tolist())):
-            state = new_state(d)
-            outs = []
-            for r in xs:
-                out, state = step(d, state, as_row(r))
-                outs.append(out)
-            assert np.array(outs).T.tobytes() == expected
+            assert reference.stepped(d, [as_row(r) for r in xs]).T.tobytes() == expected
 
 
 def test_run_sequence_shape_rules():

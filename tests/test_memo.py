@@ -13,7 +13,6 @@ from pcgp.bench import (
     MemoizedFitness,
     cartpole_fitness,
     classification_fitness,
-    load_csv,
     regression_fitness,
 )
 from pcgp.cli import _log_writer
@@ -24,6 +23,8 @@ from pcgp.evolve import run_evolution
 from pcgp.functions import default_functions
 from pcgp.genome import C_OFF, X_OFF, GenomeMode, SizeBounds, make_genome, random_genome
 from pcgp.mutate import MutationParams, gene_mutation
+
+import reference
 
 FSET = default_functions()
 EPISODE = 60
@@ -153,15 +154,6 @@ def small_config(preset, blobs_csv):
     return cfg
 
 
-def memo_free(cfg, params):
-    """The public, memo-free fitness of a cart-pole or classification cfg."""
-    s, fset = params.settings, params.functions
-    if cfg["task"] == "rl":
-        return lambda g: cartpole_fitness(g, s, fset, cfg["episode_len"])
-    data = load_csv(cfg["data"], cfg["task"])
-    return lambda g: classification_fitness(g, data, s, fset)
-
-
 @pytest.mark.parametrize("preset", ["e3_rl", "e3_classification"])
 def test_memoized_runs_log_what_memo_free_runs_log(preset, blobs_csv, tmp_path):
     cfg = small_config(preset, blobs_csv)
@@ -174,8 +166,9 @@ def test_memoized_runs_log_what_memo_free_runs_log(preset, blobs_csv, tmp_path):
         # the best genome re-scores to the logged best with an empty memo
         # and without one
         assert make_fitness(cfg)[0](best) == log[-1].best_fitness
-        assert memo_free(cfg, params)(best) == log[-1].best_fitness
-        _, plain_log = run_evolution(memo_free(cfg, params), params)
+        memo_free = reference.make_fitness(cfg)[0]
+        assert memo_free(best) == log[-1].best_fitness
+        _, plain_log = run_evolution(memo_free, params)
         logs.append(log_bytes(log, tmp_path / f"memo{workers}.csv"))
         logs.append(log_bytes(plain_log, tmp_path / f"plain{workers}.csv"))
     assert len(fit._memo) < log[-1].evaluations       # repeats were answered

@@ -9,30 +9,15 @@ from pcgp.decode import DecodeSettings, component_groups, connection_position, d
 from pcgp.errors import ConfigError, UnsupportedOperatorError
 from pcgp.functions import default_functions
 from pcgp.genome import (
-    GenomeMode,
-    SizeBounds,
-    flatten,
-    make_genome,
-    random_genome,
-    remove_nodes,
-    validate_genome,
+    GenomeMode, SizeBounds, flatten, make_genome, random_genome, validate_genome,
 )
 from pcgp.mutate import (
-    MutationParams,
-    _burst_size,
-    _mutate_array,
-    _require_pcgp,
-    add_probability,
-    apply_mutation,
-    gene_mutation,
-    invert_connection_position,
-    mixed_node_mutate,
-    mixed_subgraph_mutate,
-    node_addition,
-    node_deletion,
-    subgraph_addition,
+    MutationParams, add_probability, apply_mutation, gene_mutation, invert_connection_position,
+    mixed_node_mutate, mixed_subgraph_mutate, node_addition, node_deletion, subgraph_addition,
     subgraph_deletion,
 )
+
+import reference
 
 FSET = default_functions()
 SET = DecodeSettings()
@@ -273,6 +258,25 @@ def test_subgraph_deletion_respects_size_min():
     assert h.n_nodes == 4
 
 
+def test_subgraph_deletion_deletes_from_the_drawn_component():
+    """The stream's first draw, over the multi-node components in label
+    order, names the component that loses a node."""
+    s = DecodeSettings(input_start=-1.0)
+    pos = [0.2, 0.4, 0.6, 0.7, 0.8]
+    aims = [None, 0.2, None, 0.6, 0.7]     # A, B -> A; C, D -> C, E -> D; None aims at the input
+    nodes = [[p, 0.0 if t is None else invert_connection_position(t, p, s), 0.0, 0.1, 0.3]
+             for p, t in zip(pos, aims)]
+    g = make_genome(GenomeMode.PCGP, 1, 1, nodes, [0.95], [1.0])
+    d = decode(g, s, FSET)
+    comps = [c.tolist() for c in component_groups(d)]
+    assert comps == [[0, 1], [2, 3, 4]]
+    for seed in range(8):
+        k = int(np.random.default_rng(seed).integers(2))
+        h = subgraph_deletion(g, params(bounds=SizeBounds(0, 40)), np.random.default_rng(seed), d)
+        gone = set(pos) - set(h.nodes[:, 0].tolist())
+        assert len(gone) == 1 and gone <= {pos[i] for i in comps[k]}
+
+
 # ------------------------------------------------------------ properties
 
 @hsettings(max_examples=60, deadline=None)
@@ -305,69 +309,6 @@ def test_operators_deterministic_under_seed():
     assert flatten(a).tolist() == flatten(b).tolist()
 
 
-# The operators as they were when each decoded its parent itself when
-# handed no graph; the oracle for the operators that are handed it.
-
-def _old_gene_mutation(g, params, settings, fset, rng, graph=None):
-    active = None
-    if params.require_active and g.n_nodes:
-        if graph is None:
-            graph = decode(g, settings, fset)
-        flags = graph.active
-        if flags.any():
-            active = flags
-    nodes, outputs, inputs = g.nodes, g.outputs, g.inputs
-    for _ in range(100):
-        nodes = _mutate_array(g.nodes, params.node_rate, rng)
-        outputs = _mutate_array(g.outputs, params.output_rate, rng)
-        if g.mode is GenomeMode.PCGP:
-            inputs = _mutate_array(g.inputs, params.input_rate, rng)
-        if active is None or bool(np.any(nodes[active] != g.nodes[active])):
-            break
-    return make_genome(g.mode, g.n_in, g.n_out, nodes, outputs, inputs)
-
-
-def _old_mixed_node_mutate(g, params, settings, fset, rng, graph=None):
-    u = rng.random()
-    if u < params.modify_rate:
-        return _old_gene_mutation(g, params, settings, fset, rng, graph)
-    if u < params.modify_rate + add_probability(g.n_nodes, params):
-        return node_addition(g, params, rng)
-    return node_deletion(g, params, rng)
-
-
-def _old_subgraph_deletion(g, params, settings, fset, rng, graph=None):
-    _require_pcgp(g, "subgraph deletion")
-    if graph is None:
-        graph = decode(g, settings, fset)
-    multi = [c for c in component_groups(graph) if c.size > 1]
-    if not multi:
-        return node_deletion(g, params, rng)
-    comp = multi[rng.integers(len(multi))]
-    k = min(_burst_size(params), comp.size, max(0, g.n_nodes - params.bounds.size_min))
-    if k <= 0:
-        return g
-    return remove_nodes(g, rng.choice(comp, size=k, replace=False))
-
-
-def _old_mixed_subgraph_mutate(g, params, settings, fset, rng, graph=None):
-    _require_pcgp(g, "mixed subgraph mutation")
-    u = rng.random()
-    if u < params.modify_rate:
-        return _old_gene_mutation(g, params, settings, fset, rng, graph)
-    if u < params.modify_rate + add_probability(g.n_nodes, params):
-        return subgraph_addition(g, params, settings, rng)
-    return _old_subgraph_deletion(g, params, settings, fset, rng, graph)
-
-
-def _old_apply_mutation(g, params, settings, fset, rng, graph=None):
-    if params.operator == "gene":
-        return _old_gene_mutation(g, params, settings, fset, rng, graph)
-    if params.operator == "mixed_node":
-        return _old_mixed_node_mutate(g, params, settings, fset, rng, graph)
-    return _old_mixed_subgraph_mutate(g, params, settings, fset, rng, graph)
-
-
 def _refuse_decode(*_args):
     raise AssertionError("an operator decoded")
 
@@ -379,8 +320,8 @@ def _refuse_decode(*_args):
 def test_given_graph_matches_decoding(op, n_nodes, recurrency, seed):
     """Handed the parent's graph, gene_mutation with require_active,
     subgraph_deletion and apply_mutation decode nothing and give the
-    child bytes and leave the stream state of the old operators, which
-    decoded the parent themselves."""
+    child bytes and leave the stream state they give when handed the
+    reference decode of the parent."""
     rng = np.random.default_rng(seed)
     g = random_genome(GenomeMode.PCGP, 2, 2, n_nodes, rng)
     p = params(operator="gene" if op in ("gene_mutation", "subgraph_deletion") else op,
@@ -388,22 +329,15 @@ def test_given_graph_matches_decoding(op, n_nodes, recurrency, seed):
                delta_frac=float(rng.uniform(0.1, 0.5)),
                modify_rate=float(rng.uniform(0.1, 0.9)))
     s = DecodeSettings(recurrency=recurrency, input_start=-0.5)
+    call = {"gene_mutation": lambda r, graph: gene_mutation(g, p, r, graph),
+            "subgraph_deletion": lambda r, graph: subgraph_deletion(g, p, r, graph),
+            }.get(op, lambda r, graph: apply_mutation(g, p, s, r, graph))
+    r_ref, r_new = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    want = call(r_ref, reference.decode(g, s, FSET))
     graph = decode(g, s, FSET)
-    r_old, r_new = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-    if op == "gene_mutation":
-        want = _old_gene_mutation(g, p, s, FSET, r_old)
-    elif op == "subgraph_deletion":
-        want = _old_subgraph_deletion(g, p, s, FSET, r_old)
-    else:
-        want = _old_apply_mutation(g, p, s, FSET, r_old)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pcgp.mutate, "decode", _refuse_decode)
-        if op == "gene_mutation":
-            got = gene_mutation(g, p, r_new, graph)
-        elif op == "subgraph_deletion":
-            got = subgraph_deletion(g, p, r_new, graph)
-        else:
-            got = apply_mutation(g, p, s, r_new, graph)
+        got = call(r_new, graph)
     assert flatten(got).tobytes() == flatten(want).tobytes()
     assert got.n_nodes == want.n_nodes
-    assert r_new.bit_generator.state == r_old.bit_generator.state
+    assert r_new.bit_generator.state == r_ref.bit_generator.state
