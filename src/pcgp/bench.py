@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import math
-import threading
 from dataclasses import dataclass
 from functools import partial
 
@@ -177,7 +176,9 @@ def _accuracy(graph: DecodedGraph, d: Dataset) -> float:
 
 def _neg_mse(graph: DecodedGraph, d: Dataset) -> float:
     outputs = run_supervised(graph, d.features)
-    return float(-np.mean((outputs.T - d.targets) ** 2))
+    # an error too large to square scores -inf, as it would without the warning
+    with np.errstate(over="ignore"):
+        return float(-np.mean((outputs.T - d.targets) ** 2))
 
 
 def _balance(graph: DecodedGraph, episode_len: int) -> float:
@@ -247,7 +248,13 @@ class MemoizedFitness:
     task, decodes it and looks its DecodedGraph.program_key up; a miss
     scores the graph and stores the value, dropping the oldest entry
     beyond MEMO_ENTRIES.  Scoring is deterministic, so a hit returns
-    exactly what scoring again would.  Safe to call from several threads.
+    exactly what scoring again would.
+
+    decode fills only the active nodes' rows, which is all the key and
+    the interpreter read, so neither a hit nor a miss decodes an
+    inactive node; a graph fills its other rows on first read of an
+    attribute that needs them.  Calls are serial: nothing guards the
+    memo or a graph's lazily filled rows against concurrent callers.
     """
 
     def __init__(self, settings: DecodeSettings, fset: FunctionSet,
@@ -262,7 +269,6 @@ class MemoizedFitness:
             score = _accuracy if data.task == "classification" else _neg_mse
             self._score = partial(score, d=data)
         self._memo = {}
-        self._lock = threading.Lock()
 
     def __call__(self, g: Genome) -> float:
         self._check(g)
@@ -270,9 +276,7 @@ class MemoizedFitness:
         key = graph.program_key
         value = self._memo.get(key)
         if value is None:
-            value = self._score(graph)
-            with self._lock:
-                self._memo[key] = value
-                if len(self._memo) > MEMO_ENTRIES:
-                    del self._memo[next(iter(self._memo))]
+            value = self._memo[key] = self._score(graph)
+            if len(self._memo) > MEMO_ENTRIES:
+                del self._memo[next(iter(self._memo))]
         return value

@@ -200,7 +200,7 @@ def output_graph(a: Genome, b: Genome, graphs, rng, bounds: SizeBounds | None = 
         if t < a.n_in:
             used_inputs[c].add(t)
         for i in tr:
-            for t in d.target_list[i]:
+            for t in d.row(i)[:2]:
                 if t < a.n_in:
                     used_inputs[c].add(t)
     rows = np.concatenate([

@@ -7,15 +7,33 @@ nearest eligible entity.  Recurrency widens a connection's reach to the
 right of its source node; at recurrency 0 every connection lands
 strictly left and the program is feedforward.
 
-decode is one pass over python lists: the entity positions are sorted
-once (only when they are not already strictly increasing) and each
-point snaps with bisect.  The nearest entity wins; at equal distance
-the one on the left wins, and of several entities at one position the
-one with the smallest index wins.  python floats apply * + - in the
-same order as numpy's elementwise ops, so every point, and with it
-every target, is what the array formulas connection_position and
-output_position give.  DecodedGraph keeps these lists; its numpy
-attributes are built on first read.
+decode is active-first.  It sets up the entity axis, sorted once and
+only when it is not already strictly increasing, and snaps the
+outputs.  Then it walks backward from the outputs and decodes a node
+only when the walk reaches it: both targets, function index, arity and
+parameter.  The walk yields the active flags together with exactly the
+rows that the plan and the program key read, so scoring a genome, memo
+hit or miss, never snaps an inactive node.  Every other node, most of a
+genome in practice, is decoded by the same per-node routine when an
+attribute that needs it is first read.  A node's row depends only on
+the genome, so what an attribute holds does not depend on when or in
+what order it is read.
+
+Each point snaps with bisect.  The nearest entity wins; at equal
+distance the one on the left wins, and of several entities at one
+position the one with the smallest index wins.  python floats apply
+* + - in the same order as numpy's elementwise ops, so every point, and
+with it every target, is what the array formulas connection_position
+and output_position give.
+
+At recurrency 0 a node's connections snap among a prefix of the sorted
+entities: the inputs and the nodes strictly left of it.  Inputs sit at
+or left of 0 and nodes at or right of it, and PCGP nodes are stored
+sorted by position, so the sorted order is the inputs, then the nodes
+in stored order.  The prefix for node i therefore ends at n_in + i for
+CGP, whose ladder is strictly increasing, and for PCGP before the first
+node at node i's position, which bisect_left finds among the stored
+node positions.  Nodes tied with node i are thus never its candidates.
 """
 
 from __future__ import annotations
@@ -23,7 +41,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -72,28 +90,64 @@ def _frozen(values, dtype, shape) -> np.ndarray:
 class DecodedGraph:
     """The program decoded from one genome; execution needs nothing else.
 
-    Indices in target_list/output_list address the unified space: values
+    Indices in rows and output_list address the unified space: values
     below n_in are program inputs, the rest are computational nodes in
-    stored order.  The lists are what decode builds; the read-only numpy
-    attributes (positions, targets, output_targets, recurrent_flags,
-    function_index, arity, params, active), plan and components are
-    derived from them on first access.  components labels every node
-    (active or not) with its weakly-connected component, numbered by
-    first appearance.
+    stored order.  rows holds, per node, (target_a, target_b, function
+    index, arity, parameter gene) once the node is decoded and None
+    before; fill(i) decodes node i, stores its row in rows[i] and
+    returns it, and row(i) reads a row, filling it first if need be.
+
+    decode fills the rows of the active nodes, and plan and program_key
+    read no other row.  positions, output_targets and active come from
+    the lists decode built.  The per-node lists (target_list,
+    function_list, arity_list, param_list), their read-only numpy views
+    (targets, function_index, arity, params), recurrent_flags and
+    components need every node: the first read of any of them fills
+    every remaining row.  All of these are built on first read and then
+    kept.  components labels every node (active or not) with its
+    weakly-connected component, numbered by first appearance.
     """
 
     n_in: int
     n_out: int
     n_nodes: int
     position_list: list   # n_in + n_nodes entity positions (a shared tuple for CGP)
-    target_list: list     # (target_a, target_b) per node
     output_list: list     # target per output
-    function_list: list   # function index per node
-    arity_list: list      # arity per node, from the function set
-    param_list: list      # parameter gene per node: const value or weight
     active_list: list     # reachable from an output, per node
+    rows: list            # per node: (target_a, target_b, fn index, arity, param) or None
+    fill: Callable        # node index -> its row, stored in rows (None if no row is None)
     fset: FunctionSet
     use_weights: bool
+
+    def row(self, i: int) -> tuple:
+        """Node i's row, decoded on first read."""
+        row = self.rows[i]
+        return self.fill(i) if row is None else row
+
+    def _full_rows(self) -> list:
+        """Every node's row, filling those not yet decoded."""
+        fill = self.fill
+        return [fill(i) if row is None else row for i, row in enumerate(self.rows)]
+
+    @cached_property
+    def target_list(self) -> list:
+        """(target_a, target_b) per node."""
+        return [row[:2] for row in self._full_rows()]
+
+    @cached_property
+    def function_list(self) -> list:
+        """Function index per node."""
+        return [row[2] for row in self._full_rows()]
+
+    @cached_property
+    def arity_list(self) -> list:
+        """Arity per node, from the function set."""
+        return [row[3] for row in self._full_rows()]
+
+    @cached_property
+    def param_list(self) -> list:
+        """Parameter gene per node: const value or weight."""
+        return [row[4] for row in self._full_rows()]
 
     @cached_property
     def positions(self) -> np.ndarray:
@@ -133,18 +187,16 @@ class DecodedGraph:
 
     @cached_property
     def plan(self) -> Plan:
-        n_in, pos = self.n_in, self.position_list
-        targets, findex = self.target_list, self.function_list
-        arities, params = self.arity_list, self.param_list
+        n_in, pos, rows = self.n_in, self.position_list, self.rows
         functions = self.fset.functions
         nodes = []
         feedforward = True
         for i, on in enumerate(self.active_list):
             if not on:
                 continue
-            ta, tb = targets[i]
-            nodes.append((i, functions[findex[i]].apply, ta, tb, params[i]))
-            k, here = arities[i], pos[n_in + i]
+            ta, tb, fi, k, param = rows[i]
+            nodes.append((i, functions[fi].apply, ta, tb, param))
+            here = pos[n_in + i]
             if (k >= 1 and pos[ta] >= here) or (k >= 2 and pos[tb] >= here):
                 feedforward = False
         return Plan(nodes, self.output_list, feedforward)
@@ -160,16 +212,15 @@ class DecodedGraph:
         as float.hex so -0.0 and 0.0 differ, its parameter where it is
         read: by a nullary function, or by every node when weighted.
         """
-        n_in = self.n_in
+        n_in, rows = self.n_in, self.rows
         plan = self.plan
-        findex, arity = self.function_list, self.arity_list
         rank = {n_in + node[0]: n_in + k for k, node in enumerate(plan.nodes)}
         nodes = []
-        for i, _fn, ta, tb, param in plan.nodes:
-            k = arity[i]
-            used = (ta, tb)[:k]
-            nodes.append((findex[i], *[rank.get(t, t) for t in used],
-                          param.hex() if self.use_weights or k == 0 else None))
+        for i, *_ in plan.nodes:
+            row = rows[i]
+            k = row[3]
+            nodes.append((row[2], *[rank.get(t, t) for t in row[:k]],
+                          row[4].hex() if self.use_weights or k == 0 else None))
         return (plan.feedforward, tuple(nodes),
                 tuple(rank.get(t, t) for t in plan.outputs))
 
@@ -245,35 +296,36 @@ def _ladder(count: int) -> tuple:
 
 
 def decode(g: Genome, settings: DecodeSettings, fset: FunctionSet) -> DecodedGraph:
-    n_in, n_out = g.n_in, g.n_out
-    rows = g.nodes.tolist()
-    n_nodes = len(rows)
+    """g's program graph, with the outputs and the active nodes decoded."""
+    n_in = g.n_in
+    genes = g.nodes.tolist()
+    n_nodes = len(genes)
     total = n_in + n_nodes
     r, start = settings.recurrency, settings.input_start
     cgp = g.mode is GenomeMode.CGP
     if cgp:
         positions = _ladder(total)
     else:
-        positions = [x * start for x in g.inputs.tolist()] + [row[0] for row in rows]
+        positions = [x * start for x in g.inputs.tolist()] + [row[0] for row in genes]
     # the CGP ladder is strictly increasing by construction
     if cgp or all(a < b for a, b in zip(positions, positions[1:])):
         ordered, entity = positions, None
     else:
         ordered, entity = _sorted_entities(positions)
-
     n_f = len(fset)
     functions = fset.functions
-    targets, findex, arity, params = [], [], [], []
-    # at recurrency 0 a connection sees the inputs and the nodes strictly
-    # left of its own.  Inputs sit at or left of 0 and PCGP nodes are stored
-    # sorted by position, so the sorted slots are the inputs and then the
-    # nodes in stored order, and those entities are the sorted prefix up to
-    # the first node at its position.
-    hi, prev = total, None
-    for i, (*_, x, y, f, c) in enumerate(rows):
+    rows = [None] * n_nodes
+
+    def fill(i):
+        *_, x, y, f, c = genes[i]
         p = positions[n_in + i]
-        if r == 0.0 and p != prev:
-            hi, prev = n_in + i, p
+        # the sorted prefix this node's connections snap among
+        if r != 0.0:
+            hi = total
+        elif cgp:
+            hi = n_in + i
+        else:
+            hi = bisect_left(positions, p, n_in, n_in + i)
         # connection_position, point by point
         reach = r * (1.0 - p) + p
         if cgp:
@@ -284,39 +336,41 @@ def decode(g: Genome, settings: DecodeSettings, fset: FunctionSet) -> DecodedGra
             b = _nearest(ordered, y * span + start, hi)
         if entity is not None:
             a, b = entity[a], entity[b]
-        targets.append((a, b))
         fi = int(f * n_f)
         if fi == n_f:
             fi -= 1
-        findex.append(fi)
-        arity.append(functions[fi].arity)
-        params.append(c)
+        row = rows[i] = (a, b, fi, functions[fi].arity, c)
+        return row
 
     out_span = 1.0 - start        # output_position, point by point
     outputs = [_nearest(ordered, o if cgp else o * out_span + start, total)
                for o in g.outputs.tolist()]
     if entity is not None:
         outputs = [entity[k] for k in outputs]
-    active = _reachable(n_in, targets, arity, outputs)
-    return DecodedGraph(n_in, n_out, n_nodes, positions, targets, outputs, findex,
-                        arity, params, active, fset, settings.use_weights)
+    # the walk reaches each node once, so each active node is filled once
+    active = _reachable(n_in, n_nodes, fill, outputs, arity_aware=True)
+    return DecodedGraph(n_in, g.n_out, n_nodes, positions, outputs, active, rows, fill,
+                        fset, settings.use_weights)
 
 
-def _reachable(n_in, target_rows, fans, roots) -> list[bool]:
+def _reachable(n_in, n_nodes, row, roots, arity_aware) -> list[bool]:
     """Backward reachability over computational nodes; cycle-safe.
 
     Starts from the root entities (inputs among them end the walk) and
-    follows the first fans[i] connections of every visited node i.
-    Returns one visited flag per node.
+    follows the connections of every visited node i, read off row(i):
+    the first arity of them, or both when arity_aware is false.  row is
+    called once per visited node and for no other, so a walk reads only
+    the nodes it reaches.  Returns one visited flag per node.
     """
-    seen = [False] * len(target_rows)
+    seen = [False] * n_nodes
     stack = [t - n_in for t in roots if t >= n_in]
     while stack:
         i = stack.pop()
         if seen[i]:
             continue
         seen[i] = True
-        for t in target_rows[i][:fans[i]]:
+        r = row(i)
+        for t in r[:r[3] if arity_aware else 2]:
             t -= n_in
             if t >= 0 and not seen[t]:
                 stack.append(t)
@@ -365,6 +419,6 @@ def output_trace(graph: DecodedGraph, output: int, arity_aware: bool = False) ->
     followed even when its function consumes fewer; cycle-safe either
     way.
     """
-    fans = graph.arity_list if arity_aware else [2] * graph.n_nodes
-    seen = _reachable(graph.n_in, graph.target_list, fans, [graph.output_list[output]])
+    seen = _reachable(graph.n_in, graph.n_nodes, graph.row, [graph.output_list[output]],
+                      arity_aware)
     return {i for i, hit in enumerate(seen) if hit}

@@ -5,10 +5,12 @@ position formulas, step, the operators, load_csv, _channel_sizes, and
 _evaluate, which scores serially and names a failure's generation) and
 avoids each fast path of the package:
 
-- decode snaps each point with snap over an explicit candidate list,
-  not with bisect over one sorted list (pcgp.decode.decode);
-  plan_and_key_oracle and components_oracle do without
-  DecodedGraph.plan, program_key and components.
+- decode_lists snaps every point with snap over an explicit candidate
+  list, not with bisect over one sorted list, and decodes every node,
+  not only those an output reaches (pcgp.decode.decode); decode hands
+  its lists to DecodedGraph with every row given.  plan_and_key_oracle,
+  components_oracle and trace_oracle do without DecodedGraph.plan,
+  program_key, components and output_trace.
 - step_rows feeds a dataset one step call per row, not run_batch or
   run_sequence; step_balance makes one step call per cart-pole time
   step, not one run_feedback call.
@@ -28,6 +30,7 @@ copies no old code into the tests.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,10 +52,22 @@ from pcgp.mutate import MutationParams, apply_mutation
 # ------------------------------------------------------------------ decode
 
 
-def decode(g, s, fset, snap=snap):
-    """g's DecodedGraph; each point snaps over the entities it may reach:
-    every entity, or at recurrency 0 the inputs and the nodes strictly
-    left of the connection's own."""
+class Decoded(NamedTuple):
+    """What reference decoding finds, one list per attribute."""
+
+    positions: list
+    targets: list       # (target_a, target_b) per node
+    outputs: list
+    findex: list
+    arity: list
+    params: list
+    active: list
+
+
+def decode_lists(g, s, fset, snap=snap) -> Decoded:
+    """Every node and output of g decoded: each point snaps over the
+    entities it may reach, which are every entity or, at recurrency 0,
+    the inputs and the nodes strictly left of the connection's own."""
     n_in = g.n_in
     pos = [node_position(g, j, s.input_start) for j in range(n_in + g.n_nodes)]
     everything = list(enumerate(pos))
@@ -73,25 +88,42 @@ def decode(g, s, fset, snap=snap):
         if not active[i]:
             active[i] = True
             stack += [t - n_in for t in targets[i][:arity[i]] if t >= n_in]
-    return DecodedGraph(n_in, g.n_out, g.n_nodes, pos, targets, outputs, findex, arity,
-                        g.nodes[:, C_OFF].tolist(), active, fset, s.use_weights)
+    return Decoded(pos, targets, outputs, findex, arity, g.nodes[:, C_OFF].tolist(), active)
 
 
-def plan_and_key_oracle(graph):
+def decode(g, s, fset, snap=snap):
+    """g's DecodedGraph, built from decode_lists with every row given."""
+    d = decode_lists(g, s, fset, snap)
+    rows = [(*t, f, k, c) for t, f, k, c in zip(d.targets, d.findex, d.arity, d.params)]
+    return DecodedGraph(g.n_in, g.n_out, g.n_nodes, d.positions, d.outputs, d.active, rows,
+                        None, fset, s.use_weights)
+
+
+def trace_oracle(n_in, targets, arity, root, arity_aware):
+    """Nodes reachable backward from entity root, grown to a fixpoint."""
+    reached = {root - n_in} if root >= n_in else set()
+    while True:
+        more = {t - n_in for i in reached
+                for t in targets[i][:arity[i] if arity_aware else 2] if t >= n_in}
+        if more <= reached:
+            return reached
+        reached |= more
+
+
+def plan_and_key_oracle(d: Decoded, use_weights: bool):
     """(plan nodes without functions, outputs, feedforward) and program key."""
-    n_in, pos, arity = graph.n_in, graph.positions, graph.arity.tolist()
-    nodes = [(i, *graph.targets[i].tolist(), float(graph.params[i]))
-             for i in np.flatnonzero(graph.active).tolist()]
+    pos, arity = d.positions, d.arity
+    n_in = len(pos) - len(d.targets)
+    nodes = [(i, *d.targets[i], d.params[i]) for i, on in enumerate(d.active) if on]
     feedforward = not any(pos[t] >= pos[n_in + i]
                           for i, *used, _ in nodes for t in used[:arity[i]])
-    outputs = graph.output_targets.tolist()
     rank = {n_in + node[0]: n_in + k for k, node in enumerate(nodes)}
-    key_nodes = tuple((int(graph.function_index[i]),
+    key_nodes = tuple((d.findex[i],
                        *[rank.get(t, t) for t in (ta, tb)[:arity[i]]],
-                       param.hex() if graph.use_weights or arity[i] == 0 else None)
+                       param.hex() if use_weights or arity[i] == 0 else None)
                       for i, ta, tb, param in nodes)
-    return (nodes, outputs, feedforward), (feedforward, key_nodes,
-                                           tuple(rank.get(t, t) for t in outputs))
+    return (nodes, d.outputs, feedforward), (feedforward, key_nodes,
+                                             tuple(rank.get(t, t) for t in d.outputs))
 
 
 def components_oracle(n_in, targets):
@@ -148,7 +180,8 @@ def step_rows(graph, d):
     outs = stepped(graph, d.features)
     if d.task == "classification":
         return float(np.mean(np.argmax(outs, axis=1) == d.targets))
-    return float(-np.mean((outs - d.targets) ** 2))
+    with np.errstate(over="ignore"):
+        return float(-np.mean((outs - d.targets) ** 2))
 
 
 def make_fitness(cfg):

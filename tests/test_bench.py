@@ -2,13 +2,15 @@
 
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
 from pcgp.bench import (
-    Dataset, cartpole_fitness, classification_fitness, load_csv, regression_fitness,
+    Dataset, MemoizedFitness, cartpole_fitness, classification_fitness, load_csv,
+    regression_fitness,
 )
 from pcgp.decode import DecodeSettings, decode
 from pcgp.errors import ConfigError, DatasetError
@@ -219,6 +221,23 @@ def test_multi_output_regression():
     g = make_genome(GenomeMode.CGP, 1, 2, [], [0.5, 0.5])  # both outputs = input
     # per-element squared errors: (0,1),(0,1) on column two -> mean 0.5
     assert regression_fitness(g, d, SETTINGS, FSET) == -0.5
+
+
+@pytest.mark.parametrize("recurrency", [0.0, 1.0])
+def test_overflowing_error_scores_minus_inf_without_warning(recurrency):
+    """An output whose error is too large to square scores -inf, batched
+    or row by row, memoized or not, and no RuntimeWarning escapes."""
+    fset = FunctionSet(FSET.functions + (Function("huge", 0, lambda a, b, c: 1e200),))
+    huge = (len(FSET) + 0.5) / len(fset)
+    g = make_genome(GenomeMode.CGP, 1, 1, [[0.5, 0.5, huge, 0.5]], [0.9])
+    settings = DecodeSettings(recurrency=recurrency)
+    feats = np.array([[0.0], [1.0]])
+    d = Dataset(feats, np.zeros((2, 1)), "regression", feats.min(0), feats.max(0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert regression_fitness(g, d, settings, fset) == -math.inf
+        assert MemoizedFitness(settings, fset, d)(g) == -math.inf
+        assert reference.step_rows(decode(g, settings, fset), d) == -math.inf
 
 
 # ---------------------------------------------------------------- cart-pole

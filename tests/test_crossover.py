@@ -270,6 +270,21 @@ def test_output_graph_self_cross_keeps_behavior():
         assert both.n_nodes == len(output_trace(d, 0) | output_trace(d, 1))
 
 
+def test_output_graph_decodes_only_traced_nodes():
+    """The parents' graphs fill the rows of the nodes the chosen traces
+    reach, beside the active ones decode filled, and no others."""
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        a, b = (random_genome(GenomeMode.PCGP, 2, 3, 20, rng) for _ in range(2))
+        graphs = graphs_of(a, b)
+        choices = rng.integers(0, 2, 3)
+        output_graph(a, b, graphs, rng, output_choices=choices)
+        for side, d in enumerate(graphs):
+            traced = set().union(*(output_trace(d, k) for k in range(3) if choices[k] == side))
+            want = traced | set(np.flatnonzero(d.active).tolist())
+            assert {i for i, row in enumerate(d.rows) if row is not None} == want
+
+
 def test_output_graph_truncates_at_size_max():
     rng = np.random.default_rng(5)
     a = random_genome(GenomeMode.PCGP, 2, 2, 30, rng)

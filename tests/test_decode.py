@@ -1,6 +1,8 @@
 """Decoding: connection geometry, snapping, activity, components."""
 
 import graphlib
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from pcgp.functions import FunctionSet, default_functions
 from pcgp.genome import GenomeMode, make_genome, random_genome
 
 import reference
+
+DECODE = sys.modules["pcgp.decode"]   # the package exports a function of that name
 
 FSET = default_functions()
 
@@ -332,12 +336,75 @@ def test_recurrent_flag_definition():
 
 
 # ------------------------------------------------ the reference decode
-# reference.decode (snap over explicit candidate lists) pins every array
-# attribute; the reference's oracles pin the plan, key and components.
+# reference.decode_lists decodes every node with snap over explicit
+# candidate lists and pins every list and array attribute; the
+# reference's oracles pin the plan, key, components and traces.  decode
+# fills a node's row when something first reads it, so each genome is
+# read in two orders: the program first, and the full tables first.
 
-ARRAY_ATTRIBUTES = dict(positions=float, targets=int, output_targets=int,
-                        recurrent_flags=bool, function_index=int, arity=int,
-                        params=float, active=bool)
+ARRAYS = dict(positions=("positions", float), targets=("targets", int),
+              output_targets=("outputs", int), function_index=("findex", int),
+              arity=("arity", int), params=("params", float), active=("active", bool))
+
+
+def _array(a):
+    return a.dtype, a.shape, a.tobytes(), a.flags.writeable
+
+
+def _observe(d, program_first):
+    """Everything d shows, floats as hex so -0.0 and 0.0 differ."""
+    seen = {}
+
+    def program():
+        plan = d.plan
+        seen["plan"] = ([(i, fn, ta, tb, param.hex()) for i, fn, ta, tb, param in plan.nodes],
+                        plan.outputs, plan.feedforward)
+        seen["key"] = d.program_key
+        seen["traces"] = [output_trace(d, k, aware) for k in range(d.n_out)
+                          for aware in (False, True)]
+
+    def tables():
+        seen["position_list"] = [x.hex() for x in d.position_list]
+        for name in ("target_list", "output_list", "function_list", "arity_list",
+                     "active_list"):
+            seen[name] = getattr(d, name)
+        seen["param_list"] = [x.hex() for x in d.param_list]
+        for name in (*ARRAYS, "recurrent_flags", "components"):
+            seen[name] = _array(getattr(d, name))
+
+    for read in (program, tables) if program_first else (tables, program):
+        read()
+    return seen
+
+
+def _expected(g, s):
+    """_observe's view of g, computed by the reference."""
+    ref = reference.decode_lists(g, s, FSET)
+    n_in, pos = g.n_in, ref.positions
+    (nodes, outputs, feedforward), key = reference.plan_and_key_oracle(ref, s.use_weights)
+
+    def frozen(values, dtype, shape):
+        a = np.array(values, dtype=dtype).reshape(shape)
+        a.setflags(write=False)
+        return _array(a)
+
+    want = {
+        "plan": ([(i, FSET[ref.findex[i]].apply, ta, tb, param.hex())
+                  for i, ta, tb, param in nodes], outputs, feedforward),
+        "key": key,
+        "traces": [reference.trace_oracle(n_in, ref.targets, ref.arity, ref.outputs[k], aware)
+                   for k in range(g.n_out) for aware in (False, True)],
+        "position_list": [x.hex() for x in pos],
+        "target_list": ref.targets, "output_list": ref.outputs,
+        "function_list": ref.findex, "arity_list": ref.arity, "active_list": ref.active,
+        "param_list": [x.hex() for x in ref.params],
+        "recurrent_flags": frozen([[pos[t] >= pos[n_in + i] for t in ts]
+                                   for i, ts in enumerate(ref.targets)], bool, (-1, 2)),
+        "components": frozen(reference.components_oracle(n_in, ref.targets), int, -1),
+    }
+    for name, (field, dtype) in ARRAYS.items():
+        want[name] = frozen(getattr(ref, field), dtype, (-1, 2) if name == "targets" else -1)
+    return want
 
 
 @settings(max_examples=300, deadline=None)
@@ -345,40 +412,60 @@ ARRAY_ATTRIBUTES = dict(positions=float, targets=int, output_targets=int,
     st.sampled_from(list(GenomeMode)),
     st.integers(1, 4), st.integers(1, 3), st.integers(0, 30),
     st.booleans(),
-    st.sampled_from([0.0, 0.2, 1.0]),
+    st.sampled_from([0.0, 0.2, 0.5, 1.0]),
     st.sampled_from([-1.0, -0.3, 0.0]),
-    st.booleans(),
+    st.booleans(), st.booleans(), st.booleans(),
     st.integers(0, 2**31 - 1),
 )
-def test_decode_matches_vectorised_oracle(mode, n_in, n_out, n_nodes, grid, recurrency,
-                                          input_start, use_weights, seed):
+def test_decode_matches_reference_in_either_reading_order(
+        mode, n_in, n_out, n_nodes, grid, recurrency, input_start, use_weights, zero_tie,
+        output_to_input, seed):
     rng = np.random.default_rng(seed)
     g = random_genome(mode, n_in, n_out, n_nodes, rng)
+    nodes, outputs = g.nodes.copy(), g.outputs.copy()
+    inputs = None if g.inputs is None else g.inputs.copy()
     if grid:
         # genes on a 1/8 grid: equal positions, points midway between
         # entities and function genes at exactly 1.0 all occur
-        def eighths(a):
-            return None if a is None else np.round(a * 8) / 8
-        g = make_genome(mode, n_in, n_out, eighths(g.nodes), eighths(g.outputs),
-                        eighths(g.inputs))
+        nodes, outputs = np.round(nodes * 8) / 8, np.round(outputs * 8) / 8
+        inputs = None if inputs is None else np.round(inputs * 8) / 8
+    if zero_tie and inputs is not None and n_nodes:
+        # an input at -0.0 (0.0 when input_start is 0) beside a node at 0.0
+        inputs[0] = nodes[0, 0] = 0.0
+    if output_to_input:
+        outputs[0] = 0.0            # the leftmost entity, always an input
+    g = make_genome(mode, n_in, n_out, nodes, outputs, inputs)
     s = DecodeSettings(recurrency=recurrency, input_start=input_start,
                        use_weights=use_weights)
+    want = _expected(g, s)
+    if output_to_input:
+        assert want["output_list"][0] < n_in
     d = decode(g, s, FSET)
-    ref = reference.decode(g, s, FSET)
     assert d.n_nodes == n_nodes and type(d.n_nodes) is int
-    pos = ref.positions
-    flags = pos[ref.targets] >= pos[n_in:, None]
-    for name, dtype in ARRAY_ATTRIBUTES.items():
-        got = getattr(d, name)
-        want = flags if name == "recurrent_flags" else getattr(ref, name)
-        assert got.dtype == want.dtype == np.dtype(dtype) and got.shape == want.shape, name
-        assert got.tobytes() == want.tobytes(), name
-        assert got.flags.writeable is False, name
-    (nodes, outputs, feedforward), key = reference.plan_and_key_oracle(ref)
-    assert [(i, ta, tb, param) for i, _fn, ta, tb, param in d.plan.nodes] == nodes
-    assert [fn for _i, fn, *_ in d.plan.nodes] == [
-        FSET[int(ref.function_index[i])].apply for i, *_ in nodes]
-    assert d.plan.outputs == outputs and d.plan.feedforward is feedforward
-    assert d.program_key == key
-    assert d.components.tolist() == reference.components_oracle(n_in, ref.target_list)
-    assert d.components.flags.writeable is False
+    assert _observe(d, program_first=True) == want
+    assert _observe(decode(g, s, FSET), program_first=False) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(list(GenomeMode)), st.integers(1, 3), st.integers(0, 30),
+       st.sampled_from([0.0, 0.5, 1.0]), st.integers(0, 2**31 - 1))
+def test_decode_snaps_only_the_nodes_read(mode, n_out, n_nodes, recurrency, seed):
+    """decode and program_key snap the outputs and both connections of
+    each active node; an output trace snaps only the traced nodes not
+    yet decoded, and no node is ever snapped twice."""
+    g = random_genome(mode, 2, n_out, n_nodes, np.random.default_rng(seed))
+    s = DecodeSettings(recurrency=recurrency, input_start=-0.5)
+    with mock.patch.object(DECODE, "_nearest", wraps=DECODE._nearest) as snaps:
+        d = decode(g, s, FSET)
+        decoded = set(np.flatnonzero(d.active_list).tolist())
+        assert snaps.call_count == n_out + 2 * len(decoded)
+        d.program_key
+        assert snaps.call_count == n_out + 2 * len(decoded)
+        for k in range(n_out):
+            for aware in (True, False):
+                before = snaps.call_count
+                trace = output_trace(d, k, aware)
+                assert snaps.call_count - before == 2 * len(trace - decoded)
+                decoded |= trace
+        d.target_list, d.components, d.recurrent_flags, d.params
+        assert snaps.call_count == n_out + 2 * n_nodes

@@ -1,8 +1,5 @@
 """The fitness memo: the program key and memoized against memo-free runs."""
 
-import sys
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -196,21 +193,3 @@ def test_memoized_fitness_checks_shapes_before_decoding():
     with pytest.raises(ConfigError, match="episode length"):
         MemoizedFitness(DecodeSettings(), FSET, episode_len=0)(
             random_genome(GenomeMode.CGP, 4, 1, 4, np.random.default_rng(0)))
-
-
-def test_memo_shared_by_threads_stays_bounded_and_exact(monkeypatch):
-    monkeypatch.setattr(pcgp.bench, "MEMO_ENTRIES", 4)
-    s = DecodeSettings(recurrency=0.5, input_start=-0.5, use_weights=True)
-    rng = np.random.default_rng(6)
-    genomes = [random_genome(GenomeMode.PCGP, 4, 1, 6, rng) for _ in range(40)] * 5
-    expected = [cartpole_fitness(g, s, FSET, 20) for g in genomes]
-    memo = MemoizedFitness(s, FSET, episode_len=20)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            got = list(pool.map(memo, genomes, timeout=120))
-    finally:
-        sys.setswitchinterval(interval)
-    assert got == expected
-    assert len(memo._memo) <= 4
