@@ -7,13 +7,14 @@ nearest eligible entity.  Recurrency widens a connection's reach to the
 right of its source node; at recurrency 0 every connection lands
 strictly left and the program is feedforward.
 
-decode is active-first.  It sets up the entity axis, sorted once and
-only when it is not already strictly increasing, and snaps the
-outputs.  Then it walks backward from the outputs and decodes a node
-only when the walk reaches it: both targets, function index, arity and
-parameter.  The walk yields the active flags together with exactly the
-rows that the plan and the program key read, so scoring a genome, memo
-hit or miss, never snaps an inactive node.  Every other node, most of a
+decode is active-first.  It sets up the entity axis, sorting the
+inputs (nodes are stored sorted, right of them) only when the axis is
+not already strictly increasing, and snaps the outputs.  Then it walks
+backward from the outputs and decodes a node only when the walk
+reaches it: both targets, function index, arity and parameter.  The
+walk yields the active flags together with exactly the rows that the
+plan and the program key read, so scoring a genome, memo hit or miss,
+never snaps an inactive node.  Every other node, most of a
 genome in practice, is decoded by the same per-node routine when an
 attribute that needs it is first read.  A node's row depends only on
 the genome, so what an attribute holds does not depend on when or in
@@ -277,11 +278,15 @@ def _nearest(sorted_pos, point: float, hi: int) -> int:
     return j
 
 
-def _sorted_entities(positions: list):
+def _sorted_entities(positions: list, n_in: int):
     """Positions in ascending order and, per sorted slot, the entity it
     stands for: the smallest index among the entities at that position,
-    so _nearest followed by this map reproduces snap's tie-breaking."""
-    order = sorted(range(len(positions)), key=positions.__getitem__)   # stable
+    so _nearest followed by this map reproduces snap's tie-breaking.
+    Entities from n_in on (the nodes) must already be ascending and at
+    or right of every earlier one, so only the first n_in are sorted;
+    a tie across that boundary still maps to the input."""
+    order = sorted(range(n_in), key=positions.__getitem__)   # stable
+    order += range(n_in, len(positions))
     ordered = [positions[i] for i in order]
     for k in range(1, len(order)):
         if ordered[k] == ordered[k - 1]:
@@ -311,7 +316,7 @@ def decode(g: Genome, settings: DecodeSettings, fset: FunctionSet) -> DecodedGra
     if cgp or all(a < b for a, b in zip(positions, positions[1:])):
         ordered, entity = positions, None
     else:
-        ordered, entity = _sorted_entities(positions)
+        ordered, entity = _sorted_entities(positions, n_in)
     n_f = len(fset)
     functions = fset.functions
     rows = [None] * n_nodes

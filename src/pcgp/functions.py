@@ -25,6 +25,16 @@ def _pdiv(a, b, _c):
     return a if abs(b) < PDIV_EPS else a / b
 
 
+# a scalar result is a python float, so arithmetic after it stays on
+# python floats; the value is numpy's either way
+def _sin(a, _b, _c):
+    return np.sin(a) if isinstance(a, np.ndarray) else float(np.sin(a))
+
+
+def _cos(a, _b, _c):
+    return np.cos(a) if isinstance(a, np.ndarray) else float(np.cos(a))
+
+
 @dataclass(frozen=True)
 class Function:
     name: str
@@ -39,8 +49,8 @@ REGISTRY = {
         Function("sub", 2, lambda a, b, c: a - b),
         Function("mult", 2, lambda a, b, c: a * b),
         Function("pdiv", 2, _pdiv),
-        Function("sin", 1, lambda a, b, c: np.sin(a)),
-        Function("cos", 1, lambda a, b, c: np.cos(a)),
+        Function("sin", 1, _sin),
+        Function("cos", 1, _cos),
         Function("abs", 1, lambda a, b, c: abs(a)),
         # nullary constant drawn from the node's parameter gene, spread to [-1, 1]
         Function("const", 0, lambda a, b, c: 2.0 * c - 1.0),

@@ -126,10 +126,14 @@ def test_snap_matches_linear_oracle(indices, raw_pos, point):
 @given(st.integers(1, 40), st.integers(0, 2**31 - 1))
 def test_snap_field_matches_oracle(n, seed):
     rng = np.random.default_rng(seed)
-    # coarse grid so duplicate positions occur
-    positions = (rng.integers(0, 8, n) / 8.0).tolist()
-    ordered, entity = _sorted_entities(positions)
-    points = rng.uniform(-0.5, 1.5, 16).tolist()
+    # unsorted inputs at or left of -0.0, then ascending nodes at or right
+    # of 0.0, on a coarse grid so duplicate positions occur, across the
+    # boundary too
+    n_in = int(rng.integers(0, n + 1))
+    positions = ((rng.integers(0, 8, n_in) / -8.0).tolist()
+                 + np.sort(rng.integers(0, 8, n - n_in) / 8.0).tolist())
+    ordered, entity = _sorted_entities(positions, n_in)
+    points = rng.uniform(-1.5, 1.5, 16).tolist()
     cands = list(enumerate(positions))
     for t in points:
         assert entity[_nearest(ordered, t, n)] == snap_oracle(t, cands)

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcgp.decode import DecodeSettings, decode
-from pcgp.execute import new_state, reset, run_batch, run_sequence, run_supervised, step
+from pcgp.execute import (
+    _schedule, _strong_components, new_state, reset, run_batch, run_sequence, run_supervised,
+    step,
+)
 from pcgp.functions import FunctionSet, default_functions
 from pcgp.genome import GenomeMode, make_genome, random_genome
 
@@ -153,22 +156,103 @@ def test_batch_equals_stepping_bitwise(mode, seed):
         assert batched.tolist() == stepped.tolist()
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from(list(GenomeMode)), st.floats(0.0, 1.0), st.booleans(),
-       st.integers(0, 2**31 - 1))
-def test_step_equals_run_sequence_bitwise(mode, recurrency, weights, seed):
-    # run_sequence computes on python floats, step on the state array and
-    # whatever inputs it is given: numpy rows here, python tuples in cart-pole
-    rng = np.random.default_rng(seed)
-    g = random_genome(mode, 2, 2, int(rng.integers(0, 15)), rng)
-    s = DecodeSettings(recurrency=recurrency, use_weights=weights, input_start=-0.5)
-    d = decode(g, s, FSET)
-    x = rng.uniform(-3, 3, (7, 2))
-    # scaled inputs overflow, so the non-finite rule is compared too
-    for xs in (x, x * 1e200):
-        expected = run_sequence(d, xs).tobytes()
-        for as_row in (np.asarray, lambda r: tuple(r.tolist())):
-            assert reference.stepped(d, [as_row(r) for r in xs]).T.tobytes() == expected
+def test_step_equals_run_sequence_bitwise():
+    # run_sequence runs by columns and keeps only cycle members in a row
+    # loop; step runs the whole plan on the state array and whatever
+    # inputs it is given: numpy rows here, python tuples in cart-pole
+    kinds = set()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(list(GenomeMode)), st.integers(0, 30),
+           st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), st.booleans(),
+           st.integers(0, 20), st.integers(0, 2**31 - 1))
+    def check(mode, n_nodes, recurrency, weights, n_rows, seed):
+        rng = np.random.default_rng(seed)
+        g = random_genome(mode, 2, 2, n_nodes, rng)
+        s = DecodeSettings(recurrency=recurrency, use_weights=weights, input_start=-0.5)
+        d = decode(g, s, FSET)
+        if not d.plan.feedforward:
+            cyclic = any(members is not None for members, *_ in _schedule(d))
+            kinds.add("cyclic" if cyclic else "acyclic recurrent")
+        x = rng.uniform(-3, 3, (n_rows, 2))
+        # scaled inputs overflow, so the non-finite rule is compared too
+        for xs in (x, x * 1e200):
+            expected = run_sequence(d, xs).tobytes()
+            for as_row in (np.asarray, lambda r: tuple(r.tolist())):
+                assert stepped(d, [as_row(r) for r in xs]).tobytes() == expected
+
+    check()
+    assert kinds == {"cyclic", "acyclic recurrent"}
+
+
+def stepped(d, rows):
+    """reference.stepped as run_sequence's (n_out, rows) C-order array."""
+    return np.ascontiguousarray(reference.stepped(d, rows).reshape(len(rows), d.n_out).T)
+
+
+# one-input CGP genomes at recurrency 1, where a connection gene snaps
+# to the ladder rung nearest to it: (nodes, outputs, the input column,
+# the outputs unweighted, the number of cycles)
+BY_COLUMNS = {
+    # rungs at 0.25, 0.75
+    "self-read accumulator": (
+        [[0.2, 0.8, f_gene("add"), 0.5]], [0.9],
+        [1.0, 1.0, 1.0], [[1.0, 2.0, 3.0]], 1),
+    # rungs at 1/6, 1/2, 5/6: node 0 reads node 1's previous row
+    "read of a later acyclic node": (
+        [[0.1, 0.9, f_gene("add"), 0.5], [0.1, 0.1, f_gene("mult"), 0.5]], [0.5],
+        [1.0, 2.0, 3.0], [[1.0, 3.0, 7.0]], 0),
+    # node 0 reads node 1's previous row, node 1 reads node 0's fresh value
+    "two-node cycle": (
+        [[0.1, 0.9, f_gene("add"), 0.5], [0.5, 0.1, f_gene("add"), 0.5]], [0.9],
+        [1.0, 2.0, 3.0], [[2.0, 6.0, 12.0]], 1),
+    # rungs at 1/8, 3/8, 5/8, 7/8: the cycle above, then node 2 reads it
+    "column node downstream of a cycle": (
+        [[0.1, 0.6, f_gene("add"), 0.5], [0.4, 0.1, f_gene("add"), 0.5],
+         [0.6, 0.4, f_gene("mult"), 0.5]], [0.9, 0.4],
+        [1.0, 2.0, 3.0], [[2.0, 24.0, 108.0], [1.0, 4.0, 9.0]], 1),
+    # node 0 reads the const node 1 (0.5) across a previous-row edge
+    "const read across a previous-row edge": (
+        [[0.1, 0.9, f_gene("add"), 0.5], [0.1, 0.1, f_gene("const"), 0.75]], [0.5],
+        [1.0, 2.0, 3.0], [[1.0, 2.5, 3.5]], 0),
+}
+
+
+@pytest.mark.parametrize("weights", [False, True])
+@pytest.mark.parametrize("name", list(BY_COLUMNS))
+def test_run_sequence_by_columns_hand_built(name, weights):
+    nodes, outputs, column, want, n_cycles = BY_COLUMNS[name]
+    d = decode(cgp(nodes, outputs), DecodeSettings(recurrency=1.0, use_weights=weights), FSET)
+    assert not d.plan.feedforward
+    assert sum(members is not None for members, *_ in _schedule(d)) == n_cycles
+    rows = np.array(column)[:, None]
+    if not weights:
+        assert run_sequence(d, rows).tolist() == want
+    for n_rows in (0, 1, 3):
+        xs = rows[:n_rows]
+        got = run_sequence(d, xs)
+        assert got.shape == (len(outputs), n_rows) and got.flags.c_contiguous
+        assert got.tobytes() == stepped(d, xs).tobytes()
+
+
+def test_strong_components_need_no_recursion():
+    # a ring and a chain far deeper than the interpreter's recursion limit
+    n = 5000
+    ring = {i: [(i + 1) % n] for i in range(n)}
+    assert [sorted(c) for c in _strong_components(ring)] == [list(range(n))]
+    chain = {i: [i + 1] for i in range(n - 1)} | {n - 1: []}
+    # each component comes after every component it reaches
+    assert _strong_components(chain) == [[i] for i in reversed(range(n))]
+
+
+def test_sin_cos_give_python_floats_on_scalars():
+    for name, ref in (("sin", np.sin), ("cos", np.cos)):
+        fn = FSET[FSET.names.index(name)].apply
+        x = np.linspace(-4.0, 4.0, 9)
+        assert fn(x, None, 0.5).tobytes() == ref(x).tobytes()
+        for a in (x[3], float(x[3])):
+            v = fn(a, None, 0.5)
+            assert type(v) is float and v == ref(a)
 
 
 def test_run_sequence_shape_rules():
