@@ -180,43 +180,37 @@ def output_graph(a: Genome, b: Genome, graphs, rng, bounds: SizeBounds | None = 
     Each output is inherited from one parent together with every node
     its trace reaches (arity ignored).  Inputs referenced by only one
     parent's traces keep that parent's position gene; the rest flip a
-    coin.
+    coin.  The draws come in this order: one integers(0, 2) per output
+    for its parent (the numbers integers(0, 2, n_out) gives, without its
+    size set-up; none when output_choices is given), the choice of
+    _cap_rows, then random(n_in) for the input coins.
     """
     _require_pcgp(a, "output graph")
     _check_mates(a, b)
     if output_choices is None:
-        choices = rng.integers(0, 2, a.n_out)
+        choices = [int(rng.integers(0, 2)) for _ in range(a.n_out)]
     else:
         choices = np.asarray(output_choices, dtype=int)
         if choices.shape != (a.n_out,):
             raise ValueError(f"need {a.n_out} output choices")
-    picked_nodes = ([], [])
-    used_inputs = (set(), set())
+        choices = choices.tolist()
+    n_in = a.n_in
+    picked, used = (set(), set()), (set(), set())
     for k, c in enumerate(choices):
         d = graphs[c]
         tr = output_trace(d, k, arity_aware=False)
-        picked_nodes[c].extend(tr)
-        t = d.output_list[k]
-        if t < a.n_in:
-            used_inputs[c].add(t)
-        for i in tr:
-            for t in d.row(i)[:2]:
-                if t < a.n_in:
-                    used_inputs[c].add(t)
-    rows = np.concatenate([
-        _node_rows(a, sorted(set(picked_nodes[0]))),
-        _node_rows(b, sorted(set(picked_nodes[1]))),
-    ])
-    rows = _cap_rows(rows, bounds, rng)
-    outputs = np.where(choices == 0, a.outputs, b.outputs)
-    flags = np.zeros((2, a.n_in), dtype=bool)
-    for side in (0, 1):
-        flags[side, list(used_inputs[side])] = True
-    coins = rng.random(a.n_in) < 0.5
-    inputs = np.where(flags[0] & ~flags[1], a.inputs,
-                      np.where(flags[1] & ~flags[0], b.inputs,
-                               np.where(coins, b.inputs, a.inputs)))
-    return make_genome(a.mode, a.n_in, a.n_out, rows, outputs, inputs)
+        picked[c].update(tr)
+        ends = [d.output_list[k]] + [t for i in tr for t in d.row(i)[:2]]
+        used[c].update(t for t in ends if t < n_in)
+    picks = sorted(picked[0]) + [a.n_nodes + i for i in sorted(picked[1])]
+    rows = _cap_rows(np.concatenate((a.nodes, b.nodes))[picks], bounds, rng)
+    parents = (a, b)
+    outputs = [parents[c].outputs[k] for k, c in enumerate(choices)]
+    inputs = []
+    for i, coin in enumerate(rng.random(n_in).tolist()):
+        in_a, in_b = i in used[0], i in used[1]
+        inputs.append(parents[in_b if in_a != in_b else coin < 0.5].inputs[i])
+    return make_genome(a.mode, n_in, a.n_out, rows, outputs, inputs)
 
 
 def subgraph(a: Genome, b: Genome, graphs, rng, bounds: SizeBounds | None = None,

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -87,6 +87,21 @@ def _frozen(values, dtype, shape) -> np.ndarray:
     return a
 
 
+class _once:
+    """functools.cached_property without the lock it takes on every
+    first read under Python 3.11: the first read stores the value in
+    the instance __dict__, where later reads find it."""
+
+    def __init__(self, compute):
+        self.compute, self.__doc__ = compute, compute.__doc__
+
+    def __get__(self, graph, owner=None):
+        if graph is None:
+            return self
+        value = graph.__dict__[self.compute.__name__] = self.compute(graph)
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class DecodedGraph:
     """The program decoded from one genome; execution needs nothing else.
@@ -105,8 +120,10 @@ class DecodedGraph:
     (targets, function_index, arity, params), recurrent_flags and
     components need every node: the first read of any of them fills
     every remaining row.  All of these are built on first read and then
-    kept.  components labels every node (active or not) with its
-    weakly-connected component, numbered by first appearance.
+    kept; reads are serial, as nothing guards a first read or a filled
+    row against concurrent readers.  components labels every node
+    (active or not) with its weakly-connected component, numbered by
+    first appearance.
     """
 
     n_in: int
@@ -130,39 +147,39 @@ class DecodedGraph:
         fill = self.fill
         return [fill(i) if row is None else row for i, row in enumerate(self.rows)]
 
-    @cached_property
+    @_once
     def target_list(self) -> list:
         """(target_a, target_b) per node."""
         return [row[:2] for row in self._full_rows()]
 
-    @cached_property
+    @_once
     def function_list(self) -> list:
         """Function index per node."""
         return [row[2] for row in self._full_rows()]
 
-    @cached_property
+    @_once
     def arity_list(self) -> list:
         """Arity per node, from the function set."""
         return [row[3] for row in self._full_rows()]
 
-    @cached_property
+    @_once
     def param_list(self) -> list:
         """Parameter gene per node: const value or weight."""
         return [row[4] for row in self._full_rows()]
 
-    @cached_property
+    @_once
     def positions(self) -> np.ndarray:
         return _frozen(self.position_list, float, (self.n_in + self.n_nodes,))
 
-    @cached_property
+    @_once
     def targets(self) -> np.ndarray:
         return _frozen(self.target_list, int, (self.n_nodes, 2))
 
-    @cached_property
+    @_once
     def output_targets(self) -> np.ndarray:
         return _frozen(self.output_list, int, (self.n_out,))
 
-    @cached_property
+    @_once
     def recurrent_flags(self) -> np.ndarray:
         """(n_nodes, 2) bool: the target sits at or right of its node."""
         pos, n_in = self.position_list, self.n_in
@@ -170,23 +187,23 @@ class DecodedGraph:
                  for i, (a, b) in enumerate(self.target_list)]
         return _frozen(flags, bool, (self.n_nodes, 2))
 
-    @cached_property
+    @_once
     def function_index(self) -> np.ndarray:
         return _frozen(self.function_list, int, (self.n_nodes,))
 
-    @cached_property
+    @_once
     def arity(self) -> np.ndarray:
         return _frozen(self.arity_list, int, (self.n_nodes,))
 
-    @cached_property
+    @_once
     def params(self) -> np.ndarray:
         return _frozen(self.param_list, float, (self.n_nodes,))
 
-    @cached_property
+    @_once
     def active(self) -> np.ndarray:
         return _frozen(self.active_list, bool, (self.n_nodes,))
 
-    @cached_property
+    @_once
     def plan(self) -> Plan:
         n_in, pos, rows = self.n_in, self.position_list, self.rows
         functions = self.fset.functions
@@ -202,7 +219,7 @@ class DecodedGraph:
                 feedforward = False
         return Plan(nodes, self.output_list, feedforward)
 
-    @cached_property
+    @_once
     def program_key(self) -> tuple:
         """The canonical active program: graphs with equal keys compute
         the same outputs from the same inputs and state history.
@@ -225,7 +242,7 @@ class DecodedGraph:
         return (plan.feedforward, tuple(nodes),
                 tuple(rank.get(t, t) for t in plan.outputs))
 
-    @cached_property
+    @_once
     def components(self) -> np.ndarray:
         """(n_nodes,) int component label per node."""
         labels = _components(self.n_in, self.n_nodes, self.target_list)

@@ -23,6 +23,10 @@ overshoot it by less than one generation's fresh evaluations: budget
 
 A NaN fitness becomes the worst-fitness sentinel FAILED_FITNESS (-inf),
 with a warning, so selection always has an order to work with.
+
+Fitnesses are kept as a list of Python floats.  GA elites come from a
+stable descending sort, in np.argsort(-fits, kind="stable") order; the
+best slot is the first maximum, as np.argmax picks; the mean is np.mean.
 """
 
 from __future__ import annotations
@@ -131,7 +135,16 @@ def evaluate_population(genomes, fit):
 
 
 def _stream(seed: int, generation: int, slot: int) -> np.random.Generator:
-    return np.random.default_rng([seed, generation, slot])
+    """np.random.default_rng([seed, generation, slot]), seeded with the
+    entropy it builds: each integer's 32-bit words, low word first."""
+    words = []
+    for n in (seed, generation, slot):
+        words.append(n & 0xFFFFFFFF)
+        while n >> 32:
+            n >>= 32
+            words.append(n & 0xFFFFFFFF)
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(np.array(words, dtype=np.uint32))))
 
 
 def _evaluate(genomes, fit, generation, evaluations):
@@ -173,7 +186,7 @@ def one_plus_lambda(fit, params: EvoParams, on_record=None):
         ]
         fits = _evaluate(children, fit, generation, evaluations)
         evaluations += params.lambda_
-        best = int(np.argmax(fits))
+        best = fits.index(max(fits))
         mean = float(np.mean(fits + [parent_fit]))
         if fits[best] >= parent_fit:
             if children[best] is not parent:
@@ -187,10 +200,10 @@ def one_plus_lambda(fit, params: EvoParams, on_record=None):
     return parent, log
 
 
-def _tournament(fits: np.ndarray, size: int, rng) -> int:
+def _tournament(fits: list, size: int, rng) -> int:
     """Draw size slots with replacement; the fittest wins, ties broken
     by one uniform draw over the distinct tied slots in ascending order."""
-    idx = rng.integers(0, fits.shape[0], size).tolist()
+    idx = rng.integers(0, len(fits), size).tolist()
     best = max(fits[i] for i in idx)
     tied = sorted({i for i in idx if fits[i] == best})
     if len(tied) == 1:
@@ -229,10 +242,10 @@ def ga(fit, params: EvoParams, on_record=None):
         for slot in range(params.population)
     ]
     graphs = [None] * params.population
-    fits = np.array(_evaluate(pop, fit, 0, 0), dtype=float)
+    fits = _evaluate(pop, fit, 0, 0)
     evaluations = params.population
-    best_idx = int(np.argmax(fits))
-    best, best_fit = pop[best_idx], float(fits[best_idx])
+    best_idx = fits.index(max(fits))
+    best, best_fit = pop[best_idx], fits[best_idx]
     best_active = sum(_graph(graphs, pop, best_idx, params).active_list)
     generation = 0
     log = []
@@ -242,8 +255,7 @@ def ga(fit, params: EvoParams, on_record=None):
     while evaluations < params.budget:
         generation += 1
         elites, crossed, mutated, copied = _channel_sizes(params)
-        order = np.argsort(-fits, kind="stable")
-        elite = order[:elites].tolist()
+        elite = sorted(range(len(fits)), key=fits.__getitem__, reverse=True)[:elites]
         fresh, fresh_graphs = [], []
         for k in range(crossed):
             slot_rng = _stream(params.seed, generation, elites + k)
@@ -279,14 +291,13 @@ def ga(fit, params: EvoParams, on_record=None):
         # the graphs decoded for this generation's parents
         pop = [pop[i] for i in elite] + fresh + [pop[i] for i in copies]
         graphs = [graphs[i] for i in elite] + fresh_graphs + [graphs[i] for i in copies]
-        fits = np.array([float(fits[i]) for i in elite] + fresh_fits
-                        + [float(fits[i]) for i in copies], dtype=float)
-        gen_best = int(np.argmax(fits))
+        fits = [fits[i] for i in elite] + fresh_fits + [fits[i] for i in copies]
+        gen_best = fits.index(max(fits))
         if fits[gen_best] >= best_fit:
-            best, best_fit = pop[gen_best], float(fits[gen_best])
+            best, best_fit = pop[gen_best], fits[gen_best]
             best_active = sum(_graph(graphs, pop, gen_best, params).active_list)
         record = RunRecord(generation, evaluations, best_fit,
-                           float(fits.mean()), best_active)
+                           float(np.mean(fits)), best_active)
         log.append(record)
         if on_record is not None:
             on_record(record)

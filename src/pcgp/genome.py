@@ -95,7 +95,11 @@ def ladder_positions(count: int) -> np.ndarray:
 
 
 def _check_ranges(nodes, outputs, inputs):
-    """Every gene in [0, 1]; the comparisons are written so NaN fails."""
+    """Every gene in [0, 1]; the comparisons are written so NaN fails.
+    A failure alone checks the arrays one by one, to name the culprit."""
+    genes = np.concatenate((nodes.ravel(), outputs, () if inputs is None else inputs.ravel()))
+    if genes.min() >= 0.0 and genes.max() <= 1.0:
+        return
     for name, arr in (("node", nodes), ("output", outputs), ("input", inputs)):
         if arr is not None and arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
             raise ValueError(f"{name} genes outside [0, 1]")
@@ -117,8 +121,10 @@ def make_genome(mode: GenomeMode, n_in: int, n_out: int, nodes, outputs,
         inputs = np.array(inputs, dtype=float).reshape(-1)
         if inputs.shape[0] != n_in:
             raise ValueError(f"expected {n_in} input genes, got {inputs.shape[0]}")
-        # stable sort keeps prior order on position ties
-        nodes = nodes[np.argsort(nodes[:, 0], kind="stable")]
+        # stable sort keeps prior order on position ties (so skip it if sorted)
+        positions = nodes[:, 0].tolist()
+        if positions != sorted(positions):
+            nodes = nodes[np.argsort(nodes[:, 0], kind="stable")]
     else:
         if inputs is not None:
             raise ValueError("CGP genomes carry no input position genes")

@@ -18,12 +18,15 @@ avoids each fast path of the package:
 - The loops decode afresh for every operator call and active-node
   count instead of carrying graphs with the population.
 - tournament is the numpy-era one (np.unique, rng.choice), not the
-  list tournament.
+  list tournament, and the loops keep fitnesses in a numpy array:
+  elites by np.argsort, the best by np.argmax, the mean by
+  ndarray.mean, not a sorted list, max and np.mean of a list.
 - The oracle_* builders are written field by field, not derived from
   the dataclass fields (config._build).
 
-The loops derive each slot's stream as pcgp.evolve does,
-default_rng([seed, generation, slot]), so run(cfg) must give the
+The loops derive each slot's stream with default_rng([seed,
+generation, slot]), which pcgp.evolve._stream reproduces from the
+integers' 32-bit words, so run(cfg) must give the
 RunRecords and best genome of make_fitness, build_evo_params and
 run_evolution.  A speed change proves itself against this module and
 copies no old code into the tests.

@@ -285,6 +285,100 @@ def test_output_graph_decodes_only_traced_nodes():
             assert {i for i, row in enumerate(d.rows) if row is not None} == want
 
 
+def four_input_parents():
+    """Two 2-output parents over 4 inputs whose traces are known.
+
+    a: A0 (0.2) reads in0, in2; A1 (0.6) reads A0, in0; out0 -> A1 and
+    out1 -> in3.  b: B0 (0.3) reads in1, in2; B1 (0.7) reads B0 twice;
+    out0 -> B0 and out1 -> B1.
+    """
+    s = SET
+
+    def node(p, x_pos, y_pos, c):
+        return pnode(p, invert_connection_position(x_pos, p, s),
+                     invert_connection_position(y_pos, p, s), c=c)
+
+    a = make_genome(GenomeMode.PCGP, 4, 2,
+                    [node(0.2, -0.9, -0.5, 0.11), node(0.6, 0.2, -0.9, 0.12)],
+                    [0.8, 0.35], [0.9, 0.7, 0.5, 0.3])
+    b = make_genome(GenomeMode.PCGP, 4, 2,
+                    [node(0.3, -0.65, -0.45, 0.21), node(0.7, 0.3, 0.3, 0.22)],
+                    [0.65, 0.85], [0.85, 0.65, 0.45, 0.25])
+    return a, b
+
+
+# (parent, output) -> (the nodes its trace reaches, the inputs it reads)
+FOUR_INPUT_TRACES = {(0, 0): ({0, 1}, {0, 2}), (0, 1): (set(), {3}),
+                     (1, 0): ({0}, {1, 2}), (1, 1): ({0, 1}, {1, 2})}
+
+
+def output_graph_oracle(a, b, twin, choices=None, size_max=None):
+    """The child of four_input_parents, made with twin's draws in the
+    documented order: output choices, the cap's rows, the input coins."""
+    if choices is None:
+        choices = twin.integers(0, 2, a.n_out).tolist()
+    parents = (a, b)
+    picked, used = (set(), set()), (set(), set())
+    for k, c in enumerate(choices):
+        picked[c].update(FOUR_INPUT_TRACES[c, k][0])
+        used[c].update(FOUR_INPUT_TRACES[c, k][1])
+    rows = np.concatenate([g.nodes[sorted(p)] for g, p in zip(parents, picked)])
+    if size_max is not None and len(rows) > size_max:
+        rows = rows[np.sort(twin.choice(len(rows), size=size_max, replace=False))]
+    outputs = [parents[c].outputs[k] for k, c in enumerate(choices)]
+    coins = twin.random(a.n_in) < 0.5
+    inputs = [a.inputs[i] if i in used[0] and i not in used[1]
+              else b.inputs[i] if i in used[1] and i not in used[0]
+              else (b if coins[i] else a).inputs[i] for i in range(a.n_in)]
+    return make_genome(GenomeMode.PCGP, 4, 2, rows, outputs, inputs)
+
+
+def test_output_graph_hand_built_parents():
+    """Rows, outputs and the three input-gene cases (one parent's traces
+    read it, both do, neither does), against hand-known traces."""
+    a, b = four_input_parents()
+    graphs = graphs_of(a, b)
+    for (side, k), (nodes, inputs) in FOUR_INPUT_TRACES.items():
+        d = graphs[side]
+        assert output_trace(d, k, arity_aware=False) == nodes
+        ends = [d.output_list[k]] + [t for i in nodes for t in d.target_list[i]]
+        assert {t for t in ends if t < 4} == inputs
+    coin_genes = set()
+    for choices in ([0, 0], [0, 1], [1, 0], [1, 1]):
+        for seed in range(8):
+            child = output_graph(a, b, graphs, np.random.default_rng(seed),
+                                 output_choices=choices)
+            want = output_graph_oracle(a, b, np.random.default_rng(seed), choices)
+            assert flatten(child).tobytes() == flatten(want).tobytes()
+            if choices == [0, 1]:
+                # in0 is a's alone, in1 b's alone; in2 (both) and in3 (neither) flip
+                assert child.inputs[:2].tolist() == [0.9, 0.65]
+                coin_genes.update(child.inputs[2:].tolist())
+    assert coin_genes == {0.5, 0.45, 0.3, 0.25}
+
+
+@pytest.mark.parametrize("size_max", [None, 4, 3, 1, 0])
+def test_output_graph_draw_order(size_max):
+    """Capping above size_max, and the generator left where a twin that
+    made the documented draws in the documented order is left."""
+    a, b = four_input_parents()
+    bounds = None if size_max is None else SizeBounds(0, size_max)
+    for seed in range(12):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        child = output_graph(a, b, graphs_of(a, b), rng, bounds)
+        want = output_graph_oracle(a, b, twin, size_max=size_max)
+        assert flatten(child).tobytes() == flatten(want).tobytes()
+        assert rng.random() == twin.random()
+        if size_max is not None:
+            assert child.n_nodes <= size_max
+        for choices in ([0, 1], [1, 1]):     # four and three rows
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            child = output_graph(a, b, graphs_of(a, b), rng, bounds, output_choices=choices)
+            want = output_graph_oracle(a, b, twin, choices, size_max)
+            assert flatten(child).tobytes() == flatten(want).tobytes()
+            assert rng.random() == twin.random()
+
+
 def test_output_graph_truncates_at_size_max():
     rng = np.random.default_rng(5)
     a = random_genome(GenomeMode.PCGP, 2, 2, 30, rng)

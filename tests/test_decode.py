@@ -327,6 +327,24 @@ def test_params_and_plan_come_from_decode():
     assert d.plan.outputs == d.output_targets.tolist()
 
 
+LAZY = ("target_list", "function_list", "arity_list", "param_list", "positions", "targets",
+        "output_targets", "recurrent_flags", "function_index", "arity", "params", "active",
+        "plan", "program_key", "components")
+
+
+def test_lazy_attributes_are_built_once_and_kept():
+    """Each lazy attribute is computed on its first read, kept in the
+    graph's __dict__ and returned as that same object afterwards; the
+    class attribute is the descriptor, carrying the docstring."""
+    g = random_genome(GenomeMode.PCGP, 2, 2, 8, np.random.default_rng(6))
+    d = decode(g, DecodeSettings(recurrency=0.5), FSET)
+    for name in LAZY:
+        assert name not in vars(d)
+        value = getattr(d, name)
+        assert vars(d)[name] is value and getattr(d, name) is value
+    assert "canonical" in type(d).program_key.__doc__
+
+
 def test_recurrent_flag_definition():
     rng = np.random.default_rng(9)
     g = random_genome(GenomeMode.PCGP, 2, 1, 10, rng)

@@ -223,7 +223,7 @@ def test_ga_positional_crossover_runs():
 # ---------------------------------------------------------------- selection
 
 def test_tournament_prefers_high_fitness():
-    fits = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+    fits = [0.0, 1.0, 2.0, 3.0, 4.0]
     rng = np.random.default_rng(0)
     wins = np.bincount([_tournament(fits, 3, rng) for _ in range(2000)],
                        minlength=5)
@@ -236,22 +236,59 @@ def test_tournament_prefers_high_fitness():
                 min_size=1, max_size=30),
        st.integers(1, 8), st.integers(0, 2**32 - 1))
 def test_tournament_matches_numpy_oracle(values, size, seed):
-    # tie-heavy fitness vectors; the draw after the tournament must agree
-    # too, so both consume exactly the same random numbers
-    fits = np.array(values)
+    # tie-heavy fitness lists, as the GA keeps them; the draw after the
+    # tournament must agree too, so both consume exactly the same numbers
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-    winner = _tournament(fits, size, ours)
+    winner = _tournament(values, size, ours)
     assert type(winner) is int
-    assert winner == reference.tournament(fits, size, theirs)
+    assert winner == reference.tournament(np.array(values), size, theirs)
     assert ours.random() == theirs.random()
 
 
 def test_tournament_breaks_ties_uniformly():
-    fits = np.array([1.0, 1.0, 1.0])
+    fits = [1.0, 1.0, 1.0]
     rng = np.random.default_rng(1)
     wins = np.bincount([_tournament(fits, 3, rng) for _ in range(900)],
                        minlength=3)
     assert all(w > 200 for w in wins)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+                 st.integers(2**64, 2**96)),
+       st.one_of(st.just(0), st.integers(1, 2**70)), st.one_of(st.just(0), st.integers(1, 2**70)))
+@example(seed=2**32, generation=0, slot=2**32 - 1)
+@example(seed=2**64, generation=2**64 - 1, slot=0)
+def test_stream_matches_default_rng(seed, generation, slot):
+    # _stream seeds from the 32-bit words that default_rng would assemble
+    ours = _stream(seed, generation, slot)
+    theirs = np.random.default_rng([seed, generation, slot])
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    assert ours.random() == theirs.random()
+
+
+TIE_VALUES = (-np.inf, -0.0, 0.0, 0.5, 1.0)
+
+
+def tie_fitness(g):
+    """One of five values, -0.0 and 0.0 among them, keyed on the genome bytes."""
+    return TIE_VALUES[hashlib.md5(flatten(g).tobytes()).digest()[0] % len(TIE_VALUES)]
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 + 5, 2**64 + 1])
+@pytest.mark.parametrize("algorithm", ["ga", "one_plus_lambda"])
+def test_list_selection_matches_reference_under_ties(algorithm, seed):
+    """Elite order under ties, the first maximum as best and multi-word
+    seeds: the package's loops log what the reference's numpy-array
+    loops log, byte for byte, with -0.0 and 0.0 kept apart."""
+    params = make_params(mode=GenomeMode.PCGP, n_out=2, algorithm=algorithm, population=12,
+                         elitism=0.25, crossover_fraction=0.25, mutation_fraction=0.25,
+                         crossover="output_graph", lambda_=4, budget=150, seed=seed)
+    best, log = run_evolution(tie_fitness, params)
+    want_best, want_log = (reference.ga if algorithm == "ga"
+                           else reference.one_plus_lambda)(tie_fitness, params)
+    assert repr(log) == repr(want_log)
+    assert flatten(best).tobytes() == flatten(want_best).tobytes()
 
 
 # ---------------------------------------------------- population evaluation

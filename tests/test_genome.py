@@ -67,6 +67,47 @@ def test_gene_range_enforced():
             pcgp(*genes)
 
 
+@pytest.mark.parametrize("bad", [np.nan, -1e-300, 1.0 + 2.0**-52])
+@pytest.mark.parametrize("which", ["node", "output", "input"])
+def test_gene_range_names_the_array_at_fault(which, bad):
+    # the other two arrays sit at the range's edges, so only `which` fails
+    genes = {"node": [[0.0, -0.0, 1.0, 0.5, 1.0]], "output": [-0.0, 1.0], "input": [0.0, 1.0]}
+    pcgp(genes["node"], genes["output"], genes["input"])
+    if which == "node":
+        genes["node"][0][2] = bad
+    else:
+        genes[which][1] = bad
+    with pytest.raises(ValueError, match=f"^{which} genes outside"):
+        pcgp(genes["node"], genes["output"], genes["input"])
+    if which != "input":
+        nodes = [row[1:] for row in genes["node"]]
+        with pytest.raises(ValueError, match=f"^{which} genes outside"):
+            cgp(nodes, genes["output"])
+
+
+@pytest.mark.parametrize("edge", [0.0, -0.0, 1.0])
+def test_gene_range_edges_accepted(edge):
+    g = pcgp([[edge] * 5], [edge], [edge, edge])
+    assert flatten(g).tobytes() == np.full(8, edge).tobytes()
+    g = cgp(np.zeros((0, 4)), [edge])
+    assert g.n_nodes == 0 and g.outputs.tobytes() == np.array([edge]).tobytes()
+    assert pcgp(np.zeros((0, 5)), [edge], [edge]).n_nodes == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]), max_size=12),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_pcgp_order_matches_stable_argsort(positions, presort, seed):
+    """Nodes come out in stable-argsort order whether or not they went in
+    sorted; tied positions (-0.0 beside 0.0 too) keep their order."""
+    if presort:
+        positions = sorted(positions)
+    nodes = np.random.default_rng(seed).random((len(positions), 5))
+    nodes[:, 0] = positions
+    g = pcgp(nodes, [0.5], [0.5])
+    assert g.nodes.tobytes() == nodes[np.argsort(nodes[:, 0], kind="stable")].tobytes()
+
+
 def test_zero_nodes_allowed():
     g = cgp(np.zeros((0, 4)), [0.25])
     assert g.n_nodes == 0
@@ -295,3 +336,7 @@ def test_validate_catches_forged_state():
     nan = Genome(GenomeMode.CGP, 1, 1, g.nodes, np.array([np.nan]), None)
     with pytest.raises(ValueError, match="output genes"):
         validate_genome(nan)
+    p = pcgp([[0.5, 0.1, 0.2, 0.3, 0.4]], [0.5], [0.6, 0.7])
+    column = Genome(GenomeMode.PCGP, 2, 1, p.nodes, p.outputs, p.inputs.reshape(2, 1))
+    with pytest.raises(ValueError, match="input position genes"):
+        validate_genome(column)
