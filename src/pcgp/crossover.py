@@ -62,13 +62,6 @@ def _coin_mix(av: np.ndarray, bv: np.ndarray, rng) -> np.ndarray:
     return np.where(rng.random(av.shape) < 0.5, bv, av)
 
 
-def _node_rows(g: Genome, indices) -> np.ndarray:
-    indices = np.asarray(indices, dtype=int)
-    if indices.size == 0:
-        return np.zeros((0, g.stride))
-    return g.nodes[indices]
-
-
 def _cap_rows(rows: np.ndarray, bounds: SizeBounds | None, rng) -> np.ndarray:
     """Drop uniformly chosen rows until within size_max."""
     if bounds is None or rows.shape[0] <= bounds.size_max:
@@ -114,7 +107,7 @@ def random_node(a: Genome, b: Genome, rng) -> Genome:
         sel_b = np.flatnonzero(mask)
     else:
         sel_b = np.sort(rng.choice(b.n_nodes, half_b, replace=False)) if b.n_nodes else np.zeros(0, int)
-    rows = np.concatenate([_node_rows(a, sel_a), _node_rows(b, sel_b)])
+    rows = np.concatenate([a.nodes[sel_a], b.nodes[sel_b]])
     outputs = _coin_mix(a.outputs, b.outputs, rng)
     inputs = _coin_mix(a.inputs, b.inputs, rng) if a.mode is GenomeMode.PCGP else None
     return make_genome(a.mode, a.n_in, a.n_out, rows, outputs, inputs)
@@ -230,7 +223,7 @@ def subgraph(a: Genome, b: Genome, graphs, rng, bounds: SizeBounds | None = None
             raise ValueError(f"need {len(comps)} component picks, got {len(take)}")
         chosen = [c for c, t in zip(comps, take) if t]
         idx = np.sort(np.concatenate(chosen)) if chosen else np.zeros(0, int)
-        parts.append(_node_rows(g, idx))
+        parts.append(g.nodes[idx])
     rows = _cap_rows(np.concatenate(parts), bounds, rng)
     outputs = _coin_mix(a.outputs, b.outputs, rng)
     inputs = _coin_mix(a.inputs, b.inputs, rng)
@@ -239,6 +232,11 @@ def subgraph(a: Genome, b: Genome, graphs, rng, bounds: SizeBounds | None = None
 
 def apply_crossover(a: Genome, b: Genome, operator: str, rng,
                     bounds: SizeBounds | None = None, graphs=None) -> Genome:
+    """A child of a and b by operator; graphs, the parents' decoded
+    graphs as a pair, must be given when operator is in READS_GRAPHS."""
+    if graphs is None and operator in READS_GRAPHS:
+        raise ValueError(f"{operator} crossover reads the parents' decoded graphs, "
+                         "but graphs is None")
     if operator == "single_point":
         return single_point(a, b, rng)
     if operator == "random_node":

@@ -108,17 +108,23 @@ class DecodedGraph:
 
     Indices in rows and output_list address the unified space: values
     below n_in are program inputs, the rest are computational nodes in
-    stored order.  rows holds, per node, (target_a, target_b, function
-    index, arity, parameter gene) once the node is decoded and None
-    before; fill(i) decodes node i, stores its row in rows[i] and
-    returns it, and row(i) reads a row, filling it first if need be.
+    stored order.  rows, the only per-node record, holds per node
+    (target_a, target_b, function index, arity, parameter gene) once the
+    node is decoded and None before.  fill(i) decodes node i, stores its
+    row in rows[i] and returns it; row(i) reads a row, filling it first
+    if need be.
+
+    The graph keeps no positions.  Node i's read of target t is
+    previous-row when t >= n_in + i (the node itself or a later one), the
+    rule the interpreter runs.  On an active node it agrees with the
+    position rule (the target sits at or right of the node): a point at
+    a tied position snaps to the smallest index, so a node tied with an
+    earlier entity is never read.
 
     decode fills the rows of the active nodes, and plan and program_key
-    read no other row.  positions, output_targets and active come from
-    the lists decode built.  The per-node lists (target_list,
-    function_list, arity_list, param_list), their read-only numpy views
-    (targets, function_index, arity, params), recurrent_flags and
-    components need every node: the first read of any of them fills
+    read no other row.  output_targets and active are read-only numpy
+    views of output_list and active_list; targets, function_index and
+    components need every node, and the first read of any of them fills
     every remaining row.  All of these are built on first read and then
     kept; reads are serial, as nothing guards a first read or a filled
     row against concurrent readers.  components labels every node
@@ -129,7 +135,6 @@ class DecodedGraph:
     n_in: int
     n_out: int
     n_nodes: int
-    position_list: list   # n_in + n_nodes entity positions (a shared tuple for CGP)
     output_list: list     # target per output
     active_list: list     # reachable from an output, per node
     rows: list            # per node: (target_a, target_b, fn index, arity, param) or None
@@ -148,56 +153,16 @@ class DecodedGraph:
         return [fill(i) if row is None else row for i, row in enumerate(self.rows)]
 
     @_once
-    def target_list(self) -> list:
-        """(target_a, target_b) per node."""
-        return [row[:2] for row in self._full_rows()]
-
-    @_once
-    def function_list(self) -> list:
-        """Function index per node."""
-        return [row[2] for row in self._full_rows()]
-
-    @_once
-    def arity_list(self) -> list:
-        """Arity per node, from the function set."""
-        return [row[3] for row in self._full_rows()]
-
-    @_once
-    def param_list(self) -> list:
-        """Parameter gene per node: const value or weight."""
-        return [row[4] for row in self._full_rows()]
-
-    @_once
-    def positions(self) -> np.ndarray:
-        return _frozen(self.position_list, float, (self.n_in + self.n_nodes,))
-
-    @_once
     def targets(self) -> np.ndarray:
-        return _frozen(self.target_list, int, (self.n_nodes, 2))
+        return _frozen([row[:2] for row in self._full_rows()], int, (self.n_nodes, 2))
+
+    @_once
+    def function_index(self) -> np.ndarray:
+        return _frozen([row[2] for row in self._full_rows()], int, (self.n_nodes,))
 
     @_once
     def output_targets(self) -> np.ndarray:
         return _frozen(self.output_list, int, (self.n_out,))
-
-    @_once
-    def recurrent_flags(self) -> np.ndarray:
-        """(n_nodes, 2) bool: the target sits at or right of its node."""
-        pos, n_in = self.position_list, self.n_in
-        flags = [(pos[a] >= pos[n_in + i], pos[b] >= pos[n_in + i])
-                 for i, (a, b) in enumerate(self.target_list)]
-        return _frozen(flags, bool, (self.n_nodes, 2))
-
-    @_once
-    def function_index(self) -> np.ndarray:
-        return _frozen(self.function_list, int, (self.n_nodes,))
-
-    @_once
-    def arity(self) -> np.ndarray:
-        return _frozen(self.arity_list, int, (self.n_nodes,))
-
-    @_once
-    def params(self) -> np.ndarray:
-        return _frozen(self.param_list, float, (self.n_nodes,))
 
     @_once
     def active(self) -> np.ndarray:
@@ -205,7 +170,7 @@ class DecodedGraph:
 
     @_once
     def plan(self) -> Plan:
-        n_in, pos, rows = self.n_in, self.position_list, self.rows
+        n_in, rows = self.n_in, self.rows
         functions = self.fset.functions
         nodes = []
         feedforward = True
@@ -214,8 +179,8 @@ class DecodedGraph:
                 continue
             ta, tb, fi, k, param = rows[i]
             nodes.append((i, functions[fi].apply, ta, tb, param))
-            here = pos[n_in + i]
-            if (k >= 1 and pos[ta] >= here) or (k >= 2 and pos[tb] >= here):
+            here = n_in + i       # a read of here or a later entity is previous-row
+            if (k >= 1 and ta >= here) or (k >= 2 and tb >= here):
                 feedforward = False
         return Plan(nodes, self.output_list, feedforward)
 
@@ -245,9 +210,8 @@ class DecodedGraph:
     @_once
     def components(self) -> np.ndarray:
         """(n_nodes,) int component label per node."""
-        labels = _components(self.n_in, self.n_nodes, self.target_list)
-        labels.setflags(write=False)
-        return labels
+        return _frozen(_components(self.n_in, self.n_nodes, self._full_rows()), int,
+                       (self.n_nodes,))
 
 
 def connection_position(x, node_pos, settings: DecodeSettings, mode: GenomeMode):
@@ -318,7 +282,8 @@ def _ladder(count: int) -> tuple:
 
 
 def decode(g: Genome, settings: DecodeSettings, fset: FunctionSet) -> DecodedGraph:
-    """g's program graph, with the outputs and the active nodes decoded."""
+    """g's program graph, with the outputs and the active nodes decoded.
+    Positions are read only here: the graph keeps the snapped indices."""
     n_in = g.n_in
     genes = g.nodes.tolist()
     n_nodes = len(genes)
@@ -371,8 +336,8 @@ def decode(g: Genome, settings: DecodeSettings, fset: FunctionSet) -> DecodedGra
         outputs = [entity[k] for k in outputs]
     # the walk reaches each node once, so each active node is filled once
     active = _reachable(n_in, n_nodes, fill, outputs, arity_aware=True)
-    return DecodedGraph(n_in, g.n_out, n_nodes, positions, outputs, active, rows, fill,
-                        fset, settings.use_weights)
+    return DecodedGraph(n_in, g.n_out, n_nodes, outputs, active, rows, fill, fset,
+                        settings.use_weights)
 
 
 def _reachable(n_in, n_nodes, row, roots, arity_aware) -> list[bool]:
@@ -399,8 +364,9 @@ def _reachable(n_in, n_nodes, row, roots, arity_aware) -> list[bool]:
     return seen
 
 
-def _components(n_in, n_nodes, targets):
-    """Weakly-connected component labels, ignoring arity and direction."""
+def _components(n_in, n_nodes, rows) -> list:
+    """Weakly-connected component labels, ignoring arity and direction,
+    numbered by first appearance."""
     parent = list(range(n_nodes))
 
     def find(a):
@@ -410,20 +376,13 @@ def _components(n_in, n_nodes, targets):
         return a
 
     for i in range(n_nodes):
-        for t in targets[i]:
+        for t in rows[i][:2]:
             if t >= n_in:
                 ra, rb = find(i), find(t - n_in)
                 if ra != rb:
                     parent[rb] = ra
-    labels = np.full(n_nodes, -1, dtype=int)
-    next_label = 0
-    for i in range(n_nodes):
-        r = find(i)
-        if labels[r] < 0:
-            labels[r] = next_label
-            next_label += 1
-        labels[i] = labels[r]
-    return labels
+    label = {}
+    return [label.setdefault(find(i), len(label)) for i in range(n_nodes)]
 
 
 def component_groups(graph: DecodedGraph) -> list[np.ndarray]:

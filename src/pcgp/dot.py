@@ -3,7 +3,7 @@
 Inputs are boxes, outputs double circles.  Computational nodes are
 ellipses labeled with their function (plus the node weight when weights
 are enabled); inactive nodes are dashed and drawn without edges, and
-recurrent connections are dashed edges.
+previous-row reads (of the node itself or a later one) are dashed edges.
 """
 
 from __future__ import annotations
@@ -19,31 +19,26 @@ def _quote(text: str) -> str:
 
 def to_dot(g: Genome, settings: DecodeSettings, fset: FunctionSet) -> str:
     graph = decode(g, settings, fset)
-
-    def entity(target: int) -> str:
-        if target < graph.n_in:
-            return f"in{target}"
-        return f"n{target - graph.n_in}"
-
+    n_in = graph.n_in
+    rows = [graph.row(i) for i in range(graph.n_nodes)]
+    name = [f"in{k}" for k in range(n_in)] + [f"n{i}" for i in range(graph.n_nodes)]
     lines = ["digraph program {", "  rankdir=LR;"]
-    for k in range(graph.n_in):
+    for k in range(n_in):
         lines.append(f"  in{k} [shape=box, label={_quote(f'x{k}')}];")
-    for i in range(graph.n_nodes):
-        fn = graph.fset[graph.function_index[i]]
-        label = fn.name
+    for i, (_, _, fi, _, param) in enumerate(rows):
+        label = graph.fset[fi].name
         if graph.use_weights:
-            label += f" w={graph.params[i]:.3g}"
-        style = "" if graph.active[i] else ", style=dashed"
+            label += f" w={param:.3g}"
+        style = "" if graph.active_list[i] else ", style=dashed"
         lines.append(f"  n{i} [shape=ellipse, label={_quote(label)}{style}];")
     for j in range(graph.n_out):
         lines.append(f"  out{j} [shape=doublecircle, label={_quote(f'y{j}')}];")
-    for i in range(graph.n_nodes):
-        if not graph.active[i]:
-            continue
-        for slot in range(graph.arity[i]):
-            style = " [style=dashed]" if graph.recurrent_flags[i, slot] else ""
-            lines.append(f"  {entity(graph.targets[i, slot])} -> n{i}{style};")
-    for j in range(graph.n_out):
-        lines.append(f"  {entity(graph.output_targets[j])} -> out{j};")
+    for i, row in enumerate(rows):
+        if graph.active_list[i]:
+            for t in row[:row[3]]:
+                style = " [style=dashed]" if t >= n_in + i else ""
+                lines.append(f"  {name[t]} -> n{i}{style};")
+    for j, t in enumerate(graph.output_list):
+        lines.append(f"  {name[t]} -> out{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -88,9 +88,12 @@ def _evaluate(n_in, nodes, outputs, weighted, rows, cur, rule, outs: list) -> li
 
 
 def step(graph: DecodedGraph, state: np.ndarray, inputs):
-    """One synchronous update; returns (outputs, new state)."""
+    """One synchronous update; returns (outputs, new state).  state is
+    an array of shape (n_nodes,), as new_state and step make it."""
     if len(inputs) != graph.n_in:
         raise ValueError(f"expected {graph.n_in} inputs, got {len(inputs)}")
+    if not isinstance(state, np.ndarray) or state.shape != (graph.n_nodes,):
+        raise ValueError(f"state must be an array of shape ({graph.n_nodes},)")
     cur = state.copy()
     plan = graph.plan
     (out,) = _evaluate(graph.n_in, plan.nodes, plan.outputs, graph.use_weights,

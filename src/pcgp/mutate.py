@@ -18,7 +18,7 @@ import numpy as np
 from .decode import DecodeSettings, component_groups
 from .decode import decode  # noqa: F401 - unused; evobench wraps pcgp.<module>.decode
 from .errors import ConfigError, UnsupportedOperatorError
-from .genome import Genome, GenomeMode, SizeBounds, make_genome, remove_nodes
+from .genome import Genome, GenomeMode, SizeBounds, add_nodes, make_genome, remove_nodes
 
 OPERATORS = ("gene", "mixed_node", "mixed_subgraph")
 POSITIONAL_ONLY = ("mixed_subgraph",)
@@ -51,6 +51,12 @@ def reads_graph(params: MutationParams) -> bool:
     return params.require_active or params.operator == "mixed_subgraph"
 
 
+def _require_graph(graph, params: MutationParams):
+    if graph is None and reads_graph(params):
+        raise ValueError(f"{params.operator} mutation (require_active={params.require_active})"
+                         " reads the parent's decoded graph, but graph is None")
+
+
 def _require_pcgp(g: Genome, what: str):
     if g.mode is not GenomeMode.PCGP:
         raise UnsupportedOperatorError(f"{what} is defined only for positional genomes")
@@ -73,6 +79,7 @@ def gene_mutation(g: Genome, params: MutationParams, rng, graph=None) -> Genome:
     attempts), so offspring are never behaviorally silent copies; graph,
     the parent's decoded graph, is read only then.
     """
+    _require_graph(graph, params)
     active = None
     if params.require_active and g.n_nodes:
         flags = graph.active
@@ -98,9 +105,7 @@ def node_addition(g: Genome, params: MutationParams, rng) -> Genome:
     k = min(_burst_size(params), params.bounds.size_max - g.n_nodes)
     if k <= 0:
         return g
-    rows = rng.random((k, g.stride))
-    return make_genome(g.mode, g.n_in, g.n_out,
-                       np.concatenate([g.nodes, rows]), g.outputs, g.inputs)
+    return add_nodes(g, rng.random((k, g.stride)))
 
 
 def node_deletion(g: Genome, params: MutationParams, rng) -> Genome:
@@ -178,8 +183,7 @@ def subgraph_addition(g: Genome, params: MutationParams,
         for col in (1, 2):
             target = pool[rng.integers(len(pool))]
             rows[i, col] = invert_connection_position(target, rows[i, 0], settings)
-    return make_genome(g.mode, g.n_in, g.n_out,
-                       np.concatenate([g.nodes, rows]), g.outputs, g.inputs)
+    return add_nodes(g, rows)
 
 
 def subgraph_deletion(g: Genome, params: MutationParams, rng, graph) -> Genome:
@@ -212,6 +216,9 @@ def mixed_subgraph_mutate(g: Genome, params: MutationParams, settings: DecodeSet
 
 def apply_mutation(g: Genome, params: MutationParams, settings: DecodeSettings,
                    rng, graph=None) -> Genome:
+    """A child of g by params.operator; graph, g's decoded graph, must be
+    given when reads_graph(params) is true."""
+    _require_graph(graph, params)
     if params.operator == "gene":
         return gene_mutation(g, params, rng, graph)
     if params.operator == "mixed_node":

@@ -98,8 +98,8 @@ def decode(g, s, fset, snap=snap):
     """g's DecodedGraph, built from decode_lists with every row given."""
     d = decode_lists(g, s, fset, snap)
     rows = [(*t, f, k, c) for t, f, k, c in zip(d.targets, d.findex, d.arity, d.params)]
-    return DecodedGraph(g.n_in, g.n_out, g.n_nodes, d.positions, d.outputs, d.active, rows,
-                        None, fset, s.use_weights)
+    return DecodedGraph(g.n_in, g.n_out, g.n_nodes, d.outputs, d.active, rows, None, fset,
+                        s.use_weights)
 
 
 def trace_oracle(n_in, targets, arity, root, arity_aware):

@@ -90,7 +90,7 @@ def test_c01_active_graphs_acyclic_without_recurrency():
             for i in np.flatnonzero(graph.active):
                 preds = [
                     int(t) - graph.n_in
-                    for t in graph.targets[i, : min(int(graph.arity[i]), 2)]
+                    for t in graph.targets[i, : graph.row(i)[3]]
                     if int(t) >= graph.n_in
                 ]
                 sorter.add(int(i), *preds)

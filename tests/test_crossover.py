@@ -51,6 +51,13 @@ def test_positional_only_operators_reject_plain_genomes():
         subgraph(a, b, graphs, rng)
 
 
+@pytest.mark.parametrize("op", ["output_graph", "subgraph"])
+def test_graph_reading_crossover_needs_its_graphs(op):
+    a, b = rnd(GenomeMode.PCGP, 5, 0), rnd(GenomeMode.PCGP, 5, 1)
+    with pytest.raises(ValueError, match="graphs is None"):
+        apply_crossover(a, b, op, np.random.default_rng(0))
+
+
 def test_apply_crossover_unknown_name():
     a, b = rnd(GenomeMode.CGP, 5, 0), rnd(GenomeMode.CGP, 5, 1)
     with pytest.raises(ConfigError):
@@ -341,7 +348,7 @@ def test_output_graph_hand_built_parents():
     for (side, k), (nodes, inputs) in FOUR_INPUT_TRACES.items():
         d = graphs[side]
         assert output_trace(d, k, arity_aware=False) == nodes
-        ends = [d.output_list[k]] + [t for i in nodes for t in d.target_list[i]]
+        ends = [d.output_list[k]] + [t for i in nodes for t in d.row(i)[:2]]
         assert {t for t in ends if t < 4} == inputs
     coin_genes = set()
     for choices in ([0, 0], [0, 1], [1, 0], [1, 1]):

@@ -12,9 +12,10 @@ from pcgp.decode import (
     DecodeSettings, _nearest, _sorted_entities, component_groups, connection_position, decode,
     output_position, output_trace, snap,
 )
+from pcgp.dot import to_dot
 from pcgp.errors import DecodeError
 from pcgp.functions import FunctionSet, default_functions
-from pcgp.genome import GenomeMode, make_genome, random_genome
+from pcgp.genome import GenomeMode, make_genome, node_position, random_genome
 
 import reference
 
@@ -161,7 +162,7 @@ def chain_fixture():
 def test_chain_fixture_targets():
     g = chain_fixture()
     d = decode(g, DecodeSettings(), FSET)
-    assert d.positions.tolist() == [0.125, 0.375, 0.625, 0.875]
+    assert [node_position(g, j) for j in range(4)] == [0.125, 0.375, 0.625, 0.875]
     assert d.targets.tolist() == [[0, 0], [0, 0], [2, 1]]
     assert d.output_targets.tolist() == [3]
 
@@ -210,7 +211,7 @@ def test_self_loop_at_full_recurrency():
     g = cgp([[0.8, 0.1, f_gene("add"), 0.5]], [0.9])
     d = decode(g, DecodeSettings(recurrency=1.0), FSET)
     assert d.targets.tolist() == [[1, 0]]
-    assert d.recurrent_flags.tolist() == [[True, False]]
+    assert not d.plan.feedforward           # the self-read is previous-row
     assert output_trace(d, 0) == {0}
 
 
@@ -225,9 +226,11 @@ def test_output_to_input_trace_empty():
 # ----------------------------------------------------------- decode: PCGP
 
 def test_pcgp_input_positions_scale():
-    g = pcgp([[0.5, 0.1, 0.1, f_gene("add"), 0.5]], [0.9], [0.5, 1.0])
+    # inputs at -0.25 and -0.5; output points -0.5, -0.35 and 0.85
+    g = pcgp([[0.5, 0.1, 0.1, f_gene("add"), 0.5]], [0.0, 0.1, 0.9], [0.5, 1.0])
+    assert [node_position(g, j, -0.5) for j in range(3)] == [-0.25, -0.5, 0.5]
     d = decode(g, DecodeSettings(input_start=-0.5), FSET)
-    assert d.positions.tolist() == [-0.25, -0.5, 0.5]
+    assert d.output_list == [1, 0, 2]
 
 
 def test_pcgp_tied_positions_not_candidates_at_zero_recurrency():
@@ -245,7 +248,7 @@ def test_pcgp_self_candidate_at_positive_recurrency():
     g = pcgp([[1.0, 1.0, 1.0, f_gene("add"), 0.5]], [1.0], [0.5])
     d = decode(g, DecodeSettings(recurrency=0.5, input_start=-1.0), FSET)
     assert d.targets.tolist() == [[1, 1]]
-    assert d.recurrent_flags.all()
+    assert not d.plan.feedforward
 
 
 # ------------------------------------------------------------- properties
@@ -264,12 +267,12 @@ def test_feedforward_at_zero_recurrency(mode, seed):
     g = random_genome(mode, int(rng.integers(1, 4)), int(rng.integers(1, 3)),
                       int(rng.integers(0, 20)), rng)
     d = decode(g, random_settings(rng, zero_r=True), FSET)
-    assert not d.recurrent_flags.any()
+    assert d.plan.feedforward
     # every target is strictly earlier in stored order
     order = np.arange(d.n_nodes) + d.n_in
     assert np.all(d.targets < order[:, None]) or d.n_nodes == 0
     ts = graphlib.TopologicalSorter(
-        {i: [t - d.n_in for k, t in enumerate(d.targets[i]) if t >= d.n_in and k < d.arity[i]]
+        {i: [t - d.n_in for t in d.row(i)[:d.row(i)[3]] if t >= d.n_in]
          for i in range(d.n_nodes) if d.active[i]}
     )
     ts.static_order()  # raises CycleError on failure
@@ -283,9 +286,9 @@ def test_decode_matches_snap_oracle_per_connection(mode, seed):
                       int(rng.integers(1, 12)), rng)
     s = random_settings(rng, zero_r=bool(rng.integers(0, 2)))
     d = decode(g, s, FSET)
-    want = reference.decode(g, s, FSET, snap=snap_oracle)
-    assert d.target_list == want.target_list
-    assert d.output_list == want.output_list
+    want = reference.decode_lists(g, s, FSET, snap=snap_oracle)
+    assert [d.row(i)[:2] for i in range(d.n_nodes)] == want.targets
+    assert d.output_list == want.outputs
 
 
 @settings(max_examples=30, deadline=None)
@@ -296,9 +299,9 @@ def test_decode_deterministic_and_components_partition(mode, seed):
     s = random_settings(rng)
     d1 = decode(g, s, FSET)
     d2 = decode(g, s, FSET)
-    for name in ("positions", "targets", "output_targets", "recurrent_flags",
-                 "function_index", "arity", "active", "components"):
+    for name in ("targets", "output_targets", "function_index", "active", "components"):
         assert np.array_equal(getattr(d1, name), getattr(d2, name)), name
+    assert d1._full_rows() == d2._full_rows()
     groups = component_groups(d1)
     if d1.n_nodes:
         flat = np.sort(np.concatenate(groups))
@@ -319,17 +322,17 @@ def test_params_and_plan_come_from_decode():
     rng = np.random.default_rng(4)
     g = random_genome(GenomeMode.PCGP, 2, 1, 8, rng)
     d = decode(g, DecodeSettings(recurrency=0.5, use_weights=True), FSET)
-    assert d.params.tolist() == g.nodes[:, -1].tolist()
-    assert not d.params.flags.writeable
+    params = [d.row(i)[4] for i in range(d.n_nodes)]
+    assert params == g.nodes[:, -1].tolist()
+    assert not d.targets.flags.writeable
     assert d.plan is d.plan and d.components is d.components
     assert [node[0] for node in d.plan.nodes] == np.flatnonzero(d.active).tolist()
-    assert [node[4] for node in d.plan.nodes] == d.params[d.active].tolist()
+    assert [node[4] for node in d.plan.nodes] == [params[i] for i in np.flatnonzero(d.active)]
     assert d.plan.outputs == d.output_targets.tolist()
 
 
-LAZY = ("target_list", "function_list", "arity_list", "param_list", "positions", "targets",
-        "output_targets", "recurrent_flags", "function_index", "arity", "params", "active",
-        "plan", "program_key", "components")
+LAZY = ("targets", "function_index", "output_targets", "active", "plan", "program_key",
+        "components")
 
 
 def test_lazy_attributes_are_built_once_and_kept():
@@ -338,6 +341,8 @@ def test_lazy_attributes_are_built_once_and_kept():
     class attribute is the descriptor, carrying the docstring."""
     g = random_genome(GenomeMode.PCGP, 2, 2, 8, np.random.default_rng(6))
     d = decode(g, DecodeSettings(recurrency=0.5), FSET)
+    assert sorted(n for n, v in vars(type(d)).items()
+                  if isinstance(v, DECODE._once)) == sorted(LAZY)
     for name in LAZY:
         assert name not in vars(d)
         value = getattr(d, name)
@@ -345,28 +350,57 @@ def test_lazy_attributes_are_built_once_and_kept():
     assert "canonical" in type(d).program_key.__doc__
 
 
-def test_recurrent_flag_definition():
-    rng = np.random.default_rng(9)
-    g = random_genome(GenomeMode.PCGP, 2, 1, 10, rng)
-    s = DecodeSettings(recurrency=0.8, input_start=-0.4)
-    d = decode(g, s, FSET)
-    node_pos = d.positions[d.n_in:]
-    for i in range(d.n_nodes):
-        for k in range(2):
-            expect = d.positions[d.targets[i, k]] >= node_pos[i]
-            assert d.recurrent_flags[i, k] == expect
+def _dot_edges(text):
+    """(source, node, dashed) per node edge that to_dot draws."""
+    edges = []
+    for line in text.splitlines():
+        if "-> n" in line:
+            source, rest = line.strip().split(" -> ")
+            edges.append((source, rest.split(" ")[0].rstrip(";"), "dashed" in rest))
+    return edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(GenomeMode)), st.integers(1, 3), st.integers(1, 3),
+       st.integers(0, 12), st.sampled_from([-1.0, -0.5, 0.0]),
+       st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.integers(0, 2**31 - 1))
+def test_previous_row_reads_follow_the_index_rule(mode, n_in, n_out, n_nodes, input_start,
+                                                   recurrency, seed):
+    """A read of the node itself or a later node is previous-row.  On
+    genes on a 1/8 grid, with an input gene of 0 and so ties at 0, the
+    plan's feedforward flag and to_dot's dashed edges agree with the
+    reference's rule by position: the target sits at or right of the
+    node."""
+    g = random_genome(mode, n_in, n_out, n_nodes, np.random.default_rng(seed))
+    inputs = None if g.inputs is None else np.round(g.inputs * 8) / 8
+    if inputs is not None:
+        inputs[0] = 0.0
+    g = make_genome(mode, n_in, n_out, np.round(g.nodes * 8) / 8,
+                    np.round(g.outputs * 8) / 8, inputs)
+    s = DecodeSettings(recurrency=recurrency, input_start=input_start)
+    ref = reference.decode_lists(g, s, FSET)
+    (_, _, feedforward), _ = reference.plan_and_key_oracle(ref, s.use_weights)
+    assert decode(g, s, FSET).plan.feedforward is feedforward
+    pos = ref.positions
+
+    def name(t):
+        return f"in{t}" if t < n_in else f"n{t - n_in}"
+
+    want = [(name(t), f"n{i}", pos[t] >= pos[n_in + i])
+            for i, ts in enumerate(ref.targets) if ref.active[i]
+            for t in ts[:ref.arity[i]]]
+    assert _dot_edges(to_dot(g, s, FSET)) == want
 
 
 # ------------------------------------------------ the reference decode
 # reference.decode_lists decodes every node with snap over explicit
-# candidate lists and pins every list and array attribute; the
+# candidate lists and pins every row and array attribute; the
 # reference's oracles pin the plan, key, components and traces.  decode
 # fills a node's row when something first reads it, so each genome is
 # read in two orders: the program first, and the full tables first.
 
-ARRAYS = dict(positions=("positions", float), targets=("targets", int),
-              output_targets=("outputs", int), function_index=("findex", int),
-              arity=("arity", int), params=("params", float), active=("active", bool))
+ARRAYS = dict(output_targets=("outputs", int), function_index=("findex", int),
+              active=("active", bool))
 
 
 def _array(a):
@@ -386,12 +420,10 @@ def _observe(d, program_first):
                           for aware in (False, True)]
 
     def tables():
-        seen["position_list"] = [x.hex() for x in d.position_list]
-        for name in ("target_list", "output_list", "function_list", "arity_list",
-                     "active_list"):
+        seen["rows"] = [(*row[:4], row[4].hex()) for row in map(d.row, range(d.n_nodes))]
+        for name in ("output_list", "active_list"):
             seen[name] = getattr(d, name)
-        seen["param_list"] = [x.hex() for x in d.param_list]
-        for name in (*ARRAYS, "recurrent_flags", "components"):
+        for name in (*ARRAYS, "targets", "components"):
             seen[name] = _array(getattr(d, name))
 
     for read in (program, tables) if program_first else (tables, program):
@@ -402,7 +434,7 @@ def _observe(d, program_first):
 def _expected(g, s):
     """_observe's view of g, computed by the reference."""
     ref = reference.decode_lists(g, s, FSET)
-    n_in, pos = g.n_in, ref.positions
+    n_in = g.n_in
     (nodes, outputs, feedforward), key = reference.plan_and_key_oracle(ref, s.use_weights)
 
     def frozen(values, dtype, shape):
@@ -416,16 +448,14 @@ def _expected(g, s):
         "key": key,
         "traces": [reference.trace_oracle(n_in, ref.targets, ref.arity, ref.outputs[k], aware)
                    for k in range(g.n_out) for aware in (False, True)],
-        "position_list": [x.hex() for x in pos],
-        "target_list": ref.targets, "output_list": ref.outputs,
-        "function_list": ref.findex, "arity_list": ref.arity, "active_list": ref.active,
-        "param_list": [x.hex() for x in ref.params],
-        "recurrent_flags": frozen([[pos[t] >= pos[n_in + i] for t in ts]
-                                   for i, ts in enumerate(ref.targets)], bool, (-1, 2)),
+        "rows": [(*t, f, k, c.hex())
+                 for t, f, k, c in zip(ref.targets, ref.findex, ref.arity, ref.params)],
+        "output_list": ref.outputs, "active_list": ref.active,
+        "targets": frozen(ref.targets, int, (-1, 2)),
         "components": frozen(reference.components_oracle(n_in, ref.targets), int, -1),
     }
     for name, (field, dtype) in ARRAYS.items():
-        want[name] = frozen(getattr(ref, field), dtype, (-1, 2) if name == "targets" else -1)
+        want[name] = frozen(getattr(ref, field), dtype, -1)
     return want
 
 
@@ -489,5 +519,5 @@ def test_decode_snaps_only_the_nodes_read(mode, n_out, n_nodes, recurrency, seed
                 trace = output_trace(d, k, aware)
                 assert snaps.call_count - before == 2 * len(trace - decoded)
                 decoded |= trace
-        d.target_list, d.components, d.recurrent_flags, d.params
+        d.targets, d.components
         assert snaps.call_count == n_out + 2 * n_nodes

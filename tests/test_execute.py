@@ -69,6 +69,15 @@ def test_input_length_checked():
         run_batch(d, np.zeros((4, 2)))
 
 
+def test_state_shape_checked():
+    g = cgp([[0.1, 0.1, f_gene("add"), 0.5], [0.1, 0.1, f_gene("sub"), 0.5]], [0.9])
+    d = decode(g, DecodeSettings(), FSET)
+    for state in (np.zeros(1), np.zeros(3), np.zeros((2, 1)), [0.0, 0.0]):
+        with pytest.raises(ValueError, match=r"state must be an array of shape \(2,\)"):
+            step(d, state, np.array([1.0]))
+    assert step(d, np.zeros(2), np.array([1.0]))[1].shape == (2,)
+
+
 def test_zero_nodes_pass_through():
     g = make_genome(GenomeMode.CGP, 2, 2, np.zeros((0, 4)), [0.1, 0.9])
     d = decode(g, DecodeSettings(), FSET)

@@ -89,7 +89,8 @@ def _silent_mutant(g, s, rng):
     nodes = g.nodes.copy()
     idle = ~graph.active
     nodes[idle, X_OFF:C_OFF] = rng.random((int(idle.sum()), 3))
-    unread = idle if s.use_weights else idle | (graph.arity > 0)
+    arity = np.array([graph.row(i)[3] for i in range(g.n_nodes)], dtype=int)
+    unread = idle if s.use_weights else idle | (arity > 0)
     nodes[unread, C_OFF] = rng.random(int(unread.sum()))
     return make_genome(g.mode, g.n_in, g.n_out, nodes, g.outputs, g.inputs)
 

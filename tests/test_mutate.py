@@ -9,12 +9,13 @@ from pcgp.decode import DecodeSettings, component_groups, connection_position, d
 from pcgp.errors import ConfigError, UnsupportedOperatorError
 from pcgp.functions import default_functions
 from pcgp.genome import (
-    GenomeMode, SizeBounds, flatten, make_genome, random_genome, validate_genome,
+    GenomeMode, SizeBounds, flatten, make_genome, node_position, random_genome,
+    validate_genome,
 )
 from pcgp.mutate import (
     MutationParams, add_probability, apply_mutation, gene_mutation, invert_connection_position,
     mixed_node_mutate, mixed_subgraph_mutate, node_addition, node_deletion, subgraph_addition,
-    subgraph_deletion,
+    reads_graph, subgraph_deletion,
 )
 
 import reference
@@ -35,6 +36,20 @@ def test_zero_rates_identity():
     p = params(node_rate=0.0, output_rate=0.0, input_rate=0.0)
     h = gene_mutation(g, p, np.random.default_rng(1))
     assert flatten(h).tolist() == flatten(g).tolist()
+
+
+@pytest.mark.parametrize("operator", ["gene", "mixed_node", "mixed_subgraph"])
+def test_graph_reading_mutation_needs_its_graph(operator):
+    g = random_genome(GenomeMode.PCGP, 2, 1, 12, np.random.default_rng(2))
+    for require_active in (True, False):
+        p = params(operator=operator, require_active=require_active, modify_rate=1.0)
+        if not reads_graph(p):
+            apply_mutation(g, p, SET, np.random.default_rng(3))
+            continue
+        with pytest.raises(ValueError, match="graph is None"):
+            apply_mutation(g, p, SET, np.random.default_rng(3))
+        with pytest.raises(ValueError, match="graph is None"):
+            gene_mutation(g, p, np.random.default_rng(3))
 
 
 def test_gene_change_rate_binomial():
@@ -199,7 +214,8 @@ def test_subgraph_addition_hits_pool_positions():
     p = params(delta_frac=0.3, bounds=SizeBounds(10, 40))  # adds 3
     h = subgraph_addition(g, p, s, rng)
     assert h.n_nodes == 11
-    positions = decode(h, s, FSET).positions
+    positions = np.array([node_position(h, j, s.input_start)
+                          for j in range(h.n_in + h.n_nodes)])
     new = h.nodes[h.nodes[:, -1] != marker]
     assert new.shape[0] == 3
     for row in new:
