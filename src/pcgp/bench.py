@@ -171,14 +171,15 @@ def _check_cartpole(g: Genome, episode_len: int):
 def _accuracy(graph: DecodedGraph, d: Dataset) -> float:
     outputs = run_supervised(graph, d.features)      # (n_out, rows)
     predicted = np.argmax(outputs, axis=0)
-    return float(np.mean(predicted == d.targets))
+    return np.count_nonzero(predicted == d.targets) / len(predicted)    # np.mean's value
 
 
 def _neg_mse(graph: DecodedGraph, d: Dataset) -> float:
     outputs = run_supervised(graph, d.features)
     # an error too large to square scores -inf, as it would without the warning
     with np.errstate(over="ignore"):
-        return float(-np.mean((outputs.T - d.targets) ** 2))
+        sq = (outputs.T - d.targets) ** 2
+        return float(-(np.add.reduce(sq, axis=None) / sq.size))    # -np.mean(sq)
 
 
 def _balance(graph: DecodedGraph, episode_len: int) -> float:
@@ -247,8 +248,9 @@ class MemoizedFitness:
     regression_fitness gives.  A call checks the genome against the
     task, decodes it and looks its DecodedGraph.program_key up; a miss
     scores the graph and stores the value, dropping the oldest entry
-    beyond MEMO_ENTRIES.  Scoring is deterministic, so a hit returns
-    exactly what scoring again would.
+    beyond MEMO_ENTRIES.  The key is read off the active rows, and only
+    a miss, which runs the program, builds its plan.  Scoring is
+    deterministic, so a hit returns exactly what scoring again would.
 
     decode fills only the active nodes' rows, which is all the key and
     the interpreter read, so neither a hit nor a miss decodes an

@@ -14,11 +14,11 @@ backward from the outputs and decodes a node only when the walk
 reaches it: both targets, function index, arity and parameter.  The
 walk yields the active flags together with exactly the rows that the
 plan and the program key read, so scoring a genome, memo hit or miss,
-never snaps an inactive node.  Every other node, most of a
-genome in practice, is decoded by the same per-node routine when an
-attribute that needs it is first read.  A node's row depends only on
-the genome, so what an attribute holds does not depend on when or in
-what order it is read.
+never snaps an inactive node, and a memo hit builds no plan either.
+Every other node, most of a genome in practice, is decoded by the same
+per-node routine when an attribute that needs it is first read.  A
+node's row depends only on the genome, so what an attribute holds does
+not depend on when or in what order it is read.
 
 Each point snaps with bisect.  The nearest entity wins; at equal
 distance the one on the left wins, and of several entities at one
@@ -122,14 +122,15 @@ class DecodedGraph:
     earlier entity is never read.
 
     decode fills the rows of the active nodes, and plan and program_key
-    read no other row.  output_targets and active are read-only numpy
-    views of output_list and active_list; targets, function_index and
-    components need every node, and the first read of any of them fills
-    every remaining row.  All of these are built on first read and then
-    kept; reads are serial, as nothing guards a first read or a filled
-    row against concurrent readers.  components labels every node
-    (active or not) with its weakly-connected component, numbered by
-    first appearance.
+    read no other row; the key reads them without the plan, which is
+    built on the program's first run.  output_targets and active are
+    read-only numpy views of output_list and active_list; targets,
+    function_index and components need every node, and the first read of
+    any of them fills every remaining row.  All of these are built on
+    first read and then kept; reads are serial, as nothing guards a first
+    read or a filled row against concurrent readers.  components labels
+    every node (active or not) with its weakly-connected component,
+    numbered by first appearance.
     """
 
     n_in: int
@@ -189,23 +190,26 @@ class DecodedGraph:
         """The canonical active program: graphs with equal keys compute
         the same outputs from the same inputs and state history.
 
-        Active nodes are renumbered in plan order, which keeps the
-        fresh-versus-previous-step reading of every connection.  Each
-        contributes its function index, the targets its arity uses and,
-        as float.hex so -0.0 and 0.0 differ, its parameter where it is
-        read: by a nullary function, or by every node when weighted.
+        Read off the active rows in ascending index order, without the
+        plan.  Active nodes are renumbered in that order, which keeps
+        the fresh-versus-previous-row reading of every connection, so
+        the key needs no feedforward flag.  Each contributes its
+        function index, the targets its arity uses and, as float.hex so
+        -0.0 and 0.0 differ, its parameter where it is read: by a
+        nullary function, or by every node when weighted.
         """
-        n_in, rows = self.n_in, self.rows
-        plan = self.plan
-        rank = {n_in + node[0]: n_in + k for k, node in enumerate(plan.nodes)}
+        n_in, rows, weighted = self.n_in, self.rows, self.use_weights
+        rank = list(range(n_in + self.n_nodes))
+        active = [i for i, on in enumerate(self.active_list) if on]
+        for k, i in enumerate(active, n_in):
+            rank[n_in + i] = k
         nodes = []
-        for i, *_ in plan.nodes:
-            row = rows[i]
-            k = row[3]
-            nodes.append((row[2], *[rank.get(t, t) for t in row[:k]],
-                          row[4].hex() if self.use_weights or k == 0 else None))
-        return (plan.feedforward, tuple(nodes),
-                tuple(rank.get(t, t) for t in plan.outputs))
+        for i in active:
+            ta, tb, fi, k, param = rows[i]
+            used = param.hex() if weighted or k == 0 else None
+            nodes.append((fi, rank[ta], rank[tb], used) if k == 2 else
+                         (fi, rank[ta], used) if k == 1 else (fi, used))
+        return tuple(nodes), tuple([rank[t] for t in self.output_list])
 
     @_once
     def components(self) -> np.ndarray:
@@ -356,11 +360,15 @@ def _reachable(n_in, n_nodes, row, roots, arity_aware) -> list[bool]:
         if seen[i]:
             continue
         seen[i] = True
-        r = row(i)
-        for t in r[:r[3] if arity_aware else 2]:
-            t -= n_in
-            if t >= 0 and not seen[t]:
-                stack.append(t)
+        a, b, _, k, _ = row(i)
+        if k or not arity_aware:
+            a -= n_in
+            if a >= 0 and not seen[a]:
+                stack.append(a)
+            if k == 2 or not arity_aware:
+                b -= n_in
+                if b >= 0 and not seen[b]:
+                    stack.append(b)
     return seen
 
 

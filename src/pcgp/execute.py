@@ -3,11 +3,11 @@
 The interpreter runs a plan on a sequence of input rows, node values
 carrying over from row to row.  step is one row of input scalars;
 run_batch is one row of input columns, valid only for a feedforward
-plan, which never reads a previous row; run_feedback is all rows in
-one call, computed on python floats, whose + - * / round and overflow
-to inf exactly as numpy's float64 does, on rows that may be made one
-at a time from the outputs of the row before, such as a cart-pole
-episode.
+plan, which never reads a previous row, holding its columns in a list;
+run_feedback is all rows in one call, computed on python floats,
+whose + - * / round and overflow to inf exactly as numpy's float64
+does, on rows that may be made one at a time from the outputs of the
+row before, such as a cart-pole episode.
 
 run_sequence, for data given in full, schedules by columns.  It splits
 the active nodes into the strongly connected components of their reads,
@@ -52,9 +52,10 @@ def reset(state: np.ndarray) -> np.ndarray:
 
 # (finite, zeroed): a node value v that finite(v) rejects becomes
 # zeroed(v).  The scalar rule is math.isfinite itself, so step and
-# run_sequence make no extra call per node.
+# run_sequence make no extra call per node.  The column rule checks the
+# column's sum: zeroed returns a finite column whose sum overflows as is.
 _SCALAR_RULE = (math.isfinite, lambda v: 0.0)
-_COLUMN_RULE = (lambda v: np.isfinite(v).all(),
+_COLUMN_RULE = (lambda v: math.isfinite(np.add.reduce(v, axis=None)),
                 lambda v: np.where(np.isfinite(v), v, 0.0))
 
 
@@ -106,7 +107,8 @@ def run_batch(graph: DecodedGraph, batch: np.ndarray) -> np.ndarray:
 
     batch is (rows, n_in); the result is (n_out, rows).  Raises
     ValueError when the active graph has recurrent data flow (use
-    run_sequence for that).
+    run_sequence for that).  Node columns are held in a list as
+    computed, so a nullary node's scalar is broadcast only into an output.
     """
     plan = graph.plan
     if not plan.feedforward:
@@ -114,12 +116,14 @@ def run_batch(graph: DecodedGraph, batch: np.ndarray) -> np.ndarray:
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 2 or batch.shape[1] != graph.n_in:
         raise ValueError(f"batch must be (rows, {graph.n_in})")
-    # a feedforward plan never reads last row's values, so cur starts as
-    # zeros; assigning into its rows broadcasts a nullary node's scalar
-    cur = np.zeros((graph.n_nodes, batch.shape[0]))
+    # a feedforward plan never reads last row's values
+    cur = [0.0] * graph.n_nodes
     (row,) = _evaluate(graph.n_in, plan.nodes, plan.outputs, graph.use_weights,
                        (batch.T,), cur, _COLUMN_RULE, [])
-    return np.array(row, dtype=float)
+    out = np.empty((graph.n_out, batch.shape[0]))
+    for k, column in enumerate(row):
+        out[k] = column
+    return out
 
 
 def _strong_components(reads: dict) -> list:

@@ -125,8 +125,7 @@ def plan_and_key_oracle(d: Decoded, use_weights: bool):
                        *[rank.get(t, t) for t in (ta, tb)[:arity[i]]],
                        param.hex() if use_weights or arity[i] == 0 else None)
                       for i, ta, tb, param in nodes)
-    return (nodes, d.outputs, feedforward), (feedforward, key_nodes,
-                                             tuple(rank.get(t, t) for t in d.outputs))
+    return (nodes, d.outputs, feedforward), (key_nodes, tuple(rank.get(t, t) for t in d.outputs))
 
 
 def components_oracle(n_in, targets):

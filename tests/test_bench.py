@@ -3,11 +3,13 @@
 import math
 import struct
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
+import pcgp.bench
 from pcgp.bench import (
     Dataset, MemoizedFitness, cartpole_fitness, classification_fitness, load_csv,
     regression_fitness,
@@ -238,6 +240,29 @@ def test_overflowing_error_scores_minus_inf_without_warning(recurrency):
         assert regression_fitness(g, d, settings, fset) == -math.inf
         assert MemoizedFitness(settings, fset, d)(g) == -math.inf
         assert reference.step_rows(decode(g, settings, fset), d) == -math.inf
+
+
+@hsettings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 40), st.integers(0, 308), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_fitness_reductions_are_np_mean(n_out, rows, exponent, ties, seed):
+    """_neg_mse and _accuracy give np.mean's value bitwise, on outputs up
+    to overflow and on argmax ties."""
+    rng, shape = np.random.default_rng(seed), (n_out, rows)
+    if ties:
+        outputs = rng.integers(-1, 2, shape) * 10.0 ** exponent
+    else:
+        outputs = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(0, exponent + 1, shape)
+    feats = np.zeros((rows, 1))
+    numbers = Dataset(feats, rng.normal(size=(rows, n_out)), "regression", feats[0], feats[0])
+    labels = Dataset(feats, rng.integers(0, n_out, rows), "classification", feats[0], feats[0],
+                     tuple("abc"[:n_out]))
+    with mock.patch.object(pcgp.bench, "run_supervised", lambda graph, batch: outputs):
+        with np.errstate(over="ignore"):
+            want = float(-np.mean((outputs.T - numbers.targets) ** 2))
+        assert pcgp.bench._neg_mse(None, numbers).hex() == want.hex()
+        want = float(np.mean(np.argmax(outputs, axis=0) == labels.targets))
+        assert pcgp.bench._accuracy(None, labels).hex() == want.hex()
 
 
 # ---------------------------------------------------------------- cart-pole

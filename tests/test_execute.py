@@ -244,6 +244,39 @@ def test_run_sequence_by_columns_hand_built(name, weights):
         assert got.tobytes() == stepped(d, xs).tobytes()
 
 
+# one-input CGP genomes at recurrency 0 on the edges of the column
+# kernel: (nodes, outputs, the input column, the outputs unweighted)
+BATCH_EDGES = {
+    # abs gives finite values whose sum overflows; add overflows to inf
+    "finite column whose sum overflows": (
+        [[0.5, 0.5, f_gene("abs"), 0.5], [0.6, 0.6, f_gene("add"), 0.5]], [0.5, 0.9],
+        [1e308, -1e308, 1e308, 0.5], [[1e308, 1e308, 1e308, 0.5], [0.0, 0.0, 0.0, 1.0]]),
+    "const output": (
+        [[0.1, 0.1, f_gene("const"), 0.75]], [0.9], [1.0, 2.0, 3.0], [[0.5, 0.5, 0.5]]),
+    "output reads the input": (
+        [[0.1, 0.1, f_gene("abs"), 0.5]], [0.1], [1.0, -2.0, 3.0], [[1.0, -2.0, 3.0]]),
+    # node 2 divides two constants, a scalar; node 3 multiplies it by the input
+    "node of two constants": (
+        [[0.5, 0.5, f_gene("const"), 0.75], [0.5, 0.5, f_gene("const"), 0.1],
+         [0.43, 0.72, f_gene("pdiv"), 0.5], [0.78, 0.11, f_gene("mult"), 0.5]], [0.7, 0.9],
+        [1.0, -2.0, 3.0], [[-0.625, -0.625, -0.625], [-0.625, 1.25, -1.875]]),
+}
+
+
+@pytest.mark.parametrize("weights", [False, True])
+@pytest.mark.parametrize("name", list(BATCH_EDGES))
+def test_batch_edge_cases_match_stepping(name, weights):
+    nodes, outputs, column, want = BATCH_EDGES[name]
+    d = decode(cgp(nodes, outputs), DecodeSettings(use_weights=weights), FSET)
+    assert d.plan.feedforward
+    xs = np.array(column)[:, None]
+    if not weights:
+        assert run_batch(d, xs).tolist() == want
+    expected = stepped(d, xs).tobytes()
+    assert run_batch(d, xs).tobytes() == expected
+    assert run_sequence(d, xs).tobytes() == expected
+
+
 def test_strong_components_need_no_recursion():
     # a ring and a chain far deeper than the interpreter's recursion limit
     n = 5000

@@ -119,6 +119,30 @@ def test_equal_program_keys_score_bitwise_equal(task, mode, recurrency, use_weig
         assert scores.setdefault(key(g, s), value) == value
 
 
+@pytest.mark.parametrize("task", sorted(TASKS))
+def test_memo_hit_builds_no_plan(task, monkeypatch):
+    """The key is read off the active rows, so only a miss, which runs
+    the program, builds its plan."""
+    s = DecodeSettings(recurrency=0.6, input_start=-0.5)
+    rng = np.random.default_rng(5)      # several active nodes, binary ones among them
+    parent = random_genome(GenomeMode.PCGP, 4, TASKS[task][0], 8, rng)
+    mutant = _silent_mutant(parent, s, rng)
+    assert mutant.nodes.tobytes() != parent.nodes.tobytes()
+    fresh = decode(parent, s, FSET)
+    assert fresh.program_key == key(mutant, s) and "plan" not in vars(fresh)
+    graphs = []
+
+    def decoding(*args):
+        graphs.append(decode(*args))
+        return graphs[-1]
+
+    monkeypatch.setattr(pcgp.bench, "decode", decoding)
+    memo = MemoizedFitness(s, FSET, data=TASKS[task][2], episode_len=EPISODE)
+    assert memo(parent) == memo(mutant) and len(memo._memo) == 1
+    miss, hit = graphs
+    assert "plan" in vars(miss) and "plan" not in vars(hit)
+
+
 # ---------------------------------------------------------- memoized runs
 
 def log_bytes(log, path):
