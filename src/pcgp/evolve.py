@@ -1,10 +1,12 @@
 """Evolution loops: an elitist 1+lambda EA and a generational GA.
 
 Both are deterministic given (params, seed): every child gets its own
-random stream derived from (seed, generation, slot).  Fitness is
-evaluated serially, in slot order; the workers setting is accepted and
-validated but has no effect, because a thread pool over GIL-bound
-Python ran slower than one thread.
+random stream, bit for bit np.random.default_rng([seed, generation,
+slot]), which pcgp.streams seeds in batches of hundreds of
+(generation, slot) pairs.  Fitness is evaluated serially, in slot
+order; the workers setting is accepted and validated but has no
+effect, because a thread pool over GIL-bound Python ran slower than
+one thread.
 
 Each loop keeps a decoded graph per population slot, None until an
 operator or the active-node count first reads it.  Elites, copies and
@@ -134,19 +136,6 @@ def evaluate_population(genomes, fit):
     return [call(g) for g in genomes]
 
 
-def _stream(seed: int, generation: int, slot: int) -> np.random.Generator:
-    """np.random.default_rng([seed, generation, slot]), seeded with the
-    entropy it builds: each integer's 32-bit words, low word first."""
-    words = []
-    for n in (seed, generation, slot):
-        words.append(n & 0xFFFFFFFF)
-        while n >> 32:
-            n >>= 32
-            words.append(n & 0xFFFFFFFF)
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(np.array(words, dtype=np.uint32))))
-
-
 def _evaluate(genomes, fit, generation, evaluations):
     try:
         return evaluate_population(genomes, fit)
@@ -170,8 +159,11 @@ def one_plus_lambda(fit, params: EvoParams, on_record=None):
     Offspring replace the parent when at least as fit.  Returns the
     final parent and one RunRecord per generation.
     """
+    from .streams import Streams    # loads numpy.random; see pcgp.streams
+
+    stream = Streams(params.seed, params.lambda_)
     parent = random_genome(params.mode, params.n_in, params.n_out, params.n_nodes,
-                           _stream(params.seed, 0, 0))
+                           stream(0, 0))
     parent_fit = _evaluate([parent], fit, 0, 0)[0]
     evaluations = 1
     generation = 0
@@ -181,7 +173,7 @@ def one_plus_lambda(fit, params: EvoParams, on_record=None):
         generation += 1
         children = [
             apply_mutation(parent, params.mutation, params.settings,
-                           _stream(params.seed, generation, slot), graph)
+                           stream(generation, slot), graph)
             for slot in range(params.lambda_)
         ]
         fits = _evaluate(children, fit, generation, evaluations)
@@ -236,9 +228,12 @@ def ga(fit, params: EvoParams, on_record=None):
     distinct tournament winners, then mutants of tournament winners,
     then plain copies; only newly created individuals cost evaluations.
     """
+    from .streams import Streams
+
+    stream = Streams(params.seed, params.population)
     pop = [
         random_genome(params.mode, params.n_in, params.n_out, params.n_nodes,
-                      _stream(params.seed, 0, slot))
+                      stream(0, slot))
         for slot in range(params.population)
     ]
     graphs = [None] * params.population
@@ -258,7 +253,7 @@ def ga(fit, params: EvoParams, on_record=None):
         elite = sorted(range(len(fits)), key=fits.__getitem__, reverse=True)[:elites]
         fresh, fresh_graphs = [], []
         for k in range(crossed):
-            slot_rng = _stream(params.seed, generation, elites + k)
+            slot_rng = stream(generation, elites + k)
             first = _tournament(fits, params.tournament_size, slot_rng)
             second = first
             for _ in range(100):
@@ -273,7 +268,7 @@ def ga(fit, params: EvoParams, on_record=None):
                                          slot_rng, bounds, pair))
             fresh_graphs.append(None)
         for k in range(mutated):
-            slot_rng = _stream(params.seed, generation, elites + crossed + k)
+            slot_rng = stream(generation, elites + crossed + k)
             winner = _tournament(fits, params.tournament_size, slot_rng)
             graph = _graph(graphs, pop, winner, params) if mutate_graph else None
             child = apply_mutation(pop[winner], params.mutation, params.settings,
@@ -284,7 +279,7 @@ def ga(fit, params: EvoParams, on_record=None):
         evaluations += len(fresh)
         copies = [
             _tournament(fits, params.tournament_size,
-                        _stream(params.seed, generation, elites + crossed + mutated + k))
+                        stream(generation, elites + crossed + mutated + k))
             for k in range(copied)
         ]
         # elites and copies are gathered after variation, so they carry

@@ -25,11 +25,11 @@ avoids each fast path of the package:
   the dataclass fields (config._build).
 
 The loops derive each slot's stream with default_rng([seed,
-generation, slot]), which pcgp.evolve._stream reproduces from the
-integers' 32-bit words, so run(cfg) must give the
-RunRecords and best genome of make_fitness, build_evo_params and
-run_evolution.  A speed change proves itself against this module and
-copies no old code into the tests.
+generation, slot]), which pcgp.streams.Streams reproduces by hashing
+the seeds of many (generation, slot) pairs at once, so run(cfg) must
+give the RunRecords and best genome of make_fitness, build_evo_params
+and run_evolution.  A speed change proves itself against this module
+and copies no old code into the tests.
 """
 
 import math
