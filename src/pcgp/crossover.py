@@ -11,7 +11,8 @@ seams (explicit cut offset, weight vector, output choices, component
 picks) so tests can pin them down.
 
 Those in READS_GRAPHS read the parents' decoded graphs, which the
-caller hands them as a pair; no operator decodes.
+caller hands them as a pair; without them they raise ValueError, before
+any other check.  No operator decodes.
 
 Crossover enforces only size_max.  The four operators that do not read
 graphs give a child whose node count lies between its parents' counts.
@@ -55,6 +56,11 @@ def _check_mates(a: Genome, b: Genome):
 def _require_pcgp(a: Genome, what: str):
     if a.mode is not GenomeMode.PCGP:
         raise UnsupportedOperatorError(f"{what} crossover is defined only for positional genomes")
+
+
+def _require_graphs(graphs, what: str):
+    if graphs is None:
+        raise ValueError(f"{what} crossover reads the parents' decoded graphs, but graphs is None")
 
 
 def _coin_mix(av: np.ndarray, bv: np.ndarray, rng) -> np.ndarray:
@@ -178,6 +184,7 @@ def output_graph(a: Genome, b: Genome, graphs, rng, bounds: SizeBounds | None = 
     size set-up; none when output_choices is given), the choice of
     _cap_rows, then random(n_in) for the input coins.
     """
+    _require_graphs(graphs, "output graph")
     _require_pcgp(a, "output graph")
     _check_mates(a, b)
     if output_choices is None:
@@ -213,6 +220,7 @@ def subgraph(a: Genome, b: Genome, graphs, rng, bounds: SizeBounds | None = None
     Component selection masks can be injected for tests; input and
     output genes are per-gene coin flips.
     """
+    _require_graphs(graphs, "subgraph")
     _require_pcgp(a, "subgraph")
     _check_mates(a, b)
     parts = []
@@ -234,9 +242,6 @@ def apply_crossover(a: Genome, b: Genome, operator: str, rng,
                     bounds: SizeBounds | None = None, graphs=None) -> Genome:
     """A child of a and b by operator; graphs, the parents' decoded
     graphs as a pair, must be given when operator is in READS_GRAPHS."""
-    if graphs is None and operator in READS_GRAPHS:
-        raise ValueError(f"{operator} crossover reads the parents' decoded graphs, "
-                         "but graphs is None")
     if operator == "single_point":
         return single_point(a, b, rng)
     if operator == "random_node":

@@ -6,7 +6,8 @@ enforced by truncating the edit rather than failing, so application
 always succeeds.  The subgraph pair works only on positional genomes.
 
 Operators that read the parent's decoded graph (reads_graph says
-which) are handed it by the caller; no operator decodes.
+which) are handed it by the caller and raise ValueError without it,
+before any other check; no operator decodes.
 """
 
 from __future__ import annotations
@@ -51,10 +52,9 @@ def reads_graph(params: MutationParams) -> bool:
     return params.require_active or params.operator == "mixed_subgraph"
 
 
-def _require_graph(graph, params: MutationParams):
-    if graph is None and reads_graph(params):
-        raise ValueError(f"{params.operator} mutation (require_active={params.require_active})"
-                         " reads the parent's decoded graph, but graph is None")
+def _require_graph(graph, what: str):
+    if graph is None:
+        raise ValueError(f"{what} reads the parent's decoded graph, but graph is None")
 
 
 def _require_pcgp(g: Genome, what: str):
@@ -79,7 +79,8 @@ def gene_mutation(g: Genome, params: MutationParams, rng, graph=None) -> Genome:
     attempts), so offspring are never behaviorally silent copies; graph,
     the parent's decoded graph, is read only then.
     """
-    _require_graph(graph, params)
+    if params.require_active:
+        _require_graph(graph, "gene mutation with require_active")
     active = None
     if params.require_active and g.n_nodes:
         flags = graph.active
@@ -133,6 +134,8 @@ def add_probability(n_nodes: int, params: MutationParams) -> float:
 
 
 def mixed_node_mutate(g: Genome, params: MutationParams, rng, graph=None) -> Genome:
+    if params.require_active:
+        _require_graph(graph, "mixed_node mutation with require_active")
     u = rng.random()
     if u < params.modify_rate:
         return gene_mutation(g, params, rng, graph)
@@ -192,6 +195,7 @@ def subgraph_deletion(g: Genome, params: MutationParams, rng, graph) -> Genome:
     Falls back to plain node deletion when every component is a
     singleton.
     """
+    _require_graph(graph, "subgraph deletion")
     _require_pcgp(g, "subgraph deletion")
     multi = [c for c in component_groups(graph) if c.size > 1]
     if not multi:
@@ -205,6 +209,7 @@ def subgraph_deletion(g: Genome, params: MutationParams, rng, graph) -> Genome:
 
 def mixed_subgraph_mutate(g: Genome, params: MutationParams, settings: DecodeSettings,
                           rng, graph) -> Genome:
+    _require_graph(graph, "mixed_subgraph mutation")
     _require_pcgp(g, "mixed subgraph mutation")
     u = rng.random()
     if u < params.modify_rate:
@@ -218,7 +223,6 @@ def apply_mutation(g: Genome, params: MutationParams, settings: DecodeSettings,
                    rng, graph=None) -> Genome:
     """A child of g by params.operator; graph, g's decoded graph, must be
     given when reads_graph(params) is true."""
-    _require_graph(graph, params)
     if params.operator == "gene":
         return gene_mutation(g, params, rng, graph)
     if params.operator == "mixed_node":

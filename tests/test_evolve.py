@@ -16,7 +16,6 @@ import pcgp.crossover
 import pcgp.evolve
 import pcgp.mutate
 from pcgp.config import build_evo_params, load_preset, make_fitness, preset_names
-from pcgp.crossover import READS_GRAPHS, apply_crossover
 from pcgp.decode import DecodeSettings, decode
 from pcgp.errors import ConfigError
 from pcgp.evolve import (
@@ -30,11 +29,12 @@ from pcgp.evolve import (
     run_evolution,
 )
 from pcgp.functions import default_functions
-from pcgp.genome import GenomeMode, SizeBounds, flatten, random_genome, validate_genome
-from pcgp.mutate import MutationParams, apply_mutation, reads_graph
+from pcgp.genome import GenomeMode, SizeBounds, flatten, random_genome
+from pcgp.mutate import MutationParams
 from pcgp.streams import Streams
 
 import reference
+from test_operator_laws import CASES, LAWS, case_id
 
 FSET = default_functions()
 
@@ -461,18 +461,6 @@ def test_decode_is_looked_up_at_call_time_in_every_module(tmp_path, monkeypatch)
         run_evolution(fit, build_evo_params(cfg, n_in, n_out))
     assert sorted(calls) == ["pcgp.bench", "pcgp.evolve"], calls
 
-    before = dict(calls)
-    params = build_evo_params(rl, 4, 1)
-    rng = np.random.default_rng(0)
-    a, b = (random_genome(GenomeMode.PCGP, 4, 1, 6, rng) for _ in range(2))
-    graphs = tuple(decode(g, params.settings, params.functions) for g in (a, b))
-    pcgp.crossover.output_graph(a, b, graphs, rng)
-    pcgp.crossover.subgraph(a, b, graphs, rng)
-    pcgp.mutate.gene_mutation(a, params.mutation, rng, graphs[0])
-    pcgp.mutate.mixed_subgraph_mutate(a, replace(params.mutation, modify_rate=0.0),
-                                      params.settings, rng, graphs[0])
-    assert calls == before
-
 
 @pytest.mark.parametrize("preset, overrides", [
     ("e3_rl", {}),
@@ -506,119 +494,6 @@ def test_loops_decode_each_individual_at_most_once(monkeypatch, preset, override
     assert len(ids) == len(set(ids))
 
 
-# --------------------------------------------- which operators read graphs
-
-class Tripwire:
-    """Stand-in for a graph the tables say is unread: any attribute read raises."""
-
-    def __getattribute__(self, name):
-        raise AssertionError(f"read .{name} of a graph the tables say is unread")
-
-
-class Reads:
-    """A decoded graph that counts the attribute reads made through it."""
-
-    def __init__(self, graph):
-        self.graph, self.count = graph, 0
-
-    def __getattr__(self, name):
-        self.count += 1
-        return getattr(self.graph, name)
-
-
-def _supports(mode, op, positional_only):
-    return mode is GenomeMode.PCGP or op not in positional_only
-
-
-OPERATOR_CASES = (
-    [("mutation", op, active, mode)
-     for op in pcgp.mutate.OPERATORS for active in (False, True) for mode in GenomeMode
-     if _supports(mode, op, pcgp.mutate.POSITIONAL_ONLY)]
-    + [("crossover", op, False, mode)
-       for op in pcgp.crossover.OPERATORS for mode in GenomeMode
-       if _supports(mode, op, pcgp.crossover.POSITIONAL_ONLY)])
-
-
-def _tables_say_read(kind, op, active):
-    if kind == "mutation":
-        return reads_graph(MutationParams(SizeBounds(0, 20), operator=op,
-                                          require_active=active))
-    return op in READS_GRAPHS
-
-
-def _vary(case, seed, modify_rate=0.5):
-    """One child from the case's operator, handed counting graphs where the
-    tables say it reads them and Tripwires elsewhere; returns the reads."""
-    kind, op, active, mode = case
-    rng = np.random.default_rng(seed)
-    a, b = (random_genome(mode, 2, 2, int(rng.integers(0, 13)), rng) for _ in range(2))
-    s = DecodeSettings(input_start=-0.5)
-    reads = []
-    if _tables_say_read(kind, op, active):
-        reads = [Reads(decode(g, s, FSET)) for g in (a, b)]
-    graph_a, graph_b = reads or (Tripwire(), Tripwire())
-    if kind == "mutation":
-        p = MutationParams(SizeBounds(0, 20), node_rate=0.1, delta_frac=0.3,
-                           modify_rate=modify_rate, operator=op, require_active=active)
-        child = apply_mutation(a, p, s, rng, graph_a)
-    else:
-        child = apply_crossover(a, b, op, rng, SizeBounds(0, 20), (graph_a, graph_b))
-    validate_genome(child)
-    return sum(r.count for r in reads)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(OPERATOR_CASES), st.integers(0, 2**31 - 1), st.floats(0.0, 1.0))
-def test_graph_tables_cover_every_graph_read(case, seed, modify_rate):
-    """reads_graph and READS_GRAPHS are the only record of which operators
-    read a graph: every mutation operator with and without require_active
-    and every crossover, in each mode it supports, reads no attribute of
-    a graph the tables say it does not read."""
-    _vary(case, seed, modify_rate)
-
-
-@pytest.mark.parametrize("case", [c for c in OPERATOR_CASES if _tables_say_read(*c[:3])],
-                         ids=lambda c: "-".join(map(str, c[:3])) + "-" + c[3].value)
-def test_graph_tables_name_only_graph_readers(case):
-    """Every operator the tables say reads a graph does read one."""
-    assert sum(_vary(case, seed) for seed in range(20))
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(OPERATOR_CASES), st.booleans(), st.integers(0, 2**31 - 1))
-def test_size_rule(case, inverted, seed):
-    """Crossover enforces only size_max: output_graph and subgraph
-    children may fall below size_min, and the other four stay between
-    their parents' sizes.  Mutation keeps a size inside the bounds inside
-    them; below size_min it never changes it unless add_inverted is
-    set, and then it only grows it."""
-    kind, op, active, mode = case
-    rng = np.random.default_rng(seed)
-    bounds = SizeBounds(10, 30)
-    a, b = (random_genome(mode, 2, 2, int(rng.integers(0, 31)), rng) for _ in range(2))
-    s = DecodeSettings(input_start=-0.5)
-    graphs = [decode(g, s, FSET) for g in (a, b)]
-    if kind == "crossover":
-        n = apply_crossover(a, b, op, rng, bounds, graphs).n_nodes
-        low, high = sorted((a.n_nodes, b.n_nodes))
-        assert n <= 30 if op in ("output_graph", "subgraph") else low <= n <= high
-    else:
-        p = MutationParams(bounds, delta_frac=0.3, operator=op, require_active=active,
-                           add_inverted=inverted)
-        n = apply_mutation(a, p, s, rng, graphs[0]).n_nodes
-        assert n == a.n_nodes if a.n_nodes < 10 and not inverted else min(a.n_nodes, 10) <= n <= 30
-
-
-def test_graph_crossovers_fall_below_size_min():
-    """Parents at size_min give output_graph and subgraph children below it."""
-    rng = np.random.default_rng(1)
-    a, b = (random_genome(GenomeMode.PCGP, 2, 2, 10, rng) for _ in range(2))
-    graphs = [decode(g, DecodeSettings(), FSET) for g in (a, b)]
-    for op in ("output_graph", "subgraph"):
-        assert min(apply_crossover(a, b, op, rng, SizeBounds(10, 30), graphs).n_nodes
-                   for _ in range(20)) < 10, op
-
-
 # -------------------------------------------------- the reference pipeline
 
 @pytest.fixture(scope="module")
@@ -634,8 +509,7 @@ def tiny_data(tmp_path_factory):
     return paths
 
 
-@pytest.mark.parametrize("case", OPERATOR_CASES,
-                         ids=lambda c: "-".join(map(str, c[:3])) + "-" + c[3].value)
+@pytest.mark.parametrize("case", CASES, ids=case_id)
 @settings(max_examples=3, deadline=None)
 @given(preset=st.sampled_from(preset_names()),
        task=st.sampled_from(["rl", "classification", "regression"]),
@@ -653,17 +527,16 @@ def test_runs_match_the_reference_pipeline(tiny_data, case, preset, task, recurr
     genome bytes as reference.run, which takes none of those paths, or
     fails in the same generation for the same cause.  Mutation cases run
     1+lambda, crossover cases the GA."""
-    kind, op, case_active, mode = case
-    cfg = dict(load_preset(preset), mode=mode.value, task=task, data=tiny_data.get(task),
+    law, case_active = case
+    cfg = dict(load_preset(preset), mode=law.mode.value, task=task, data=tiny_data.get(task),
                recurrency=recurrency, use_weights=weights, n_nodes=6, budget=60,
                episode_len=15, population=10, seed=seed)
-    if kind == "mutation":
-        cfg.update(algorithm="one_plus_lambda", operator=op, require_active=case_active,
+    if law.kind == "mutation":
+        cfg.update(algorithm="one_plus_lambda", operator=law.op, require_active=case_active,
                    crossover=None)
     else:
-        mutations = [m for m in pcgp.mutate.OPERATORS
-                     if _supports(mode, m, pcgp.mutate.POSITIONAL_ONLY)]
-        cfg.update(algorithm="ga", crossover=op, operator=mutations[pick % len(mutations)],
+        mutations = [m.op for m in LAWS if m.kind == "mutation" and m.mode is law.mode]
+        cfg.update(algorithm="ga", crossover=law.op, operator=mutations[pick % len(mutations)],
                    require_active=active)
 
     def outcome(run):

@@ -2,23 +2,18 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hsettings, strategies as st
 
-import pcgp.mutate
 from pcgp.decode import DecodeSettings, component_groups, connection_position, decode
-from pcgp.errors import ConfigError, UnsupportedOperatorError
+from pcgp.errors import ConfigError
 from pcgp.functions import default_functions
 from pcgp.genome import (
     GenomeMode, SizeBounds, flatten, make_genome, node_position, random_genome,
     validate_genome,
 )
 from pcgp.mutate import (
-    MutationParams, add_probability, apply_mutation, gene_mutation, invert_connection_position,
-    mixed_node_mutate, mixed_subgraph_mutate, node_addition, node_deletion, subgraph_addition,
-    reads_graph, subgraph_deletion,
+    MutationParams, add_probability, gene_mutation, invert_connection_position,
+    mixed_node_mutate, node_addition, node_deletion, subgraph_addition, subgraph_deletion,
 )
-
-import reference
 
 FSET = default_functions()
 SET = DecodeSettings()
@@ -36,20 +31,6 @@ def test_zero_rates_identity():
     p = params(node_rate=0.0, output_rate=0.0, input_rate=0.0)
     h = gene_mutation(g, p, np.random.default_rng(1))
     assert flatten(h).tolist() == flatten(g).tolist()
-
-
-@pytest.mark.parametrize("operator", ["gene", "mixed_node", "mixed_subgraph"])
-def test_graph_reading_mutation_needs_its_graph(operator):
-    g = random_genome(GenomeMode.PCGP, 2, 1, 12, np.random.default_rng(2))
-    for require_active in (True, False):
-        p = params(operator=operator, require_active=require_active, modify_rate=1.0)
-        if not reads_graph(p):
-            apply_mutation(g, p, SET, np.random.default_rng(3))
-            continue
-        with pytest.raises(ValueError, match="graph is None"):
-            apply_mutation(g, p, SET, np.random.default_rng(3))
-        with pytest.raises(ValueError, match="graph is None"):
-            gene_mutation(g, p, np.random.default_rng(3))
 
 
 def test_gene_change_rate_binomial():
@@ -104,14 +85,6 @@ def test_node_addition_counts():
     # partial truncation: room for one of the two
     near = random_genome(GenomeMode.CGP, 2, 1, 39, rng)
     assert node_addition(near, params(delta_frac=0.2), rng).n_nodes == 40
-
-
-def test_node_addition_keeps_pcgp_sorted():
-    rng = np.random.default_rng(4)
-    g = random_genome(GenomeMode.PCGP, 2, 1, 12, rng)
-    h = node_addition(g, params(delta_frac=0.5), rng)
-    assert h.n_nodes == 17
-    assert np.all(np.diff(h.nodes[:, 0]) >= 0)
 
 
 def test_node_deletion_counts():
@@ -169,18 +142,6 @@ def test_mixed_node_always_modifies_when_modify_rate_is_one():
 
 
 # ---------------------------------------------------- subgraph operators
-
-def test_subgraph_ops_reject_plain_mode():
-    rng = np.random.default_rng(0)
-    g = random_genome(GenomeMode.CGP, 2, 1, 12, rng)
-    with pytest.raises(UnsupportedOperatorError):
-        subgraph_addition(g, params(), SET, rng)
-    graph = decode(g, SET, FSET)
-    with pytest.raises(UnsupportedOperatorError):
-        subgraph_deletion(g, params(), rng, graph)
-    with pytest.raises(UnsupportedOperatorError):
-        mixed_subgraph_mutate(g, params(), SET, rng, graph)
-
 
 def test_invert_connection_round_trip():
     rng = np.random.default_rng(21)
@@ -291,69 +252,3 @@ def test_subgraph_deletion_deletes_from_the_drawn_component():
         h = subgraph_deletion(g, params(bounds=SizeBounds(0, 40)), np.random.default_rng(seed), d)
         gone = set(pos) - set(h.nodes[:, 0].tolist())
         assert len(gone) == 1 and gone <= {pos[i] for i in comps[k]}
-
-
-# ------------------------------------------------------------ properties
-
-@hsettings(max_examples=60, deadline=None)
-@given(st.sampled_from(["gene", "mixed_node", "mixed_subgraph"]),
-       st.integers(0, 2**31 - 1))
-def test_children_always_valid(op, seed):
-    rng = np.random.default_rng(seed)
-    mode = GenomeMode.PCGP if op == "mixed_subgraph" else \
-        (GenomeMode.CGP if rng.random() < 0.5 else GenomeMode.PCGP)
-    n = int(rng.integers(5, 20))
-    g = random_genome(mode, 2, 2, n, rng)
-    p = params(operator=op, bounds=SizeBounds(5, 20),
-               node_rate=float(rng.uniform(0.1, 1.0)),
-               require_active=bool(rng.integers(0, 2)),
-               delta_frac=float(rng.uniform(0.1, 0.5)),
-               modify_rate=float(rng.uniform(0.1, 0.9)))
-    s = DecodeSettings(recurrency=float(rng.random()), input_start=-0.5)
-    h = apply_mutation(g, p, s, rng, decode(g, s, FSET))
-    validate_genome(h)
-    assert 5 <= h.n_nodes <= 20
-
-
-def test_operators_deterministic_under_seed():
-    g = random_genome(GenomeMode.PCGP, 2, 2, 15, np.random.default_rng(0))
-    p = params(operator="mixed_subgraph", bounds=SizeBounds(5, 20))
-    s = DecodeSettings(recurrency=0.4, input_start=-0.5)
-    graph = decode(g, s, FSET)
-    a = apply_mutation(g, p, s, np.random.default_rng(99), graph)
-    b = apply_mutation(g, p, s, np.random.default_rng(99), graph)
-    assert flatten(a).tolist() == flatten(b).tolist()
-
-
-def _refuse_decode(*_args):
-    raise AssertionError("an operator decoded")
-
-
-@hsettings(max_examples=80, deadline=None)
-@given(st.sampled_from(["gene_mutation", "subgraph_deletion",
-                        "gene", "mixed_node", "mixed_subgraph"]),
-       st.integers(0, 15), st.sampled_from([0.0, 0.2, 1.0]), st.integers(0, 2**31 - 1))
-def test_given_graph_matches_decoding(op, n_nodes, recurrency, seed):
-    """Handed the parent's graph, gene_mutation with require_active,
-    subgraph_deletion and apply_mutation decode nothing and give the
-    child bytes and leave the stream state they give when handed the
-    reference decode of the parent."""
-    rng = np.random.default_rng(seed)
-    g = random_genome(GenomeMode.PCGP, 2, 2, n_nodes, rng)
-    p = params(operator="gene" if op in ("gene_mutation", "subgraph_deletion") else op,
-               bounds=SizeBounds(0, 20), node_rate=0.05, require_active=True,
-               delta_frac=float(rng.uniform(0.1, 0.5)),
-               modify_rate=float(rng.uniform(0.1, 0.9)))
-    s = DecodeSettings(recurrency=recurrency, input_start=-0.5)
-    call = {"gene_mutation": lambda r, graph: gene_mutation(g, p, r, graph),
-            "subgraph_deletion": lambda r, graph: subgraph_deletion(g, p, r, graph),
-            }.get(op, lambda r, graph: apply_mutation(g, p, s, r, graph))
-    r_ref, r_new = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-    want = call(r_ref, reference.decode(g, s, FSET))
-    graph = decode(g, s, FSET)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pcgp.mutate, "decode", _refuse_decode)
-        got = call(r_new, graph)
-    assert flatten(got).tobytes() == flatten(want).tobytes()
-    assert got.n_nodes == want.n_nodes
-    assert r_new.bit_generator.state == r_ref.bit_generator.state
