@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hsettings
 
 from pcgp.crossover import (
     aligned_node, apply_crossover, output_graph, proportional, random_node, single_point, subgraph,
@@ -12,6 +13,8 @@ from pcgp.execute import run_supervised
 from pcgp.functions import default_functions
 from pcgp.genome import GenomeMode, SizeBounds, flatten, make_genome, random_genome
 from pcgp.mutate import invert_connection_position
+
+from test_operator_laws import X, check_child, check_determinism, check_handoff, draws
 
 FSET = default_functions()
 SET = DecodeSettings(input_start=-1.0)
@@ -78,6 +81,13 @@ def test_single_point_child_node_count_follows_suffix_owner():
     assert counts == {5, 9}
 
 
+def test_single_point_self_fixpoint():
+    for seed in range(30):
+        a = rnd(GenomeMode.PCGP, 6, seed)
+        child = single_point(a, a, np.random.default_rng(seed + 100))
+        assert flatten(child).tolist() == flatten(a).tolist()
+
+
 def test_single_point_rejects_non_boundary_cut():
     a, b = rnd(GenomeMode.CGP, 4, 0), rnd(GenomeMode.CGP, 4, 1)
     with pytest.raises(ValueError):
@@ -91,6 +101,21 @@ def test_random_node_counts():
     assert random_node(rnd(GenomeMode.CGP, 10, 1), rnd(GenomeMode.CGP, 10, 2), rng).n_nodes == 10
     assert random_node(rnd(GenomeMode.CGP, 1, 3), rnd(GenomeMode.CGP, 1, 4), rng).n_nodes == 1
     assert random_node(rnd(GenomeMode.CGP, 5, 5), rnd(GenomeMode.CGP, 9, 6), rng).n_nodes == 2 + 5
+
+
+def test_random_node_self_fixpoint_positional():
+    for seed in range(30):
+        a = rnd(GenomeMode.PCGP, 8, seed)
+        child = random_node(a, a, np.random.default_rng(seed + 50))
+        assert flatten(child).tolist() == flatten(a).tolist()
+
+
+def test_random_node_self_is_permutation_for_plain_mode():
+    a = rnd(GenomeMode.CGP, 8, 11)
+    child = random_node(a, a, np.random.default_rng(12))
+    got = sorted(map(tuple, child.nodes.tolist()))
+    want = sorted(map(tuple, a.nodes.tolist()))
+    assert got == want
 
 
 # ------------------------------------------------------------ aligned node
@@ -118,6 +143,13 @@ def test_aligned_node_leftover_rule_bounds_count():
     assert min(counts) == 3 and max(counts) == 5
 
 
+def test_aligned_node_self_fixpoint():
+    for seed in range(30):
+        a = rnd(GenomeMode.PCGP, 7, seed)
+        child = aligned_node(a, a, np.random.default_rng(seed + 500))
+        assert flatten(child).tolist() == flatten(a).tolist()
+
+
 # ------------------------------------------------------------ proportional
 
 def test_proportional_injected_endpoints_exact():
@@ -138,6 +170,30 @@ def test_proportional_midpoint_value():
     b = make_genome(GenomeMode.CGP, 1, 1, np.full((1, 4), 0.6), [0.6])
     child = proportional(a, b, np.random.default_rng(0), weights=np.full(5, 0.5))
     assert flatten(child).tolist() == pytest.approx([0.4] * 5, abs=1e-12)
+
+
+def test_proportional_self_fixpoint_any_weights():
+    for seed in range(30):
+        a = rnd(GenomeMode.CGP, 6, seed)
+        child = proportional(a, a, np.random.default_rng(seed + 1))
+        assert flatten(child).tolist() == flatten(a).tolist()
+
+
+def test_proportional_tail_from_longer_parent():
+    a, b = rnd(GenomeMode.CGP, 2, 1), rnd(GenomeMode.CGP, 4, 2)
+    child = proportional(a, b, np.random.default_rng(3))
+    assert child.n_nodes == 4
+    low = flatten(a).size
+    assert flatten(child)[low:].tolist() == flatten(b)[low:].tolist()
+
+
+def test_proportional_blend_stays_in_parent_interval():
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        a, b = rnd(GenomeMode.CGP, 6, int(rng.integers(1e6))), rnd(GenomeMode.CGP, 6, int(rng.integers(1e6)))
+        child = proportional(a, b, rng)
+        fa, fb, fc = flatten(a), flatten(b), flatten(child)
+        assert np.all(fc >= np.minimum(fa, fb)) and np.all(fc <= np.maximum(fa, fb))
 
 
 # ----------------------------------------------------------- output graph
@@ -310,6 +366,14 @@ def test_output_graph_draw_order(size_max):
             assert rng.random() == twin.random()
 
 
+def test_output_graph_truncates_at_size_max():
+    rng = np.random.default_rng(5)
+    a = random_genome(GenomeMode.PCGP, 2, 2, 30, rng)
+    b = random_genome(GenomeMode.PCGP, 2, 2, 30, rng)
+    child = output_graph(a, b, graphs_of(a, b), rng, bounds=SizeBounds(0, 4))
+    assert child.n_nodes <= 4
+
+
 # --------------------------------------------------------------- subgraph
 
 def chain(positions, seed, n_in=1, n_out=1):
@@ -353,3 +417,27 @@ def test_subgraph_truncates_at_size_max():
     child = subgraph(a, b, graphs_of(a, b), np.random.default_rng(1),
                      bounds=SizeBounds(0, 4), select_a=[True], select_b=[True])
     assert child.n_nodes == 4
+
+
+# -------------------------------------------------------- operator laws
+
+@hsettings(max_examples=100, deadline=None)
+@given(draws(X))
+def test_children_always_valid(draw):
+    """Every crossover row gives a valid child whose genes come from its
+    parents as the row's provenance law says."""
+    check_child(draw)
+
+
+@hsettings(max_examples=50, deadline=None)
+@given(draws(X))
+def test_operators_deterministic_under_seed(draw):
+    check_determinism(draw)
+
+
+@hsettings(max_examples=80, deadline=None)
+@given(draws(X, reads=True))
+def test_given_graphs_match_decoding(draw):
+    """Handed the parents' graphs, output_graph and subgraph decode
+    nothing and give what the reference decodes of the parents give."""
+    check_handoff(draw)

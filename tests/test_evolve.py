@@ -16,6 +16,7 @@ import pcgp.crossover
 import pcgp.evolve
 import pcgp.mutate
 from pcgp.config import build_evo_params, load_preset, make_fitness, preset_names
+from pcgp.crossover import apply_crossover
 from pcgp.decode import DecodeSettings, decode
 from pcgp.errors import ConfigError
 from pcgp.evolve import (
@@ -34,7 +35,9 @@ from pcgp.mutate import MutationParams
 from pcgp.streams import Streams
 
 import reference
-from test_operator_laws import CASES, LAWS, case_id
+from test_operator_laws import (
+    CASES, LAWS, SIZE_CAPS, case_id, check_size, check_unread, draws,
+)
 
 FSET = default_functions()
 
@@ -492,6 +495,41 @@ def test_loops_decode_each_individual_at_most_once(monkeypatch, preset, override
     assert set(calls) == {"pcgp.evolve"}, calls
     ids = [id(g) for g in decoded]
     assert len(ids) == len(set(ids))
+
+
+# ------------------------------------------ operator laws over every row
+
+@settings(max_examples=150, deadline=None)
+@given(draw=draws(reads=False))
+def test_graph_tables_cover_every_graph_read(draw):
+    """reads_graph and READS_GRAPHS are the only record of which operators
+    read a graph: every row they call unread, in each mode it supports,
+    reads no attribute of a graph it is handed."""
+    check_unread(draw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(draw=draws())
+@example(draw=SIZE_CAPS[0])
+@example(draw=SIZE_CAPS[1])
+@example(draw=SIZE_CAPS[2])
+def test_size_rule(draw):
+    """Crossover enforces only size_max: output_graph and subgraph
+    children may fall below size_min, and the other four stay between
+    their parents' sizes.  Mutation keeps a size inside the bounds inside
+    them; below size_min it never changes it unless add_inverted is
+    set, and then it only grows it."""
+    check_size(draw)
+
+
+def test_graph_crossovers_fall_below_size_min():
+    """Parents at size_min give output_graph and subgraph children below it."""
+    rng = np.random.default_rng(1)
+    a, b = (random_genome(GenomeMode.PCGP, 2, 2, 10, rng) for _ in range(2))
+    graphs = [decode(g, DecodeSettings(), FSET) for g in (a, b)]
+    for op in ("output_graph", "subgraph"):
+        assert min(apply_crossover(a, b, op, rng, SizeBounds(10, 30), graphs).n_nodes
+                   for _ in range(20)) < 10, op
 
 
 # -------------------------------------------------- the reference pipeline

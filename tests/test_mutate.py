@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hsettings
 
 from pcgp.decode import DecodeSettings, component_groups, connection_position, decode
 from pcgp.errors import ConfigError
@@ -14,6 +15,8 @@ from pcgp.mutate import (
     MutationParams, add_probability, gene_mutation, invert_connection_position,
     mixed_node_mutate, node_addition, node_deletion, subgraph_addition, subgraph_deletion,
 )
+
+from test_operator_laws import M, check_child, check_determinism, check_handoff, draws
 
 FSET = default_functions()
 SET = DecodeSettings()
@@ -85,6 +88,14 @@ def test_node_addition_counts():
     # partial truncation: room for one of the two
     near = random_genome(GenomeMode.CGP, 2, 1, 39, rng)
     assert node_addition(near, params(delta_frac=0.2), rng).n_nodes == 40
+
+
+def test_node_addition_keeps_pcgp_sorted():
+    rng = np.random.default_rng(4)
+    g = random_genome(GenomeMode.PCGP, 2, 1, 12, rng)
+    h = node_addition(g, params(delta_frac=0.5), rng)
+    assert h.n_nodes == 17
+    assert np.all(np.diff(h.nodes[:, 0]) >= 0)
 
 
 def test_node_deletion_counts():
@@ -252,3 +263,27 @@ def test_subgraph_deletion_deletes_from_the_drawn_component():
         h = subgraph_deletion(g, params(bounds=SizeBounds(0, 40)), np.random.default_rng(seed), d)
         gone = set(pos) - set(h.nodes[:, 0].tolist())
         assert len(gone) == 1 and gone <= {pos[i] for i in comps[k]}
+
+
+# -------------------------------------------------------- operator laws
+
+@hsettings(max_examples=100, deadline=None)
+@given(draws(M))
+def test_children_always_valid(draw):
+    """Every mutation row gives a valid child that keeps, contains or is
+    contained in its parent's rows."""
+    check_child(draw)
+
+
+@hsettings(max_examples=50, deadline=None)
+@given(draws(M))
+def test_operators_deterministic_under_seed(draw):
+    check_determinism(draw)
+
+
+@hsettings(max_examples=80, deadline=None)
+@given(draws(M, reads=True))
+def test_given_graph_matches_decoding(draw):
+    """Handed the parent's graph, every graph-reading mutation row decodes
+    nothing and gives what the reference decode of the parent gives."""
+    check_handoff(draw)

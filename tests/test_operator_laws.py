@@ -3,13 +3,19 @@
 LAWS has a row for each operator in each genome mode it supports.  The
 rule: an operator change proves itself against this table, and a new
 operator adds a row.
+
+Each law is a check_* function over a drawn row.  The tests that drive
+validity, determinism and the graph hand-off over one kind's rows sit
+with that kind's unit tests in test_mutate.py and test_crossover.py;
+the size law and the unread-graph law, over every row, are in
+test_evolve.py.
 """
 
 from collections import Counter, namedtuple
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import pcgp.crossover
 import pcgp.mutate
@@ -146,55 +152,115 @@ def check_provenance(law, a, b, child):
     assert child.n_nodes == k + len(tail) and np.all(blended | from_tail)
 
 
-@settings(max_examples=300, deadline=None)
-@given(case=st.sampled_from(CASES), size_min=st.integers(0, 12), span=st.integers(0, 12),
-       recurrency=st.sampled_from([0.0, 0.5, 1.0]), inverted=st.booleans(),
-       seed=st.integers(0, 2**32 - 1))
-# the mixed_subgraph row: a 14-node parent whose multi-node components have 2 to 4
-# nodes meets a deletion burst of 7, which subgraph_deletion must cut to the component
-@example(case=(LAWS[4], False), size_min=8, span=8, recurrency=0.0, inverted=False, seed=342)
-# the capped rows: parents whose inherited rows outnumber size_max 3
-@example(case=(LAWS[12], False), size_min=0, span=3, recurrency=0.5, inverted=False, seed=4)
-@example(case=(LAWS[13], False), size_min=0, span=3, recurrency=0.5, inverted=False, seed=1)
-def test_every_row_obeys_its_laws(case, size_min, span, recurrency, inverted, seed):
-    """The child is valid and keeps the row's size and provenance laws;
-    equal generator states give equal children and stream states; the
-    parents stay untouched; the package's graphs give what reference's
-    give; and no graph the row calls unread is read."""
-    law, active = case
-    rng = np.random.default_rng(seed)
-    bounds = SizeBounds(size_min, size_min + span)
+Draw = namedtuple("Draw", "case size_min span recurrency inverted seed")
+Trial = namedtuple("Trial", "law active a b s bounds rates seed")
+
+
+def draws(kind=None, reads=None):
+    """Draws over the rows of one kind, or of both, that read a graph, or
+    that do not, or either; the tests that drive the laws over them sit
+    with each kind's unit tests and in test_evolve.py."""
+    cases = [c for c in CASES if kind in (None, c[0].kind) and reads in (None, c[0].reads[c[1]])]
+    return st.builds(Draw, st.sampled_from(cases), st.integers(0, 12), st.integers(0, 12),
+                     st.sampled_from([0.0, 0.5, 1.0]), st.booleans(), st.integers(0, 2**32 - 1))
+
+
+# Draws that force the three size caps, which drawn genomes alone rarely reach
+SIZE_CAPS = [
+    # the mixed_subgraph row: a 14-node parent whose multi-node components have 2 to 4
+    # nodes meets a deletion burst of 7, which subgraph_deletion must cut to the component
+    Draw((LAWS[4], False), size_min=8, span=8, recurrency=0.0, inverted=False, seed=342),
+    # the capped rows: parents whose inherited rows outnumber size_max 3
+    Draw((LAWS[12], False), size_min=0, span=3, recurrency=0.5, inverted=False, seed=4),
+    Draw((LAWS[13], False), size_min=0, span=3, recurrency=0.5, inverted=False, seed=1),
+]
+
+
+def setup(draw):
+    """The parents, settings, bounds and rates a draw stands for: 0 to
+    size_max + 2 nodes each."""
+    law, active = draw.case
+    rng = np.random.default_rng(draw.seed)
+    bounds = SizeBounds(draw.size_min, draw.size_min + draw.span)
     n_in, n_out = (int(k) for k in rng.integers(1, 4, 2))
     a, b = (random_genome(law.mode, n_in, n_out, int(rng.integers(0, bounds.size_max + 3)), rng)
             for _ in range(2))
-    s = DecodeSettings(recurrency=recurrency, input_start=-float(rng.choice([0.25, 0.5, 1.0])))
+    s = DecodeSettings(recurrency=draw.recurrency,
+                       input_start=-float(rng.choice([0.25, 0.5, 1.0])))
     rates = dict(zip(("node_rate", "output_rate", "input_rate", "delta_frac", "modify_rate"),
-                     rng.random(5).tolist()), add_inverted=inverted)
-    if law.reads[active]:
-        graph_sets = [tuple(dec(g, s, FSET) for g in (a, b)) for dec in (decode, reference.decode)]
+                     rng.random(5).tolist()), add_inverted=draw.inverted)
+    return Trial(law, active, a, b, s, bounds, rates, draw.seed)
+
+
+def graphs_of(t, dec=decode):
+    """The parents' graphs by dec where the row reads them, else None."""
+    return tuple(dec(g, t.s, FSET) for g in (t.a, t.b)) if t.law.reads[t.active] else None
+
+
+def offspring(t, graphs, rng=None):
+    rng = np.random.default_rng(t.seed + 1) if rng is None else rng
+    return vary(t.law, t.active, t.a, t.b, t.s, t.bounds, rng, graphs, **t.rates)
+
+
+def check_child(draw):
+    """The child is valid and keeps the row's provenance law."""
+    t = setup(draw)
+    child = offspring(t, graphs_of(t))
+    validate_genome(child)
+    check_provenance(t.law, t.a, t.b, child)
+
+
+def check_size(draw):
+    """The child keeps the row's size law."""
+    t = setup(draw)
+    n, m, bounds = offspring(t, graphs_of(t)).n_nodes, t.a.n_nodes, t.bounds
+    if t.law.size == "between":
+        assert min(m, t.b.n_nodes) <= n <= max(m, t.b.n_nodes)
+    elif t.law.size == "capped":
+        assert n <= bounds.size_max
+    elif m < bounds.size_min:
+        assert m <= n <= max(m, bounds.size_max) if draw.inverted else n == m
     else:
-        graph_sets = [(Watched(), Watched())] * 2
-    parents = flatten(a).tobytes(), flatten(b).tobytes()
-    streams = [np.random.default_rng(seed + 1) for _ in graph_sets]
+        assert bounds.size_min <= n <= max(m, bounds.size_max)
+
+
+def check_determinism(draw):
+    """Equal generator states give equal children and stream states, and
+    the parents stay untouched."""
+    t = setup(draw)
+    parents = flatten(t.a).tobytes(), flatten(t.b).tobytes()
+    graphs = graphs_of(t)
+    streams = [np.random.default_rng(t.seed + 1) for _ in range(2)]
+    child, twin = (offspring(t, graphs, r) for r in streams)
+    assert flatten(child).tobytes() == flatten(twin).tobytes()
+    assert streams[0].bit_generator.state == streams[1].bit_generator.state
+    assert (flatten(t.a).tobytes(), flatten(t.b).tobytes()) == parents
+
+
+def check_handoff(draw):
+    """A graph reader handed the package's graphs, with decode refused,
+    gives the child bytes and stream state it gives when handed
+    reference.decode's graphs."""
+    t = setup(draw)
+    streams = [np.random.default_rng(t.seed + 1) for _ in range(2)]
+    want = offspring(t, graphs_of(t, reference.decode), streams[0])
+    graphs = graphs_of(t)
     with pytest.MonkeyPatch.context() as mp:
         for module in (pcgp.mutate, pcgp.crossover):
             mp.setattr(module, "decode", _refuse_decode)
-        child, twin = (vary(law, active, a, b, s, bounds, r, graphs, **rates)
-                       for r, graphs in zip(streams, graph_sets))
-    assert flatten(child).tobytes() == flatten(twin).tobytes()
-    assert streams[0].bit_generator.state == streams[1].bit_generator.state
-    assert (flatten(a).tobytes(), flatten(b).tobytes()) == parents
-    validate_genome(child)
-    n, m = child.n_nodes, a.n_nodes
-    if law.size == "between":
-        assert min(m, b.n_nodes) <= n <= max(m, b.n_nodes)
-    elif law.size == "capped":
-        assert n <= bounds.size_max
-    elif m < bounds.size_min:
-        assert m <= n <= max(m, bounds.size_max) if inverted else n == m
-    else:
-        assert bounds.size_min <= n <= max(m, bounds.size_max)
-    check_provenance(law, a, b, child)
+        got = offspring(t, graphs, streams[1])
+    assert flatten(got).tobytes() == flatten(want).tobytes()
+    assert streams[1].bit_generator.state == streams[0].bit_generator.state
+
+
+def check_unread(draw):
+    """A row that reads no graph decodes nothing and reads no attribute
+    of the graphs it is handed."""
+    t = setup(draw)
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (pcgp.mutate, pcgp.crossover):
+            mp.setattr(module, "decode", _refuse_decode)
+        validate_genome(offspring(t, (Watched(), Watched())))
 
 
 @settings(max_examples=100, deadline=None)
@@ -219,21 +285,17 @@ def test_self_cross(law, recurrency, seed):
 
 @pytest.mark.parametrize("case", [c for c in CASES if c[0].reads[c[1]]], ids=case_id)
 def test_row_witnesses(case):
-    """What a row says can happen does, within 20 seeds: a graph reader
-    reads its graph, and a capped crossover of parents at size_min gives
-    a child below it."""
+    """A graph reader reads its graph within 20 seeds."""
     law, active = case
-    bounds, reads, sizes = SizeBounds(10, 30), 0, []
+    reads = 0
     for seed in range(20):
         rng = np.random.default_rng(seed)
         a, b = (random_genome(law.mode, 2, 2, 10, rng) for _ in range(2))
         graphs = tuple(Watched(decode(g, SET, FSET)) for g in (a, b))
-        sizes.append(vary(law, active, a, b, SET, bounds, rng, graphs, delta_frac=0.3,
-                          modify_rate=0.5).n_nodes)
+        vary(law, active, a, b, SET, SizeBounds(10, 30), rng, graphs, delta_frac=0.3,
+             modify_rate=0.5)
         reads += sum(g.count for g in graphs)
     assert reads
-    if law.size == "capped":
-        assert min(sizes) < bounds.size_min
 
 
 # (name, positional only, reads a graph, call(a, b, graphs, rng, params)): every row
