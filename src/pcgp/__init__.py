@@ -58,7 +58,6 @@ from .errors import (
     DecodeError,
     OutputError,
     ParseError,
-    SizeError,
     UnsupportedOperatorError,
 )
 from .evolve import (

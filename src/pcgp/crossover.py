@@ -28,7 +28,7 @@ import numpy as np
 
 from .decode import component_groups, output_trace
 from .decode import decode  # noqa: F401 - unused; evobench wraps pcgp.<module>.decode
-from .errors import ConfigError, UnsupportedOperatorError
+from .errors import ConfigError
 from .genome import (
     Genome,
     GenomeMode,
@@ -37,6 +37,7 @@ from .genome import (
     header_length,
     make_genome,
     node_stride,
+    require_positional,
     unflatten,
 )
 
@@ -51,11 +52,6 @@ def _check_mates(a: Genome, b: Genome):
         raise ValueError(
             f"incompatible parents: {a.mode.value}/{a.n_in}/{a.n_out} vs "
             f"{b.mode.value}/{b.n_in}/{b.n_out}")
-
-
-def _require_pcgp(a: Genome, what: str):
-    if a.mode is not GenomeMode.PCGP:
-        raise UnsupportedOperatorError(f"{what} crossover is defined only for positional genomes")
 
 
 def _require_graphs(graphs, what: str):
@@ -127,7 +123,7 @@ def aligned_node(a: Genome, b: Genome, rng) -> Genome:
     toward smaller position, then smaller index).  Leftover nodes of the
     larger parent each survive with probability one half.
     """
-    _require_pcgp(a, "aligned node")
+    require_positional(a, "aligned node crossover")
     _check_mates(a, b)
     short, long_ = (a, b) if a.n_nodes <= b.n_nodes else (b, a)
     unpaired = np.ones(long_.n_nodes, dtype=bool)
@@ -185,7 +181,7 @@ def output_graph(a: Genome, b: Genome, graphs, rng, bounds: SizeBounds | None = 
     _cap_rows, then random(n_in) for the input coins.
     """
     _require_graphs(graphs, "output graph")
-    _require_pcgp(a, "output graph")
+    require_positional(a, "output graph crossover")
     _check_mates(a, b)
     if output_choices is None:
         choices = [int(rng.integers(0, 2)) for _ in range(a.n_out)]
@@ -221,7 +217,7 @@ def subgraph(a: Genome, b: Genome, graphs, rng, bounds: SizeBounds | None = None
     output genes are per-gene coin flips.
     """
     _require_graphs(graphs, "subgraph")
-    _require_pcgp(a, "subgraph")
+    require_positional(a, "subgraph crossover")
     _check_mates(a, b)
     parts = []
     for g, graph, given in zip((a, b), graphs, (select_a, select_b)):

@@ -3,9 +3,11 @@
 A genome addresses program entities on a 1-D axis (inputs, then
 computational nodes).  Each node's two connection genes and each output
 gene produce a real-valued point on that axis, which snaps to the
-nearest eligible entity.  Recurrency widens a connection's reach to the
-right of its source node; at recurrency 0 every connection lands
-strictly left and the program is feedforward.
+nearest eligible entity.  The axis starts at input_start for PCGP and
+at 0.0 for CGP, so CGP's points are the positional formulas with the
+axis at 0.0.  Recurrency widens a connection's reach to the right of
+its source node; at recurrency 0 every connection lands strictly left
+and the program is feedforward.
 
 decode is active-first.  It sets up the entity axis, sorting the
 inputs (nodes are stored sorted, right of them) only when the axis is
@@ -41,7 +43,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -57,9 +58,10 @@ class DecodeSettings:
 
     recurrency 0 keeps programs feedforward; larger values extend
     connection reach rightward.  input_start places PCGP inputs on the
-    negative axis (0.0 is allowed and degenerates to the CGP formula;
-    configs keep it strictly negative).  use_weights multiplies each
-    node's output by its parameter gene during execution.
+    negative axis (configs keep it strictly negative).  CGP's connection
+    and output points are the positional formulas with the axis starting
+    at 0.0.  use_weights multiplies each node's output by its parameter
+    gene during execution.
     """
 
     recurrency: float = 0.0
@@ -218,24 +220,42 @@ class DecodedGraph:
                        (self.n_nodes,))
 
 
+def _axis_start(settings: DecodeSettings, mode: GenomeMode) -> float:
+    """Left end of the entity axis: input_start for PCGP, 0.0 for CGP."""
+    return settings.input_start if mode is GenomeMode.PCGP else 0.0
+
+
 def connection_position(x, node_pos, settings: DecodeSettings, mode: GenomeMode):
     """Point on the axis addressed by connection gene x of a node.
 
     Works elementwise on arrays.  The reach interpolates between the
     region left of the node (recurrency 0) and the whole node axis
-    (recurrency 1); PCGP additionally spans down into the input region.
+    (recurrency 1); the point spans from the axis start up to the reach.
+    """
+    start = _axis_start(settings, mode)
+    reach = settings.recurrency * (1.0 - node_pos) + node_pos
+    return x * (reach - start) + start
+
+
+def invert_connection_position(target_pos: float, node_pos: float,
+                               settings: DecodeSettings) -> float:
+    """Connection gene whose decoded point lands exactly on target_pos.
+
+    Inverse of the positional connection formula, clamped into the gene
+    range.  Degenerate zero reach (only possible at input_start 0) maps
+    to gene 0.
     """
     reach = settings.recurrency * (1.0 - node_pos) + node_pos
-    if mode is GenomeMode.CGP:
-        return x * reach
-    return x * (reach - settings.input_start) + settings.input_start
+    denom = reach - settings.input_start
+    if denom <= 0.0:
+        return 0.0
+    return min(1.0, max(0.0, (target_pos - settings.input_start) / denom))
 
 
 def output_position(o, settings: DecodeSettings, mode: GenomeMode):
     """Point addressed by an output gene; spans the whole entity axis."""
-    if mode is GenomeMode.CGP:
-        return o
-    return o * (1.0 - settings.input_start) + settings.input_start
+    start = _axis_start(settings, mode)
+    return o * (1.0 - start) + start
 
 
 def snap(point: float, candidates) -> int:
@@ -279,12 +299,6 @@ def _sorted_entities(positions: list, n_in: int):
     return ordered, order
 
 
-@lru_cache(maxsize=64)
-def _ladder(count: int) -> tuple:
-    """ladder_positions(count) as python floats."""
-    return tuple(ladder_positions(count).tolist())
-
-
 def decode(g: Genome, settings: DecodeSettings, fset: FunctionSet) -> DecodedGraph:
     """g's program graph, with the outputs and the active nodes decoded.
     Positions are read only here: the graph keeps the snapped indices."""
@@ -292,10 +306,10 @@ def decode(g: Genome, settings: DecodeSettings, fset: FunctionSet) -> DecodedGra
     genes = g.nodes.tolist()
     n_nodes = len(genes)
     total = n_in + n_nodes
-    r, start = settings.recurrency, settings.input_start
+    r, start = settings.recurrency, _axis_start(settings, g.mode)
     cgp = g.mode is GenomeMode.CGP
     if cgp:
-        positions = _ladder(total)
+        positions = ladder_positions(total)
     else:
         positions = [x * start for x in g.inputs.tolist()] + [row[0] for row in genes]
     # the CGP ladder is strictly increasing by construction
@@ -318,13 +332,9 @@ def decode(g: Genome, settings: DecodeSettings, fset: FunctionSet) -> DecodedGra
         else:
             hi = bisect_left(positions, p, n_in, n_in + i)
         # connection_position, point by point
-        reach = r * (1.0 - p) + p
-        if cgp:
-            a, b = _nearest(ordered, x * reach, hi), _nearest(ordered, y * reach, hi)
-        else:
-            span = reach - start
-            a = _nearest(ordered, x * span + start, hi)
-            b = _nearest(ordered, y * span + start, hi)
+        span = r * (1.0 - p) + p - start
+        a = _nearest(ordered, x * span + start, hi)
+        b = _nearest(ordered, y * span + start, hi)
         if entity is not None:
             a, b = entity[a], entity[b]
         fi = int(f * n_f)
@@ -334,7 +344,7 @@ def decode(g: Genome, settings: DecodeSettings, fset: FunctionSet) -> DecodedGra
         return row
 
     out_span = 1.0 - start        # output_position, point by point
-    outputs = [_nearest(ordered, o if cgp else o * out_span + start, total)
+    outputs = [_nearest(ordered, o * out_span + start, total)
                for o in g.outputs.tolist()]
     if entity is not None:
         outputs = [entity[k] for k in outputs]

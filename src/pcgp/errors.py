@@ -5,10 +5,6 @@ class CgpError(Exception):
     """Base class for all library errors."""
 
 
-class SizeError(CgpError):
-    """A structural edit would violate the genome size bounds."""
-
-
 class DecodeError(CgpError):
     """A connection point has no candidate node to snap to."""
 

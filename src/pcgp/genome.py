@@ -18,7 +18,7 @@ import json
 
 import numpy as np
 
-from .errors import ParseError, SizeError
+from .errors import ParseError, UnsupportedOperatorError
 
 
 class GenomeMode(Enum):
@@ -76,22 +76,18 @@ class Genome:
     def stride(self) -> int:
         return node_stride(self.mode)
 
-    def node_positions(self) -> np.ndarray:
-        """Positions of the computational nodes, in stored order (read-only)."""
-        if self.mode is GenomeMode.PCGP:
-            return self.nodes[:, 0]
-        return ladder_positions(self.n_in + self.n_nodes)[self.n_in:]
-
 
 @lru_cache(maxsize=64)
-def ladder_positions(count: int) -> np.ndarray:
-    """Evenly spaced cell-center positions for `count` rungs on [0, 1].
+def ladder_positions(count: int) -> tuple:
+    """Evenly spaced cell-center positions for `count` rungs on [0, 1],
+    as a cached tuple of python floats."""
+    return tuple(((np.arange(count) + 0.5) / count).tolist())
 
-    The returned array is cached and read-only; copy before mutating.
-    """
-    pos = (np.arange(count) + 0.5) / count
-    pos.setflags(write=False)
-    return pos
+
+def require_positional(g: Genome, what: str) -> None:
+    """Raise UnsupportedOperatorError unless g is positional; what names the operator."""
+    if g.mode is not GenomeMode.PCGP:
+        raise UnsupportedOperatorError(f"{what} is defined only for positional genomes")
 
 
 def _check_ranges(nodes, outputs, inputs):
@@ -159,21 +155,15 @@ def node_position(g: Genome, index: int, input_start: float = -1.0) -> float:
     if not 0 <= index < total:
         raise IndexError(f"index {index} out of range for {total} positions")
     if g.mode is GenomeMode.CGP:
-        return float(ladder_positions(total)[index])
+        return ladder_positions(total)[index]
     if index < g.n_in:
         return float(g.inputs[index] * input_start)
     return float(g.nodes[index - g.n_in, 0])
 
 
-def add_nodes(g: Genome, new_nodes, bounds: SizeBounds | None = None) -> Genome:
-    """Append nodes (CGP) or merge them by position (PCGP).
-
-    Raises SizeError when the result would exceed `bounds.size_max`.
-    """
+def add_nodes(g: Genome, new_nodes) -> Genome:
+    """Append nodes (CGP) or merge them by position (PCGP)."""
     new_nodes = np.array(new_nodes, dtype=float).reshape(-1, g.stride)
-    total = g.n_nodes + new_nodes.shape[0]
-    if bounds is not None and total > bounds.size_max:
-        raise SizeError(f"{total} nodes would exceed size_max={bounds.size_max}")
     merged = np.concatenate([g.nodes, new_nodes]) if new_nodes.size else g.nodes
     return make_genome(g.mode, g.n_in, g.n_out, merged, g.outputs, g.inputs)
 

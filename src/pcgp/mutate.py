@@ -16,10 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decode import DecodeSettings, component_groups
+from .decode import DecodeSettings, component_groups, invert_connection_position
 from .decode import decode  # noqa: F401 - unused; evobench wraps pcgp.<module>.decode
-from .errors import ConfigError, UnsupportedOperatorError
-from .genome import Genome, GenomeMode, SizeBounds, add_nodes, make_genome, remove_nodes
+from .errors import ConfigError
+from .genome import (Genome, GenomeMode, SizeBounds, add_nodes, make_genome, remove_nodes,
+                     require_positional)
 
 OPERATORS = ("gene", "mixed_node", "mixed_subgraph")
 POSITIONAL_ONLY = ("mixed_subgraph",)
@@ -55,11 +56,6 @@ def reads_graph(params: MutationParams) -> bool:
 def _require_graph(graph, what: str):
     if graph is None:
         raise ValueError(f"{what} reads the parent's decoded graph, but graph is None")
-
-
-def _require_pcgp(g: Genome, what: str):
-    if g.mode is not GenomeMode.PCGP:
-        raise UnsupportedOperatorError(f"{what} is defined only for positional genomes")
 
 
 def _mutate_array(arr: np.ndarray, rate: float, rng) -> np.ndarray:
@@ -144,21 +140,6 @@ def mixed_node_mutate(g: Genome, params: MutationParams, rng, graph=None) -> Gen
     return node_deletion(g, params, rng)
 
 
-def invert_connection_position(target_pos: float, node_pos: float,
-                               settings: DecodeSettings) -> float:
-    """Connection gene whose decoded point lands exactly on target_pos.
-
-    Inverse of the positional connection formula, clamped into the gene
-    range.  Degenerate zero reach (only possible at input_start 0) maps
-    to gene 0.
-    """
-    reach = settings.recurrency * (1.0 - node_pos) + node_pos
-    denom = reach - settings.input_start
-    if denom <= 0.0:
-        return 0.0
-    return min(1.0, max(0.0, (target_pos - settings.input_start) / denom))
-
-
 def subgraph_addition(g: Genome, params: MutationParams,
                       settings: DecodeSettings, rng) -> Genome:
     """Grow a batch of nodes wired to a pool of nearby-left entities.
@@ -167,7 +148,7 @@ def subgraph_addition(g: Genome, params: MutationParams,
     nodes, matched counts of random parent nodes and inputs from its
     left, and aims each connection gene exactly at one pooled position.
     """
-    _require_pcgp(g, "subgraph addition")
+    require_positional(g, "subgraph addition")
     k = min(_burst_size(params), params.bounds.size_max - g.n_nodes)
     if k <= 0:
         return g
@@ -196,7 +177,7 @@ def subgraph_deletion(g: Genome, params: MutationParams, rng, graph) -> Genome:
     singleton.
     """
     _require_graph(graph, "subgraph deletion")
-    _require_pcgp(g, "subgraph deletion")
+    require_positional(g, "subgraph deletion")
     multi = [c for c in component_groups(graph) if c.size > 1]
     if not multi:
         return node_deletion(g, params, rng)
@@ -210,7 +191,7 @@ def subgraph_deletion(g: Genome, params: MutationParams, rng, graph) -> Genome:
 def mixed_subgraph_mutate(g: Genome, params: MutationParams, settings: DecodeSettings,
                           rng, graph) -> Genome:
     _require_graph(graph, "mixed_subgraph mutation")
-    _require_pcgp(g, "mixed subgraph mutation")
+    require_positional(g, "mixed subgraph mutation")
     u = rng.random()
     if u < params.modify_rate:
         return gene_mutation(g, params, rng, graph)

@@ -25,7 +25,8 @@ from pcgp.config import (
     validate_config,
 )
 from pcgp.crossover import aligned_node, proportional, random_node, single_point
-from pcgp.decode import DecodeSettings, connection_position, decode, snap
+from pcgp.decode import (DecodeSettings, _nearest, _sorted_entities, connection_position,
+                         decode, output_position, snap)
 from pcgp.evolve import run_evolution
 from pcgp.functions import default_functions
 from pcgp.genome import GenomeMode, SizeBounds, flatten, random_genome
@@ -104,7 +105,8 @@ def test_c01_active_graphs_acyclic_without_recurrency():
 
 def test_c02_snapping_matches_linear_scan_oracle():
     """100000 random (point, candidate-set) cases agree exactly with a
-    pure-python linear scan."""
+    pure-python linear scan, both for snap and for the sorted-bisect
+    snapper that decode runs (_sorted_entities, then _nearest)."""
     rng = np.random.default_rng(202)
     cases = 100_000
     sizes = rng.integers(1, 9, cases)
@@ -116,14 +118,17 @@ def test_c02_snapping_matches_linear_scan_oracle():
         cands = list(enumerate(positions.tolist()))
         best = min(cands, key=lambda c: (abs(c[1] - point), c[1], c[0]))[0]
         assert snap(point, cands) == best
+        ordered, entity = _sorted_entities(positions.tolist(), n)
+        assert entity[_nearest(ordered, point, n)] == best
 
 
 # ------------------------------------------------------------ criterion 3
 
 def test_c03_connection_geometry_hand_values_and_degeneracy():
-    """Hand-computed reach values hold to 1e-12, and the positional
-    formula with input_start 0 collapses to the ladder formula on a
-    100x100x10 grid of (gene, node position, recurrency)."""
+    """Hand-computed reach values hold to 1e-12, and with input_start 0
+    the positional formulas equal the CGP ones exactly: connection points
+    on a 100x100x10 grid of (gene, node position, recurrency), output
+    points on the 100 genes."""
     tol = 1e-12
     cases = [
         (0.5, 0.4, 0.0, GenomeMode.CGP, -1.0, 0.2),
@@ -143,7 +148,9 @@ def test_c03_connection_geometry_hand_values_and_degeneracy():
         degenerate = DecodeSettings(recurrency=float(r), input_start=0.0)
         ladder = connection_position(xs, ps, degenerate, GenomeMode.CGP)
         positional = connection_position(xs, ps, degenerate, GenomeMode.PCGP)
-        assert np.max(np.abs(ladder - positional)) <= tol
+        assert np.array_equal(ladder, positional)
+        assert np.array_equal(output_position(xs, degenerate, GenomeMode.CGP),
+                              output_position(xs, degenerate, GenomeMode.PCGP))
 
 
 # ------------------------------------------------------------ criterion 4
