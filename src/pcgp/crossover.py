@@ -33,9 +33,9 @@ from .genome import (
     Genome,
     GenomeMode,
     SizeBounds,
+    derive,
     flatten,
     header_length,
-    make_genome,
     node_stride,
     require_positional,
     unflatten,
@@ -112,7 +112,7 @@ def random_node(a: Genome, b: Genome, rng) -> Genome:
     rows = np.concatenate([a.nodes[sel_a], b.nodes[sel_b]])
     outputs = _coin_mix(a.outputs, b.outputs, rng)
     inputs = _coin_mix(a.inputs, b.inputs, rng) if a.mode is GenomeMode.PCGP else None
-    return make_genome(a.mode, a.n_in, a.n_out, rows, outputs, inputs)
+    return derive(a, rows, outputs, inputs)
 
 
 def aligned_node(a: Genome, b: Genome, rng) -> Genome:
@@ -141,7 +141,7 @@ def aligned_node(a: Genome, b: Genome, rng) -> Genome:
     rows = np.array(rows) if rows else np.zeros((0, 5))
     outputs = _coin_mix(a.outputs, b.outputs, rng)
     inputs = _coin_mix(a.inputs, b.inputs, rng)
-    return make_genome(a.mode, a.n_in, a.n_out, rows, outputs, inputs)
+    return derive(a, rows, outputs, inputs)
 
 
 def proportional(a: Genome, b: Genome, rng, weights=None) -> Genome:
@@ -201,12 +201,12 @@ def output_graph(a: Genome, b: Genome, graphs, rng, bounds: SizeBounds | None = 
     picks = sorted(picked[0]) + [a.n_nodes + i for i in sorted(picked[1])]
     rows = _cap_rows(np.concatenate((a.nodes, b.nodes))[picks], bounds, rng)
     parents = (a, b)
-    outputs = [parents[c].outputs[k] for k, c in enumerate(choices)]
-    inputs = []
+    outputs = np.array([parents[c].outputs[k] for k, c in enumerate(choices)])
+    inputs = np.empty(n_in)
     for i, coin in enumerate(rng.random(n_in).tolist()):
         in_a, in_b = i in used[0], i in used[1]
-        inputs.append(parents[in_b if in_a != in_b else coin < 0.5].inputs[i])
-    return make_genome(a.mode, n_in, a.n_out, rows, outputs, inputs)
+        inputs[i] = parents[in_b if in_a != in_b else coin < 0.5].inputs[i]
+    return derive(a, rows, outputs, inputs)
 
 
 def subgraph(a: Genome, b: Genome, graphs, rng, bounds: SizeBounds | None = None,
@@ -231,7 +231,7 @@ def subgraph(a: Genome, b: Genome, graphs, rng, bounds: SizeBounds | None = None
     rows = _cap_rows(np.concatenate(parts), bounds, rng)
     outputs = _coin_mix(a.outputs, b.outputs, rng)
     inputs = _coin_mix(a.inputs, b.inputs, rng)
-    return make_genome(a.mode, a.n_in, a.n_out, rows, outputs, inputs)
+    return derive(a, rows, outputs, inputs)
 
 
 def apply_crossover(a: Genome, b: Genome, operator: str, rng,

@@ -64,7 +64,9 @@ def _evaluate(n_in, nodes, outputs, weighted, rows, cur, rule, outs: list) -> li
     in turn, appends each row's list of output values to outs as the
     row finishes, and returns outs.  nodes holds (slot, fn, target_a,
     target_b, param) and outputs holds targets; a target below n_in
-    reads the row, any other reads cur[target - n_in].  A row holds n_in
+    reads the row, any other reads cur[target - n_in].  A cycle step's
+    outputs are all its slots in order, so it passes outputs None and
+    each row appends a copy of cur, a list there.  A row holds n_in
     scalars (step, run_feedback, a cycle step) or n_in columns
     (run_batch, a column step).  cur holds one value per slot, last
     row's values on entry, and is updated in place; weighted multiplies
@@ -84,7 +86,8 @@ def _evaluate(n_in, nodes, outputs, weighted, rows, cur, rule, outs: list) -> li
                 if weighted:
                     v = v * param
                 cur[i] = v if finite(v) else zeroed(v)
-            outs.append([x[t] if t < n_in else cur[t - n_in] for t in outputs])
+            outs.append(cur[:] if outputs is None
+                        else [x[t] if t < n_in else cur[t - n_in] for t in outputs])
     return outs
 
 
@@ -253,7 +256,7 @@ def run_sequence(graph: DecodedGraph, rows: np.ndarray) -> np.ndarray:
             continue
         read = [(late if lagged else columns)[t].tolist() for lagged, t in external]
         n_ext, m = len(read), len(members)
-        outs = _evaluate(n_ext, nodes, range(n_ext, n_ext + m), weighted,
+        outs = _evaluate(n_ext, nodes, None, weighted,
                          zip(*read) if read else [()] * len(rows), [0.0] * m, _SCALAR_RULE, [])
         columns[members] = np.fromiter(chain.from_iterable(outs), float,
                                        len(rows) * m).reshape(len(rows), m).T

@@ -5,8 +5,8 @@ Every gene is a float in [0.0, 1.0].  A CGP node carries four genes
 PCGP genomes additionally carry one position gene per program input, and
 store their nodes sorted by position gene (stable on ties).
 
-Genomes are immutable values: every edit returns a new genome and the
-backing arrays are marked read-only.
+Genomes are immutable values: an edit returns a new genome that shares
+the arrays it did not change; every array is read-only.
 """
 
 from __future__ import annotations
@@ -91,45 +91,69 @@ def require_positional(g: Genome, what: str) -> None:
 
 
 def _check_ranges(nodes, outputs, inputs):
-    """Every gene in [0, 1]; the comparisons are written so NaN fails.
-    A failure alone checks the arrays one by one, to name the culprit."""
-    genes = np.concatenate((nodes.ravel(), outputs, () if inputs is None else inputs.ravel()))
-    if genes.min() >= 0.0 and genes.max() <= 1.0:
-        return
-    for name, arr in (("node", nodes), ("output", outputs), ("input", inputs)):
-        if arr is not None and arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
+    """Every gene in [0, 1], array by array, so a failure names its array;
+    the comparisons are written so NaN fails.  The node block takes one
+    numpy min and max, the short 1-d vectors are read as python floats."""
+    if nodes.size and not (np.minimum.reduce(nodes, None) >= 0.0
+                           and np.maximum.reduce(nodes, None) <= 1.0):
+        raise ValueError("node genes outside [0, 1]")
+    for name, arr in (("output", outputs), ("input", inputs)):
+        if arr is not None and not all(0.0 <= v <= 1.0 for v in arr.tolist()):
             raise ValueError(f"{name} genes outside [0, 1]")
 
 
-def make_genome(mode: GenomeMode, n_in: int, n_out: int, nodes, outputs,
-                inputs=None) -> Genome:
-    """Validating constructor; copies arrays, sorts PCGP nodes, freezes."""
-    if n_in < 1 or n_out < 1:
-        raise ValueError(f"need n_in >= 1 and n_out >= 1, got {n_in}/{n_out}")
+def _build(mode: GenomeMode, n_in: int, n_out: int, nodes, outputs, inputs) -> Genome:
+    """The genome of these arrays, kept as they are: checks shapes, sorts
+    PCGP nodes, checks ranges, freezes."""
     stride = node_stride(mode)
-    nodes = np.array(nodes, dtype=float).reshape(-1, stride)
-    outputs = np.array(outputs, dtype=float).reshape(-1)
-    if outputs.shape[0] != n_out:
-        raise ValueError(f"expected {n_out} output genes, got {outputs.shape[0]}")
+    if nodes.ndim != 2 or nodes.shape[1] != stride:
+        raise ValueError(f"expected nodes of {stride} genes, got shape {nodes.shape}")
+    if outputs.shape != (n_out,):
+        raise ValueError(f"expected {n_out} output genes, got {outputs.size}")
     if mode is GenomeMode.PCGP:
         if inputs is None:
             raise ValueError("PCGP genomes need input position genes")
-        inputs = np.array(inputs, dtype=float).reshape(-1)
-        if inputs.shape[0] != n_in:
-            raise ValueError(f"expected {n_in} input genes, got {inputs.shape[0]}")
+        if inputs.shape != (n_in,):
+            raise ValueError(f"expected {n_in} input genes, got {inputs.size}")
         # stable sort keeps prior order on position ties (so skip it if sorted)
         positions = nodes[:, 0].tolist()
         if positions != sorted(positions):
             nodes = nodes[np.argsort(nodes[:, 0], kind="stable")]
-    else:
-        if inputs is not None:
-            raise ValueError("CGP genomes carry no input position genes")
+    elif inputs is not None:
+        raise ValueError("CGP genomes carry no input position genes")
     _check_ranges(nodes, outputs, inputs)
-    nodes.setflags(write=False)
-    outputs.setflags(write=False)
-    if inputs is not None:
-        inputs.setflags(write=False)
+    for arr in (nodes, outputs, inputs):
+        if arr is not None:
+            arr.setflags(write=False)
     return Genome(mode, n_in, n_out, nodes, outputs, inputs)
+
+
+def make_genome(mode: GenomeMode, n_in: int, n_out: int, nodes, outputs,
+                inputs=None) -> Genome:
+    """Validating constructor: copies the caller's arrays, then checks,
+    sorts and freezes them as derive does."""
+    if n_in < 1 or n_out < 1:
+        raise ValueError(f"need n_in >= 1 and n_out >= 1, got {n_in}/{n_out}")
+    nodes = np.array(nodes, dtype=float).reshape(-1, node_stride(mode))
+    outputs = np.array(outputs, dtype=float).reshape(-1)
+    if inputs is not None:
+        inputs = np.array(inputs, dtype=float).reshape(-1)
+    return _build(mode, n_in, n_out, nodes, outputs, inputs)
+
+
+def derive(g: Genome, nodes=None, outputs=None, inputs=None) -> Genome:
+    """A genome like g with each given array in place of g's own.
+
+    A given array must be a fresh float array that the caller owns: it
+    is not copied, and is frozen.  An array not given is g's own, shared
+    because it is read-only; with none given, g itself is returned.
+    Every array of the result is range-checked, shared ones too.
+    """
+    if nodes is None and outputs is None and inputs is None:
+        return g
+    return _build(g.mode, g.n_in, g.n_out, g.nodes if nodes is None else nodes,
+                  g.outputs if outputs is None else outputs,
+                  g.inputs if inputs is None else inputs)
 
 
 def random_genome(mode: GenomeMode, n_in: int, n_out: int, n_nodes: int,
@@ -164,8 +188,7 @@ def node_position(g: Genome, index: int, input_start: float = -1.0) -> float:
 def add_nodes(g: Genome, new_nodes) -> Genome:
     """Append nodes (CGP) or merge them by position (PCGP)."""
     new_nodes = np.array(new_nodes, dtype=float).reshape(-1, g.stride)
-    merged = np.concatenate([g.nodes, new_nodes]) if new_nodes.size else g.nodes
-    return make_genome(g.mode, g.n_in, g.n_out, merged, g.outputs, g.inputs)
+    return derive(g, nodes=np.concatenate([g.nodes, new_nodes]))
 
 
 def remove_nodes(g: Genome, indices) -> Genome:
@@ -176,7 +199,7 @@ def remove_nodes(g: Genome, indices) -> Genome:
             raise IndexError(f"node index {i} out of range for {g.n_nodes} nodes")
     keep = np.ones(g.n_nodes, dtype=bool)
     keep[indices] = False
-    return make_genome(g.mode, g.n_in, g.n_out, g.nodes[keep], g.outputs, g.inputs)
+    return derive(g, nodes=g.nodes[keep])
 
 
 def flatten(g: Genome) -> np.ndarray:
@@ -261,12 +284,11 @@ def validate_genome(g: Genome) -> None:
         raise ValueError("node array shape inconsistent with mode")
     if g.outputs.shape != (g.n_out,):
         raise ValueError("output array shape inconsistent with n_out")
-    _check_ranges(g.nodes, g.outputs, g.inputs)
     if g.mode is GenomeMode.PCGP:
         if g.inputs is None or g.inputs.shape != (g.n_in,):
             raise ValueError("PCGP genome missing input position genes")
-        p = g.nodes[:, 0]
-        if p.size and np.any(np.diff(p) < 0):
-            raise ValueError("PCGP nodes not sorted by position gene")
     elif g.inputs is not None:
         raise ValueError("CGP genome carries input position genes")
+    _check_ranges(g.nodes, g.outputs, g.inputs)
+    if g.mode is GenomeMode.PCGP and g.n_nodes and np.any(np.diff(g.nodes[:, 0]) < 0):
+        raise ValueError("PCGP nodes not sorted by position gene")

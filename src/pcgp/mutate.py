@@ -1,9 +1,11 @@
 """Mutation operators: pure gene noise, node-count edits, and the two
 mixed operators that pick between them by probability.
 
-All operators take a parent and return a fresh child; size bounds are
-enforced by truncating the edit rather than failing, so application
-always succeeds.  The subgraph pair works only on positional genomes.
+All operators take a parent and return a child that shares the
+parent's arrays it did not change, or the parent itself when nothing
+changed; size bounds are enforced by truncating the edit rather than
+failing, so application always succeeds.  The subgraph pair works only
+on positional genomes.
 
 Operators that read the parent's decoded graph (reads_graph says
 which) are handed it by the caller and raise ValueError without it,
@@ -19,7 +21,7 @@ import numpy as np
 from .decode import DecodeSettings, component_groups, invert_connection_position
 from .decode import decode  # noqa: F401 - unused; evobench wraps pcgp.<module>.decode
 from .errors import ConfigError
-from .genome import (Genome, GenomeMode, SizeBounds, add_nodes, make_genome, remove_nodes,
+from .genome import (Genome, GenomeMode, SizeBounds, add_nodes, derive, remove_nodes,
                      require_positional)
 
 OPERATORS = ("gene", "mixed_node", "mixed_subgraph")
@@ -58,12 +60,14 @@ def _require_graph(graph, what: str):
         raise ValueError(f"{what} reads the parent's decoded graph, but graph is None")
 
 
-def _mutate_array(arr: np.ndarray, rate: float, rng) -> np.ndarray:
-    out = np.array(arr)
+def _mutate_array(arr: np.ndarray, rate: float, rng) -> np.ndarray | None:
+    """A copy of arr with each gene replaced at rate, or None if none is."""
     mask = rng.random(arr.shape) < rate
     n = int(np.count_nonzero(mask))
-    if n:
-        out[mask] = rng.random(n)
+    if not n:
+        return None
+    out = arr.copy()
+    out[mask] = rng.random(n)
     return out
 
 
@@ -73,7 +77,8 @@ def gene_mutation(g: Genome, params: MutationParams, rng, graph=None) -> Genome:
     With require_active set, the draw repeats on the original parent
     until some gene of an active computational node changed (at most 100
     attempts), so offspring are never behaviorally silent copies; graph,
-    the parent's decoded graph, is read only then.
+    the parent's decoded graph, is read only then.  An array with no
+    gene replaced is shared with g; with none replaced, g is returned.
     """
     if params.require_active:
         _require_graph(graph, "gene mutation with require_active")
@@ -82,15 +87,16 @@ def gene_mutation(g: Genome, params: MutationParams, rng, graph=None) -> Genome:
         flags = graph.active
         if flags.any():
             active = flags
-    nodes, outputs, inputs = g.nodes, g.outputs, g.inputs
+    inputs = None
     for _ in range(100):
         nodes = _mutate_array(g.nodes, params.node_rate, rng)
         outputs = _mutate_array(g.outputs, params.output_rate, rng)
         if g.mode is GenomeMode.PCGP:
             inputs = _mutate_array(g.inputs, params.input_rate, rng)
-        if active is None or bool(np.any(nodes[active] != g.nodes[active])):
+        if active is None or (nodes is not None
+                              and bool(np.any(nodes[active] != g.nodes[active]))):
             break
-    return make_genome(g.mode, g.n_in, g.n_out, nodes, outputs, inputs)
+    return derive(g, nodes, outputs, inputs)
 
 
 def _burst_size(params: MutationParams) -> int:

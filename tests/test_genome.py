@@ -11,6 +11,7 @@ from pcgp.genome import (
     Genome,
     GenomeMode,
     add_nodes,
+    derive,
     flatten,
     from_json,
     ladder_positions,
@@ -192,6 +193,43 @@ def test_remove_nodes():
     assert h.nodes[:, 0].tolist() == [0.1, 0.3]
     with pytest.raises(IndexError):
         remove_nodes(g, [3])
+
+
+def test_derive_shares_what_it_is_not_given():
+    g = pcgp([[0.5, 0.1, 0.2, 0.3, 0.4]], [0.5, 0.6], [0.7])
+    assert derive(g) is g
+    nodes = np.full((2, 5), 0.25)
+    h = derive(g, nodes=nodes)
+    assert h.outputs is g.outputs and h.inputs is g.inputs
+    assert np.shares_memory(h.nodes, nodes) and not h.nodes.flags.writeable
+    outputs = np.array([0.0, 1.0])
+    h = derive(g, outputs=outputs)
+    assert h.nodes is g.nodes and h.outputs is outputs and not outputs.flags.writeable
+
+
+def test_derive_sorts_pcgp_nodes_stably():
+    g = pcgp(np.zeros((0, 5)), [0.5], [0.5])
+    nodes = np.array([[0.5, 0.9, 0.9, 0.9, 0.9], [0.5, 0.1, 0.1, 0.1, 0.1],
+                      [0.2, 0.4, 0.4, 0.4, 0.4]])
+    want = nodes[np.argsort(nodes[:, 0], kind="stable")].tobytes()
+    assert derive(g, nodes=nodes).nodes.tobytes() == want
+
+
+def test_derive_checks_shapes():
+    g = pcgp([[0.5, 0.1, 0.2, 0.3, 0.4]], [0.5], [0.5, 0.5])
+    for given in ({"nodes": np.full((1, 4), 0.5)}, {"nodes": np.full(5, 0.5)},
+                  {"outputs": np.full(2, 0.5)}, {"inputs": np.full(1, 0.5)}):
+        with pytest.raises(ValueError, match="expected"):
+            derive(g, **given)
+
+
+def test_derive_checks_the_ranges_of_shared_arrays():
+    g = cgp([[0.1, 0.2, 0.3, 0.4]], [0.5])
+    forged = Genome(GenomeMode.CGP, 2, 1, g.nodes, np.array([1.5]), None)
+    with pytest.raises(ValueError, match="output genes outside"):
+        derive(forged, nodes=np.full((1, 4), 0.5))
+    with pytest.raises(ValueError, match="node genes outside"):
+        derive(g, nodes=np.full((1, 4), np.nan))
 
 
 # --------------------------------------------------------- flat layout

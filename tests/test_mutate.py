@@ -30,10 +30,23 @@ def params(**kw):
 # -------------------------------------------------------- gene mutation
 
 def test_zero_rates_identity():
-    g = random_genome(GenomeMode.PCGP, 2, 2, 8, np.random.default_rng(0))
-    p = params(node_rate=0.0, output_rate=0.0, input_rate=0.0)
-    h = gene_mutation(g, p, np.random.default_rng(1))
-    assert flatten(h).tolist() == flatten(g).tolist()
+    """At rates 0 gene mutation returns the parent object, and leaves the
+    stream where a copying operator would: one mask draw per array and
+    attempt, and 100 attempts when require_active finds active nodes."""
+    for mode in GenomeMode:
+        g = random_genome(mode, 2, 2, 8, np.random.default_rng(0))
+        graph = decode(g, SET, FSET)
+        assert graph.active.any()
+        for active in (False, True):
+            p = params(node_rate=0.0, output_rate=0.0, input_rate=0.0, require_active=active)
+            rng, want = np.random.default_rng(1), np.random.default_rng(1)
+            assert gene_mutation(g, p, rng, graph) is g
+            for _ in range(100 if active else 1):
+                want.random(g.nodes.shape)
+                want.random(g.outputs.shape)
+                if mode is GenomeMode.PCGP:
+                    want.random(g.inputs.shape)
+            assert rng.bit_generator.state == want.bit_generator.state
 
 
 def test_gene_change_rate_binomial():

@@ -203,10 +203,14 @@ def offspring(t, graphs, rng=None):
 
 
 def check_child(draw):
-    """The child is valid and keeps the row's provenance law."""
+    """The child is valid, every array of it is read-only, since children
+    share the arrays they did not change, and it keeps the row's
+    provenance law."""
     t = setup(draw)
     child = offspring(t, graphs_of(t))
     validate_genome(child)
+    assert not any(arr.flags.writeable for arr in (child.nodes, child.outputs, child.inputs)
+                   if arr is not None)
     check_provenance(t.law, t.a, t.b, child)
 
 
