@@ -198,9 +198,11 @@ def output_graph(a: Genome, b: Genome, graphs, rng, bounds: SizeBounds | None = 
         picked[c].update(tr)
         ends = [d.output_list[k]] + [t for i in tr for t in d.row(i)[:2]]
         used[c].update(t for t in ends if t < n_in)
-    picks = sorted(picked[0]) + [a.n_nodes + i for i in sorted(picked[1])]
-    rows = _cap_rows(np.concatenate((a.nodes, b.nodes))[picks], bounds, rng)
     parents = (a, b)
+    # one gather per parent that gives nodes; with one output only one does
+    parts = [g.nodes[sorted(p)] for g, p in zip(parents, picked) if p]
+    rows = parts[0] if len(parts) == 1 else np.concatenate(parts) if parts else np.empty((0, 5))
+    rows = _cap_rows(rows, bounds, rng)
     outputs = np.array([parents[c].outputs[k] for k, c in enumerate(choices)])
     inputs = np.empty(n_in)
     for i, coin in enumerate(rng.random(n_in).tolist()):

@@ -104,9 +104,11 @@ class _once:
         return value
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class DecodedGraph:
     """The program decoded from one genome; execution needs nothing else.
+    Treat its fields as read-only.  It is not frozen: a frozen __init__
+    sets each field through object.__setattr__, about 2 us a graph.
 
     Indices in rows and output_list address the unified space: values
     below n_in are program inputs, the rest are computational nodes in
@@ -312,8 +314,9 @@ def decode(g: Genome, settings: DecodeSettings, fset: FunctionSet) -> DecodedGra
         positions = ladder_positions(total)
     else:
         positions = [x * start for x in g.inputs.tolist()] + [row[0] for row in genes]
-    # the CGP ladder is strictly increasing by construction
-    if cgp or all(a < b for a, b in zip(positions, positions[1:])):
+    # the CGP ladder is strictly increasing by construction; for PCGP,
+    # sorted and free of ties (-0.0 ties 0.0) is the pairwise a < b rule
+    if cgp or (positions == sorted(positions) and len(set(positions)) == total):
         ordered, entity = positions, None
     else:
         ordered, entity = _sorted_entities(positions, n_in)

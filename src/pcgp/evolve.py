@@ -28,7 +28,11 @@ with a warning, so selection always has an order to work with.
 
 Fitnesses are kept as a list of Python floats.  GA elites come from a
 stable descending sort, in np.argsort(-fits, kind="stable") order; the
-best slot is the first maximum, as np.argmax picks; the mean is np.mean.
+best slot is the first maximum, as np.argmax picks; the mean is
+np.mean's own sum and divide.  A tournament draws its slots with one
+sized integers call, which a Stream runs in python (pcgp.streams),
+reads each drawn fitness once and returns at once when the best is
+unique; only a tie draws again.
 """
 
 from __future__ import annotations
@@ -145,6 +149,11 @@ def _evaluate(genomes, fit, generation, evaluations):
             f"after {evaluations} evaluations") from e
 
 
+def _mean(xs: list) -> float:
+    """float(np.mean(xs)), bit for bit: np.mean's own sum and divide."""
+    return float(np.add.reduce(np.array(xs))) / len(xs)
+
+
 def _graph(graphs: list, pop: list, i: int, params: EvoParams):
     """The decoded graph of pop[i], decoded on first read and kept in graphs[i]."""
     graph = graphs[i]
@@ -179,7 +188,7 @@ def one_plus_lambda(fit, params: EvoParams, on_record=None):
         fits = _evaluate(children, fit, generation, evaluations)
         evaluations += params.lambda_
         best = fits.index(max(fits))
-        mean = float(np.mean(fits + [parent_fit]))
+        mean = _mean(fits + [parent_fit])
         if fits[best] >= parent_fit:
             if children[best] is not parent:
                 graph = decode(children[best], params.settings, params.functions)
@@ -196,11 +205,12 @@ def _tournament(fits: list, size: int, rng) -> int:
     """Draw size slots with replacement; the fittest wins, ties broken
     by one uniform draw over the distinct tied slots in ascending order."""
     idx = rng.integers(0, len(fits), size).tolist()
-    best = max(fits[i] for i in idx)
-    tied = sorted({i for i in idx if fits[i] == best})
-    if len(tied) == 1:
-        return tied[0]      # integers(1) would leave the stream unchanged
-    return tied[rng.integers(len(tied))]
+    drawn = [fits[i] for i in idx]
+    best = max(drawn)
+    if drawn.count(best) == 1:
+        return idx[drawn.index(best)]
+    tied = sorted({i for i, f in zip(idx, drawn) if f == best})
+    return tied[rng.integers(len(tied))]    # integers(1) draws nothing
 
 
 def _channel_sizes(params: EvoParams):
@@ -291,8 +301,7 @@ def ga(fit, params: EvoParams, on_record=None):
         if fits[gen_best] >= best_fit:
             best, best_fit = pop[gen_best], fits[gen_best]
             best_active = sum(_graph(graphs, pop, gen_best, params).active_list)
-        record = RunRecord(generation, evaluations, best_fit,
-                           float(np.mean(fits)), best_active)
+        record = RunRecord(generation, evaluations, best_fit, _mean(fits), best_active)
         log.append(record)
         if on_record is not None:
             on_record(record)

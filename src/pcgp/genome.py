@@ -105,6 +105,8 @@ def _check_ranges(nodes, outputs, inputs):
 def _build(mode: GenomeMode, n_in: int, n_out: int, nodes, outputs, inputs) -> Genome:
     """The genome of these arrays, kept as they are: checks shapes, sorts
     PCGP nodes, checks ranges, freezes."""
+    if n_in < 1 or n_out < 1:
+        raise ValueError(f"need n_in >= 1 and n_out >= 1, got {n_in}/{n_out}")
     stride = node_stride(mode)
     if nodes.ndim != 2 or nodes.shape[1] != stride:
         raise ValueError(f"expected nodes of {stride} genes, got shape {nodes.shape}")
@@ -132,8 +134,6 @@ def make_genome(mode: GenomeMode, n_in: int, n_out: int, nodes, outputs,
                 inputs=None) -> Genome:
     """Validating constructor: copies the caller's arrays, then checks,
     sorts and freezes them as derive does."""
-    if n_in < 1 or n_out < 1:
-        raise ValueError(f"need n_in >= 1 and n_out >= 1, got {n_in}/{n_out}")
     nodes = np.array(nodes, dtype=float).reshape(-1, node_stride(mode))
     outputs = np.array(outputs, dtype=float).reshape(-1)
     if inputs is not None:
@@ -158,14 +158,15 @@ def derive(g: Genome, nodes=None, outputs=None, inputs=None) -> Genome:
 
 def random_genome(mode: GenomeMode, n_in: int, n_out: int, n_nodes: int,
                   rng: np.random.Generator) -> Genome:
-    """Genome with every gene drawn independently uniform on [0, 1]."""
+    """Genome with every gene drawn independently uniform on [0, 1];
+    the fresh arrays are taken over, not copied."""
     if n_nodes < 0:
         raise ValueError("n_nodes must be non-negative")
     stride = node_stride(mode)
     nodes = rng.random((n_nodes, stride))
     outputs = rng.random(n_out)
     inputs = rng.random(n_in) if mode is GenomeMode.PCGP else None
-    return make_genome(mode, n_in, n_out, nodes, outputs, inputs)
+    return _build(mode, n_in, n_out, nodes, outputs, inputs)
 
 
 def node_position(g: Genome, index: int, input_start: float = -1.0) -> float:

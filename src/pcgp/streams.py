@@ -8,6 +8,19 @@ vectorised pass of the same hash covers every (generation, slot) row
 of a batch, and each stream's PCG64 is built from its ready words, at
 a fraction of the cost per stream.
 
+Each stream is a Stream around that Generator.  numpy's integers
+spends most of a small draw on argument handling, so Stream.integers
+draws itself when 0 < high - low < 2**32 and size is None or an int:
+numpy's 32-bit Lemire rule on the uint32 halves of random_raw(), low
+half first, as PCG64 splits them.  A scalar draw is a python int.
+numpy keeps the unused high half for its next 32-bit draw; Stream
+keeps it instead, hands it to the bit generator before any other call
+can read it (any other attribute, bit_generator included) and takes
+numpy's over at its next draw.  So every call gives numpy's values and
+leaves bit_generator.state as numpy would.  random is the Generator's
+own method: float64 draws never read the pending half (float32 ones
+would, and pcgp makes none).
+
 Importing this module imports numpy.random, which takes 11-14 ms on a
 2-vCPU VM; the loops import it when a run starts, so `import pcgp`
 does not.
@@ -136,11 +149,65 @@ class Streams:
             first = gens.stop
         self.states = np.concatenate(parts)
 
-    def __call__(self, generation: int, slot: int) -> Generator:
+    def __call__(self, generation: int, slot: int) -> Stream:
         if not 0 <= slot < self.slots:
             raise IndexError(f"slot {slot} outside [0, {self.slots})")
         offset = generation - self.first
         if not 0 <= offset < self.generations:
             self._fill(generation)
             offset = 0
-        return Generator(PCG64(_ReadySeed(self.states[offset * self.slots + slot])))
+        return Stream(Generator(PCG64(_ReadySeed(self.states[offset * self.slots + slot]))))
+
+
+class Stream:
+    """A fresh Generator whose integers draws run here (module docstring).
+    _has and _half mirror numpy's uint32 buffer; _dirty: the bit
+    generator's copy is stale; _lent: numpy may have changed it.  Class
+    defaults, so __getattr__ cannot recurse on a half-built instance."""
+
+    _gen, _has, _half, _dirty, _lent = None, 0, 0, 0, 0
+
+    def __init__(self, gen: Generator):
+        self._gen, self.random = gen, gen.random
+
+    def _draws(self, n: int, count: int) -> list:
+        """count draws below n by numpy's buffered_bounded_lemire_uint32:
+        the high word of n times a uint32, redrawn while the low word is
+        below 2**32 % n.  Nothing is drawn for n = 1, as in numpy."""
+        if n == 1:
+            return [0] * count
+        if self._lent:
+            state = self._gen.bit_generator.state
+            self._has, self._half, self._lent = state["has_uint32"], state["uinteger"], 0
+        has, half, raw = self._has, self._half, self._gen.bit_generator.random_raw
+        threshold, out = (_MASK + 1) % n, []
+        while len(out) < count:
+            if has:
+                has, word = 0, half
+            else:
+                bits = raw()
+                has, half, word = 1, bits >> 32, bits & _MASK
+            m = word * n
+            if m & _MASK >= threshold:
+                out.append(m >> 32)
+        self._has, self._half, self._dirty = has, half, 1
+        return out
+
+    def integers(self, low, high=None, size=None, dtype=np.int64, endpoint=False):
+        lo, hi = (0, low) if high is None else (low, high)
+        if (type(lo) is type(hi) is int and dtype is np.int64 and endpoint is False
+                and 0 < hi - lo <= _MASK and -1 << 63 <= lo and hi <= 1 << 63):
+            if size is None:
+                return lo + self._draws(hi - lo, 1)[0]
+            if type(size) is int and size >= 0:
+                return np.array([lo + v for v in self._draws(hi - lo, size)], np.int64)
+        return self.__getattr__("integers")(low, high, size, dtype, endpoint)
+
+    def __getattr__(self, name):
+        """Any other Generator attribute, the pending half handed back."""
+        if self._dirty:
+            state = self._gen.bit_generator.state
+            state["has_uint32"], state["uinteger"] = self._has, self._half
+            self._gen.bit_generator.state, self._dirty = state, 0
+        self._lent = 1
+        return getattr(self._gen, name)

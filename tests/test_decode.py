@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pcgp.decode import (
     DecodeSettings, _nearest, _sorted_entities, component_groups, connection_position, decode,
@@ -138,6 +138,26 @@ def test_snap_field_matches_oracle(n, seed):
     cands = list(enumerate(positions))
     for t in points:
         assert entity[_nearest(ordered, t, n)] == snap_oracle(t, cands)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(0, 8), min_size=1, max_size=5), st.lists(st.integers(0, 8), max_size=8),
+       st.sampled_from([8, 2**20]), st.sampled_from([-1.0, -0.3, 0.0]))
+@example(inputs=[0], nodes=[0], grid=8, input_start=-0.3)     # -0.0 beside 0.0
+@example(inputs=[0, 0], nodes=[1, 2], grid=8, input_start=-1.0)
+@example(inputs=[1], nodes=[3, 3], grid=8, input_start=-1.0)
+@example(inputs=[2, 1], nodes=[], grid=8, input_start=0.0)
+@example(inputs=[2, 1], nodes=[1, 2], grid=8, input_start=-1.0)
+def test_axis_check_agrees_with_the_pairwise_rule(inputs, nodes, grid, input_start):
+    # decode sorts the entities exactly when its axis check fails; the
+    # axis is the input genes times input_start (0 times a negative
+    # start is -0.0), then the node genes, stored ascending
+    g = pcgp([[x / grid, 0.5, 0.5, 0.5, 0.5] for x in nodes], [0.5], [x / grid for x in inputs])
+    positions = [x / grid * input_start for x in inputs] + sorted(x / grid for x in nodes)
+    increasing = all(a < b for a, b in zip(positions, positions[1:]))
+    with mock.patch.object(DECODE, "_sorted_entities", wraps=DECODE._sorted_entities) as sort:
+        decode(g, DecodeSettings(input_start=input_start), FSET)
+    assert sort.called is not increasing
 
 
 # ------------------------------------------------------------ decode: CGP

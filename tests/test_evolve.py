@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import replace
@@ -23,6 +24,7 @@ from pcgp.evolve import (
     FAILED_FITNESS,
     EvoParams,
     _channel_sizes,
+    _mean,
     _tournament,
     evaluate_population,
     ga,
@@ -252,6 +254,28 @@ def test_tournament_matches_numpy_oracle(values, size, seed):
     assert ours.random() == theirs.random()
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([-np.inf, 0.0, 0.5, 1.0, FAILED_FITNESS]),
+                min_size=1, max_size=30),
+       st.integers(1, 8), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
+       st.integers(0, 40))
+def test_tournament_through_a_stream_matches_numpy_oracle(values, size, seed, generation, slot):
+    # the same tie-heavy lists, drawn through a Stream's python integers
+    ours = Streams(seed, slot + 1)(generation, slot)
+    theirs = np.random.default_rng([seed, generation, slot])
+    assert _tournament(values, size, ours) == reference.tournament(np.array(values), size, theirs)
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    assert ours.random() == theirs.random()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf, FAILED_FITNESS]),
+                          st.floats(allow_nan=False)), min_size=1, max_size=60))
+def test_mean_is_np_mean_bit_for_bit(xs):
+    with np.errstate(all="ignore"):     # inf - inf and overflowing sums warn in both
+        assert struct.pack("<d", _mean(xs)) == struct.pack("<d", float(np.mean(xs)))
+
+
 def test_tournament_breaks_ties_uniformly():
     fits = [1.0, 1.0, 1.0]
     rng = np.random.default_rng(1)
@@ -284,6 +308,46 @@ def test_stream_matches_default_rng(seed, slots, generations):
             assert ours.bit_generator.state == theirs.bit_generator.state
             assert ours.random(3).tolist() == theirs.random(3).tolist()
             assert ours.integers(2**40, size=2).tolist() == theirs.integers(2**40, size=2).tolist()
+
+
+N_RANGES = [1, 2, 3, 50, 2**31, 2**32 - 1, 2**32, 2**40]
+STREAM_CALLS = st.one_of(
+    st.tuples(st.just("integers"), st.sampled_from(N_RANGES),
+              st.sampled_from([0, 7, -2**63, 2**63 - 2**40]),
+              st.one_of(st.none(), st.integers(0, 5))),
+    st.tuples(st.just("choice"), st.integers(1, 40), st.booleans(), st.integers(0, 40)),
+    st.tuples(st.just("random"), st.sampled_from([None, 0, 1, 3, (2, 3)])),
+)
+
+
+def _call(rng, call):
+    kind, *args = call
+    if kind == "integers":
+        n, low, size = args
+        value = rng.integers(n, size=size) if low == 0 else rng.integers(low, low + n, size)
+    elif kind == "choice":
+        n, replace, size = args
+        value = rng.choice(n, size=size if replace else min(size, n), replace=replace)
+    else:
+        value = rng.random(args[0])
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(1, 8), st.integers(0, 2**33), st.booleans(),
+       st.data())
+def test_stream_calls_match_default_rng(seed, slots, generation, each, data):
+    # every call gives numpy's values and leaves numpy's state, whatever
+    # mixes Stream's own integers with calls it hands to numpy; reading
+    # the state after every call hands the pending half back each time
+    slot = data.draw(st.integers(0, slots - 1))
+    ours = Streams(seed, slots)(generation, slot)
+    theirs = np.random.default_rng([seed, generation, slot])
+    for call in data.draw(st.lists(STREAM_CALLS, max_size=12)):
+        assert _call(ours, call) == _call(theirs, call)
+        if each:
+            assert ours.bit_generator.state == theirs.bit_generator.state
+    assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def test_stream_rejects_a_slot_outside_the_table():
