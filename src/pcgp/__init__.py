@@ -65,8 +65,6 @@ from .evolve import (
     EvoParams,
     RunRecord,
     evaluate_population,
-    ga,
-    one_plus_lambda,
     run_evolution,
 )
 from .execute import (

@@ -1,27 +1,33 @@
-"""Evolution loops: an elitist 1+lambda EA and a generational GA.
+"""Evolution: an elitist 1+lambda EA and a generational GA.
 
-Both are deterministic given (params, seed): every child gets its own
+run_evolution runs either through one driver, _run: it draws the first
+population, scores new individuals, keeps their graphs, tracks the
+best (the first maximum, replacing the last best when at least as fit)
+and logs a RunRecord per generation.  An algorithm is a policy:
+vary(params, generation, pop, fits, graphs, stream) returns (before,
+fresh, fresh_graphs, after), and the next population is pop[i] for i
+in before, fresh, then pop[i] for i in after.  1+lambda mutates the
+pool's first maximum and keeps it after its children, so a child at
+least as fit takes over (neutral drift); the GA keeps elites first and
+copies of tournament winners last.
+
+Runs are deterministic given (params, seed): every child gets its own
 random stream, bit for bit np.random.default_rng([seed, generation,
 slot]), which pcgp.streams seeds in batches of hundreds of
 (generation, slot) pairs.  Fitness is evaluated serially, in slot
 order; the workers setting is accepted and validated but has no
 effect, because a thread pool over GIL-bound Python ran slower than
-one thread.
+one thread.  The driver keeps a decoded graph per slot, None until
+first read; kept slots and a mutant that is its own parent carry
+theirs.  The operators never decode: reads_graph and READS_GRAPHS say
+which of them read a graph, and the policies hand them their parents'.
 
-Each loop keeps a decoded graph per population slot, None until an
-operator or the active-node count first reads it.  Elites, copies and
-a mutant that is its own parent carry theirs into the next generation.
-The operators never decode: reads_graph and READS_GRAPHS say which of
-them read a graph, and the loops hand them their parents' graphs.
-
-Budgets count fitness evaluations, not generations; copied individuals
-(elites, unmodified tournament winners) are never re-evaluated.  A
-budget must cover the first generation (lambda + 1 for 1+lambda, more
-than the initial population for the GA); EvoParams rejects a smaller
-one, so every run logs at least one generation.  The
-generation that reaches the budget always completes, so a run may
-overshoot it by less than one generation's fresh evaluations: budget
-10 with lambda 4 runs 1 + 3 * 4 = 13 evaluations.
+Budgets count fitness evaluations; kept individuals are never
+re-evaluated.  EvoParams rejects a budget short of the first
+generation (lambda + 1, or more than the GA's population) and a GA
+generation with no child, so every run logs a generation and ends.
+The last generation always completes, so a run overshoots its budget
+by less than one generation: budget 10, lambda 4 runs 13 evaluations.
 
 A NaN fitness becomes the worst-fitness sentinel FAILED_FITNESS (-inf),
 with a warning, so selection always has an order to work with.
@@ -32,14 +38,14 @@ best slot is the first maximum, as np.argmax picks; the mean is
 np.mean's own sum and divide.  A tournament draws its slots with one
 sized integers call, which a Stream runs in python (pcgp.streams),
 reads each drawn fitness once and returns at once when the best is
-unique; only a tie draws again.
-"""
+unique; only a tie draws again."""
 
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -107,6 +113,8 @@ class EvoParams:
                                   "positional genomes")
         if self.algorithm == "ga" and self.crossover is None and self.crossover_fraction > 0:
             raise ConfigError("GA with a crossover share needs a crossover operator")
+        if self.algorithm == "ga" and sum(_channel_sizes(self)[1:3]) == 0:
+            raise ConfigError("GA crossover and mutation shares round to 0 children")
         if self.algorithm == "ga" and self.budget <= self.population:
             raise ConfigError(f"budget {self.budget} must cover the initial "
                               f"population of {self.population} plus one generation")
@@ -162,43 +170,27 @@ def _graph(graphs: list, pop: list, i: int, params: EvoParams):
     return graph
 
 
-def one_plus_lambda(fit, params: EvoParams, on_record=None):
-    """Elitist single-parent EA with neutral drift.
+def _mutants(params: EvoParams, pop: list, graphs: list, parents, rngs):
+    """A mutant of pop[i] drawn from rng for each i, rng in zip(parents,
+    rngs), and its graph: pop[i]'s own for a mutant that is pop[i], else None."""
+    read = reads_graph(params.mutation)
+    children, child_graphs = [], []
+    for i, rng in zip(parents, rngs):
+        parent = pop[i]
+        child = apply_mutation(parent, params.mutation, params.settings, rng,
+                               _graph(graphs, pop, i, params) if read else None)
+        children.append(child)
+        child_graphs.append(graphs[i] if child is parent else None)
+    return children, child_graphs
 
-    Offspring replace the parent when at least as fit.  Returns the
-    final parent and one RunRecord per generation.
-    """
-    from .streams import Streams    # loads numpy.random; see pcgp.streams
 
-    stream = Streams(params.seed, params.lambda_)
-    parent = random_genome(params.mode, params.n_in, params.n_out, params.n_nodes,
-                           stream(0, 0))
-    parent_fit = _evaluate([parent], fit, 0, 0)[0]
-    evaluations = 1
-    generation = 0
-    graph = decode(parent, params.settings, params.functions)
-    log = []
-    while evaluations < params.budget:
-        generation += 1
-        children = [
-            apply_mutation(parent, params.mutation, params.settings,
-                           stream(generation, slot), graph)
-            for slot in range(params.lambda_)
-        ]
-        fits = _evaluate(children, fit, generation, evaluations)
-        evaluations += params.lambda_
-        best = fits.index(max(fits))
-        mean = _mean(fits + [parent_fit])
-        if fits[best] >= parent_fit:
-            if children[best] is not parent:
-                graph = decode(children[best], params.settings, params.functions)
-            parent, parent_fit = children[best], fits[best]
-        record = RunRecord(generation, evaluations, parent_fit, mean,
-                           sum(graph.active_list))
-        log.append(record)
-        if on_record is not None:
-            on_record(record)
-    return parent, log
+def _one_plus_lambda(params: EvoParams, generation: int, pop, fits, graphs, stream):
+    """1+lambda: lambda mutants of the pool's first maximum, then that
+    parent, so a child at least as fit is the next first maximum."""
+    parent = fits.index(max(fits))
+    rngs = map(stream, repeat(generation), range(params.lambda_))
+    fresh, fresh_graphs = _mutants(params, pop, graphs, [parent] * params.lambda_, rngs)
+    return (), fresh, fresh_graphs, (parent,)
 
 
 def _tournament(fits: list, size: int, rng) -> int:
@@ -231,72 +223,59 @@ def _channel_sizes(params: EvoParams):
     return elites, crossed, mutated, pop - elites - crossed - mutated
 
 
-def ga(fit, params: EvoParams, on_record=None):
-    """Generational GA with elitism, crossover and mutation shares.
+def _ga(params: EvoParams, generation: int, pop, fits, graphs, stream):
+    """GA: elites, crossover children of pairs of distinct tournament
+    winners, mutants of winners, then plain copies of winners."""
+    elites, crossed, mutated, _ = _channel_sizes(params)
+    size = params.tournament_size
+    children, winners, rngs = [], [], []
+    for slot in range(elites, elites + crossed):
+        rng = stream(generation, slot)
+        first = second = _tournament(fits, size, rng)
+        for _ in range(100):
+            second = _tournament(fits, size, rng)
+            if second != first:
+                break
+        pair = None
+        if params.crossover in GRAPH_CROSSOVERS:
+            pair = (_graph(graphs, pop, first, params), _graph(graphs, pop, second, params))
+        children.append(apply_crossover(pop[first], pop[second], params.crossover, rng,
+                                        params.mutation.bounds, pair))
+    for slot in range(elites + crossed, elites + crossed + mutated):
+        rngs.append(stream(generation, slot))
+        winners.append(_tournament(fits, size, rngs[-1]))
+    mutants, mutant_graphs = _mutants(params, pop, graphs, winners, rngs)
+    copies = [_tournament(fits, size, stream(generation, slot))
+              for slot in range(elites + crossed + mutated, params.population)]
+    elite = sorted(range(len(fits)), key=fits.__getitem__, reverse=True)[:elites]
+    return elite, children + mutants, [None] * crossed + mutant_graphs, copies
 
-    Slots are filled elites first, then crossover children from pairs of
-    distinct tournament winners, then mutants of tournament winners,
-    then plain copies; only newly created individuals cost evaluations.
-    """
-    from .streams import Streams
 
-    stream = Streams(params.seed, params.population)
-    pop = [
-        random_genome(params.mode, params.n_in, params.n_out, params.n_nodes,
-                      stream(0, slot))
-        for slot in range(params.population)
-    ]
-    graphs = [None] * params.population
+def _run(fit, params: EvoParams, size: int, slots: int, vary, on_record):
+    """The generation loop of both algorithms; vary is the policy."""
+    from .streams import Streams    # loads numpy.random; see pcgp.streams
+
+    stream = Streams(params.seed, slots)
+    pop = [random_genome(params.mode, params.n_in, params.n_out, params.n_nodes,
+                         stream(0, slot))
+           for slot in range(size)]
+    graphs = [None] * size
     fits = _evaluate(pop, fit, 0, 0)
-    evaluations = params.population
+    evaluations, generation, log = size, 0, []
     best_idx = fits.index(max(fits))
     best, best_fit = pop[best_idx], fits[best_idx]
     best_active = sum(_graph(graphs, pop, best_idx, params).active_list)
-    generation = 0
-    log = []
-    bounds = params.mutation.bounds
-    cross_graphs = params.crossover in GRAPH_CROSSOVERS
-    mutate_graph = reads_graph(params.mutation)
     while evaluations < params.budget:
         generation += 1
-        elites, crossed, mutated, copied = _channel_sizes(params)
-        elite = sorted(range(len(fits)), key=fits.__getitem__, reverse=True)[:elites]
-        fresh, fresh_graphs = [], []
-        for k in range(crossed):
-            slot_rng = stream(generation, elites + k)
-            first = _tournament(fits, params.tournament_size, slot_rng)
-            second = first
-            for _ in range(100):
-                second = _tournament(fits, params.tournament_size, slot_rng)
-                if second != first:
-                    break
-            pair = None
-            if cross_graphs:
-                pair = (_graph(graphs, pop, first, params),
-                        _graph(graphs, pop, second, params))
-            fresh.append(apply_crossover(pop[first], pop[second], params.crossover,
-                                         slot_rng, bounds, pair))
-            fresh_graphs.append(None)
-        for k in range(mutated):
-            slot_rng = stream(generation, elites + crossed + k)
-            winner = _tournament(fits, params.tournament_size, slot_rng)
-            graph = _graph(graphs, pop, winner, params) if mutate_graph else None
-            child = apply_mutation(pop[winner], params.mutation, params.settings,
-                                   slot_rng, graph)
-            fresh.append(child)
-            fresh_graphs.append(graphs[winner] if child is pop[winner] else None)
+        before, fresh, fresh_graphs, after = vary(params, generation, pop, fits, graphs, stream)
         fresh_fits = _evaluate(fresh, fit, generation, evaluations)
         evaluations += len(fresh)
-        copies = [
-            _tournament(fits, params.tournament_size,
-                        stream(generation, elites + crossed + mutated + k))
-            for k in range(copied)
-        ]
-        # elites and copies are gathered after variation, so they carry
-        # the graphs decoded for this generation's parents
-        pop = [pop[i] for i in elite] + fresh + [pop[i] for i in copies]
-        graphs = [graphs[i] for i in elite] + fresh_graphs + [graphs[i] for i in copies]
-        fits = [fits[i] for i in elite] + fresh_fits + [fits[i] for i in copies]
+        # gathered after vary, so kept slots carry the graphs it decoded
+        kept, at = [*before, *after], len(before)
+        pop = [pop[i] for i in kept]
+        graphs = [graphs[i] for i in kept]
+        fits = [fits[i] for i in kept]
+        pop[at:at], graphs[at:at], fits[at:at] = fresh, fresh_graphs, fresh_fits
         gen_best = fits.index(max(fits))
         if fits[gen_best] >= best_fit:
             best, best_fit = pop[gen_best], fits[gen_best]
@@ -309,7 +288,8 @@ def ga(fit, params: EvoParams, on_record=None):
 
 
 def run_evolution(fit, params: EvoParams, on_record=None):
-    """Dispatch to the configured algorithm."""
+    """Run params.algorithm; return the best genome found and one
+    RunRecord per generation, each also passed to on_record if given."""
     if params.algorithm == "ga":
-        return ga(fit, params, on_record)
-    return one_plus_lambda(fit, params, on_record)
+        return _run(fit, params, params.population, params.population, _ga, on_record)
+    return _run(fit, params, 1, params.lambda_, _one_plus_lambda, on_record)

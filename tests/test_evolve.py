@@ -10,13 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 import pcgp.bench
 import pcgp.crossover
 import pcgp.evolve
 import pcgp.mutate
-from pcgp.config import build_evo_params, load_preset, make_fitness, preset_names
+from pcgp.config import RANGES, build_evo_params, load_preset, make_fitness, preset_names
 from pcgp.crossover import apply_crossover
 from pcgp.decode import DecodeSettings, decode
 from pcgp.errors import ConfigError
@@ -27,8 +27,6 @@ from pcgp.evolve import (
     _mean,
     _tournament,
     evaluate_population,
-    ga,
-    one_plus_lambda,
     run_evolution,
 )
 from pcgp.functions import default_functions
@@ -61,7 +59,7 @@ def make_params(**kw):
 
 def test_generation_count_and_evaluation_column():
     params = make_params(lambda_=10, budget=101, seed=3)
-    _, log = one_plus_lambda(hash_fitness, params)
+    _, log = run_evolution(hash_fitness, params)
     assert len(log) == 10
     assert [r.evaluations for r in log] == list(range(11, 102, 10))
     assert [r.generation for r in log] == list(range(1, 11))
@@ -86,7 +84,7 @@ def test_neutral_drift_replaces_parent_on_ties():
     # Constant fitness: every generation's best child ties the parent and
     # must take over, so the survivor drifts away from the initial genome.
     params = make_params(budget=60, seed=9)
-    survivor, log = one_plus_lambda(lambda g: 0.0, params)
+    survivor, log = run_evolution(lambda g: 0.0, params)
     initial = random_genome(params.mode, params.n_in, params.n_out,
                             params.n_nodes, Streams(params.seed, params.lambda_)(0, 0))
     assert not np.array_equal(flatten(survivor), flatten(initial))
@@ -96,7 +94,7 @@ def test_neutral_drift_replaces_parent_on_ties():
 
 def test_best_fitness_monotone():
     params = make_params(budget=300, seed=11)
-    _, log = one_plus_lambda(hash_fitness, params)
+    _, log = run_evolution(hash_fitness, params)
     best = [r.best_fitness for r in log]
     assert all(b >= a for a, b in zip(best, best[1:]))
 
@@ -105,7 +103,7 @@ def test_active_node_count_matches_survivor():
     from pcgp.decode import decode
 
     params = make_params(budget=80, seed=2)
-    survivor, log = one_plus_lambda(hash_fitness, params)
+    survivor, log = run_evolution(hash_fitness, params)
     graph = decode(survivor, params.settings, params.functions)
     assert log[-1].best_active_nodes == int(graph.active.sum())
 
@@ -117,7 +115,7 @@ def test_fitness_failure_propagates_with_context():
         raise ValueError("boom")
 
     with pytest.raises(RuntimeError, match="generation"):
-        one_plus_lambda(bad, params)
+        run_evolution(bad, params)
 
 
 def test_budget_must_cover_first_generation():
@@ -128,7 +126,7 @@ def test_budget_must_cover_first_generation():
 def test_on_record_callback_sees_every_record():
     params = make_params(lambda_=4, budget=30, seed=5)
     seen = []
-    _, log = one_plus_lambda(hash_fitness, params, on_record=seen.append)
+    _, log = run_evolution(hash_fitness, params, on_record=seen.append)
     assert seen == log
 
 
@@ -160,7 +158,7 @@ def test_ga_copies_consume_no_evaluations():
     params = make_params(algorithm="ga", population=10, elitism=0.0,
                          crossover_fraction=0.0, mutation_fraction=0.5,
                          budget=31, seed=4)
-    _, log = ga(hash_fitness, params)
+    _, log = run_evolution(hash_fitness, params)
     assert [r.evaluations for r in log] == [15, 20, 25, 30, 35]
 
 
@@ -168,7 +166,7 @@ def test_ga_pure_mutation_full_turnover():
     params = make_params(algorithm="ga", population=10, elitism=0.0,
                          crossover_fraction=0.0, mutation_fraction=1.0,
                          budget=45, seed=4)
-    _, log = ga(hash_fitness, params)
+    _, log = run_evolution(hash_fitness, params)
     assert [r.evaluations for r in log] == [20, 30, 40, 50]
 
 
@@ -176,7 +174,7 @@ def test_ga_best_monotone_with_elitism():
     params = make_params(algorithm="ga", population=12, elitism=0.1,
                          crossover_fraction=0.25, mutation_fraction=0.5,
                          crossover="single_point", budget=200, seed=7)
-    _, log = ga(hash_fitness, params)
+    _, log = run_evolution(hash_fitness, params)
     best = [r.best_fitness for r in log]
     assert all(b >= a for a, b in zip(best, best[1:]))
     assert best[-1] >= best[0]
@@ -190,9 +188,22 @@ def test_ga_budget_must_cover_population():
     with pytest.raises(ConfigError, match="plus one generation"):
         make_params(algorithm="ga", population=30, budget=30,
                     crossover_fraction=0.0)
-    _, log = ga(hash_fitness, make_params(algorithm="ga", population=30, budget=31,
-                                          crossover_fraction=0.0))
+    _, log = run_evolution(hash_fitness, make_params(algorithm="ga", population=30,
+                                                     budget=31, crossover_fraction=0.0))
     assert [r.generation for r in log] == [1]
+
+
+@pytest.mark.parametrize("shares", [
+    dict(elitism=0.1, crossover_fraction=0.0, mutation_fraction=0.0),
+    dict(elitism=1.0, crossover_fraction=0.5, mutation_fraction=0.5),
+    dict(elitism=0.0, crossover_fraction=0.04, mutation_fraction=0.04),
+])
+def test_ga_generation_without_a_child_is_rejected(shares):
+    """A GA generation that creates no child spends no budget, so its run
+    would never end; constructing its params raises instead."""
+    with pytest.raises(ConfigError, match="0 children"):
+        make_params(algorithm="ga", population=10, budget=30, crossover="single_point",
+                    **shares)
 
 
 def test_ga_crossover_share_needs_operator():
@@ -224,7 +235,7 @@ def test_ga_positional_crossover_runs():
                          mutation_fraction=0.25, crossover="aligned_node",
                          settings=DecodeSettings(input_start=-0.5),
                          budget=40, seed=13)
-    best, log = ga(hash_fitness, params)
+    best, log = run_evolution(hash_fitness, params)
     assert best.mode is GenomeMode.PCGP
     assert log
 
@@ -452,7 +463,7 @@ def test_one_plus_lambda_replaces_a_nan_parent():
         return float("nan") if next(calls) == 0 else hash_fitness(g)
 
     with pytest.warns(UserWarning, match="NaN"):
-        _, log = one_plus_lambda(fit, params)
+        _, log = run_evolution(fit, params)
     assert all(np.isfinite(r.best_fitness) for r in log)
 
 
@@ -460,7 +471,7 @@ def test_ga_survives_nan_fitness():
     params = make_params(algorithm="ga", population=10, crossover="single_point",
                          budget=100, seed=5)
     with pytest.warns(UserWarning, match="NaN"):
-        _, log = ga(nan_for_half, params)
+        _, log = run_evolution(nan_for_half, params)
     assert log[-1].evaluations >= 100
     assert all(r.best_fitness >= 0.5 for r in log)
 
@@ -469,8 +480,8 @@ def test_ga_survives_nan_fitness():
 
 def test_one_plus_lambda_deterministic():
     params = make_params(budget=120, seed=21)
-    a_best, a_log = one_plus_lambda(hash_fitness, params)
-    b_best, b_log = one_plus_lambda(hash_fitness, params)
+    a_best, a_log = run_evolution(hash_fitness, params)
+    b_best, b_log = run_evolution(hash_fitness, params)
     assert np.array_equal(flatten(a_best), flatten(b_best))
     assert a_log == b_log
 
@@ -479,22 +490,10 @@ def test_parallel_matches_sequential():
     common = dict(algorithm="ga", population=10, elitism=0.1,
                   crossover_fraction=0.3, mutation_fraction=0.4,
                   crossover="single_point", budget=60, seed=17)
-    a_best, a_log = ga(hash_fitness, make_params(workers=1, **common))
-    b_best, b_log = ga(hash_fitness, make_params(workers=3, **common))
+    a_best, a_log = run_evolution(hash_fitness, make_params(workers=1, **common))
+    b_best, b_log = run_evolution(hash_fitness, make_params(workers=3, **common))
     assert np.array_equal(flatten(a_best), flatten(b_best))
     assert a_log == b_log
-
-
-def test_run_evolution_dispatch():
-    params = make_params(lambda_=3, budget=20, seed=2)
-    best, log = run_evolution(hash_fitness, params)
-    _, direct = one_plus_lambda(hash_fitness, params)
-    assert log == direct
-    params = make_params(algorithm="ga", population=8, crossover_fraction=0.0,
-                         mutation_fraction=0.5, budget=30, seed=2)
-    _, log = run_evolution(hash_fitness, params)
-    _, direct = ga(hash_fitness, params)
-    assert log == direct
 
 
 def test_decode_is_looked_up_at_call_time_in_every_module(tmp_path, monkeypatch):
@@ -651,3 +650,62 @@ def test_runs_match_the_reference_pipeline(tiny_data, case, preset, task, recurr
     fit, n_in, n_out = make_fitness(cfg)
     assert outcome(lambda: run_evolution(fit, build_evo_params(cfg, n_in, n_out))) \
         == outcome(lambda: reference.run(cfg))
+
+
+def run_outcome(run):
+    """repr(log) and the best genome's bytes of run(), or, for a failed
+    fitness call, the error naming its generation and its cause."""
+    try:
+        best, log = run()
+    except RuntimeError as e:
+        return str(e), repr(e.__cause__)
+    return repr(log), flatten(best).tobytes()
+
+
+@st.composite
+def drawn_configs(draw):
+    """A small run config with every evolution knob drawn, size bounds of 0
+    and equal bounds included; EvoParams may reject it."""
+    mode = draw(st.sampled_from(list(GenomeMode)))
+    ops = {kind: [law.op for law in LAWS if law.kind == kind and law.mode is mode]
+           for kind in ("mutation", "crossover")}
+    algorithm = draw(st.sampled_from(["one_plus_lambda", "ga"]))
+    n_nodes, population, lam = (draw(st.integers(0, 8)), draw(st.integers(2, 12)),
+                                draw(st.integers(1, 8)))
+    first = population + 1 if algorithm == "ga" else lam + 1
+    unit = st.floats(0.0, 1.0)
+    return {
+        "mode": mode.value, "algorithm": algorithm, "lambda": lam,
+        "task": draw(st.sampled_from(["rl", "classification", "regression"])),
+        "n_nodes": n_nodes, "size_min": draw(st.integers(0, n_nodes)),
+        "size_max": draw(st.integers(n_nodes, n_nodes + 6)),
+        "population": population, "budget": first + draw(st.integers(0, 30)),
+        "elitism": draw(unit), "crossover_fraction": draw(unit),
+        "mutation_fraction": draw(unit), "tournament_size": draw(st.integers(1, 30)),
+        "node_rate": draw(unit), "output_rate": draw(unit), "input_rate": draw(unit),
+        "delta_frac": draw(unit), "modify_rate": draw(unit), "recurrency": draw(unit),
+        # configs keep input_start in RANGES; nearer 0, distinct input
+        # positions can tie in rounded distance, where bisect and snap differ
+        "input_start": draw(st.floats(*RANGES["input_start"])),
+        "add_inverted": draw(st.booleans()),
+        "require_active": draw(st.booleans()), "use_weights": draw(st.booleans()),
+        "operator": draw(st.sampled_from(ops["mutation"])),
+        "crossover": draw(st.sampled_from([None, *ops["crossover"]])),
+        "episode_len": 15, "seed": draw(st.integers(0, 2**16)),
+    }
+
+
+@settings(max_examples=50, deadline=None)
+@given(drawn=drawn_configs())
+def test_drawn_configs_match_the_reference_pipeline(tiny_data, drawn):
+    """Over drawn sizes, population shares, tournament sizes, lambda,
+    rates and operators, run_evolution logs what reference.run logs and
+    returns the same best genome bytes, or fails the same way.  Draws
+    that EvoParams rejects are skipped."""
+    cfg = dict(drawn, data=tiny_data.get(drawn["task"]))
+    fit, n_in, n_out = make_fitness(cfg)
+    try:
+        params = build_evo_params(cfg, n_in, n_out)
+    except ConfigError:
+        reject()
+    assert run_outcome(lambda: run_evolution(fit, params)) == run_outcome(lambda: reference.run(cfg))

@@ -1,0 +1,17 @@
+"""The mutant ledger stays applicable between runs of tests/mutants.py."""
+
+from pathlib import Path
+
+import pytest
+
+from mutants import MUTANTS, ROOT
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
+def test_ledger_entry_applies(mutant):
+    """Its old text occurs once in its file, and each test it names exists."""
+    assert (ROOT / "src" / "pcgp" / mutant.file).read_text().count(mutant.old) == 1
+    assert mutant.new != mutant.old and mutant.tests
+    for test_id in mutant.tests:
+        path, name = test_id.split("::")
+        assert f"\ndef {name}(" in Path(ROOT, path).read_text(), test_id
