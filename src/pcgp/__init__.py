@@ -18,9 +18,6 @@ from .config import (
     DEFAULTS,
     RANGES,
     build_evo_params,
-    build_functions,
-    build_mutation,
-    build_settings,
     load_config,
     load_preset,
     make_fitness,
@@ -69,7 +66,6 @@ from .evolve import (
 )
 from .execute import (
     new_state,
-    reset,
     run_batch,
     run_sequence,
     run_supervised,

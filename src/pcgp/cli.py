@@ -21,8 +21,6 @@ import numpy as np
 
 from .config import (
     build_evo_params,
-    build_functions,
-    build_settings,
     load_config,
     load_preset,
     make_fitness,
@@ -155,7 +153,8 @@ def _cmd_export_dot(args) -> int:
     except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read genome {args.genome}: {e}") from None
     genome = from_json(text)
-    dot = to_dot(genome, build_settings(cfg), build_functions(cfg))
+    params = build_evo_params(cfg, genome.n_in, genome.n_out)
+    dot = to_dot(genome, params.settings, params.functions)
     with _output(args.dest):
         Path(args.dest).write_text(dot)
     print(f"wrote {args.dest}")

@@ -177,30 +177,16 @@ def _build(cls, merged: dict, **given):
     return cls(**given)
 
 
-def _mutation(merged: dict) -> MutationParams:
-    n = merged["n_nodes"]
-    smin, smax = merged["size_min"], merged["size_max"]
+def build_evo_params(cfg: dict, n_in: int, n_out: int) -> EvoParams:
+    """Every run object of cfg for a problem of n_in inputs and n_out
+    outputs: the EvoParams and, in it, the decode settings, mutation
+    parameters and function set."""
+    merged = merge_config(cfg)
+    n, smin, smax = merged["n_nodes"], merged["size_min"], merged["size_max"]
     bounds = SizeBounds(round(0.5 * n) if smin is None else smin,
                         round(1.5 * n) if smax is None else smax)
-    return _build(MutationParams, merged, bounds=bounds)
-
-
-def build_settings(cfg: dict) -> DecodeSettings:
-    return _build(DecodeSettings, merge_config(cfg))
-
-
-def build_mutation(cfg: dict) -> MutationParams:
-    return _mutation(merge_config(cfg))
-
-
-def build_functions(cfg: dict) -> FunctionSet:
-    return FunctionSet.from_names(merge_config(cfg)["functions"])
-
-
-def build_evo_params(cfg: dict, n_in: int, n_out: int) -> EvoParams:
-    merged = merge_config(cfg)
     return _build(EvoParams, merged, mode=GenomeMode[merged["mode"]],
-                  n_in=n_in, n_out=n_out, mutation=_mutation(merged),
+                  n_in=n_in, n_out=n_out, mutation=_build(MutationParams, merged, bounds=bounds),
                   settings=_build(DecodeSettings, merged),
                   functions=FunctionSet.from_names(merged["functions"]))
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .decode import component_groups, output_trace
+from .decode import component_groups, output_trace, snap
 from .decode import decode  # noqa: F401 - unused; evobench wraps pcgp.<module>.decode
 from .errors import ConfigError
 from .genome import (
@@ -118,24 +118,21 @@ def random_node(a: Genome, b: Genome, rng) -> Genome:
 def aligned_node(a: Genome, b: Genome, rng) -> Genome:
     """Pair nodes across parents by position and keep one per pair.
 
-    Greedy pairing walks the smaller parent left to right, grabbing the
-    nearest still-unpaired node of the other parent (distance ties break
-    toward smaller position, then smaller index).  Leftover nodes of the
-    larger parent each survive with probability one half.
+    Greedy pairing walks the smaller parent left to right and snaps each
+    node's position among the still-unpaired nodes of the other parent,
+    by decode's rule (snap).  Leftover nodes of the larger parent each
+    survive with probability one half.
     """
     require_positional(a, "aligned node crossover")
     _check_mates(a, b)
     short, long_ = (a, b) if a.n_nodes <= b.n_nodes else (b, a)
-    unpaired = np.ones(long_.n_nodes, dtype=bool)
+    unpaired = dict(enumerate(long_.nodes[:, 0].tolist()))
     rows = []
-    for i in range(short.n_nodes):
-        cand = np.flatnonzero(unpaired)
-        pos = long_.nodes[cand, 0]
-        dist = np.abs(pos - short.nodes[i, 0])
-        j = cand[np.lexsort((cand, pos, dist))[0]]
-        unpaired[j] = False
+    for i, p in enumerate(short.nodes[:, 0].tolist()):
+        j = snap(p, unpaired.items())
+        del unpaired[j]
         rows.append(short.nodes[i] if rng.random() < 0.5 else long_.nodes[j])
-    for j in np.flatnonzero(unpaired):
+    for j in unpaired:
         if rng.random() < 0.5:
             rows.append(long_.nodes[j])
     rows = np.array(rows) if rows else np.zeros((0, 5))

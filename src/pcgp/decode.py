@@ -22,12 +22,15 @@ per-node routine when an attribute that needs it is first read.  A
 node's row depends only on the genome, so what an attribute holds does
 not depend on when or in what order it is read.
 
-Each point snaps with bisect.  The nearest entity wins; at equal
-distance the one on the left wins, and of several entities at one
-position the one with the smallest index wins.  python floats apply
-* + - in the same order as numpy's elementwise ops, so every point, and
-with it every target, is what the array formulas connection_position
-and output_position give.
+Every point snaps by one rule, _nearest over _sorted_entities, which
+snap applies to an explicit candidate list too.  Take the nearest
+position below the point and the nearest position at or above it; the
+nearer one wins, and a tie in (float) distance takes the lower
+position.  Among entities at one position the smallest index wins;
+-0.0 and 0.0 count as one position.  python floats apply * + - in the
+same order as numpy's elementwise ops, so every point, and with it
+every target, is what the array formulas connection_position and
+output_position give.
 
 At recurrency 0 a node's connections snap among a prefix of the sorted
 entities: the inputs and the nodes strictly left of it.  Inputs sit at
@@ -260,21 +263,6 @@ def output_position(o, settings: DecodeSettings, mode: GenomeMode):
     return o * (1.0 - start) + start
 
 
-def snap(point: float, candidates) -> int:
-    """Index of the candidate (index, position) pair nearest to point.
-
-    Distance ties break toward the smaller position, then the smaller
-    index.
-    """
-    items = list(candidates)
-    if not items:
-        raise DecodeError("empty candidate set")
-    idx = np.array([i for i, _ in items])
-    pos = np.array([p for _, p in items], dtype=float)
-    best = np.lexsort((idx, pos, np.abs(pos - point)))[0]
-    return int(idx[best])
-
-
 def _nearest(sorted_pos, point: float, hi: int) -> int:
     """Slot of the entry nearest to point among the first hi (>= 1)
     entries of the ascending list sorted_pos; a distance tie takes the
@@ -287,8 +275,8 @@ def _nearest(sorted_pos, point: float, hi: int) -> int:
 
 def _sorted_entities(positions: list, n_in: int):
     """Positions in ascending order and, per sorted slot, the entity it
-    stands for: the smallest index among the entities at that position,
-    so _nearest followed by this map reproduces snap's tie-breaking.
+    stands for: the smallest index among the entities at that position
+    (-0.0 and 0.0 are one), which is the rule's last tie-break.
     Entities from n_in on (the nodes) must already be ascending and at
     or right of every earlier one, so only the first n_in are sorted;
     a tie across that boundary still maps to the input."""
@@ -299,6 +287,19 @@ def _sorted_entities(positions: list, n_in: int):
         if ordered[k] == ordered[k - 1]:
             order[k] = order[k - 1]
     return ordered, order
+
+
+def snap(point: float, candidates) -> int:
+    """Index of the candidate (index, position) pair nearest to point, by
+    decode's rule (module docstring): the nearer of the nearest positions
+    below and at or above the point, the lower one on a distance tie, and
+    the smallest index at that position.  Raises DecodeError when there
+    are no candidates."""
+    items = sorted(candidates)
+    if not items:
+        raise DecodeError("empty candidate set")
+    ordered, entity = _sorted_entities([p for _, p in items], len(items))
+    return items[entity[_nearest(ordered, point, len(items))]][0]
 
 
 def decode(g: Genome, settings: DecodeSettings, fset: FunctionSet) -> DecodedGraph:

@@ -46,10 +46,6 @@ def new_state(graph: DecodedGraph) -> np.ndarray:
     return np.zeros(graph.n_nodes)
 
 
-def reset(state: np.ndarray) -> np.ndarray:
-    return np.zeros_like(state)
-
-
 # (finite, zeroed): a node value v that finite(v) rejects becomes
 # zeroed(v).  The scalar rule is math.isfinite itself, so step and
 # run_sequence make no extra call per node.  The column rule checks the

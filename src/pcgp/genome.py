@@ -90,21 +90,12 @@ def require_positional(g: Genome, what: str) -> None:
         raise UnsupportedOperatorError(f"{what} is defined only for positional genomes")
 
 
-def _check_ranges(nodes, outputs, inputs):
-    """Every gene in [0, 1], array by array, so a failure names its array;
-    the comparisons are written so NaN fails.  The node block takes one
-    numpy min and max, the short 1-d vectors are read as python floats."""
-    if nodes.size and not (np.minimum.reduce(nodes, None) >= 0.0
-                           and np.maximum.reduce(nodes, None) <= 1.0):
-        raise ValueError("node genes outside [0, 1]")
-    for name, arr in (("output", outputs), ("input", inputs)):
-        if arr is not None and not all(0.0 <= v <= 1.0 for v in arr.tolist()):
-            raise ValueError(f"{name} genes outside [0, 1]")
-
-
-def _build(mode: GenomeMode, n_in: int, n_out: int, nodes, outputs, inputs) -> Genome:
-    """The genome of these arrays, kept as they are: checks shapes, sorts
-    PCGP nodes, checks ranges, freezes."""
+def _check(mode: GenomeMode, n_in: int, n_out: int, nodes, outputs, inputs) -> None:
+    """Raise ValueError unless the arrays have the shapes of mode, n_in
+    and n_out and every gene is in [0, 1].  Ranges are checked array by
+    array, so a failure names its array; the comparisons are written so
+    NaN fails.  The node block takes one numpy min and max, the short
+    1-d vectors are read as python floats."""
     if n_in < 1 or n_out < 1:
         raise ValueError(f"need n_in >= 1 and n_out >= 1, got {n_in}/{n_out}")
     stride = node_stride(mode)
@@ -116,14 +107,26 @@ def _build(mode: GenomeMode, n_in: int, n_out: int, nodes, outputs, inputs) -> G
         if inputs is None:
             raise ValueError("PCGP genomes need input position genes")
         if inputs.shape != (n_in,):
-            raise ValueError(f"expected {n_in} input genes, got {inputs.size}")
+            raise ValueError(f"expected {n_in} input position genes, got {inputs.size}")
+    elif inputs is not None:
+        raise ValueError("CGP genomes carry no input position genes")
+    if nodes.size and not (np.minimum.reduce(nodes, None) >= 0.0
+                           and np.maximum.reduce(nodes, None) <= 1.0):
+        raise ValueError("node genes outside [0, 1]")
+    for name, arr in (("output", outputs), ("input", inputs)):
+        if arr is not None and not all(0.0 <= v <= 1.0 for v in arr.tolist()):
+            raise ValueError(f"{name} genes outside [0, 1]")
+
+
+def _build(mode: GenomeMode, n_in: int, n_out: int, nodes, outputs, inputs) -> Genome:
+    """The genome of these arrays, kept as they are: checks them, sorts
+    PCGP nodes, freezes."""
+    _check(mode, n_in, n_out, nodes, outputs, inputs)
+    if mode is GenomeMode.PCGP:
         # stable sort keeps prior order on position ties (so skip it if sorted)
         positions = nodes[:, 0].tolist()
         if positions != sorted(positions):
             nodes = nodes[np.argsort(nodes[:, 0], kind="stable")]
-    elif inputs is not None:
-        raise ValueError("CGP genomes carry no input position genes")
-    _check_ranges(nodes, outputs, inputs)
     for arr in (nodes, outputs, inputs):
         if arr is not None:
             arr.setflags(write=False)
@@ -279,17 +282,6 @@ def from_json(text: str) -> Genome:
 
 def validate_genome(g: Genome) -> None:
     """Raise ValueError if any genome invariant is violated."""
-    if g.n_in < 1 or g.n_out < 1:
-        raise ValueError("n_in and n_out must be at least 1")
-    if g.nodes.shape != (g.n_nodes, g.stride):
-        raise ValueError("node array shape inconsistent with mode")
-    if g.outputs.shape != (g.n_out,):
-        raise ValueError("output array shape inconsistent with n_out")
-    if g.mode is GenomeMode.PCGP:
-        if g.inputs is None or g.inputs.shape != (g.n_in,):
-            raise ValueError("PCGP genome missing input position genes")
-    elif g.inputs is not None:
-        raise ValueError("CGP genome carries input position genes")
-    _check_ranges(g.nodes, g.outputs, g.inputs)
+    _check(g.mode, g.n_in, g.n_out, g.nodes, g.outputs, g.inputs)
     if g.mode is GenomeMode.PCGP and g.n_nodes and np.any(np.diff(g.nodes[:, 0]) < 0):
         raise ValueError("PCGP nodes not sorted by position gene")

@@ -118,7 +118,8 @@ class Streams:
     stream(generation, slot) is bit for bit
     np.random.default_rng([seed, generation, slot]).  A batch hashes
     every slot of max(1, _BATCH_ROWS // slots) consecutive generations,
-    and is refilled from the generation asked for when it lies outside.
+    or fewer where a generation number needs one more 32-bit word, and
+    is refilled from the generation asked for when it lies outside.
     """
 
     def __init__(self, seed: int, slots: int):
@@ -130,33 +131,26 @@ class Streams:
     def _fill(self, first: int):
         if first < 0:
             raise ValueError(f"generation must be non-negative, got {first}")
-        self.first = first
-        stop = first + self.generations
-        seed_len = len(self.seed)
-        parts = []
-        # rows hashed together share an entropy length; within a batch
-        # only the generation's word count changes it
-        while first < stop:
-            width = len(_words(first))
-            gens = range(first, min(stop, 1 << 32 * width))
-            entropy = np.empty((seed_len + width + 1, len(gens), self.slots), dtype=np.uint32)
-            entropy[:seed_len] = self.seed
-            entropy[seed_len:-1] = np.array(
-                [[g >> 32 * j & _MASK for g in gens] for j in range(width)],
-                dtype=np.uint32)[:, :, None]
-            entropy[-1] = np.arange(self.slots, dtype=np.uint32)
-            parts.append(_seed_states(entropy.reshape(len(entropy), -1)))
-            first = gens.stop
-        self.states = np.concatenate(parts)
+        width, seed_len = len(_words(first)), len(self.seed)
+        # rows hashed together share an entropy length, so the batch stops
+        # where the generation needs one more 32-bit word
+        self.first, self.stop = first, min(first + self.generations, 1 << 32 * width)
+        gens = range(first, self.stop)
+        entropy = np.empty((seed_len + width + 1, len(gens), self.slots), dtype=np.uint32)
+        entropy[:seed_len] = self.seed
+        entropy[seed_len:-1] = np.array(
+            [[g >> 32 * j & _MASK for g in gens] for j in range(width)],
+            dtype=np.uint32)[:, :, None]
+        entropy[-1] = np.arange(self.slots, dtype=np.uint32)
+        self.states = _seed_states(entropy.reshape(len(entropy), -1))
 
     def __call__(self, generation: int, slot: int) -> Stream:
         if not 0 <= slot < self.slots:
             raise IndexError(f"slot {slot} outside [0, {self.slots})")
-        offset = generation - self.first
-        if not 0 <= offset < self.generations:
+        if not self.first <= generation < self.stop:
             self._fill(generation)
-            offset = 0
-        return Stream(Generator(PCG64(_ReadySeed(self.states[offset * self.slots + slot]))))
+        offset = (generation - self.first) * self.slots
+        return Stream(Generator(PCG64(_ReadySeed(self.states[offset + slot]))))
 
 
 class Stream:

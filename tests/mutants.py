@@ -42,6 +42,8 @@ class Mutant(NamedTuple):
 
 
 EVOLVE = "tests/test_evolve.py::"
+DECODE = "tests/test_decode.py::"
+GENOME = "tests/test_genome.py::"
 
 MUTANTS = [
     Mutant("best-only-on-strict-improvement", "evolve.py",
@@ -70,6 +72,55 @@ MUTANTS = [
            'if self.algorithm == "ga" and sum(_channel_sizes(self)[1:3]) == 0:',
            "if False:",
            (EVOLVE + "test_ga_generation_without_a_child_is_rejected",)),
+    # the snapping rule (decode._nearest, snap) and its sharers
+    Mutant("nearest-distance-tie-takes-the-upper", "decode.py",
+           "point - sorted_pos[j - 1] <= sorted_pos[j] - point",
+           "point - sorted_pos[j - 1] < sorted_pos[j] - point",
+           (DECODE + "test_snap_examples", DECODE + "test_snap_rule_holds_a_few_ulps_apart")),
+    Mutant("snap-sorts-by-position-only", "decode.py",
+           "    items = sorted(candidates)\n",
+           "    items = sorted(candidates, key=lambda c: c[1])\n",
+           (DECODE + "test_snap_equal_position_tie_takes_smaller_index",
+            DECODE + "test_snap_rule_holds_a_few_ulps_apart")),
+    Mutant("cgp-axis-starts-at-input-start", "decode.py",
+           "    return settings.input_start if mode is GenomeMode.PCGP else 0.0\n",
+           "    return settings.input_start\n",
+           (DECODE + "test_connection_position_cgp_endpoints", DECODE + "test_output_position",
+            DECODE + "test_chain_fixture_targets")),
+    # genome construction
+    Mutant("check-skips-the-input-shape", "genome.py",
+           "        if inputs.shape != (n_in,):\n",
+           "        if False:\n",
+           (GENOME + "test_derive_checks_shapes", GENOME + "test_validate_catches_forged_state")),
+    # shared arrays are frozen, given ones fresh: only given ones are checked
+    Mutant("range-check-skips-shared-arrays", "genome.py",
+           "        if arr is not None and not all(0.0 <= v <= 1.0",
+           "        if arr is not None and arr.flags.writeable and not all(0.0 <= v <= 1.0",
+           (GENOME + "test_derive_checks_the_ranges_of_shared_arrays",)),
+    Mutant("node-block-left-writeable", "genome.py",
+           "    for arr in (nodes, outputs, inputs):\n        if arr is not None:\n",
+           "    for arr in (outputs, inputs):\n        if arr is not None:\n",
+           (GENOME + "test_arrays_read_only", GENOME + "test_derive_shares_what_it_is_not_given")),
+    Mutant("ladder-shifted-half-a-cell", "genome.py",
+           "np.arange(count) + 0.5", "np.arange(count) + 1.0",
+           (GENOME + "test_cgp_ladder_positions", GENOME + "test_ladder_positions_helper_matches",
+            DECODE + "test_chain_fixture_targets")),
+    Mutant("require-positional-lets-cgp-through", "genome.py",
+           "    if g.mode is not GenomeMode.PCGP:\n        raise UnsupportedOperatorError",
+           "    if False:\n        raise UnsupportedOperatorError",
+           ("tests/test_operator_laws.py::test_guards",)),
+    # operators and execution
+    Mutant("gene-mutation-writes-the-parent", "mutate.py",
+           "    out = arr.copy()\n", "    out = arr\n",
+           ("tests/test_mutate.py::test_children_always_valid",
+            "tests/test_mutate.py::test_operators_deterministic_under_seed")),
+    Mutant("cycle-step-appends-its-live-row", "execute.py",
+           "outs.append(cur[:] if outputs is None", "outs.append(cur if outputs is None",
+           ("tests/test_execute.py::test_run_sequence_by_columns_hand_built",
+            "tests/test_execute.py::test_step_equals_run_sequence_bitwise")),
+    Mutant("stream-batch-crosses-a-word-boundary", "streams.py",
+           "min(first + self.generations, 1 << 32 * width)", "first + self.generations",
+           (EVOLVE + "test_stream_matches_default_rng",)),
 ]
 
 

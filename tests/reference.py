@@ -1,12 +1,13 @@
 """A slow reference pipeline, from config to run log, for the tests.
 
-It reuses only primitives that tests pin on their own (snap, the
-position formulas, step, the operators, load_csv, _channel_sizes, and
-_evaluate, which scores serially and names a failure's generation) and
-avoids each fast path of the package:
+It reuses only primitives that tests pin on their own (the position
+formulas, step, the operators, load_csv, _channel_sizes, and _evaluate,
+which scores serially and names a failure's generation) and avoids each
+fast path of the package:
 
-- decode_lists snaps every point with snap over an explicit candidate
-  list, not with bisect over one sorted list, and decodes every node,
+- decode_lists snaps every point with its own linear scan of the
+  snapping rule, snap_linear, over an explicit candidate list, not with
+  bisect over one sorted list (pcgp.decode), and decodes every node,
   not only those an output reaches (pcgp.decode.decode); decode hands
   its lists to DecodedGraph with every row given.  plan_and_key_oracle,
   components_oracle and trace_oracle do without DecodedGraph.plan,
@@ -43,7 +44,7 @@ from pcgp.bench import (
 )
 from pcgp.config import merge_config
 from pcgp.crossover import apply_crossover
-from pcgp.decode import DecodedGraph, DecodeSettings, connection_position, output_position, snap
+from pcgp.decode import DecodedGraph, DecodeSettings, connection_position, output_position
 from pcgp.evolve import EvoParams, RunRecord, _channel_sizes, _evaluate
 from pcgp.execute import new_state, step
 from pcgp.functions import FunctionSet
@@ -67,7 +68,21 @@ class Decoded(NamedTuple):
     active: list
 
 
-def decode_lists(g, s, fset, snap=snap) -> Decoded:
+def snap_linear(point, candidates):
+    """The index that the snapping rule (pcgp.decode) gives, by a scan:
+    the nearer of the highest position below point and the lowest at or
+    above it, the lower one on a distance tie, then the smallest index
+    at that position (-0.0 and 0.0 are one position)."""
+    below = [p for _, p in candidates if p < point]
+    above = [p for _, p in candidates if p >= point]
+    if below and (not above or point - max(below) <= min(above) - point):
+        best = max(below)
+    else:
+        best = min(above)
+    return min(i for i, p in candidates if p == best)
+
+
+def decode_lists(g, s, fset) -> Decoded:
     """Every node and output of g decoded: each point snaps over the
     entities it may reach, which are every entity or, at recurrency 0,
     the inputs and the nodes strictly left of the connection's own."""
@@ -79,10 +94,10 @@ def decode_lists(g, s, fset, snap=snap) -> Decoded:
         here = pos[n_in + i]
         cands = everything if s.recurrency > 0 else [
             (j, p) for j, p in everything if j < n_in or p < here]
-        targets.append(tuple(snap(connection_position(row[k], here, s, g.mode), cands)
+        targets.append(tuple(snap_linear(connection_position(row[k], here, s, g.mode), cands)
                              for k in (X_OFF, Y_OFF)))
         findex.append(min(math.floor(row[F_OFF] * len(fset)), len(fset) - 1))
-    outputs = [snap(output_position(o, s, g.mode), everything) for o in g.outputs]
+    outputs = [snap_linear(output_position(o, s, g.mode), everything) for o in g.outputs]
     arity = [fset[f].arity for f in findex]
     active = [False] * g.n_nodes
     stack = [t - n_in for t in outputs if t >= n_in]
@@ -94,9 +109,9 @@ def decode_lists(g, s, fset, snap=snap) -> Decoded:
     return Decoded(pos, targets, outputs, findex, arity, g.nodes[:, C_OFF].tolist(), active)
 
 
-def decode(g, s, fset, snap=snap):
+def decode(g, s, fset):
     """g's DecodedGraph, built from decode_lists with every row given."""
-    d = decode_lists(g, s, fset, snap)
+    d = decode_lists(g, s, fset)
     rows = [(*t, f, k, c) for t, f, k, c in zip(d.targets, d.findex, d.arity, d.params)]
     return DecodedGraph(g.n_in, g.n_out, g.n_nodes, d.outputs, d.active, rows, None, fset,
                         s.use_weights)
@@ -198,7 +213,7 @@ def make_fitness(cfg):
 
 # ---------------------------------------------------------------- builders
 # Written out field by field, so they pin config._build, which derives
-# build_settings, build_mutation and build_evo_params from the fields.
+# build_evo_params and the objects in it from the fields.
 
 def oracle_settings(cfg: dict) -> DecodeSettings:
     m = merge_config(cfg)

@@ -16,8 +16,6 @@ from pcgp.config import (
     RANGES,
     _build,
     build_evo_params,
-    build_mutation,
-    build_settings,
     load_config,
     load_preset,
     make_fitness,
@@ -216,14 +214,13 @@ def built_or_error(build, *args):
 def test_builders_match_hand_written_oracle(cfg, n_in, n_out):
     """About a third of the drawn documents are valid: those build equal
     objects with equal field types, and the rest fail with the same error."""
-    for build, oracle, args in ((build_settings, oracle_settings, ()),
-                                (build_mutation, oracle_mutation, ()),
-                                (build_evo_params, oracle_evo_params, (n_in, n_out))):
-        got = built_or_error(build, cfg, *args)
-        want = built_or_error(oracle, cfg, *args)
-        assert got == want
-        if is_dataclass(want):
-            assert field_types(got) == field_types(want)   # 0 == 0.0 hides a lost float()
+    got = built_or_error(build_evo_params, cfg, n_in, n_out)
+    want = built_or_error(oracle_evo_params, cfg, n_in, n_out)
+    assert got == want
+    if is_dataclass(want):
+        assert field_types(got) == field_types(want)   # 0 == 0.0 hides a lost float()
+        assert got.settings == oracle_settings(cfg)
+        assert got.mutation == oracle_mutation(cfg)
 
 
 FIELD_HOLDERS = {EvoParams: lambda p: p, DecodeSettings: lambda p: p.settings,
@@ -288,18 +285,19 @@ def test_build_settings_and_mutation():
     cfg = {"mode": "PCGP", "recurrency": 0.3, "input_start": -0.4,
            "use_weights": True, "operator": "mixed_node", "node_rate": 0.2,
            "delta_frac": 0.25, "n_nodes": 20}
-    s = build_settings(cfg)
+    p = build_evo_params(cfg, 1, 1)
+    s = p.settings
     assert (s.recurrency, s.input_start, s.use_weights) == (0.3, -0.4, True)
-    m = build_mutation(cfg)
+    m = p.mutation
     assert m.operator == "mixed_node"
     assert m.node_rate == 0.2
     assert (m.bounds.size_min, m.bounds.size_max) == (10, 30)
 
 
 def test_default_size_bounds_derived_from_node_count():
-    m = build_mutation({"n_nodes": 3})
+    m = build_evo_params({"n_nodes": 3}, 1, 1).mutation
     assert (m.bounds.size_min, m.bounds.size_max) == (2, 4)
-    m = build_mutation({"n_nodes": 3, "size_min": 1, "size_max": 9})
+    m = build_evo_params({"n_nodes": 3, "size_min": 1, "size_max": 9}, 1, 1).mutation
     assert (m.bounds.size_min, m.bounds.size_max) == (1, 9)
 
 

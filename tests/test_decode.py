@@ -1,6 +1,7 @@
 """Decoding: connection geometry, snapping, activity, components."""
 
 import graphlib
+import math
 import sys
 from unittest import mock
 
@@ -88,15 +89,6 @@ def test_settings_validation():
 
 # --------------------------------------------------------------- snapping
 
-def snap_oracle(point, cands):
-    best_key, best_i = None, None
-    for i, p in cands:
-        key = (abs(p - point), p, i)
-        if best_key is None or key < best_key:
-            best_key, best_i = key, i
-    return best_i
-
-
 def test_snap_examples():
     assert snap(0.4, [(0, 0.25), (1, 0.75)]) == 0
     assert snap(0.5, [(0, 0.25), (1, 0.75)]) == 0  # tie -> smaller position
@@ -120,7 +112,37 @@ def test_snap_empty_candidates():
 )
 def test_snap_matches_linear_oracle(indices, raw_pos, point):
     cands = [(i, raw_pos[k % len(raw_pos)] / 40.0) for k, i in enumerate(indices)]
-    assert snap(point, cands) == snap_oracle(point, cands)
+    assert snap(point, cands) == reference.snap_linear(point, cands)
+
+
+@st.composite
+def near_ties(draw):
+    """A point and (index, position) candidates a few ulps apart near 0,
+    at one of three scales, signed zeros among them.  From a far point
+    their distances round alike, so only the rule's choice between the
+    highest position below and the lowest at or above decides."""
+    scale = draw(st.sampled_from([5e-324, 1e-107, 1e-17]))
+    near = st.builds(lambda k, sign: sign * (scale + k * math.ulp(scale)),
+                     st.integers(-4, 4), st.sampled_from([1.0, -1.0]))
+    value = st.one_of(near, st.sampled_from([0.0, -0.0]))
+    positions = draw(st.lists(value, min_size=1, max_size=8))
+    indices = draw(st.permutations(range(len(positions))))
+    point = draw(st.one_of(value, st.sampled_from([-1.0, -0.5, 0.2616, 0.5, 1.0])))
+    return point, list(zip(indices, positions))
+
+
+@settings(max_examples=300)
+@given(near_ties())
+@example((1.0, [(46, -4e-17), (34, 2e-17)]))
+def test_snap_rule_holds_a_few_ulps_apart(case):
+    """snap, decode's _nearest over _sorted_entities and the reference's
+    linear scan give one index where rounded distances tie."""
+    point, cands = case
+    want = reference.snap_linear(point, cands)
+    assert snap(point, cands) == want
+    by_index = sorted(cands)
+    ordered, entity = _sorted_entities([p for _, p in by_index], len(by_index))
+    assert by_index[entity[_nearest(ordered, point, len(by_index))]][0] == want
 
 
 @settings(max_examples=100)
@@ -137,7 +159,7 @@ def test_snap_field_matches_oracle(n, seed):
     points = rng.uniform(-1.5, 1.5, 16).tolist()
     cands = list(enumerate(positions))
     for t in points:
-        assert entity[_nearest(ordered, t, n)] == snap_oracle(t, cands)
+        assert entity[_nearest(ordered, t, n)] == reference.snap_linear(t, cands)
 
 
 @settings(max_examples=300)
@@ -306,7 +328,7 @@ def test_decode_matches_snap_oracle_per_connection(mode, seed):
                       int(rng.integers(1, 12)), rng)
     s = random_settings(rng, zero_r=bool(rng.integers(0, 2)))
     d = decode(g, s, FSET)
-    want = reference.decode_lists(g, s, FSET, snap=snap_oracle)
+    want = reference.decode_lists(g, s, FSET)
     assert [d.row(i)[:2] for i in range(d.n_nodes)] == want.targets
     assert d.output_list == want.outputs
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from pcgp.decode import DecodeSettings, decode
 from pcgp.execute import (
-    _schedule, _strong_components, new_state, reset, run_batch, run_sequence, run_supervised,
+    _schedule, _strong_components, new_state, run_batch, run_sequence, run_supervised,
     step,
 )
 from pcgp.functions import FunctionSet, default_functions
@@ -83,22 +83,6 @@ def test_zero_nodes_pass_through():
     d = decode(g, DecodeSettings(), FSET)
     out, _ = step(d, new_state(d), np.array([3.0, 4.0]))
     assert out.tolist() == [3.0, 4.0]
-
-
-# ---------------------------------------------------------------- reset
-
-def test_reset_contract():
-    g = cgp([[0.2, 0.8, f_gene("add"), 0.5]], [0.9])
-    d = decode(g, DecodeSettings(recurrency=1.0), FSET)
-    s = new_state(d)
-    _, s = step(d, s, np.array([1.0]))
-    assert s[0] == 1.0
-    r = reset(s)
-    assert r.tolist() == [0.0]
-    assert reset(r).tolist() == [0.0]
-    out_fresh, _ = step(d, new_state(d), np.array([1.0]))
-    out_reset, _ = step(d, r, np.array([1.0]))
-    assert out_fresh.tolist() == out_reset.tolist()
 
 
 # ------------------------------------------------------------ invariants

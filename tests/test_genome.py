@@ -225,7 +225,9 @@ def test_derive_checks_shapes():
 
 def test_derive_checks_the_ranges_of_shared_arrays():
     g = cgp([[0.1, 0.2, 0.3, 0.4]], [0.5])
-    forged = Genome(GenomeMode.CGP, 2, 1, g.nodes, np.array([1.5]), None)
+    outputs = np.array([1.5])
+    outputs.setflags(write=False)       # frozen, as every genome array is
+    forged = Genome(GenomeMode.CGP, 2, 1, g.nodes, outputs, None)
     with pytest.raises(ValueError, match="output genes outside"):
         derive(forged, nodes=np.full((1, 4), 0.5))
     with pytest.raises(ValueError, match="node genes outside"):
