@@ -7,13 +7,7 @@ adds mutation and crossover operators over both representations, a
 1+lambda EA and a GA, benchmark fitness functions, and a CLI runner.
 """
 
-from .bench import (
-    Dataset,
-    cartpole_fitness,
-    classification_fitness,
-    load_csv,
-    regression_fitness,
-)
+from .bench import Dataset, MemoizedFitness, load_csv
 from .config import (
     DEFAULTS,
     RANGES,

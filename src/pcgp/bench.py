@@ -1,10 +1,10 @@
 """Benchmark fitness functions.
 
 CSV-backed classification and regression plus a built-in cart-pole
-balancing task.  All fitnesses are maximized and deterministic for a
-given genome, so they can drive either evolution loop directly.
-MemoizedFitness, which config.make_fitness returns, adds a memo: it
-scores each distinct active program once.
+balancing task, all scored by MemoizedFitness, which
+config.make_fitness returns.  Its values are maximized and
+deterministic for a given genome, so it can drive either evolution
+loop directly.
 """
 
 from __future__ import annotations
@@ -148,9 +148,7 @@ def load_csv(path, task: str) -> Dataset:
     return Dataset(scaled, targets, task, lo, hi, labels)
 
 
-def _check_dataset(g: Genome, d: Dataset, task: str):
-    if d.task != task:
-        raise ConfigError(f"dataset is for {d.task}, not {task}")
+def _check_dataset(g: Genome, d: Dataset):
     if d.n_rows == 0:
         raise ConfigError("empty dataset")
     if g.n_in != d.n_features:
@@ -213,44 +211,25 @@ def _balance(graph: DecodedGraph, episode_len: int) -> float:
     return 1.0 if fell_at is None else fell_at / episode_len
 
 
-def classification_fitness(g: Genome, d: Dataset,
-                           settings: DecodeSettings, fset: FunctionSet) -> float:
-    """Accuracy in [0,1]; predicted class is the argmax output (ties to
-    the lowest index).  State is reset once, then rows run in file order."""
-    _check_dataset(g, d, "classification")
-    return _accuracy(decode(g, settings, fset), d)
-
-
-def regression_fitness(g: Genome, d: Dataset,
-                       settings: DecodeSettings, fset: FunctionSet) -> float:
-    """Negated mean squared error over all rows and outputs; 0 is perfect."""
-    _check_dataset(g, d, "regression")
-    return _neg_mse(decode(g, settings, fset), d)
-
-
-def cartpole_fitness(g: Genome, settings: DecodeSettings, fset: FunctionSet,
-                     episode_len: int = 500) -> float:
-    """Fraction of the episode a bang-bang controlled pole stays up.
-
-    The program reads (cart position, cart velocity, pole angle, pole
-    angular velocity) each step and pushes with +/-10 N by the sign of
-    its output.  Euler integration, failure beyond 12 degrees or 2.4 m.
-    """
-    _check_cartpole(g, episode_len)
-    return _balance(decode(g, settings, fset), episode_len)
-
-
 class MemoizedFitness:
     """A bundled task's fitness that scores each distinct program once.
 
-    Cart-pole when data is None, otherwise the dataset's task; the value
-    is the one cartpole_fitness, classification_fitness or
-    regression_fitness gives.  A call checks the genome against the
-    task, decodes it and looks its DecodedGraph.program_key up; a miss
-    scores the graph and stores the value, dropping the oldest entry
-    beyond MEMO_ENTRIES.  The key is read off the active rows, and only
-    a miss, which runs the program, builds its plan.  Scoring is
-    deterministic, so a hit returns exactly what scoring again would.
+    With data it scores the dataset's task.  Classification is accuracy
+    in [0,1]: the predicted class is the argmax output (ties to the
+    lowest index), and state is reset once, then rows run in file order.
+    Regression is the negated mean squared error over all rows and
+    outputs; 0 is perfect.  With data None it is cart-pole: the fraction
+    of episode_len steps a pole stays up while the program reads (cart
+    position, cart velocity, pole angle, pole angular velocity) and
+    pushes with +/-10 N by the sign of its output.  Euler integration;
+    the episode fails beyond 12 degrees or 2.4 m.
+
+    A call checks the genome against the task, decodes it and looks its
+    DecodedGraph.program_key up; a miss scores the graph and stores the
+    value, dropping the oldest entry beyond MEMO_ENTRIES.  The key is
+    read off the active rows, and only a miss, which runs the program,
+    builds its plan.  Scoring is deterministic, so a hit returns exactly
+    what scoring again would: a fresh instance gives the memo-free value.
 
     decode fills only the active nodes' rows, which is all the key and
     the interpreter read, so neither a hit nor a miss decodes an
@@ -267,7 +246,7 @@ class MemoizedFitness:
             self._check = partial(_check_cartpole, episode_len=episode_len)
             self._score = partial(_balance, episode_len=episode_len)
         else:
-            self._check = partial(_check_dataset, d=data, task=data.task)
+            self._check = partial(_check_dataset, d=data)
             score = _accuracy if data.task == "classification" else _neg_mse
             self._score = partial(score, d=data)
         self._memo = {}

@@ -6,9 +6,7 @@ rely on node positions or decoded structure and therefore exist only for
 positional genomes; applying them to plain genomes raises instead of
 silently degrading.
 
-Operators whose random choices matter for exactness expose injection
-seams (explicit cut offset, weight vector, output choices, component
-picks) so tests can pin them down.
+Every random choice is drawn from the rng passed in.
 
 Those in READS_GRAPHS read the parents' decoded graphs, which the
 caller hands them as a pair; without them they raise ValueError, before
@@ -64,15 +62,15 @@ def _coin_mix(av: np.ndarray, bv: np.ndarray, rng) -> np.ndarray:
     return np.where(rng.random(av.shape) < 0.5, bv, av)
 
 
-def _cap_rows(rows: np.ndarray, bounds: SizeBounds | None, rng) -> np.ndarray:
+def _cap_rows(rows: np.ndarray, bounds: SizeBounds, rng) -> np.ndarray:
     """Drop uniformly chosen rows until within size_max."""
-    if bounds is None or rows.shape[0] <= bounds.size_max:
+    if rows.shape[0] <= bounds.size_max:
         return rows
     keep = np.sort(rng.choice(rows.shape[0], size=bounds.size_max, replace=False))
     return rows[keep]
 
 
-def single_point(a: Genome, b: Genome, rng, cut: int | None = None) -> Genome:
+def single_point(a: Genome, b: Genome, rng) -> Genome:
     """Swap flat-gene suffixes at a node-block boundary.
 
     Legal cuts are offset 0 (child becomes one parent wholesale) and the
@@ -83,10 +81,7 @@ def single_point(a: Genome, b: Genome, rng, cut: int | None = None) -> Genome:
     header = header_length(a.mode, a.n_in, a.n_out)
     stride = node_stride(a.mode)
     cuts = [0] + [header + j * stride for j in range(min(a.n_nodes, b.n_nodes) + 1)]
-    if cut is None:
-        cut = cuts[rng.integers(len(cuts))]
-    elif cut not in cuts:
-        raise ValueError(f"cut {cut} is not a node boundary (choose from {cuts})")
+    cut = cuts[rng.integers(len(cuts))]
     head, tail = (a, b) if rng.integers(2) == 0 else (b, a)
     child = np.concatenate([flatten(head)[:cut], flatten(tail)[cut:]])
     return unflatten(a.mode, a.n_in, a.n_out, child)
@@ -141,7 +136,7 @@ def aligned_node(a: Genome, b: Genome, rng) -> Genome:
     return derive(a, rows, outputs, inputs)
 
 
-def proportional(a: Genome, b: Genome, rng, weights=None) -> Genome:
+def proportional(a: Genome, b: Genome, rng) -> Genome:
     """Per-gene convex blend of the flat vectors up to the shorter
     length; the longer parent's tail is appended unchanged.
 
@@ -152,12 +147,7 @@ def proportional(a: Genome, b: Genome, rng, weights=None) -> Genome:
     _check_mates(a, b)
     fa, fb = flatten(a), flatten(b)
     low = min(fa.size, fb.size)
-    if weights is None:
-        w = rng.random(low)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (low,):
-            raise ValueError(f"need {low} weights, got shape {w.shape}")
+    w = rng.random(low)
     lo = np.minimum(fa[:low], fb[:low])
     hi = np.maximum(fa[:low], fb[:low])
     mix = np.clip((1.0 - w) * fa[:low] + w * fb[:low], lo, hi)
@@ -165,8 +155,7 @@ def proportional(a: Genome, b: Genome, rng, weights=None) -> Genome:
     return unflatten(a.mode, a.n_in, a.n_out, np.concatenate([mix, tail[low:]]))
 
 
-def output_graph(a: Genome, b: Genome, graphs, rng, bounds: SizeBounds | None = None,
-                 output_choices=None) -> Genome:
+def output_graph(a: Genome, b: Genome, graphs, rng, bounds: SizeBounds) -> Genome:
     """Recombine whole per-output program graphs, read off graphs.
 
     Each output is inherited from one parent together with every node
@@ -174,24 +163,18 @@ def output_graph(a: Genome, b: Genome, graphs, rng, bounds: SizeBounds | None = 
     parent's traces keep that parent's position gene; the rest flip a
     coin.  The draws come in this order: one integers(0, 2) per output
     for its parent (the numbers integers(0, 2, n_out) gives, without its
-    size set-up; none when output_choices is given), the choice of
-    _cap_rows, then random(n_in) for the input coins.
+    size set-up), the choice of _cap_rows, then random(n_in) for the
+    input coins.
     """
     _require_graphs(graphs, "output graph")
     require_positional(a, "output graph crossover")
     _check_mates(a, b)
-    if output_choices is None:
-        choices = [int(rng.integers(0, 2)) for _ in range(a.n_out)]
-    else:
-        choices = np.asarray(output_choices, dtype=int)
-        if choices.shape != (a.n_out,):
-            raise ValueError(f"need {a.n_out} output choices")
-        choices = choices.tolist()
+    choices = [int(rng.integers(0, 2)) for _ in range(a.n_out)]
     n_in = a.n_in
     picked, used = (set(), set()), (set(), set())
     for k, c in enumerate(choices):
         d = graphs[c]
-        tr = output_trace(d, k, arity_aware=False)
+        tr = output_trace(d, k)
         picked[c].update(tr)
         ends = [d.output_list[k]] + [t for i in tr for t in d.row(i)[:2]]
         used[c].update(t for t in ends if t < n_in)
@@ -208,22 +191,18 @@ def output_graph(a: Genome, b: Genome, graphs, rng, bounds: SizeBounds | None = 
     return derive(a, rows, outputs, inputs)
 
 
-def subgraph(a: Genome, b: Genome, graphs, rng, bounds: SizeBounds | None = None,
-             select_a=None, select_b=None) -> Genome:
+def subgraph(a: Genome, b: Genome, graphs, rng, bounds: SizeBounds) -> Genome:
     """Union of coin-flipped weakly-connected components of both parents.
 
-    Component selection masks can be injected for tests; input and
-    output genes are per-gene coin flips.
+    Input and output genes are per-gene coin flips.
     """
     _require_graphs(graphs, "subgraph")
     require_positional(a, "subgraph crossover")
     _check_mates(a, b)
     parts = []
-    for g, graph, given in zip((a, b), graphs, (select_a, select_b)):
+    for g, graph in zip((a, b), graphs):
         comps = component_groups(graph)
-        take = (rng.random(len(comps)) < 0.5) if given is None else np.asarray(given, bool)
-        if len(take) != len(comps):
-            raise ValueError(f"need {len(comps)} component picks, got {len(take)}")
+        take = rng.random(len(comps)) < 0.5
         chosen = [c for c, t in zip(comps, take) if t]
         idx = np.sort(np.concatenate(chosen)) if chosen else np.zeros(0, int)
         parts.append(g.nodes[idx])
@@ -233,8 +212,8 @@ def subgraph(a: Genome, b: Genome, graphs, rng, bounds: SizeBounds | None = None
     return derive(a, rows, outputs, inputs)
 
 
-def apply_crossover(a: Genome, b: Genome, operator: str, rng,
-                    bounds: SizeBounds | None = None, graphs=None) -> Genome:
+def apply_crossover(a: Genome, b: Genome, operator: str, rng, bounds: SizeBounds,
+                    graphs=None) -> Genome:
     """A child of a and b by operator; graphs, the parents' decoded
     graphs as a pair, must be given when operator is in READS_GRAPHS."""
     if operator == "single_point":

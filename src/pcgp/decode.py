@@ -415,13 +415,12 @@ def component_groups(graph: DecodedGraph) -> list[np.ndarray]:
             for c in range(graph.components.max() + 1)]
 
 
-def output_trace(graph: DecodedGraph, output: int, arity_aware: bool = False) -> set[int]:
+def output_trace(graph: DecodedGraph, output: int) -> set[int]:
     """Computational nodes reachable backward from one output's target.
 
-    With arity_aware false, both connections of every visited node are
-    followed even when its function consumes fewer; cycle-safe either
-    way.
+    Both connections of every visited node are followed, even when its
+    function consumes fewer; cycle-safe.
     """
     seen = _reachable(graph.n_in, graph.n_nodes, graph.row, [graph.output_list[output]],
-                      arity_aware)
+                      arity_aware=False)
     return {i for i, hit in enumerate(seen) if hit}

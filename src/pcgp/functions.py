@@ -77,9 +77,6 @@ class FunctionSet:
     def __getitem__(self, i: int) -> Function:
         return self.functions[i]
 
-    def __iter__(self):
-        return iter(self.functions)
-
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(f.name for f in self.functions)

@@ -44,6 +44,10 @@ class Mutant(NamedTuple):
 EVOLVE = "tests/test_evolve.py::"
 DECODE = "tests/test_decode.py::"
 GENOME = "tests/test_genome.py::"
+CROSS = "tests/test_crossover.py::"
+MUTATE = "tests/test_mutate.py::"
+LAWS = "tests/test_operator_laws.py::"
+BENCH = "tests/test_bench.py::"
 
 MUTANTS = [
     Mutant("best-only-on-strict-improvement", "evolve.py",
@@ -121,6 +125,132 @@ MUTANTS = [
     Mutant("stream-batch-crosses-a-word-boundary", "streams.py",
            "min(first + self.generations, 1 << 32 * width)", "first + self.generations",
            (EVOLVE + "test_stream_matches_default_rng",)),
+    # crossover's choices, each scripted by a test through the rng
+    Mutant("single-point-cut-counted-from-the-end", "crossover.py",
+           "    cut = cuts[rng.integers(len(cuts))]\n",
+           "    cut = cuts[-1 - rng.integers(len(cuts))]\n",
+           (CROSS + "test_single_point_cut_zero_clones_a_parent",
+            CROSS + "test_single_point_enumerated_cuts")),
+    Mutant("proportional-weights-swapped", "crossover.py",
+           "np.clip((1.0 - w) * fa[:low] + w * fb[:low], lo, hi)",
+           "np.clip(w * fa[:low] + (1.0 - w) * fb[:low], lo, hi)",
+           (CROSS + "test_proportional_injected_endpoints_exact",)),
+    Mutant("output-graph-choice-inverted", "crossover.py",
+           "    choices = [int(rng.integers(0, 2)) for _ in range(a.n_out)]\n",
+           "    choices = [1 - int(rng.integers(0, 2)) for _ in range(a.n_out)]\n",
+           (CROSS + "test_output_graph_disjoint_traces",
+            CROSS + "test_output_graph_hand_built_parents")),
+    Mutant("subgraph-takes-components-at-or-above-half", "crossover.py",
+           "        take = rng.random(len(comps)) < 0.5\n",
+           "        take = rng.random(len(comps)) >= 0.5\n",
+           (CROSS + "test_subgraph_union_of_selected_components",
+            CROSS + "test_subgraph_truncates_at_size_max")),
+    Mutant("cap-rows-never-caps", "crossover.py",
+           "    if rows.shape[0] <= bounds.size_max:\n",
+           "    if True:\n",
+           (CROSS + "test_output_graph_draw_order", CROSS + "test_output_graph_truncates_at_size_max",
+            CROSS + "test_subgraph_truncates_at_size_max", EVOLVE + "test_size_rule")),
+    Mutant("single-point-cut-past-a-boundary", "crossover.py",
+           "[header + j * stride for j in", "[header + j * stride + 1 for j in",
+           (CROSS + "test_single_point_enumerated_cuts", EVOLVE + "test_size_rule")),
+    Mutant("random-node-draws-b-apart-for-equal-sizes", "crossover.py",
+           "    if a.n_nodes == b.n_nodes:\n", "    if False:\n",
+           (LAWS + "test_self_cross",)),
+    Mutant("aligned-node-keeps-every-leftover", "crossover.py",
+           "        if rng.random() < 0.5:\n            rows.append(long_.nodes[j])",
+           "        if rng.random() < 1.0:\n            rows.append(long_.nodes[j])",
+           (CROSS + "test_aligned_node_leftover_rule_bounds_count",)),
+    Mutant("proportional-without-its-clip", "crossover.py",
+           "    mix = np.clip((1.0 - w) * fa[:low] + w * fb[:low], lo, hi)\n",
+           "    mix = (1.0 - w) * fa[:low] + w * fb[:low]\n",
+           (LAWS + "test_self_cross",)),
+    Mutant("proportional-tail-from-the-shorter-parent", "crossover.py",
+           "    tail = fa if fa.size >= fb.size else fb\n",
+           "    tail = fa if fa.size < fb.size else fb\n",
+           (CROSS + "test_children_always_valid", CROSS + "test_proportional_tail_from_longer_parent")),
+    Mutant("reads-graphs-without-subgraph", "crossover.py",
+           'READS_GRAPHS = ("output_graph", "subgraph")',
+           'READS_GRAPHS = ("output_graph",)',
+           (LAWS + "test_the_package_tables_equal_this_one",
+            EVOLVE + "test_loops_decode_each_individual_at_most_once")),
+    Mutant("reads-graphs-with-proportional", "crossover.py",
+           'READS_GRAPHS = ("output_graph", "subgraph")',
+           'READS_GRAPHS = ("output_graph", "subgraph", "proportional")',
+           (LAWS + "test_the_package_tables_equal_this_one",)),
+    Mutant("output-graph-without-its-graph-check", "crossover.py",
+           '    _require_graphs(graphs, "output graph")\n', "",
+           (LAWS + "test_guards",)),
+    Mutant("output-graph-reads-the-other-parents-graph", "crossover.py",
+           "        d = graphs[c]\n", "        d = graphs[1 - c]\n",
+           (CROSS + "test_children_always_valid", CROSS + "test_given_graphs_match_decoding",
+            EVOLVE + "test_size_rule")),
+    Mutant("output-graph-without-its-cap", "crossover.py",
+           "    rows = _cap_rows(rows, bounds, rng)\n", "",
+           (CROSS + "test_output_graph_draw_order", EVOLVE + "test_size_rule")),
+    Mutant("output-graph-coins-drawn-before-the-cap", "crossover.py",
+           "    rows = _cap_rows(rows, bounds, rng)\n    outputs = np.array([parents[c].outputs[k]"
+           " for k, c in enumerate(choices)])\n    inputs = np.empty(n_in)\n"
+           "    for i, coin in enumerate(rng.random(n_in).tolist()):\n",
+           "    coins = rng.random(n_in).tolist()\n    rows = _cap_rows(rows, bounds, rng)\n"
+           "    outputs = np.array([parents[c].outputs[k] for k, c in enumerate(choices)])\n"
+           "    inputs = np.empty(n_in)\n    for i, coin in enumerate(coins):\n",
+           (CROSS + "test_output_graph_draw_order",)),
+    Mutant("output-graph-coin-rule-inverted", "crossover.py",
+           "parents[in_b if in_a != in_b else coin < 0.5]",
+           "parents[in_b if in_a != in_b else coin >= 0.5]",
+           (CROSS + "test_output_graph_hand_built_parents", CROSS + "test_output_graph_draw_order")),
+    Mutant("output-graph-one-sided-input-from-the-other-parent", "crossover.py",
+           "parents[in_b if in_a != in_b else coin < 0.5]",
+           "parents[in_a if in_a != in_b else coin < 0.5]",
+           (CROSS + "test_output_graph_disjoint_traces", CROSS + "test_output_graph_hand_built_parents")),
+    Mutant("output-graph-ignores-an-outputs-own-input", "crossover.py",
+           "        ends = [d.output_list[k]] + [t for i in tr",
+           "        ends = [t for i in tr",
+           (CROSS + "test_output_graph_all_from_one_parent",
+            CROSS + "test_output_graph_hand_built_parents")),
+    Mutant("output-graph-every-output-from-a", "crossover.py",
+           "np.array([parents[c].outputs[k] for k, c in enumerate(choices)])",
+           "np.array([a.outputs[k] for k, c in enumerate(choices)])",
+           (CROSS + "test_output_graph_disjoint_traces", CROSS + "test_output_graph_hand_built_parents")),
+    Mutant("subgraph-without-its-cap", "crossover.py",
+           "    rows = _cap_rows(np.concatenate(parts), bounds, rng)\n",
+           "    rows = np.concatenate(parts)\n",
+           (CROSS + "test_subgraph_truncates_at_size_max", EVOLVE + "test_size_rule")),
+    # mutation
+    Mutant("reads-graph-ignores-require-active", "mutate.py",
+           '    return params.require_active or params.operator == "mixed_subgraph"\n',
+           '    return params.operator == "mixed_subgraph"\n',
+           (LAWS + "test_the_package_tables_equal_this_one",
+            EVOLVE + "test_loops_decode_each_individual_at_most_once")),
+    Mutant("reads-graph-always", "mutate.py",
+           '    return params.require_active or params.operator == "mixed_subgraph"\n',
+           "    return True\n",
+           (LAWS + "test_the_package_tables_equal_this_one",)),
+    Mutant("node-deletion-ignores-size-min", "mutate.py",
+           "k = min(_burst_size(params), max(0, g.n_nodes - params.bounds.size_min))",
+           "k = min(_burst_size(params), g.n_nodes)",
+           (MUTATE + "test_node_deletion_counts", EVOLVE + "test_size_rule")),
+    Mutant("subgraph-deletion-beyond-its-component", "mutate.py",
+           "k = min(_burst_size(params), comp.size, ", "k = min(_burst_size(params), ",
+           (EVOLVE + "test_size_rule",)),
+    Mutant("mixed-node-without-its-graph-check", "mutate.py",
+           '        _require_graph(graph, "mixed_node mutation with require_active")\n',
+           "        pass\n",
+           (LAWS + "test_guards",)),
+    Mutant("subgraph-deletion-without-its-graph-check", "mutate.py",
+           '    _require_graph(graph, "subgraph deletion")\n', "",
+           (LAWS + "test_guards",)),
+    Mutant("mixed-subgraph-checks-the-mode-before-the-graph", "mutate.py",
+           '    _require_graph(graph, "mixed_subgraph mutation")\n'
+           '    require_positional(g, "mixed subgraph mutation")\n',
+           '    require_positional(g, "mixed subgraph mutation")\n'
+           '    _require_graph(graph, "mixed_subgraph mutation")\n',
+           (LAWS + "test_guards",)),
+    # the bundled tasks' fitness
+    Mutant("memoized-fitness-without-its-check", "bench.py",
+           "        self._check(g)\n", "",
+           (BENCH + "test_classification_shape_errors", BENCH + "test_cartpole_shape_errors",
+            "tests/test_memo.py::test_memoized_fitness_checks_shapes_before_decoding")),
 ]
 
 

@@ -33,6 +33,8 @@ from pcgp.genome import GenomeMode, SizeBounds, flatten, random_genome
 from pcgp.mutate import MutationParams, add_probability, gene_mutation, mixed_node_mutate
 from pcgp import cli
 
+from scripted import Scripted
+
 FSET = default_functions()
 
 
@@ -185,8 +187,8 @@ def test_c04_crossover_self_identity_and_blend_endpoints():
         a = sample(GenomeMode.CGP)
         b = random_genome(GenomeMode.CGP, a.n_in, a.n_out, int(rng.integers(1, 13)), rng)
         low = min(flatten(a).size, flatten(b).size)
-        keep_a = proportional(a, b, rng, weights=np.zeros(low))
-        keep_b = proportional(a, b, rng, weights=np.ones(low))
+        keep_a = proportional(a, b, Scripted(rng, random=[np.zeros(low)]))
+        keep_b = proportional(a, b, Scripted(rng, random=[np.ones(low)]))
         assert np.array_equal(flatten(keep_a)[:low], flatten(a)[:low])
         assert np.array_equal(flatten(keep_b)[:low], flatten(b)[:low])
 
@@ -195,8 +197,10 @@ def test_c04_crossover_self_identity_and_blend_endpoints():
         a = sample(GenomeMode.PCGP)
         b = random_genome(GenomeMode.PCGP, a.n_in, a.n_out, a.n_nodes, rng)
         low = flatten(a).size
-        assert np.array_equal(flatten(proportional(a, b, rng, np.zeros(low))), flatten(a))
-        assert np.array_equal(flatten(proportional(a, b, rng, np.ones(low))), flatten(b))
+        keep_a = proportional(a, b, Scripted(rng, random=[np.zeros(low)]))
+        keep_b = proportional(a, b, Scripted(rng, random=[np.ones(low)]))
+        assert np.array_equal(flatten(keep_a), flatten(a))
+        assert np.array_equal(flatten(keep_b), flatten(b))
 
 
 # ------------------------------------------------------------ criterion 5

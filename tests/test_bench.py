@@ -1,4 +1,4 @@
-"""Tests for dataset ingestion and the three fitness functions."""
+"""Tests for dataset ingestion and the three bundled tasks' fitness."""
 
 import math
 import struct
@@ -10,10 +10,7 @@ import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
 import pcgp.bench
-from pcgp.bench import (
-    Dataset, MemoizedFitness, cartpole_fitness, classification_fitness, load_csv,
-    regression_fitness,
-)
+from pcgp.bench import Dataset, MemoizedFitness, load_csv
 from pcgp.decode import DecodeSettings, decode
 from pcgp.errors import ConfigError, DatasetError
 from pcgp.functions import Function, FunctionSet, default_functions
@@ -28,6 +25,11 @@ SETTINGS = DecodeSettings()
 def f_gene(name):
     index = FSET.names.index(name)
     return (index + 0.5) / len(FSET)
+
+
+def score(g, data=None, settings=SETTINGS, episode_len=500, fset=FSET):
+    """g's fitness on data's task, or on cart-pole, from an empty memo."""
+    return MemoizedFitness(settings, fset, data, episode_len)(g)
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -137,7 +139,7 @@ def const_pair_genome():
 def test_constant_predictor_scores_base_rate(tmp_path):
     d = load_csv(write(tmp_path, "f,t\n1,z\n2,z\n3,z\n4,y\n5,y\n"),
                  "classification")
-    assert classification_fitness(const_pair_genome(), d, SETTINGS, FSET) == 0.6
+    assert score(const_pair_genome(), d) == 0.6
 
 
 def test_separable_toy_set_solved_by_one_comparison(tmp_path):
@@ -149,7 +151,7 @@ def test_separable_toy_set_solved_by_one_comparison(tmp_path):
     nodes = [[0.2, 0.6, f_gene("sub"), 0.5],
              [0.5, 0.5, f_gene("const"), 0.5]]
     g = make_genome(GenomeMode.CGP, 2, 2, nodes, [0.625, 0.875])
-    assert classification_fitness(g, d, SETTINGS, FSET) == 1.0
+    assert score(g, d) == 1.0
 
 
 def test_accuracy_matches_confusion_matrix_oracle():
@@ -168,26 +170,24 @@ def test_accuracy_matches_confusion_matrix_oracle():
         for row in range(20):
             confusion[targets[row], np.argmax(out[:, row])] += 1
         want = confusion.trace() / confusion.sum()
-        assert classification_fitness(g, d, SETTINGS, FSET) == want
+        assert score(g, d) == want
 
 
 def test_classification_shape_errors(tmp_path):
     d = load_csv(write(tmp_path, "f,t\n1,a\n2,b\n"), "classification")
     wrong_in = make_genome(GenomeMode.CGP, 2, 2, [], [0.2, 0.8])
     with pytest.raises(ConfigError):
-        classification_fitness(wrong_in, d, SETTINGS, FSET)
+        score(wrong_in, d)
     wrong_out = make_genome(GenomeMode.CGP, 1, 3, [], [0.2, 0.5, 0.8])
     with pytest.raises(ConfigError):
-        classification_fitness(wrong_out, d, SETTINGS, FSET)
-    with pytest.raises(ConfigError):
-        regression_fitness(const_pair_genome(), d, SETTINGS, FSET)
+        score(wrong_out, d)
 
 
 def test_empty_dataset_rejected():
     d = Dataset(np.empty((0, 1)), np.empty(0, dtype=int), "classification",
                 np.zeros(1), np.zeros(1), ("a", "b"))
     with pytest.raises(ConfigError, match="empty"):
-        classification_fitness(const_pair_genome(), d, SETTINGS, FSET)
+        score(const_pair_genome(), d)
 
 
 # --------------------------------------------------------------- regression
@@ -195,25 +195,25 @@ def test_empty_dataset_rejected():
 def test_exact_passthrough_predictor_is_perfect(tmp_path):
     d = load_csv(write(tmp_path, "f,t\n0,0\n0.25,0.25\n1,1\n"), "regression")
     g = make_genome(GenomeMode.CGP, 1, 1, [], [0.5])   # output = input
-    assert regression_fitness(g, d, SETTINGS, FSET) == 0.0
+    assert score(g, d) == 0.0
 
 
 def test_constant_zero_on_targets_two(tmp_path):
     d = load_csv(write(tmp_path, "f,t\n0,2\n1,2\n"), "regression")
     nodes = [[0.5, 0.5, f_gene("const"), 0.5]]
     g = make_genome(GenomeMode.CGP, 1, 1, nodes, [0.9])
-    assert regression_fitness(g, d, SETTINGS, FSET) == -4.0
+    assert score(g, d) == -4.0
 
 
 def test_row_order_invariance_without_recurrency(tmp_path):
     d = load_csv(write(tmp_path, "f,t\n0,1\n0.2,3\n0.7,0\n1,5\n"), "regression")
     rng = np.random.default_rng(3)
     g = random_genome(GenomeMode.CGP, 1, 1, 5, rng)
-    base = regression_fitness(g, d, SETTINGS, FSET)
+    base = score(g, d)
     perm = np.array([2, 0, 3, 1])
     shuffled = Dataset(d.features[perm], d.targets[perm], "regression",
                        d.feature_min, d.feature_max)
-    assert regression_fitness(g, shuffled, SETTINGS, FSET) == base
+    assert score(g, shuffled) == base
 
 
 def test_multi_output_regression():
@@ -222,13 +222,13 @@ def test_multi_output_regression():
     d = Dataset(feats, targets, "regression", feats.min(0), feats.max(0))
     g = make_genome(GenomeMode.CGP, 1, 2, [], [0.5, 0.5])  # both outputs = input
     # per-element squared errors: (0,1),(0,1) on column two -> mean 0.5
-    assert regression_fitness(g, d, SETTINGS, FSET) == -0.5
+    assert score(g, d) == -0.5
 
 
 @pytest.mark.parametrize("recurrency", [0.0, 1.0])
 def test_overflowing_error_scores_minus_inf_without_warning(recurrency):
     """An output whose error is too large to square scores -inf, batched
-    or row by row, memoized or not, and no RuntimeWarning escapes."""
+    or row by row, and no RuntimeWarning escapes."""
     fset = FunctionSet(FSET.functions + (Function("huge", 0, lambda a, b, c: 1e200),))
     huge = (len(FSET) + 0.5) / len(fset)
     g = make_genome(GenomeMode.CGP, 1, 1, [[0.5, 0.5, huge, 0.5]], [0.9])
@@ -237,8 +237,7 @@ def test_overflowing_error_scores_minus_inf_without_warning(recurrency):
     d = Dataset(feats, np.zeros((2, 1)), "regression", feats.min(0), feats.max(0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert regression_fitness(g, d, settings, fset) == -math.inf
-        assert MemoizedFitness(settings, fset, d)(g) == -math.inf
+        assert score(g, d, settings, fset=fset) == -math.inf
         assert reference.step_rows(decode(g, settings, fset), d) == -math.inf
 
 
@@ -275,7 +274,7 @@ def zero_controller():
 def test_uncontrolled_pole_falls_quickly():
     # Constant zero output pushes one way forever; the independent
     # simulation fails at step 7, i.e. fitness 7/500.
-    fit = cartpole_fitness(zero_controller(), SETTINGS, FSET, episode_len=500)
+    fit = score(zero_controller(), episode_len=500)
     assert fit == 7 / 500
     assert fit < 0.1
 
@@ -289,24 +288,24 @@ def test_hand_built_balancer_survives():
              [0.70, 0.82, add, 1.0]]    # sum of the two
     g = make_genome(GenomeMode.CGP, 4, 1, nodes, [0.95])
     weighted = DecodeSettings(use_weights=True)
-    assert cartpole_fitness(g, weighted, FSET, episode_len=500) == 1.0
-    assert cartpole_fitness(g, weighted, FSET, episode_len=200) == 1.0
+    assert score(g, settings=weighted, episode_len=500) == 1.0
+    assert score(g, settings=weighted, episode_len=200) == 1.0
 
 
 def test_cartpole_bounds_and_determinism():
     rng = np.random.default_rng(1)
     for _ in range(10):
         g = random_genome(GenomeMode.CGP, 4, 1, 6, rng)
-        fit = cartpole_fitness(g, SETTINGS, FSET, episode_len=50)
+        fit = score(g, episode_len=50)
         assert 0.0 <= fit <= 1.0
-        assert fit == cartpole_fitness(g, SETTINGS, FSET, episode_len=50)
+        assert fit == score(g, episode_len=50)
 
 
 def test_cartpole_recurrent_controller_allowed():
     rng = np.random.default_rng(5)
     g = random_genome(GenomeMode.PCGP, 4, 1, 6, rng)
     settings = DecodeSettings(recurrency=0.6, input_start=-0.5, use_weights=True)
-    fit = cartpole_fitness(g, settings, FSET, episode_len=100)
+    fit = score(g, settings=settings, episode_len=100)
     assert 0.0 <= fit <= 1.0
 
 
@@ -337,13 +336,13 @@ def test_episode_matches_step_oracle(kind, n_nodes, recurrency, weights, blowup,
     else:
         mode = GenomeMode.CGP if kind == "cgp" else GenomeMode.PCGP
         g = random_genome(mode, 4, 1, n_nodes, np.random.default_rng(seed))
-    got = cartpole_fitness(g, settings, fset, episode_len)
+    got = score(g, None, settings, episode_len, fset)
     want = reference.step_balance(decode(g, settings, fset), episode_len)
     assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
 def test_cartpole_shape_errors():
     with pytest.raises(ConfigError):
-        cartpole_fitness(const_pair_genome(), SETTINGS, FSET)
+        score(const_pair_genome())
     with pytest.raises(ConfigError):
-        cartpole_fitness(zero_controller(), SETTINGS, FSET, episode_len=0)
+        score(zero_controller(), episode_len=0)

@@ -14,10 +14,12 @@ from pcgp.functions import default_functions
 from pcgp.genome import GenomeMode, SizeBounds, flatten, make_genome, random_genome
 from pcgp.mutate import invert_connection_position
 
+from scripted import Scripted
 from test_operator_laws import X, check_child, check_determinism, check_handoff, draws
 
 FSET = default_functions()
 SET = DecodeSettings(input_start=-1.0)
+UNCAPPED = SizeBounds(0, 1000)      # above every child's size here
 
 
 def rnd(mode, n_nodes, seed, n_in=2, n_out=2):
@@ -41,7 +43,7 @@ def test_incompatible_parents_rejected():
 def test_apply_crossover_unknown_name():
     a, b = rnd(GenomeMode.CGP, 5, 0), rnd(GenomeMode.CGP, 5, 1)
     with pytest.raises(ConfigError):
-        apply_crossover(a, b, "bogus", np.random.default_rng(0))
+        apply_crossover(a, b, "bogus", np.random.default_rng(0), UNCAPPED)
 
 
 # ------------------------------------------------------------ single point
@@ -50,7 +52,7 @@ def test_single_point_cut_zero_clones_a_parent():
     a, b = rnd(GenomeMode.CGP, 4, 0), rnd(GenomeMode.CGP, 6, 1)
     seen = set()
     for seed in range(20):
-        child = single_point(a, b, np.random.default_rng(seed), cut=0)
+        child = single_point(a, b, Scripted(np.random.default_rng(seed), integers=[0]))
         flat = tuple(flatten(child))
         assert flat in (tuple(flatten(a)), tuple(flatten(b)))
         seen.add(flat == tuple(flatten(a)))
@@ -64,7 +66,8 @@ def test_single_point_enumerated_cuts():
     for j in range(3):  # min(2,3)+1 boundaries
         cut = header + j * stride
         for seed in range(10):
-            child = single_point(a, b, np.random.default_rng(seed), cut=cut)
+            # the cut is the (j + 1)-th legal cut; offset 0 is the first
+            child = single_point(a, b, Scripted(np.random.default_rng(seed), integers=[j + 1]))
             want_ab = np.concatenate([fa[:cut], fb[cut:]])
             want_ba = np.concatenate([fb[:cut], fa[cut:]])
             # child comes out sorted; sort the raw expectations the same way
@@ -86,12 +89,6 @@ def test_single_point_self_fixpoint():
         a = rnd(GenomeMode.PCGP, 6, seed)
         child = single_point(a, a, np.random.default_rng(seed + 100))
         assert flatten(child).tolist() == flatten(a).tolist()
-
-
-def test_single_point_rejects_non_boundary_cut():
-    a, b = rnd(GenomeMode.CGP, 4, 0), rnd(GenomeMode.CGP, 4, 1)
-    with pytest.raises(ValueError):
-        single_point(a, b, np.random.default_rng(0), cut=3)
 
 
 # ------------------------------------------------------------ random node
@@ -155,9 +152,9 @@ def test_aligned_node_self_fixpoint():
 def test_proportional_injected_endpoints_exact():
     a, b = rnd(GenomeMode.PCGP, 5, 1), rnd(GenomeMode.PCGP, 5, 2)
     low = flatten(a).size
-    keep_a = proportional(a, b, np.random.default_rng(0), weights=np.zeros(low))
+    keep_a = proportional(a, b, Scripted(np.random.default_rng(0), random=[np.zeros(low)]))
     assert flatten(keep_a).tolist() == sorted_flat(a)
-    keep_b = proportional(a, b, np.random.default_rng(0), weights=np.ones(low))
+    keep_b = proportional(a, b, Scripted(np.random.default_rng(0), random=[np.ones(low)]))
     assert flatten(keep_b).tolist() == sorted_flat(b)
 
 
@@ -168,7 +165,7 @@ def sorted_flat(g):
 def test_proportional_midpoint_value():
     a = make_genome(GenomeMode.CGP, 1, 1, np.full((1, 4), 0.2), [0.2])
     b = make_genome(GenomeMode.CGP, 1, 1, np.full((1, 4), 0.6), [0.6])
-    child = proportional(a, b, np.random.default_rng(0), weights=np.full(5, 0.5))
+    child = proportional(a, b, Scripted(np.random.default_rng(0), random=[np.full(5, 0.5)]))
     assert flatten(child).tolist() == pytest.approx([0.4] * 5, abs=1e-12)
 
 
@@ -220,8 +217,8 @@ def two_trace_parents():
 
 def test_output_graph_disjoint_traces():
     a, b = two_trace_parents()
-    child = output_graph(a, b, graphs_of(a, b), np.random.default_rng(0),
-                         output_choices=[0, 1])
+    rng = Scripted(np.random.default_rng(0), integers=[0, 1])
+    child = output_graph(a, b, graphs_of(a, b), rng, UNCAPPED)
     assert child.n_nodes == 3
     assert sorted(np.round(child.nodes[:, 0], 6).tolist()) == [0.2, 0.6, 0.7]
     assert child.outputs.tolist() == [0.8, (0.7 + 1.0) / 2.0]
@@ -231,13 +228,14 @@ def test_output_graph_disjoint_traces():
 
 def test_output_graph_all_from_one_parent():
     a, b = two_trace_parents()
-    child = output_graph(a, b, graphs_of(a, b), np.random.default_rng(0),
-                         output_choices=[0, 0])
+    rng = Scripted(np.random.default_rng(0), integers=[0, 0])
+    child = output_graph(a, b, graphs_of(a, b), rng, UNCAPPED)
     for row in child.nodes.tolist():
         assert row in a.nodes.tolist()
     assert child.outputs.tolist() == a.outputs.tolist()
     # b's output 0 reads in0 itself, so in0 is b's too (with rng 0 the coin would pick a's)
-    child = output_graph(a, b, graphs_of(a, b), np.random.default_rng(0), output_choices=[1, 1])
+    rng = Scripted(np.random.default_rng(0), integers=[1, 1])
+    child = output_graph(a, b, graphs_of(a, b), rng, UNCAPPED)
     assert child.inputs.tolist() == b.inputs.tolist()
 
 
@@ -246,14 +244,14 @@ def test_output_graph_self_cross_keeps_behavior():
     for _ in range(10):
         a = random_genome(GenomeMode.PCGP, 2, 2, 10, rng)
         s = DecodeSettings(recurrency=float(rng.random() * 0.8), input_start=-0.5)
-        child = output_graph(a, a, graphs_of(a, a, s), rng)
+        child = output_graph(a, a, graphs_of(a, a, s), rng, UNCAPPED)
         x = rng.uniform(-1, 1, (6, 2))
         got = run_supervised(decode(child, s, FSET), x)
         want = run_supervised(decode(a, s, FSET), x)
         assert got.tolist() == want.tolist()
         # traces follow both connections, whatever the function's arity
         d = decode(a, s, FSET)
-        both = output_graph(a, a, (d, d), rng, output_choices=[0, 0])
+        both = output_graph(a, a, (d, d), Scripted(rng, integers=[0, 0]), UNCAPPED)
         assert both.n_nodes == len(output_trace(d, 0) | output_trace(d, 1))
 
 
@@ -265,7 +263,7 @@ def test_output_graph_decodes_only_traced_nodes():
         a, b = (random_genome(GenomeMode.PCGP, 2, 3, 20, rng) for _ in range(2))
         graphs = graphs_of(a, b)
         choices = rng.integers(0, 2, 3)
-        output_graph(a, b, graphs, rng, output_choices=choices)
+        output_graph(a, b, graphs, Scripted(rng, integers=choices.tolist()), UNCAPPED)
         for side, d in enumerate(graphs):
             traced = set().union(*(output_trace(d, k) for k in range(3) if choices[k] == side))
             want = traced | set(np.flatnonzero(d.active).tolist())
@@ -327,14 +325,14 @@ def test_output_graph_hand_built_parents():
     graphs = graphs_of(a, b)
     for (side, k), (nodes, inputs) in FOUR_INPUT_TRACES.items():
         d = graphs[side]
-        assert output_trace(d, k, arity_aware=False) == nodes
+        assert output_trace(d, k) == nodes
         ends = [d.output_list[k]] + [t for i in nodes for t in d.row(i)[:2]]
         assert {t for t in ends if t < 4} == inputs
     coin_genes = set()
     for choices in ([0, 0], [0, 1], [1, 0], [1, 1]):
         for seed in range(8):
-            child = output_graph(a, b, graphs, np.random.default_rng(seed),
-                                 output_choices=choices)
+            rng = Scripted(np.random.default_rng(seed), integers=choices)
+            child = output_graph(a, b, graphs, rng, UNCAPPED)
             want = output_graph_oracle(a, b, np.random.default_rng(seed), choices)
             assert flatten(child).tobytes() == flatten(want).tobytes()
             if choices == [0, 1]:
@@ -349,18 +347,17 @@ def test_output_graph_draw_order(size_max):
     """Capping above size_max, and the generator left where a twin that
     made the documented draws in the documented order is left."""
     a, b = four_input_parents()
-    bounds = None if size_max is None else SizeBounds(0, size_max)
+    bounds = UNCAPPED if size_max is None else SizeBounds(0, size_max)
     for seed in range(12):
         rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
         child = output_graph(a, b, graphs_of(a, b), rng, bounds)
         want = output_graph_oracle(a, b, twin, size_max=size_max)
         assert flatten(child).tobytes() == flatten(want).tobytes()
         assert rng.random() == twin.random()
-        if size_max is not None:
-            assert child.n_nodes <= size_max
+        assert child.n_nodes <= bounds.size_max
         for choices in ([0, 1], [1, 1]):     # four and three rows
             rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-            child = output_graph(a, b, graphs_of(a, b), rng, bounds, output_choices=choices)
+            child = output_graph(a, b, graphs_of(a, b), Scripted(rng, integers=choices), bounds)
             want = output_graph_oracle(a, b, twin, choices, size_max)
             assert flatten(child).tobytes() == flatten(want).tobytes()
             assert rng.random() == twin.random()
@@ -370,8 +367,10 @@ def test_output_graph_truncates_at_size_max():
     rng = np.random.default_rng(5)
     a = random_genome(GenomeMode.PCGP, 2, 2, 30, rng)
     b = random_genome(GenomeMode.PCGP, 2, 2, 30, rng)
-    child = output_graph(a, b, graphs_of(a, b), rng, bounds=SizeBounds(0, 4))
-    assert child.n_nodes <= 4
+    # a narrow input span and recurrency give traces of more than 4 nodes
+    graphs = graphs_of(a, b, DecodeSettings(input_start=-0.1, recurrency=0.5))
+    child = output_graph(a, b, graphs, rng, SizeBounds(0, 4))
+    assert child.n_nodes == 4
 
 
 # --------------------------------------------------------------- subgraph
@@ -388,34 +387,40 @@ def chain(positions, seed, n_in=1, n_out=1):
     return make_genome(GenomeMode.PCGP, n_in, n_out, rows, rng.random(n_out), [1.0] * n_in)
 
 
+def picks(rng, select_a, select_b):
+    """rng, with the component draws scripted to take exactly the
+    components each mask marks (a draw is taken below one half)."""
+    return Scripted(rng, random=[np.where(select_a, 0.0, 0.5), np.where(select_b, 0.0, 0.5)])
+
+
 def test_subgraph_union_of_selected_components():
     a = chain([0.2, 0.4], 1)
     b = chain([0.3, 0.5, 0.7], 2)
-    both = subgraph(a, b, graphs_of(a, b), np.random.default_rng(0),
-                    select_a=[True], select_b=[True])
+    both = subgraph(a, b, graphs_of(a, b), picks(np.random.default_rng(0), [True], [True]),
+                    UNCAPPED)
     assert both.n_nodes == 5
-    none = subgraph(a, b, graphs_of(a, b), np.random.default_rng(0),
-                    select_a=[False], select_b=[False])
+    none = subgraph(a, b, graphs_of(a, b), picks(np.random.default_rng(0), [False], [False]),
+                    UNCAPPED)
     assert none.n_nodes == 0
     # drawn, each parent's one component is taken when its draw is below 1/2
     draws = np.random.default_rng(8).random(2)
-    drawn = subgraph(a, b, graphs_of(a, b), np.random.default_rng(8))
+    drawn = subgraph(a, b, graphs_of(a, b), np.random.default_rng(8), UNCAPPED)
     assert drawn.n_nodes == 2 * (draws[0] < 0.5) + 3 * (draws[1] < 0.5)
 
 
 def test_subgraph_self_cross_under_forced_selection():
     a = chain([0.2, 0.4, 0.6], 3)
     n_comp = max(decode(a, SET, FSET).components) + 1
-    child = subgraph(a, a, graphs_of(a, a), np.random.default_rng(9),
-                     select_a=[True] * n_comp, select_b=[False] * n_comp)
+    rng = picks(np.random.default_rng(9), [True] * n_comp, [False] * n_comp)
+    child = subgraph(a, a, graphs_of(a, a), rng, UNCAPPED)
     assert flatten(child).tolist() == flatten(a).tolist()
 
 
 def test_subgraph_truncates_at_size_max():
     a = chain([0.1, 0.3, 0.5], 4)
     b = chain([0.2, 0.4, 0.6], 5)
-    child = subgraph(a, b, graphs_of(a, b), np.random.default_rng(1),
-                     bounds=SizeBounds(0, 4), select_a=[True], select_b=[True])
+    child = subgraph(a, b, graphs_of(a, b), picks(np.random.default_rng(1), [True], [True]),
+                     SizeBounds(0, 4))
     assert child.n_nodes == 4
 
 

@@ -217,8 +217,8 @@ def test_chain_fixture_activity_is_arity_aware():
 
 def test_chain_fixture_output_trace_ignoring_arity():
     d = decode(chain_fixture(), DecodeSettings(), FSET)
-    assert output_trace(d, 0, arity_aware=False) == {0, 1, 2}
-    assert output_trace(d, 0, arity_aware=True) == {1, 2}
+    # n0 too, which only sin's unused second connection reads
+    assert output_trace(d, 0) == {0, 1, 2}
 
 
 def test_chain_fixture_components_single():
@@ -355,8 +355,11 @@ def test_decode_deterministic_and_components_partition(mode, seed):
 def test_arity_aware_output_traces_cover_exactly_the_active_nodes(mode, seed):
     rng = np.random.default_rng(seed)
     g = random_genome(mode, 2, int(rng.integers(1, 4)), int(rng.integers(0, 15)), rng)
-    d = decode(g, random_settings(rng), FSET)
-    union = set().union(*(output_trace(d, k, arity_aware=True) for k in range(d.n_out)))
+    s = random_settings(rng)
+    d = decode(g, s, FSET)
+    ref = reference.decode_lists(g, s, FSET)
+    union = set().union(*(reference.trace_oracle(g.n_in, ref.targets, ref.arity, ref.outputs[k],
+                                                 True) for k in range(g.n_out)))
     assert sorted(union) == np.flatnonzero(d.active).tolist()
 
 
@@ -458,8 +461,7 @@ def _observe(d, program_first):
         seen["plan"] = ([(i, fn, ta, tb, param.hex()) for i, fn, ta, tb, param in plan.nodes],
                         plan.outputs, plan.feedforward)
         seen["key"] = d.program_key
-        seen["traces"] = [output_trace(d, k, aware) for k in range(d.n_out)
-                          for aware in (False, True)]
+        seen["traces"] = [output_trace(d, k) for k in range(d.n_out)]
 
     def tables():
         seen["rows"] = [(*row[:4], row[4].hex()) for row in map(d.row, range(d.n_nodes))]
@@ -488,8 +490,8 @@ def _expected(g, s):
         "plan": ([(i, FSET[ref.findex[i]].apply, ta, tb, param.hex())
                   for i, ta, tb, param in nodes], outputs, feedforward),
         "key": key,
-        "traces": [reference.trace_oracle(n_in, ref.targets, ref.arity, ref.outputs[k], aware)
-                   for k in range(g.n_out) for aware in (False, True)],
+        "traces": [reference.trace_oracle(n_in, ref.targets, ref.arity, ref.outputs[k], False)
+                   for k in range(g.n_out)],
         "rows": [(*t, f, k, c.hex())
                  for t, f, k, c in zip(ref.targets, ref.findex, ref.arity, ref.params)],
         "output_list": ref.outputs, "active_list": ref.active,
@@ -556,10 +558,9 @@ def test_decode_snaps_only_the_nodes_read(mode, n_out, n_nodes, recurrency, seed
         d.program_key
         assert snaps.call_count == n_out + 2 * len(decoded)
         for k in range(n_out):
-            for aware in (True, False):
-                before = snaps.call_count
-                trace = output_trace(d, k, aware)
-                assert snaps.call_count - before == 2 * len(trace - decoded)
-                decoded |= trace
+            before = snaps.call_count
+            trace = output_trace(d, k)
+            assert snaps.call_count - before == 2 * len(trace - decoded)
+            decoded |= trace
         d.targets, d.components
         assert snaps.call_count == n_out + 2 * n_nodes

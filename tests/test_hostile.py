@@ -1,0 +1,113 @@
+"""Hostile inputs, one row each: the input check it reaches and its rule.
+
+ROWS is a hand-written table.  Each row calls the package with one
+hostile input and names the outcome the check documents: the exception
+and its message, or the value returned.  A new input check adds a row.
+"""
+
+import contextlib
+import io
+import re
+from collections import namedtuple
+
+import numpy as np
+import pytest
+
+from pcgp.bench import load_csv
+from pcgp.cli import main
+from pcgp.config import build_evo_params, merge_config, validate_config
+from pcgp.decode import DecodeSettings, invert_connection_position
+from pcgp.functions import FunctionSet
+from pcgp.genome import Genome, GenomeMode, make_genome, random_genome, validate_genome
+from pcgp.streams import Streams, _ReadySeed
+
+
+def written(path, text):
+    path.write_text(text)
+    return path
+
+
+def under_a_file(tmp):
+    """A directory path whose parent is a regular file: mkdir fails, even as root."""
+    return written(tmp / "file", "") / "logs"
+
+
+def cli(*argv):
+    """main's exit code and what it printed to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return f"exit {code}, {err.getvalue().strip()}"
+
+
+def unsorted_pcgp():
+    """A PCGP genome built around the checks, its nodes out of position order."""
+    nodes = np.array([[0.7, 0.5, 0.5, 0.5, 0.5], [0.2, 0.5, 0.5, 0.5, 0.5]])
+    return Genome(GenomeMode.PCGP, 1, 1, nodes, np.array([0.5]), np.array([0.5]))
+
+
+# name, call(tmp_path), outcome: a regex matched from the start of
+# "<exception type>: <message>" or of "returns <repr of the value>"
+Row = namedtuple("Row", "name call outcome")
+ROWS = [
+    Row("load_csv-unreadable-file",
+        lambda tmp: load_csv(tmp, "regression"), r"DatasetError: cannot read "),
+    Row("load_csv-one-column",
+        lambda tmp: load_csv(written(tmp / "t.csv", "t\n1\n2\n"), "regression"),
+        r"DatasetError: .*need at least one feature and a target column"),
+    Row("validate_config-episode_len-0",
+        lambda tmp: validate_config({"episode_len": 0}),
+        r"ConfigError: episode_len must be at least 1"),
+    Row("validate_config-data-not-a-string",
+        lambda tmp: validate_config({"task": "regression", "data": 3}),
+        r"ConfigError: data must be a file path string"),
+    Row("EvoParams-n_in-0",
+        lambda tmp: build_evo_params(merge_config({}), 0, 1),
+        r"ConfigError: invalid genome shape"),
+    # validate_config's RANGES stop a negative elitism first; the dataclass
+    # holds the rule for run objects built without it
+    Row("EvoParams-negative-elitism",
+        lambda tmp: build_evo_params(merge_config({"elitism": -0.1}), 1, 1),
+        r"ConfigError: elitism must be non-negative"),
+    Row("FunctionSet-empty",
+        lambda tmp: FunctionSet(()), r"ValueError: function set must be non-empty"),
+    Row("genome-n_out-0",
+        lambda tmp: make_genome(GenomeMode.CGP, 1, 0, np.zeros((0, 4)), []),
+        r"ValueError: need n_in >= 1 and n_out >= 1, got 1/0"),
+    Row("random_genome-negative-n_nodes",
+        lambda tmp: random_genome(GenomeMode.CGP, 1, 1, -1, np.random.default_rng(0)),
+        r"ValueError: n_nodes must be non-negative"),
+    Row("validate_genome-unsorted-pcgp-nodes",
+        lambda tmp: validate_genome(unsorted_pcgp()),
+        r"ValueError: PCGP nodes not sorted by position gene"),
+    # at input_start 0 a node at 0.0 without recurrency reaches nothing
+    Row("invert_connection_position-zero-reach",
+        lambda tmp: invert_connection_position(
+            0.0, 0.0, DecodeSettings(recurrency=0.0, input_start=0.0)),
+        r"returns 0\.0$"),
+    Row("ReadySeed-other-word-count",
+        lambda tmp: _ReadySeed(np.zeros(4, np.uint64)).generate_state(2),
+        r"ValueError: only the 4 uint64 words PCG64 asks for are ready"),
+    Row("Streams-negative-generation",
+        lambda tmp: Streams(0, 1)(-1, 0),
+        r"ValueError: generation must be non-negative, got -1"),
+    Row("cli-unwritable-out",
+        lambda tmp: cli("run", "e0_rl", "--budget", 10, "--out", under_a_file(tmp)),
+        r"returns .exit 2, error: cannot write .*logs"),
+    Row("cli-export-dot-unreadable-genome",
+        lambda tmp: cli("export-dot", tmp, "e0_rl", tmp / "out.dot"),
+        r"returns .exit 2, error: cannot read genome "),
+]
+
+
+def outcome(call, tmp_path) -> str:
+    try:
+        return f"returns {call(tmp_path)!r}"
+    except Exception as e:
+        return f"{type(e).__name__}: {e}"
+
+
+@pytest.mark.parametrize("row", ROWS, ids=lambda row: row.name)
+def test_hostile_input(row, tmp_path):
+    got = outcome(row.call, tmp_path)
+    assert re.match(row.outcome, got), got

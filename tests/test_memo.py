@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pcgp.bench
-from pcgp.bench import (
-    Dataset,
-    MemoizedFitness,
-    cartpole_fitness,
-    classification_fitness,
-    regression_fitness,
-)
+from pcgp.bench import Dataset, MemoizedFitness
 from pcgp.cli import _log_writer
 from pcgp.config import build_evo_params, load_preset, make_fitness
 from pcgp.decode import DecodeSettings, decode
@@ -45,14 +39,9 @@ def _dataset(task, rng, rows=16):
 
 DATA = {task: _dataset(task, np.random.default_rng(4))
         for task in ("classification", "regression")}
-# task -> (n_out, memo-free fitness, data for MemoizedFitness); every task has 4 inputs
-TASKS = {
-    "rl": (1, lambda g, s: cartpole_fitness(g, s, FSET, EPISODE), None),
-    "classification": (3, lambda g, s: classification_fitness(
-        g, DATA["classification"], s, FSET), DATA["classification"]),
-    "regression": (1, lambda g, s: regression_fitness(
-        g, DATA["regression"], s, FSET), DATA["regression"]),
-}
+# task -> (n_out, data for MemoizedFitness); every task has 4 inputs
+TASKS = {"rl": (1, None), "classification": (3, DATA["classification"]),
+         "regression": (1, DATA["regression"])}
 
 
 # ------------------------------------------------------------- program key
@@ -104,7 +93,7 @@ def _silent_mutant(g, s, rng):
 def test_equal_program_keys_score_bitwise_equal(task, mode, recurrency, use_weights, seed):
     rng = np.random.default_rng(seed)
     s = DecodeSettings(recurrency=recurrency, input_start=-0.5, use_weights=use_weights)
-    n_out, plain, data = TASKS[task]
+    n_out, data = TASKS[task]
     mutation = MutationParams(bounds=SizeBounds(4, 12), node_rate=0.05, output_rate=0.1,
                               input_rate=0.1)
     parent = random_genome(mode, 4, n_out, 8, rng)
@@ -114,7 +103,7 @@ def test_equal_program_keys_score_bitwise_equal(task, mode, recurrency, use_weig
     memo = MemoizedFitness(s, FSET, data=data, episode_len=EPISODE)
     scores = {}
     for g in family:
-        value = plain(g, s).hex()
+        value = MemoizedFitness(s, FSET, data, EPISODE)(g).hex()     # a fresh memo: no hit
         assert memo(g).hex() == value
         assert scores.setdefault(key(g, s), value) == value
 
@@ -137,7 +126,7 @@ def test_memo_hit_builds_no_plan(task, monkeypatch):
         return graphs[-1]
 
     monkeypatch.setattr(pcgp.bench, "decode", decoding)
-    memo = MemoizedFitness(s, FSET, data=TASKS[task][2], episode_len=EPISODE)
+    memo = MemoizedFitness(s, FSET, data=TASKS[task][1], episode_len=EPISODE)
     assert memo(parent) == memo(mutant) and len(memo._memo) == 1
     miss, hit = graphs
     assert "plan" in vars(miss) and "plan" not in vars(hit)

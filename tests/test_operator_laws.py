@@ -275,7 +275,8 @@ def test_self_cross(law, recurrency, seed):
     a = random_genome(law.mode, int(rng.integers(1, 4)), 2, int(rng.integers(0, 16)), rng)
     s = DecodeSettings(recurrency=recurrency, input_start=-0.5)
     graph = decode(a, s, FSET)
-    child = apply_crossover(a, a, law.op, rng, graphs=(graph, graph))
+    # no cap: a child has at most both parents' rows
+    child = apply_crossover(a, a, law.op, rng, SizeBounds(0, 2 * a.n_nodes), (graph, graph))
     if law.self_cross == "identity":
         assert flatten(child).tobytes() == flatten(a).tobytes()
     elif law.self_cross == "permutation":
@@ -312,8 +313,8 @@ GUARDS = [(f"apply_{law.kind}-{law.op}" + (f"-{active}" if law.kind == M else ""
     ("subgraph_addition", True, False, lambda a, b, gs, rng, p: subgraph_addition(a, p, SET, rng)),
     ("subgraph_deletion", True, True,
      lambda a, b, gs, rng, p: subgraph_deletion(a, p, rng, first(gs))),
-    ("output_graph", True, True, lambda a, b, gs, rng, p: output_graph(a, b, gs, rng)),
-    ("subgraph", True, True, lambda a, b, gs, rng, p: subgraph(a, b, gs, rng)),
+    ("output_graph", True, True, lambda a, b, gs, rng, p: output_graph(a, b, gs, rng, p.bounds)),
+    ("subgraph", True, True, lambda a, b, gs, rng, p: subgraph(a, b, gs, rng, p.bounds)),
 ]
 
 
