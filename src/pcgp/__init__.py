@@ -34,7 +34,6 @@ from .crossover import OPERATORS as CROSSOVER_OPERATORS
 from .decode import (
     DecodedGraph,
     DecodeSettings,
-    component_groups,
     connection_position,
     decode,
     output_position,
@@ -51,20 +50,8 @@ from .errors import (
     ParseError,
     UnsupportedOperatorError,
 )
-from .evolve import (
-    ALGORITHMS,
-    EvoParams,
-    RunRecord,
-    evaluate_population,
-    run_evolution,
-)
-from .execute import (
-    new_state,
-    run_batch,
-    run_sequence,
-    run_supervised,
-    step,
-)
+from .evolve import ALGORITHMS, EvoParams, RunRecord, run_evolution
+from .execute import run_batch, run_sequence, run_supervised, step
 from .functions import Function, FunctionSet, default_functions
 from .genome import (
     Genome,

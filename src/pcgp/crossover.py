@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .decode import component_groups, output_trace, snap
+from .decode import output_trace, snap
 from .decode import decode  # noqa: F401 - unused; evobench wraps pcgp.<module>.decode
 from .errors import ConfigError
 from .genome import (
@@ -201,9 +201,8 @@ def subgraph(a: Genome, b: Genome, graphs, rng, bounds: SizeBounds) -> Genome:
     _check_mates(a, b)
     parts = []
     for g, graph in zip((a, b), graphs):
-        comps = component_groups(graph)
-        take = rng.random(len(comps)) < 0.5
-        chosen = [c for c, t in zip(comps, take) if t]
+        take = rng.random(len(graph.components)) < 0.5
+        chosen = [c for c, t in zip(graph.components, take) if t]
         idx = np.sort(np.concatenate(chosen)) if chosen else np.zeros(0, int)
         parts.append(g.nodes[idx])
     rows = _cap_rows(np.concatenate(parts), bounds, rng)

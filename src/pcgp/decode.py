@@ -135,9 +135,7 @@ class DecodedGraph:
     function_index and components need every node, and the first read of
     any of them fills every remaining row.  All of these are built on
     first read and then kept; reads are serial, as nothing guards a first
-    read or a filled row against concurrent readers.  components labels
-    every node (active or not) with its weakly-connected component,
-    numbered by first appearance.
+    read or a filled row against concurrent readers.
     """
 
     n_in: int
@@ -219,10 +217,11 @@ class DecodedGraph:
         return tuple(nodes), tuple([rank[t] for t in self.output_list])
 
     @_once
-    def components(self) -> np.ndarray:
-        """(n_nodes,) int component label per node."""
-        return _frozen(_components(self.n_in, self.n_nodes, self._full_rows()), int,
-                       (self.n_nodes,))
+    def components(self) -> list:
+        """The weakly-connected components of every node, active or not,
+        ignoring arity and direction: read-only int arrays of node
+        indices, each ascending, ordered by their first node."""
+        return _components(self.n_in, self.n_nodes, self._full_rows())
 
 
 def _axis_start(settings: DecodeSettings, mode: GenomeMode) -> float:
@@ -387,8 +386,7 @@ def _reachable(n_in, n_nodes, row, roots, arity_aware) -> list[bool]:
 
 
 def _components(n_in, n_nodes, rows) -> list:
-    """Weakly-connected component labels, ignoring arity and direction,
-    numbered by first appearance."""
+    """DecodedGraph.components: union-find roots grouped in index order."""
     parent = list(range(n_nodes))
 
     def find(a):
@@ -403,16 +401,10 @@ def _components(n_in, n_nodes, rows) -> list:
                 ra, rb = find(i), find(t - n_in)
                 if ra != rb:
                     parent[rb] = ra
-    label = {}
-    return [label.setdefault(find(i), len(label)) for i in range(n_nodes)]
-
-
-def component_groups(graph: DecodedGraph) -> list[np.ndarray]:
-    """Node indices of each component, in label order."""
-    if graph.n_nodes == 0:
-        return []
-    return [np.flatnonzero(graph.components == c)
-            for c in range(graph.components.max() + 1)]
+    groups = {}
+    for i in range(n_nodes):
+        groups.setdefault(find(i), []).append(i)
+    return [_frozen(members, int, -1) for members in groups.values()]
 
 
 def output_trace(graph: DecodedGraph, output: int) -> set[int]:

@@ -29,8 +29,8 @@ generation with no child, so every run logs a generation and ends.
 The last generation always completes, so a run overshoots its budget
 by less than one generation: budget 10, lambda 4 runs 13 evaluations.
 
-A NaN fitness becomes the worst-fitness sentinel FAILED_FITNESS (-inf),
-with a warning, so selection always has an order to work with.
+evaluate_population scores every new individual and states the fitness
+value rule; its NaN sentinel gives selection an order to work with.
 
 Fitnesses are kept as a list of Python floats.  GA elites come from a
 stable descending sort, in np.argsort(-fits, kind="stable") order; the
@@ -132,29 +132,30 @@ class RunRecord:
     best_active_nodes: int
 
 
-def evaluate_population(genomes, fit):
-    """Fitness of each genome, evaluated serially in order.
+def evaluate_population(genomes, fit, generation: int, evaluations: int) -> list:
+    """The fitness of each genome, scored serially in order, for
+    generation after evaluations earlier scores.
 
-    A NaN fitness becomes the worst-fitness sentinel plus a warning; a
-    raising fitness propagates.
+    The fitness value rule: a genome's fitness is float(fit(g)), so any
+    value float accepts is a fitness (a numpy scalar, or the string
+    "0.25" as 0.25).  NaN becomes FAILED_FITNESS (-inf) with a warning;
+    +inf and -inf are kept.  An exception from fit, or from float (None,
+    a 1-element array), ends the batch, with no later genome scored, as
+    RuntimeError("fitness evaluation failed in generation G after E
+    evaluations") caused by the error.
     """
-    def call(g):
-        value = float(fit(g))
-        if math.isnan(value):
-            warnings.warn("fitness evaluation returned NaN; using sentinel")
-            return FAILED_FITNESS
-        return value
-
-    return [call(g) for g in genomes]
-
-
-def _evaluate(genomes, fit, generation, evaluations):
+    fits = []
     try:
-        return evaluate_population(genomes, fit)
+        for g in genomes:
+            value = float(fit(g))
+            if math.isnan(value):
+                warnings.warn("fitness evaluation returned NaN; using sentinel")
+                value = FAILED_FITNESS
+            fits.append(value)
     except Exception as e:
-        raise RuntimeError(
-            f"fitness evaluation failed in generation {generation} "
-            f"after {evaluations} evaluations") from e
+        raise RuntimeError(f"fitness evaluation failed in generation {generation} "
+                           f"after {evaluations} evaluations") from e
+    return fits
 
 
 def _mean(xs: list) -> float:
@@ -260,7 +261,7 @@ def _run(fit, params: EvoParams, size: int, slots: int, vary, on_record):
                          stream(0, slot))
            for slot in range(size)]
     graphs = [None] * size
-    fits = _evaluate(pop, fit, 0, 0)
+    fits = evaluate_population(pop, fit, 0, 0)
     evaluations, generation, log = size, 0, []
     best_idx = fits.index(max(fits))
     best, best_fit = pop[best_idx], fits[best_idx]
@@ -268,7 +269,7 @@ def _run(fit, params: EvoParams, size: int, slots: int, vary, on_record):
     while evaluations < params.budget:
         generation += 1
         before, fresh, fresh_graphs, after = vary(params, generation, pop, fits, graphs, stream)
-        fresh_fits = _evaluate(fresh, fit, generation, evaluations)
+        fresh_fits = evaluate_population(fresh, fit, generation, evaluations)
         evaluations += len(fresh)
         # gathered after vary, so kept slots carry the graphs it decoded
         kept, at = [*before, *after], len(before)

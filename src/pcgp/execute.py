@@ -41,11 +41,6 @@ import numpy as np
 from .decode import DecodedGraph
 
 
-def new_state(graph: DecodedGraph) -> np.ndarray:
-    """Zeroed recurrent memory: one value per computational node."""
-    return np.zeros(graph.n_nodes)
-
-
 # (finite, zeroed): a node value v that finite(v) rejects becomes
 # zeroed(v).  The scalar rule is math.isfinite itself, so step and
 # run_sequence make no extra call per node.  The column rule checks the
@@ -89,7 +84,8 @@ def _evaluate(n_in, nodes, outputs, weighted, rows, cur, rule, outs: list) -> li
 
 def step(graph: DecodedGraph, state: np.ndarray, inputs):
     """One synchronous update; returns (outputs, new state).  state is
-    an array of shape (n_nodes,), as new_state and step make it."""
+    an array of shape (n_nodes,), as step returns it; a run starts from
+    np.zeros(graph.n_nodes)."""
     if len(inputs) != graph.n_in:
         raise ValueError(f"expected {graph.n_in} inputs, got {len(inputs)}")
     if not isinstance(state, np.ndarray) or state.shape != (graph.n_nodes,):

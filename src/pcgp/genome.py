@@ -72,10 +72,6 @@ class Genome:
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
 
-    @property
-    def stride(self) -> int:
-        return node_stride(self.mode)
-
 
 @lru_cache(maxsize=64)
 def ladder_positions(count: int) -> tuple:
@@ -191,7 +187,7 @@ def node_position(g: Genome, index: int, input_start: float = -1.0) -> float:
 
 def add_nodes(g: Genome, new_nodes) -> Genome:
     """Append nodes (CGP) or merge them by position (PCGP)."""
-    new_nodes = np.array(new_nodes, dtype=float).reshape(-1, g.stride)
+    new_nodes = np.array(new_nodes, dtype=float).reshape(-1, node_stride(g.mode))
     return derive(g, nodes=np.concatenate([g.nodes, new_nodes]))
 
 

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decode import DecodeSettings, component_groups, invert_connection_position
+from .decode import DecodeSettings, invert_connection_position
 from .decode import decode  # noqa: F401 - unused; evobench wraps pcgp.<module>.decode
 from .errors import ConfigError
-from .genome import (Genome, GenomeMode, SizeBounds, add_nodes, derive, remove_nodes,
-                     require_positional)
+from .genome import (Genome, GenomeMode, SizeBounds, add_nodes, derive, node_stride,
+                     remove_nodes, require_positional)
 
 OPERATORS = ("gene", "mixed_node", "mixed_subgraph")
 POSITIONAL_ONLY = ("mixed_subgraph",)
@@ -108,7 +108,7 @@ def node_addition(g: Genome, params: MutationParams, rng) -> Genome:
     k = min(_burst_size(params), params.bounds.size_max - g.n_nodes)
     if k <= 0:
         return g
-    return add_nodes(g, rng.random((k, g.stride)))
+    return add_nodes(g, rng.random((k, node_stride(g.mode))))
 
 
 def node_deletion(g: Genome, params: MutationParams, rng) -> Genome:
@@ -184,7 +184,7 @@ def subgraph_deletion(g: Genome, params: MutationParams, rng, graph) -> Genome:
     """
     _require_graph(graph, "subgraph deletion")
     require_positional(g, "subgraph deletion")
-    multi = [c for c in component_groups(graph) if c.size > 1]
+    multi = [c for c in graph.components if c.size > 1]
     if not multi:
         return node_deletion(g, params, rng)
     comp = multi[rng.integers(len(multi))]

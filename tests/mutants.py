@@ -4,9 +4,11 @@ tests named for each one catch it.
 Each entry names a file under src/pcgp, an exact old text that occurs
 there once, the new text that replaces it and the ids of the tests that
 must fail on the result; an id without a parameter part stands for all
-its parametrizations.  The runner copies src/ and tests/ to a temporary
-directory, plants one mutant there and runs only its tests, with
---hypothesis-seed=0.  It reports a mutant as
+its parametrizations.  For each mutant the runner copies src/ and
+tests/ to a temporary directory, plants the mutant there and runs only
+its tests, with --hypothesis-seed=0; up to os.cpu_count() mutants run
+at once, and their outcomes print in ledger order.  It reports a mutant
+as
 
 - stale, when its old text no longer occurs exactly once;
 - surviving, when one of its tests passes or is not found;
@@ -26,6 +28,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -72,6 +75,16 @@ MUTANTS = [
            "child_graphs.append(graphs[i])",
            (EVOLVE + "test_active_node_count_matches_survivor",
             EVOLVE + "test_drawn_configs_match_the_reference_pipeline")),
+    # the fitness value rule
+    Mutant("nan-fitness-kept", "evolve.py",
+           "                value = FAILED_FITNESS\n", "                pass\n",
+           (EVOLVE + "test_evaluate_population_maps_nan_to_sentinel",
+            EVOLVE + "test_ga_survives_nan_fitness")),
+    Mutant("fitness-error-raised-bare", "evolve.py",
+           "    except Exception as e:\n        raise RuntimeError(",
+           "    except Exception as e:\n        raise\n        raise RuntimeError(",
+           (EVOLVE + "test_evaluate_population_propagates_failures",
+            EVOLVE + "test_fitness_failure_propagates_with_context")),
     Mutant("ga-without-a-child-accepted", "evolve.py",
            'if self.algorithm == "ga" and sum(_channel_sizes(self)[1:3]) == 0:',
            "if False:",
@@ -91,6 +104,14 @@ MUTANTS = [
            "    return settings.input_start\n",
            (DECODE + "test_connection_position_cgp_endpoints", DECODE + "test_output_position",
             DECODE + "test_chain_fixture_targets")),
+    # the weakly-connected components
+    Mutant("components-follow-only-the-first-connection", "decode.py",
+           "        for t in rows[i][:2]:\n", "        for t in rows[i][:1]:\n",
+           (DECODE + "test_decode_matches_reference_in_either_reading_order",)),
+    Mutant("components-sorted-by-size", "decode.py",
+           "for members in groups.values()]", "for members in sorted(groups.values(), key=len)]",
+           (DECODE + "test_decode_matches_reference_in_either_reading_order",
+            MUTATE + "test_subgraph_deletion_deletes_from_the_drawn_component")),
     # genome construction
     Mutant("check-skips-the-input-shape", "genome.py",
            "        if inputs.shape != (n_in,):\n",
@@ -141,8 +162,8 @@ MUTANTS = [
            (CROSS + "test_output_graph_disjoint_traces",
             CROSS + "test_output_graph_hand_built_parents")),
     Mutant("subgraph-takes-components-at-or-above-half", "crossover.py",
-           "        take = rng.random(len(comps)) < 0.5\n",
-           "        take = rng.random(len(comps)) >= 0.5\n",
+           "        take = rng.random(len(graph.components)) < 0.5\n",
+           "        take = rng.random(len(graph.components)) >= 0.5\n",
            (CROSS + "test_subgraph_union_of_selected_components",
             CROSS + "test_subgraph_truncates_at_size_max")),
     Mutant("cap-rows-never-caps", "crossover.py",
@@ -298,14 +319,13 @@ def main(names) -> int:
     if unknown:
         print(f"unknown mutants: {sorted(unknown)}")
         return 2
+    chosen = [m for m in MUTANTS if not names or m.name in names]
     bad = 0
-    for mutant in MUTANTS:
-        if names and mutant.name not in names:
-            continue
-        outcome = run(mutant)
-        bad += outcome != "killed"
-        print(f"{mutant.name}: {outcome}", flush=True)
-    print(f"{bad} of {len(names or MUTANTS)} mutants stale or surviving")
+    with ThreadPoolExecutor(os.cpu_count() or 1) as pool:
+        for mutant, outcome in zip(chosen, pool.map(run, chosen)):
+            bad += outcome != "killed"
+            print(f"{mutant.name}: {outcome}", flush=True)
+    print(f"{bad} of {len(chosen)} mutants stale or surviving")
     return 1 if bad else 0
 
 

@@ -1,8 +1,9 @@
 """A slow reference pipeline, from config to run log, for the tests.
 
 It reuses only primitives that tests pin on their own (the position
-formulas, step, the operators, load_csv, _channel_sizes, and _evaluate,
-which scores serially and names a failure's generation) and avoids each
+formulas, step, the operators, load_csv, _channel_sizes, and
+evaluate_population, which scores serially and names a failure's
+generation) and avoids each
 fast path of the package:
 
 - decode_lists snaps every point with its own linear scan of the
@@ -45,8 +46,8 @@ from pcgp.bench import (
 from pcgp.config import merge_config
 from pcgp.crossover import apply_crossover
 from pcgp.decode import DecodedGraph, DecodeSettings, connection_position, output_position
-from pcgp.evolve import EvoParams, RunRecord, _channel_sizes, _evaluate
-from pcgp.execute import new_state, step
+from pcgp.evolve import EvoParams, RunRecord, _channel_sizes, evaluate_population
+from pcgp.execute import step
 from pcgp.functions import FunctionSet
 from pcgp.genome import (
     C_OFF, F_OFF, X_OFF, Y_OFF, GenomeMode, SizeBounds, node_position, random_genome,
@@ -162,7 +163,7 @@ def components_oracle(n_in, targets):
 
 def step_balance(graph, episode_len):
     """The cart-pole episode as one step call per time step."""
-    state = new_state(graph)
+    state = np.zeros(graph.n_nodes)
     x, xd, th, thd = CARTPOLE_INIT
     total = CART_MASS + POLE_MASS
     pml = POLE_MASS * POLE_HALF_LENGTH
@@ -185,7 +186,7 @@ def step_balance(graph, episode_len):
 
 def stepped(graph, rows):
     """(rows, n_out) outputs, the rows fed one step call each."""
-    state, outs = new_state(graph), []
+    state, outs = np.zeros(graph.n_nodes), []
     for row in rows:
         out, state = step(graph, state, row)
         outs.append(out)
@@ -271,12 +272,12 @@ def _mutant(g, p, rng):
 
 def one_plus_lambda(fit, p):
     parent = random_genome(p.mode, p.n_in, p.n_out, p.n_nodes, _stream(p, 0, 0))
-    (parent_fit,) = _evaluate([parent], fit, 0, 0)
+    (parent_fit,) = evaluate_population([parent], fit, 0, 0)
     evaluations, generation, log = 1, 0, []
     while evaluations < p.budget:
         generation += 1
         children = [_mutant(parent, p, _stream(p, generation, slot)) for slot in range(p.lambda_)]
-        fits = _evaluate(children, fit, generation, evaluations)
+        fits = evaluate_population(children, fit, generation, evaluations)
         evaluations += p.lambda_
         best = int(np.argmax(fits))
         mean = float(np.mean(fits + [parent_fit]))
@@ -290,7 +291,7 @@ def one_plus_lambda(fit, p):
 def ga(fit, p):
     pop = [random_genome(p.mode, p.n_in, p.n_out, p.n_nodes, _stream(p, 0, slot))
            for slot in range(p.population)]
-    fits = np.array(_evaluate(pop, fit, 0, 0), dtype=float)
+    fits = np.array(evaluate_population(pop, fit, 0, 0), dtype=float)
     evaluations, generation, log = p.population, 0, []
     best_idx = int(np.argmax(fits))
     best, best_fit = pop[best_idx], float(fits[best_idx])
@@ -311,7 +312,7 @@ def ga(fit, p):
         for k in range(mutated):
             rng = _stream(p, generation, elites + crossed + k)
             fresh.append(_mutant(pop[tournament(fits, p.tournament_size, rng)], p, rng))
-        fresh_fits = _evaluate(fresh, fit, generation, evaluations)
+        fresh_fits = evaluate_population(fresh, fit, generation, evaluations)
         evaluations += len(fresh)
         copies = [tournament(fits, p.tournament_size,
                              _stream(p, generation, elites + crossed + mutated + k))

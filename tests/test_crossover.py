@@ -410,7 +410,7 @@ def test_subgraph_union_of_selected_components():
 
 def test_subgraph_self_cross_under_forced_selection():
     a = chain([0.2, 0.4, 0.6], 3)
-    n_comp = max(decode(a, SET, FSET).components) + 1
+    n_comp = len(decode(a, SET, FSET).components)
     rng = picks(np.random.default_rng(9), [True] * n_comp, [False] * n_comp)
     child = subgraph(a, a, graphs_of(a, a), rng, UNCAPPED)
     assert flatten(child).tolist() == flatten(a).tolist()

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pcgp.decode import (
-    DecodeSettings, _nearest, _sorted_entities, component_groups, connection_position, decode,
+    DecodeSettings, _nearest, _sorted_entities, connection_position, decode,
     output_position, output_trace, snap,
 )
 from pcgp.dot import to_dot
@@ -23,6 +23,11 @@ import reference
 DECODE = sys.modules["pcgp.decode"]   # the package exports a function of that name
 
 FSET = default_functions()
+
+
+def groups(labels):
+    """Component labels, numbered by first appearance, as node index lists."""
+    return [[i for i, x in enumerate(labels) if x == c] for c in sorted(set(labels))]
 
 
 def cgp(nodes, outputs, n_in=1):
@@ -223,15 +228,14 @@ def test_chain_fixture_output_trace_ignoring_arity():
 
 def test_chain_fixture_components_single():
     d = decode(chain_fixture(), DecodeSettings(), FSET)
-    assert d.components.tolist() == [0, 0, 0]
+    assert [c.tolist() for c in d.components] == [[0, 1, 2]]
 
 
 def test_disconnected_nodes_form_singleton_components():
     # both nodes connect only to the input -> no node-node edges
     g = cgp([[0.2, 0.2, f_gene("add"), 0.5], [0.2, 0.2, f_gene("add"), 0.5]], [0.2])
     d = decode(g, DecodeSettings(), FSET)
-    assert d.components.tolist() == [0, 1]
-    assert [c.tolist() for c in component_groups(d)] == [[0], [1]]
+    assert [c.tolist() for c in d.components] == [[0], [1]]
 
 
 def test_zero_nodes_outputs_snap_to_inputs():
@@ -341,13 +345,12 @@ def test_decode_deterministic_and_components_partition(mode, seed):
     s = random_settings(rng)
     d1 = decode(g, s, FSET)
     d2 = decode(g, s, FSET)
-    for name in ("targets", "output_targets", "function_index", "active", "components"):
+    for name in ("targets", "output_targets", "function_index", "active"):
         assert np.array_equal(getattr(d1, name), getattr(d2, name)), name
     assert d1._full_rows() == d2._full_rows()
-    groups = component_groups(d1)
-    if d1.n_nodes:
-        flat = np.sort(np.concatenate(groups))
-        assert flat.tolist() == list(range(d1.n_nodes))
+    comps = [c.tolist() for c in d1.components]
+    assert comps == [c.tolist() for c in d2.components]
+    assert sorted(sum(comps, [])) == list(range(d1.n_nodes))
 
 
 @settings(max_examples=50, deadline=None)
@@ -467,8 +470,9 @@ def _observe(d, program_first):
         seen["rows"] = [(*row[:4], row[4].hex()) for row in map(d.row, range(d.n_nodes))]
         for name in ("output_list", "active_list"):
             seen[name] = getattr(d, name)
-        for name in (*ARRAYS, "targets", "components"):
+        for name in (*ARRAYS, "targets"):
             seen[name] = _array(getattr(d, name))
+        seen["components"] = [_array(c) for c in d.components]
 
     for read in (program, tables) if program_first else (tables, program):
         read()
@@ -496,7 +500,8 @@ def _expected(g, s):
                  for t, f, k, c in zip(ref.targets, ref.findex, ref.arity, ref.params)],
         "output_list": ref.outputs, "active_list": ref.active,
         "targets": frozen(ref.targets, int, (-1, 2)),
-        "components": frozen(reference.components_oracle(n_in, ref.targets), int, -1),
+        "components": [frozen(c, int, -1)
+                       for c in groups(reference.components_oracle(n_in, ref.targets))],
     }
     for name, (field, dtype) in ARRAYS.items():
         want[name] = frozen(getattr(ref, field), dtype, -1)

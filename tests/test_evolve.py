@@ -409,18 +409,19 @@ def test_list_selection_matches_reference_under_ties(algorithm, seed):
 # ---------------------------------------------------- population evaluation
 
 def test_evaluate_population_empty():
-    assert evaluate_population([], hash_fitness) == []
+    assert evaluate_population([], hash_fitness, 0, 0) == []
 
 
 def test_evaluate_population_preserves_order():
     rng = np.random.default_rng(0)
     genomes = [random_genome(GenomeMode.CGP, 1, 1, 3, rng) for _ in range(6)]
     want = [g.outputs[0] for g in genomes]
-    assert evaluate_population(genomes, lambda g: g.outputs[0]) == want
+    assert evaluate_population(genomes, lambda g: g.outputs[0], 0, 0) == want
 
 
 def test_evaluate_population_propagates_failures():
-    """A raising fitness stops the batch; nothing after it is scored."""
+    """A raising fitness stops the batch, nothing after it is scored, and
+    the error comes out as the cause of one naming the batch."""
     rng = np.random.default_rng(0)
     genomes = [random_genome(GenomeMode.CGP, 1, 1, 3, rng) for _ in range(4)]
     doomed = genomes[2]
@@ -432,8 +433,10 @@ def test_evaluate_population_propagates_failures():
         scored.append(g)
         return 1.0
 
-    with pytest.raises(RuntimeError, match="bad genome"):
-        evaluate_population(genomes, fit)
+    with pytest.raises(RuntimeError) as failure:
+        evaluate_population(genomes, fit, 7, 120)
+    assert str(failure.value) == "fitness evaluation failed in generation 7 after 120 evaluations"
+    assert str(failure.value.__cause__) == "bad genome"
     assert scored == genomes[:2]
 
 
@@ -445,7 +448,7 @@ def test_evaluate_population_maps_nan_to_sentinel(numpy_scalar):
     box = np.float64 if numpy_scalar else float
     fits = iter([box(1.0), box("nan"), box("inf")])
     with pytest.warns(UserWarning, match="NaN"):
-        out = evaluate_population(genomes, lambda g: next(fits))
+        out = evaluate_population(genomes, lambda g: next(fits), 0, 0)
     assert out == [1.0, FAILED_FITNESS, float("inf")]
     assert all(type(v) is float for v in out)
 
@@ -526,6 +529,25 @@ def test_decode_is_looked_up_at_call_time_in_every_module(tmp_path, monkeypatch)
         fit, n_in, n_out = make_fitness(cfg)
         run_evolution(fit, build_evo_params(cfg, n_in, n_out))
     assert sorted(calls) == ["pcgp.bench", "pcgp.evolve"], calls
+
+
+@pytest.mark.parametrize("algorithm", ["one_plus_lambda", "ga"])
+def test_evaluate_population_is_looked_up_at_call_time(monkeypatch, algorithm):
+    """The loop scores through pcgp.evolve's evaluate_population binding,
+    as a profiler wraps it: once for the first population and once per
+    generation, handed every evaluated genome exactly once."""
+    sizes = []
+
+    def counting(genomes, *args):
+        sizes.append(len(genomes))
+        return evaluate_population(genomes, *args)
+
+    monkeypatch.setattr(pcgp.evolve, "evaluate_population", counting)
+    params = make_params(algorithm=algorithm, population=10, crossover="single_point",
+                         lambda_=4, budget=60, seed=8)
+    _, log = run_evolution(hash_fitness, params)
+    assert len(sizes) == len(log) + 1
+    assert sum(sizes) == log[-1].evaluations
 
 
 @pytest.mark.parametrize("preset, overrides", [

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from pcgp.decode import DecodeSettings, decode
 from pcgp.execute import (
-    _schedule, _strong_components, new_state, run_batch, run_sequence, run_supervised,
-    step,
+    _schedule, _strong_components, run_batch, run_sequence, run_supervised, step,
 )
 from pcgp.functions import FunctionSet, default_functions
 from pcgp.genome import GenomeMode, make_genome, random_genome
@@ -32,7 +31,7 @@ def test_weighted_square():
     # single mult node fed twice by the input, weighted by its c gene
     g = cgp([[0.1, 0.1, f_gene("mult"), 0.5]], [0.9])
     d = decode(g, DecodeSettings(use_weights=True), FSET)
-    out, _ = step(d, new_state(d), np.array([0.8]))
+    out, _ = step(d, np.zeros(d.n_nodes), np.array([0.8]))
     assert out[0] == pytest.approx(0.32, abs=1e-12)
 
 
@@ -41,7 +40,7 @@ def test_self_loop_accumulator():
     g = cgp([[0.2, 0.8, f_gene("add"), 0.5]], [0.9])
     d = decode(g, DecodeSettings(recurrency=1.0), FSET)
     assert d.targets.tolist() == [[0, 1]]
-    state = new_state(d)
+    state = np.zeros(d.n_nodes)
     seen = []
     for _ in range(3):
         out, state = step(d, state, np.array([1.0]))
@@ -53,7 +52,7 @@ def test_feedforward_statelessness():
     rng = np.random.default_rng(5)
     g = random_genome(GenomeMode.CGP, 2, 2, 12, rng)
     d = decode(g, DecodeSettings(), FSET)
-    s = new_state(d)
+    s = np.zeros(d.n_nodes)
     x = np.array([0.3, 0.7])
     o1, s = step(d, s, x)
     o2, s = step(d, s, x)
@@ -64,7 +63,7 @@ def test_input_length_checked():
     g = cgp([[0.1, 0.1, f_gene("add"), 0.5]], [0.9])
     d = decode(g, DecodeSettings(), FSET)
     with pytest.raises(ValueError):
-        step(d, new_state(d), np.array([1.0, 2.0]))
+        step(d, np.zeros(d.n_nodes), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         run_batch(d, np.zeros((4, 2)))
 
@@ -81,7 +80,7 @@ def test_state_shape_checked():
 def test_zero_nodes_pass_through():
     g = make_genome(GenomeMode.CGP, 2, 2, np.zeros((0, 4)), [0.1, 0.9])
     d = decode(g, DecodeSettings(), FSET)
-    out, _ = step(d, new_state(d), np.array([3.0, 4.0]))
+    out, _ = step(d, np.zeros(d.n_nodes), np.array([3.0, 4.0]))
     assert out.tolist() == [3.0, 4.0]
 
 

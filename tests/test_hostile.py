@@ -8,6 +8,7 @@ and its message, or the value returned.  A new input check adds a row.
 import contextlib
 import io
 import re
+import warnings
 from collections import namedtuple
 
 import numpy as np
@@ -17,6 +18,7 @@ from pcgp.bench import load_csv
 from pcgp.cli import main
 from pcgp.config import build_evo_params, merge_config, validate_config
 from pcgp.decode import DecodeSettings, invert_connection_position
+from pcgp.evolve import evaluate_population
 from pcgp.functions import FunctionSet
 from pcgp.genome import Genome, GenomeMode, make_genome, random_genome, validate_genome
 from pcgp.streams import Streams, _ReadySeed
@@ -40,6 +42,17 @@ def cli(*argv):
     return f"exit {code}, {err.getvalue().strip()}"
 
 
+def scored(fit):
+    """evaluate_population's scores of one genome under fit, in generation
+    3 after 40 evaluations, and the messages of the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        return evaluate_population([None], fit, 3, 40), [str(w.message) for w in caught]
+
+
+FAILED = r"RuntimeError: fitness evaluation failed in generation 3 after 40 evaluations <- "
+
+
 def unsorted_pcgp():
     """A PCGP genome built around the checks, its nodes out of position order."""
     nodes = np.array([[0.7, 0.5, 0.5, 0.5, 0.5], [0.2, 0.5, 0.5, 0.5, 0.5]])
@@ -47,7 +60,8 @@ def unsorted_pcgp():
 
 
 # name, call(tmp_path), outcome: a regex matched from the start of
-# "<exception type>: <message>" or of "returns <repr of the value>"
+# "<exception type>: <message>", followed by " <- <type>: <message>" of
+# its cause if it has one, or of "returns <repr of the value>"
 Row = namedtuple("Row", "name call outcome")
 ROWS = [
     Row("load_csv-unreadable-file",
@@ -97,6 +111,17 @@ ROWS = [
     Row("cli-export-dot-unreadable-genome",
         lambda tmp: cli("export-dot", tmp, "e0_rl", tmp / "out.dot"),
         r"returns .exit 2, error: cannot read genome "),
+    # the fitness value rule (evaluate_population): float(fit(g)), NaN to -inf
+    Row("evaluate_population-raising-fitness",
+        lambda tmp: scored(lambda g: 1 / 0), FAILED + r"ZeroDivisionError: division by zero$"),
+    Row("evaluate_population-nan", lambda tmp: scored(lambda g: float("nan")),
+        r"returns \(\[-inf\], \['fitness evaluation returned NaN; using sentinel'\]\)$"),
+    Row("evaluate_population-one-element-array",
+        lambda tmp: scored(lambda g: np.array([0.5])), FAILED + r"TypeError: "),
+    Row("evaluate_population-none",
+        lambda tmp: scored(lambda g: None), FAILED + r"TypeError: float\(\) argument must be"),
+    Row("evaluate_population-numeric-string",
+        lambda tmp: scored(lambda g: "0.25"), r"returns \(\[0\.25\], \[\]\)$"),
 ]
 
 
@@ -104,7 +129,9 @@ def outcome(call, tmp_path) -> str:
     try:
         return f"returns {call(tmp_path)!r}"
     except Exception as e:
-        return f"{type(e).__name__}: {e}"
+        cause = e.__cause__
+        return f"{type(e).__name__}: {e}" + (
+            "" if cause is None else f" <- {type(cause).__name__}: {cause}")
 
 
 @pytest.mark.parametrize("row", ROWS, ids=lambda row: row.name)

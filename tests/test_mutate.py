@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings
 
-from pcgp.decode import DecodeSettings, component_groups, connection_position, decode
+from pcgp.decode import DecodeSettings, connection_position, decode
 from pcgp.errors import ConfigError
 from pcgp.functions import default_functions
 from pcgp.genome import (
@@ -235,7 +235,7 @@ def chain_and_singletons():
 def test_subgraph_deletion_removes_only_from_multinode_component():
     g, s = chain_and_singletons()
     d = decode(g, s, FSET)
-    assert sorted(np.bincount(d.components).tolist()) == [1, 1, 1, 2]
+    assert sorted(c.size for c in d.components) == [1, 1, 1, 2]
     p = params(delta_frac=0.5, bounds=SizeBounds(3, 40))  # burst 2
     h = subgraph_deletion(g, p, np.random.default_rng(1), d)
     # only the 2-node component can shrink, and it shrinks entirely
@@ -260,17 +260,17 @@ def test_subgraph_deletion_respects_size_min():
 
 
 def test_subgraph_deletion_deletes_from_the_drawn_component():
-    """The stream's first draw, over the multi-node components in label
-    order, names the component that loses a node."""
+    """The stream's first draw, over the multi-node components in the
+    order of their first nodes, names the component that loses a node."""
     s = DecodeSettings(input_start=-1.0)
     pos = [0.2, 0.4, 0.6, 0.7, 0.8]
-    aims = [None, 0.2, None, 0.6, 0.7]     # A, B -> A; C, D -> C, E -> D; None aims at the input
+    aims = [None, 0.2, 0.4, None, 0.7]     # A, B -> A, C -> B; D, E -> D; None aims at the input
     nodes = [[p, 0.0 if t is None else invert_connection_position(t, p, s), 0.0, 0.1, 0.3]
              for p, t in zip(pos, aims)]
     g = make_genome(GenomeMode.PCGP, 1, 1, nodes, [0.95], [1.0])
     d = decode(g, s, FSET)
-    comps = [c.tolist() for c in component_groups(d)]
-    assert comps == [[0, 1], [2, 3, 4]]
+    comps = [c.tolist() for c in d.components]
+    assert comps == [[0, 1, 2], [3, 4]]
     for seed in range(8):
         k = int(np.random.default_rng(seed).integers(2))
         h = subgraph_deletion(g, params(bounds=SizeBounds(0, 40)), np.random.default_rng(seed), d)
