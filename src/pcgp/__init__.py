@@ -34,9 +34,7 @@ from .crossover import OPERATORS as CROSSOVER_OPERATORS
 from .decode import (
     DecodedGraph,
     DecodeSettings,
-    connection_position,
     decode,
-    output_position,
     output_trace,
     snap,
 )
@@ -61,7 +59,6 @@ from .genome import (
     flatten,
     from_json,
     make_genome,
-    node_position,
     random_genome,
     remove_nodes,
     to_json,

@@ -1,13 +1,18 @@
-"""Genome → program graph: connection geometry, snapping, activity.
+"""Genome → program graph: the entity axis, snapping, activity.
 
-A genome addresses program entities on a 1-D axis (inputs, then
-computational nodes).  Each node's two connection genes and each output
-gene produce a real-valued point on that axis, which snaps to the
-nearest eligible entity.  The axis starts at input_start for PCGP and
-at 0.0 for CGP, so CGP's points are the positional formulas with the
-axis at 0.0.  Recurrency widens a connection's reach to the right of
-its source node; at recurrency 0 every connection lands strictly left
-and the program is feedforward.
+A genome addresses program entities on a 1-D axis: the inputs, then
+the computational nodes.  The axis starts at input_start for PCGP and
+at 0.0 for CGP.  CGP places its inputs and nodes, in that order, on the
+evenly spaced cell centres of [0, 1] (ladder_positions); a PCGP input
+sits at its gene times input_start, a PCGP node at its position gene.
+A node at position p reaches r * (1 - p) + p, where r is the
+recurrency: its own position at r = 0 and the axis end, 1.0, at r = 1.
+Its connection gene x points x of the way from the axis start to that
+reach, and an output gene o points o of the way from the axis start to
+1.0.  Each point snaps to the nearest eligible entity, so at recurrency
+0 every connection lands strictly left of its node and the program is
+feedforward.  decode is the one place that states these rules;
+invert_connection_position inverts the connection rule for PCGP.
 
 decode is active-first.  It sets up the entity axis, sorting the
 inputs (nodes are stored sorted, right of them) only when the axis is
@@ -27,10 +32,7 @@ snap applies to an explicit candidate list too.  Take the nearest
 position below the point and the nearest position at or above it; the
 nearer one wins, and a tie in (float) distance takes the lower
 position.  Among entities at one position the smallest index wins;
--0.0 and 0.0 count as one position.  python floats apply * + - in the
-same order as numpy's elementwise ops, so every point, and with it
-every target, is what the array formulas connection_position and
-output_position give.
+-0.0 and 0.0 count as one position.
 
 At recurrency 0 a node's connections snap among a prefix of the sorted
 entities: the inputs and the nodes strictly left of it.  Inputs sit at
@@ -46,13 +48,14 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import DecodeError
 from .functions import FunctionSet
-from .genome import Genome, GenomeMode, ladder_positions
+from .genome import Genome, GenomeMode
 
 
 @dataclass(frozen=True)
@@ -60,11 +63,11 @@ class DecodeSettings:
     """Knobs shared by decoding and execution.
 
     recurrency 0 keeps programs feedforward; larger values extend
-    connection reach rightward.  input_start places PCGP inputs on the
-    negative axis (configs keep it strictly negative).  CGP's connection
-    and output points are the positional formulas with the axis starting
-    at 0.0.  use_weights multiplies each node's output by its parameter
-    gene during execution.
+    connection reach rightward.  input_start is where the PCGP axis
+    starts, placing PCGP inputs on the negative axis (configs keep it
+    strictly negative); CGP's axis starts at 0.0 (module docstring).
+    use_weights multiplies each node's output by its parameter gene
+    during execution.
     """
 
     recurrency: float = 0.0
@@ -221,24 +224,22 @@ class DecodedGraph:
         """The weakly-connected components of every node, active or not,
         ignoring arity and direction: read-only int arrays of node
         indices, each ascending, ordered by their first node."""
-        return _components(self.n_in, self.n_nodes, self._full_rows())
+        n_in = self.n_in
+        links = {i: [] for i in range(self.n_nodes)}
+        for i, (a, b, *_) in enumerate(self._full_rows()):
+            for t in (a, b):
+                if t >= n_in:       # linked both ways, so strong is weak
+                    links[i].append(t - n_in)
+                    links[t - n_in].append(i)
+        groups = sorted(sorted(c) for c in _strong_components(links))
+        return [_frozen(members, int, -1) for members in groups]
 
 
-def _axis_start(settings: DecodeSettings, mode: GenomeMode) -> float:
-    """Left end of the entity axis: input_start for PCGP, 0.0 for CGP."""
-    return settings.input_start if mode is GenomeMode.PCGP else 0.0
-
-
-def connection_position(x, node_pos, settings: DecodeSettings, mode: GenomeMode):
-    """Point on the axis addressed by connection gene x of a node.
-
-    Works elementwise on arrays.  The reach interpolates between the
-    region left of the node (recurrency 0) and the whole node axis
-    (recurrency 1); the point spans from the axis start up to the reach.
-    """
-    start = _axis_start(settings, mode)
-    reach = settings.recurrency * (1.0 - node_pos) + node_pos
-    return x * (reach - start) + start
+@lru_cache(maxsize=64)
+def ladder_positions(count: int) -> tuple:
+    """Evenly spaced cell-centre positions for `count` rungs on [0, 1],
+    as a cached tuple of python floats: CGP's entity axis."""
+    return tuple(((np.arange(count) + 0.5) / count).tolist())
 
 
 def invert_connection_position(target_pos: float, node_pos: float,
@@ -254,12 +255,6 @@ def invert_connection_position(target_pos: float, node_pos: float,
     if denom <= 0.0:
         return 0.0
     return min(1.0, max(0.0, (target_pos - settings.input_start) / denom))
-
-
-def output_position(o, settings: DecodeSettings, mode: GenomeMode):
-    """Point addressed by an output gene; spans the whole entity axis."""
-    start = _axis_start(settings, mode)
-    return o * (1.0 - start) + start
 
 
 def _nearest(sorted_pos, point: float, hi: int) -> int:
@@ -308,8 +303,9 @@ def decode(g: Genome, settings: DecodeSettings, fset: FunctionSet) -> DecodedGra
     genes = g.nodes.tolist()
     n_nodes = len(genes)
     total = n_in + n_nodes
-    r, start = settings.recurrency, _axis_start(settings, g.mode)
+    r = settings.recurrency
     cgp = g.mode is GenomeMode.CGP
+    start = 0.0 if cgp else settings.input_start
     if cgp:
         positions = ladder_positions(total)
     else:
@@ -334,7 +330,6 @@ def decode(g: Genome, settings: DecodeSettings, fset: FunctionSet) -> DecodedGra
             hi = n_in + i
         else:
             hi = bisect_left(positions, p, n_in, n_in + i)
-        # connection_position, point by point
         span = r * (1.0 - p) + p - start
         a = _nearest(ordered, x * span + start, hi)
         b = _nearest(ordered, y * span + start, hi)
@@ -346,7 +341,7 @@ def decode(g: Genome, settings: DecodeSettings, fset: FunctionSet) -> DecodedGra
         row = rows[i] = (a, b, fi, functions[fi].arity, c)
         return row
 
-    out_span = 1.0 - start        # output_position, point by point
+    out_span = 1.0 - start
     outputs = [_nearest(ordered, o * out_span + start, total)
                for o in g.outputs.tolist()]
     if entity is not None:
@@ -385,26 +380,47 @@ def _reachable(n_in, n_nodes, row, roots, arity_aware) -> list[bool]:
     return seen
 
 
-def _components(n_in, n_nodes, rows) -> list:
-    """DecodedGraph.components: union-find roots grouped in index order."""
-    parent = list(range(n_nodes))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(n_nodes):
-        for t in rows[i][:2]:
-            if t >= n_in:
-                ra, rb = find(i), find(t - n_in)
-                if ra != rb:
-                    parent[rb] = ra
-    groups = {}
-    for i in range(n_nodes):
-        groups.setdefault(find(i), []).append(i)
-    return [_frozen(members, int, -1) for members in groups.values()]
+def _strong_components(reads: dict) -> list:
+    """Strongly connected components of the graph whose node i has an
+    edge to each node in reads[i], each listed after every component it
+    reaches: iterative Tarjan, so no recursion limit applies."""
+    index, low = {}, {}
+    stack, on_stack = [], set()
+    components = []
+    for root in reads:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        walk = [(root, iter(reads[root]))]
+        while walk:
+            v, edges = walk[-1]
+            for w in edges:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    walk.append((w, iter(reads[w])))
+                    break
+                if w in on_stack and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                walk.pop()
+                if walk:
+                    u = walk[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == index[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        component.append(w)
+                        if w == v:
+                            break
+                    components.append(component)
+    return components
 
 
 def output_trace(graph: DecodedGraph, output: int) -> set[int]:

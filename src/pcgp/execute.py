@@ -38,7 +38,7 @@ from itertools import chain
 
 import numpy as np
 
-from .decode import DecodedGraph
+from .decode import DecodedGraph, _strong_components
 
 
 # (finite, zeroed): a node value v that finite(v) rejects becomes
@@ -119,49 +119,6 @@ def run_batch(graph: DecodedGraph, batch: np.ndarray) -> np.ndarray:
     for k, column in enumerate(row):
         out[k] = column
     return out
-
-
-def _strong_components(reads: dict) -> list:
-    """Strongly connected components of the graph whose node i has an
-    edge to each node in reads[i], each listed after every component it
-    reaches: iterative Tarjan, so no recursion limit applies."""
-    index, low = {}, {}
-    stack, on_stack = [], set()
-    components = []
-    for root in reads:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        on_stack.add(root)
-        walk = [(root, iter(reads[root]))]
-        while walk:
-            v, edges = walk[-1]
-            for w in edges:
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    stack.append(w)
-                    on_stack.add(w)
-                    walk.append((w, iter(reads[w])))
-                    break
-                if w in on_stack and index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                walk.pop()
-                if walk:
-                    u = walk[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                if low[v] == index[v]:
-                    component = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        component.append(w)
-                        if w == v:
-                            break
-                    components.append(component)
-    return components
 
 
 def _schedule(graph: DecodedGraph) -> list:

@@ -3,7 +3,8 @@
 Every gene is a float in [0.0, 1.0].  A CGP node carries four genes
 (x, y, function, parameter); a PCGP node carries five (position first).
 PCGP genomes additionally carry one position gene per program input, and
-store their nodes sorted by position gene (stable on ties).
+store their nodes sorted by position gene (stable on ties).  Where the
+genes place entities on the axis is stated in decode.
 
 Genomes are immutable values: an edit returns a new genome that shares
 the arrays it did not change; every array is read-only.
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 import json
 
 import numpy as np
@@ -73,13 +73,6 @@ class Genome:
         return self.nodes.shape[0]
 
 
-@lru_cache(maxsize=64)
-def ladder_positions(count: int) -> tuple:
-    """Evenly spaced cell-center positions for `count` rungs on [0, 1],
-    as a cached tuple of python floats."""
-    return tuple(((np.arange(count) + 0.5) / count).tolist())
-
-
 def require_positional(g: Genome, what: str) -> None:
     """Raise UnsupportedOperatorError unless g is positional; what names the operator."""
     if g.mode is not GenomeMode.PCGP:
@@ -88,10 +81,11 @@ def require_positional(g: Genome, what: str) -> None:
 
 def _check(mode: GenomeMode, n_in: int, n_out: int, nodes, outputs, inputs) -> None:
     """Raise ValueError unless the arrays have the shapes of mode, n_in
-    and n_out and every gene is in [0, 1].  Ranges are checked array by
-    array, so a failure names its array; the comparisons are written so
-    NaN fails.  The node block takes one numpy min and max, the short
-    1-d vectors are read as python floats."""
+    and n_out and every gene is in [0, 1].  NaN fails every range
+    check, and a failure names its array: "node genes outside [0, 1]",
+    and likewise "output" and "input" (tests/test_hostile.py pins each).
+    The node block takes one numpy min and max, the short 1-d vectors
+    are read as python floats."""
     if n_in < 1 or n_out < 1:
         raise ValueError(f"need n_in >= 1 and n_out >= 1, got {n_in}/{n_out}")
     stride = node_stride(mode)
@@ -166,23 +160,6 @@ def random_genome(mode: GenomeMode, n_in: int, n_out: int, n_nodes: int,
     outputs = rng.random(n_out)
     inputs = rng.random(n_in) if mode is GenomeMode.PCGP else None
     return _build(mode, n_in, n_out, nodes, outputs, inputs)
-
-
-def node_position(g: Genome, index: int, input_start: float = -1.0) -> float:
-    """Position of addressable entity `index` (inputs first, then nodes).
-
-    CGP places inputs and nodes on one evenly spaced ladder of cell
-    centers.  PCGP nodes sit at their position gene; PCGP input k sits at
-    its gene times `input_start` (a value in [input_start, 0]).
-    """
-    total = g.n_in + g.n_nodes
-    if not 0 <= index < total:
-        raise IndexError(f"index {index} out of range for {total} positions")
-    if g.mode is GenomeMode.CGP:
-        return ladder_positions(total)[index]
-    if index < g.n_in:
-        return float(g.inputs[index] * input_start)
-    return float(g.nodes[index - g.n_in, 0])
 
 
 def add_nodes(g: Genome, new_nodes) -> Genome:

@@ -51,6 +51,7 @@ CROSS = "tests/test_crossover.py::"
 MUTATE = "tests/test_mutate.py::"
 LAWS = "tests/test_operator_laws.py::"
 BENCH = "tests/test_bench.py::"
+HOSTILE = "tests/test_hostile.py::"
 
 MUTANTS = [
     Mutant("best-only-on-strict-improvement", "evolve.py",
@@ -79,12 +80,14 @@ MUTANTS = [
     Mutant("nan-fitness-kept", "evolve.py",
            "                value = FAILED_FITNESS\n", "                pass\n",
            (EVOLVE + "test_evaluate_population_maps_nan_to_sentinel",
-            EVOLVE + "test_ga_survives_nan_fitness")),
+            EVOLVE + "test_ga_survives_nan_fitness",
+            HOSTILE + "test_hostile_input[evaluate_population-nan]")),
     Mutant("fitness-error-raised-bare", "evolve.py",
            "    except Exception as e:\n        raise RuntimeError(",
            "    except Exception as e:\n        raise\n        raise RuntimeError(",
            (EVOLVE + "test_evaluate_population_propagates_failures",
-            EVOLVE + "test_fitness_failure_propagates_with_context")),
+            EVOLVE + "test_fitness_failure_propagates_with_context",
+            HOSTILE + "test_hostile_input[evaluate_population-raising-fitness]")),
     Mutant("ga-without-a-child-accepted", "evolve.py",
            'if self.algorithm == "ga" and sum(_channel_sizes(self)[1:3]) == 0:',
            "if False:",
@@ -99,17 +102,37 @@ MUTANTS = [
            "    items = sorted(candidates, key=lambda c: c[1])\n",
            (DECODE + "test_snap_equal_position_tie_takes_smaller_index",
             DECODE + "test_snap_rule_holds_a_few_ulps_apart")),
+    # the entity axis, which the reference pipeline states on its own
     Mutant("cgp-axis-starts-at-input-start", "decode.py",
-           "    return settings.input_start if mode is GenomeMode.PCGP else 0.0\n",
-           "    return settings.input_start\n",
-           (DECODE + "test_connection_position_cgp_endpoints", DECODE + "test_output_position",
-            DECODE + "test_chain_fixture_targets")),
+           "    start = 0.0 if cgp else settings.input_start\n",
+           "    start = settings.input_start\n",
+           (DECODE + "test_chain_fixture_targets",
+            EVOLVE + "test_runs_match_the_reference_pipeline",
+            EVOLVE + "test_drawn_configs_match_the_reference_pipeline")),
+    Mutant("ladder-shifted-half-a-cell", "decode.py",
+           "np.arange(count) + 0.5", "np.arange(count) + 1.0",
+           (GENOME + "test_ladder_positions_helper_matches",
+            EVOLVE + "test_runs_match_the_reference_pipeline",
+            EVOLVE + "test_drawn_configs_match_the_reference_pipeline")),
+    Mutant("connection-span-without-recurrency", "decode.py",
+           "        span = r * (1.0 - p) + p - start\n", "        span = p - start\n",
+           (EVOLVE + "test_runs_match_the_reference_pipeline",
+            EVOLVE + "test_drawn_configs_match_the_reference_pipeline")),
+    Mutant("output-span-from-zero", "decode.py",
+           "    out_span = 1.0 - start\n", "    out_span = 1.0\n",
+           (EVOLVE + "test_runs_match_the_reference_pipeline",
+            EVOLVE + "test_drawn_configs_match_the_reference_pipeline")),
+    Mutant("pcgp-inputs-unscaled", "decode.py",
+           "[x * start for x in g.inputs.tolist()]", "[-x for x in g.inputs.tolist()]",
+           (EVOLVE + "test_runs_match_the_reference_pipeline",
+            EVOLVE + "test_drawn_configs_match_the_reference_pipeline")),
     # the weakly-connected components
     Mutant("components-follow-only-the-first-connection", "decode.py",
-           "        for t in rows[i][:2]:\n", "        for t in rows[i][:1]:\n",
+           "            for t in (a, b):\n", "            for t in (a,):\n",
            (DECODE + "test_decode_matches_reference_in_either_reading_order",)),
     Mutant("components-sorted-by-size", "decode.py",
-           "for members in groups.values()]", "for members in sorted(groups.values(), key=len)]",
+           "        groups = sorted(sorted(c) for c in _strong_components(links))\n",
+           "        groups = sorted((sorted(c) for c in _strong_components(links)), key=len)\n",
            (DECODE + "test_decode_matches_reference_in_either_reading_order",
             MUTATE + "test_subgraph_deletion_deletes_from_the_drawn_component")),
     # genome construction
@@ -126,10 +149,6 @@ MUTANTS = [
            "    for arr in (nodes, outputs, inputs):\n        if arr is not None:\n",
            "    for arr in (outputs, inputs):\n        if arr is not None:\n",
            (GENOME + "test_arrays_read_only", GENOME + "test_derive_shares_what_it_is_not_given")),
-    Mutant("ladder-shifted-half-a-cell", "genome.py",
-           "np.arange(count) + 0.5", "np.arange(count) + 1.0",
-           (GENOME + "test_cgp_ladder_positions", GENOME + "test_ladder_positions_helper_matches",
-            DECODE + "test_chain_fixture_targets")),
     Mutant("require-positional-lets-cgp-through", "genome.py",
            "    if g.mode is not GenomeMode.PCGP:\n        raise UnsupportedOperatorError",
            "    if False:\n        raise UnsupportedOperatorError",

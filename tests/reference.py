@@ -1,11 +1,15 @@
 """A slow reference pipeline, from config to run log, for the tests.
 
-It reuses only primitives that tests pin on their own (the position
-formulas, step, the operators, load_csv, _channel_sizes, and
-evaluate_population, which scores serially and names a failure's
-generation) and avoids each
-fast path of the package:
+It reuses only primitives that tests pin on their own (step, the
+operators, load_csv, _channel_sizes, and evaluate_population, which
+scores serially and names a failure's generation) and avoids each fast
+path of the package:
 
+- axis, connection_point and output_point state the entity axis
+  themselves, as the paper does: the CGP ladder as (2k + 1) / 2K, PCGP
+  input and node positions, and each point as a fraction of the way
+  from the axis start to its reach.  pcgp.decode states the same rules
+  inline; nothing geometric is imported from the package.
 - decode_lists snaps every point with its own linear scan of the
   snapping rule, snap_linear, over an explicit candidate list, not with
   bisect over one sorted list (pcgp.decode), and decodes every node,
@@ -45,13 +49,11 @@ from pcgp.bench import (
 )
 from pcgp.config import merge_config
 from pcgp.crossover import apply_crossover
-from pcgp.decode import DecodedGraph, DecodeSettings, connection_position, output_position
+from pcgp.decode import DecodedGraph, DecodeSettings
 from pcgp.evolve import EvoParams, RunRecord, _channel_sizes, evaluate_population
 from pcgp.execute import step
 from pcgp.functions import FunctionSet
-from pcgp.genome import (
-    C_OFF, F_OFF, X_OFF, Y_OFF, GenomeMode, SizeBounds, node_position, random_genome,
-)
+from pcgp.genome import C_OFF, F_OFF, X_OFF, Y_OFF, GenomeMode, SizeBounds, random_genome
 from pcgp.mutate import MutationParams, apply_mutation
 
 # ------------------------------------------------------------------ decode
@@ -67,6 +69,38 @@ class Decoded(NamedTuple):
     arity: list
     params: list
     active: list
+
+
+def axis(g, s):
+    """Every entity's position, inputs first.  CGP's K entities sit on
+    the cell centres (2k + 1) / 2K of [0, 1]; a PCGP input sits at
+    input_start times its gene, a PCGP node at its position gene."""
+    total = g.n_in + g.n_nodes
+    if g.mode is GenomeMode.CGP:
+        return [(2 * k + 1) / (2 * total) for k in range(total)]
+    return [s.input_start * v for v in g.inputs.tolist()] + g.nodes[:, 0].tolist()
+
+
+def _axis_low(s, mode):
+    """Where the axis starts: at 0.0 for CGP, at input_start for PCGP."""
+    return 0.0 if mode is GenomeMode.CGP else s.input_start
+
+
+def connection_point(x, here, s, mode):
+    """The point connection gene x of a node at `here` addresses: x of
+    the way from the axis start to the node's reach, which runs from
+    the node itself at recurrency 0 to 1.0 at recurrency 1.  Works
+    elementwise on arrays."""
+    low = _axis_low(s, mode)
+    reach = here + s.recurrency * (1.0 - here)
+    return low + x * (reach - low)
+
+
+def output_point(o, s, mode):
+    """The point output gene o addresses: o of the way from the axis
+    start to 1.0.  Works elementwise on arrays."""
+    low = _axis_low(s, mode)
+    return low + o * (1.0 - low)
 
 
 def snap_linear(point, candidates):
@@ -88,17 +122,17 @@ def decode_lists(g, s, fset) -> Decoded:
     entities it may reach, which are every entity or, at recurrency 0,
     the inputs and the nodes strictly left of the connection's own."""
     n_in = g.n_in
-    pos = [node_position(g, j, s.input_start) for j in range(n_in + g.n_nodes)]
+    pos = axis(g, s)
     everything = list(enumerate(pos))
     targets, findex = [], []
     for i, row in enumerate(g.nodes):
         here = pos[n_in + i]
         cands = everything if s.recurrency > 0 else [
             (j, p) for j, p in everything if j < n_in or p < here]
-        targets.append(tuple(snap_linear(connection_position(row[k], here, s, g.mode), cands)
+        targets.append(tuple(snap_linear(connection_point(row[k], here, s, g.mode), cands)
                              for k in (X_OFF, Y_OFF)))
         findex.append(min(math.floor(row[F_OFF] * len(fset)), len(fset) - 1))
-    outputs = [snap_linear(output_position(o, s, g.mode), everything) for o in g.outputs]
+    outputs = [snap_linear(output_point(o, s, g.mode), everything) for o in g.outputs]
     arity = [fset[f].arity for f in findex]
     active = [False] * g.n_nodes
     stack = [t - n_in for t in outputs if t >= n_in]

@@ -25,14 +25,14 @@ from pcgp.config import (
     validate_config,
 )
 from pcgp.crossover import aligned_node, proportional, random_node, single_point
-from pcgp.decode import (DecodeSettings, _nearest, _sorted_entities, connection_position,
-                         decode, output_position, snap)
+from pcgp.decode import DecodeSettings, _nearest, _sorted_entities, decode, snap
 from pcgp.evolve import run_evolution
 from pcgp.functions import default_functions
 from pcgp.genome import GenomeMode, SizeBounds, flatten, random_genome
 from pcgp.mutate import MutationParams, add_probability, gene_mutation, mixed_node_mutate
 from pcgp import cli
 
+import reference
 from scripted import Scripted
 
 FSET = default_functions()
@@ -130,7 +130,9 @@ def test_c03_connection_geometry_hand_values_and_degeneracy():
     """Hand-computed reach values hold to 1e-12, and with input_start 0
     the positional formulas equal the CGP ones exactly: connection points
     on a 100x100x10 grid of (gene, node position, recurrency), output
-    points on the 100 genes."""
+    points on the 100 genes.  The formulas are the reference pipeline's
+    own statement of the axis, and decode snaps every connection and
+    output where they point on 200 random genomes of either mode."""
     tol = 1e-12
     cases = [
         (0.5, 0.4, 0.0, GenomeMode.CGP, -1.0, 0.2),
@@ -141,18 +143,29 @@ def test_c03_connection_geometry_hand_values_and_degeneracy():
     ]
     for x, p, r, mode, input_start, expected in cases:
         settings = DecodeSettings(recurrency=r, input_start=input_start)
-        got = connection_position(x, p, settings, mode)
+        got = reference.connection_point(x, p, settings, mode)
         assert abs(got - expected) <= tol, (x, p, r, mode, got)
 
     xs = np.linspace(0.0, 1.0, 100)[:, None]
     ps = np.linspace(0.0, 1.0, 100)[None, :]
     for r in np.linspace(0.0, 1.0, 10):
         degenerate = DecodeSettings(recurrency=float(r), input_start=0.0)
-        ladder = connection_position(xs, ps, degenerate, GenomeMode.CGP)
-        positional = connection_position(xs, ps, degenerate, GenomeMode.PCGP)
+        ladder = reference.connection_point(xs, ps, degenerate, GenomeMode.CGP)
+        positional = reference.connection_point(xs, ps, degenerate, GenomeMode.PCGP)
         assert np.array_equal(ladder, positional)
-        assert np.array_equal(output_position(xs, degenerate, GenomeMode.CGP),
-                              output_position(xs, degenerate, GenomeMode.PCGP))
+        assert np.array_equal(reference.output_point(xs, degenerate, GenomeMode.CGP),
+                              reference.output_point(xs, degenerate, GenomeMode.PCGP))
+
+    rng = np.random.default_rng(303)
+    for k in range(200):
+        mode = (GenomeMode.CGP, GenomeMode.PCGP)[k % 2]
+        g = random_genome(mode, 2, 2, int(rng.integers(0, 12)), rng)
+        settings = DecodeSettings(recurrency=float(rng.random()) if k % 3 else 0.0,
+                                  input_start=-float(rng.random()))
+        d = decode(g, settings, FSET)
+        want = reference.decode_lists(g, settings, FSET)
+        assert [d.row(i)[:2] for i in range(d.n_nodes)] == want.targets
+        assert d.output_list == want.outputs
 
 
 # ------------------------------------------------------------ criterion 4

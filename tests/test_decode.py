@@ -9,14 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pcgp.decode import (
-    DecodeSettings, _nearest, _sorted_entities, connection_position, decode,
-    output_position, output_trace, snap,
-)
+from pcgp.decode import DecodeSettings, _nearest, _sorted_entities, decode, output_trace, snap
 from pcgp.dot import to_dot
 from pcgp.errors import DecodeError
 from pcgp.functions import FunctionSet, default_functions
-from pcgp.genome import GenomeMode, make_genome, node_position, random_genome
+from pcgp.genome import GenomeMode, make_genome, random_genome
 
 import reference
 
@@ -39,19 +36,23 @@ def pcgp(nodes, outputs, inputs):
 
 
 # ----------------------------------------------------- connection points
+# The reference pipeline's own statement of the axis, pinned to hand
+# values; decode is held to it by the reference-pipeline tests.
 
 def test_connection_position_cgp_endpoints():
     s0 = DecodeSettings(recurrency=0.0)
     s1 = DecodeSettings(recurrency=1.0)
-    assert connection_position(0.5, 0.4, s0, GenomeMode.CGP) == pytest.approx(0.2, abs=1e-12)
-    assert connection_position(0.5, 0.4, s1, GenomeMode.CGP) == pytest.approx(0.5, abs=1e-12)
+    point = reference.connection_point
+    assert point(0.5, 0.4, s0, GenomeMode.CGP) == pytest.approx(0.2, abs=1e-12)
+    assert point(0.5, 0.4, s1, GenomeMode.CGP) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_connection_position_pcgp_endpoints():
     s = DecodeSettings(recurrency=0.7, input_start=-1.0)
-    assert connection_position(0.0, 0.3, s, GenomeMode.PCGP) == pytest.approx(-1.0, abs=1e-12)
+    point = reference.connection_point
+    assert point(0.0, 0.3, s, GenomeMode.PCGP) == pytest.approx(-1.0, abs=1e-12)
     s2 = DecodeSettings(recurrency=0.0, input_start=-0.5)
-    assert connection_position(1.0, 0.6, s2, GenomeMode.PCGP) == pytest.approx(0.6, abs=1e-12)
+    assert point(1.0, 0.6, s2, GenomeMode.PCGP) == pytest.approx(0.6, abs=1e-12)
 
 
 def test_positional_formula_degenerates_at_zero_input_start():
@@ -60,8 +61,8 @@ def test_positional_formula_degenerates_at_zero_input_start():
     for r in np.linspace(0.0, 1.0, 10):
         s = DecodeSettings(recurrency=float(r), input_start=0.0)
         xx, pp = np.meshgrid(x, p)
-        a = connection_position(xx, pp, s, GenomeMode.CGP)
-        b = connection_position(xx, pp, s, GenomeMode.PCGP)
+        a = reference.connection_point(xx, pp, s, GenomeMode.CGP)
+        b = reference.connection_point(xx, pp, s, GenomeMode.PCGP)
         assert np.max(np.abs(a - b)) <= 1e-12
 
 
@@ -72,15 +73,15 @@ def test_connection_position_monotone_in_x():
         p = float(rng.random())
         x = np.sort(rng.random(20))
         for mode in GenomeMode:
-            y = connection_position(x, p, s, mode)
+            y = reference.connection_point(x, p, s, mode)
             assert np.all(np.diff(y) >= 0)
 
 
 def test_output_position():
     s = DecodeSettings(input_start=-0.5)
-    assert output_position(0.3, s, GenomeMode.CGP) == 0.3
-    assert output_position(0.0, s, GenomeMode.PCGP) == -0.5
-    assert output_position(1.0, s, GenomeMode.PCGP) == 1.0
+    assert reference.output_point(0.3, s, GenomeMode.CGP) == 0.3
+    assert reference.output_point(0.0, s, GenomeMode.PCGP) == -0.5
+    assert reference.output_point(1.0, s, GenomeMode.PCGP) == 1.0
 
 
 def test_settings_validation():
@@ -209,7 +210,7 @@ def chain_fixture():
 def test_chain_fixture_targets():
     g = chain_fixture()
     d = decode(g, DecodeSettings(), FSET)
-    assert [node_position(g, j) for j in range(4)] == [0.125, 0.375, 0.625, 0.875]
+    assert reference.axis(g, DecodeSettings()) == [0.125, 0.375, 0.625, 0.875]
     assert d.targets.tolist() == [[0, 0], [0, 0], [2, 1]]
     assert d.output_targets.tolist() == [3]
 
@@ -274,8 +275,9 @@ def test_output_to_input_trace_empty():
 def test_pcgp_input_positions_scale():
     # inputs at -0.25 and -0.5; output points -0.5, -0.35 and 0.85
     g = pcgp([[0.5, 0.1, 0.1, f_gene("add"), 0.5]], [0.0, 0.1, 0.9], [0.5, 1.0])
-    assert [node_position(g, j, -0.5) for j in range(3)] == [-0.25, -0.5, 0.5]
-    d = decode(g, DecodeSettings(input_start=-0.5), FSET)
+    s = DecodeSettings(input_start=-0.5)
+    assert reference.axis(g, s) == [-0.25, -0.5, 0.5]
+    d = decode(g, s, FSET)
     assert d.output_list == [1, 0, 2]
 
 

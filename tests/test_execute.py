@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pcgp.decode import DecodeSettings, decode
-from pcgp.execute import (
-    _schedule, _strong_components, run_batch, run_sequence, run_supervised, step,
-)
+from pcgp.decode import DecodeSettings, _strong_components, decode
+from pcgp.execute import _schedule, run_batch, run_sequence, run_supervised, step
 from pcgp.functions import FunctionSet, default_functions
 from pcgp.genome import GenomeMode, make_genome, random_genome
 

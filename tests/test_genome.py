@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pcgp.decode import DecodeSettings, ladder_positions
 from pcgp.errors import ParseError
 from pcgp.genome import (
     Genome,
@@ -14,9 +15,7 @@ from pcgp.genome import (
     derive,
     flatten,
     from_json,
-    ladder_positions,
     make_genome,
-    node_position,
     node_stride,
     random_genome,
     remove_nodes,
@@ -24,6 +23,8 @@ from pcgp.genome import (
     unflatten,
     validate_genome,
 )
+
+import reference
 
 
 def cgp(nodes, outputs, n_in=2, n_out=None):
@@ -148,8 +149,7 @@ def test_pcgp_sort_is_stable_on_ties():
 def test_cgp_ladder_positions():
     # 2 inputs + 2 nodes -> cell centers eighths apart
     g = cgp(np.full((2, 4), 0.5), [0.5], n_in=2)
-    got = [node_position(g, i) for i in range(4)]
-    assert got == [0.125, 0.375, 0.625, 0.875]
+    assert reference.axis(g, DecodeSettings()) == [0.125, 0.375, 0.625, 0.875]
 
 
 def test_ladder_positions_helper_matches():
@@ -158,17 +158,9 @@ def test_ladder_positions_helper_matches():
 
 def test_pcgp_input_position_scales_by_input_start():
     g = pcgp(np.full((1, 5), 0.5), [0.5], [0.5])
-    assert node_position(g, 0, input_start=-1.0) == -0.5
-    assert node_position(g, 0, input_start=-0.5) == -0.25
-    assert node_position(g, 1) == 0.5  # node position gene, unscaled
-
-
-def test_position_index_bounds():
-    g = cgp(np.full((2, 4), 0.5), [0.5])
-    with pytest.raises(IndexError):
-        node_position(g, 4)
-    with pytest.raises(IndexError):
-        node_position(g, -1)
+    assert reference.axis(g, DecodeSettings(input_start=-1.0)) == [-0.5, 0.5]
+    # the node's position gene is unscaled
+    assert reference.axis(g, DecodeSettings(input_start=-0.5)) == [-0.25, 0.5]
 
 
 # ----------------------------------------------------------------- edits

@@ -20,7 +20,7 @@ from pcgp.config import build_evo_params, merge_config, validate_config
 from pcgp.decode import DecodeSettings, invert_connection_position
 from pcgp.evolve import evaluate_population
 from pcgp.functions import FunctionSet
-from pcgp.genome import Genome, GenomeMode, make_genome, random_genome, validate_genome
+from pcgp.genome import Genome, GenomeMode, derive, make_genome, random_genome, validate_genome
 from pcgp.streams import Streams, _ReadySeed
 
 
@@ -88,6 +88,21 @@ ROWS = [
     Row("genome-n_out-0",
         lambda tmp: make_genome(GenomeMode.CGP, 1, 0, np.zeros((0, 4)), []),
         r"ValueError: need n_in >= 1 and n_out >= 1, got 1/0"),
+    # the gene range check (genome._check): NaN fails it, and the message names the array
+    Row("make_genome-nan-node-gene",
+        lambda tmp: make_genome(GenomeMode.CGP, 1, 1, [[0.5, np.nan, 0.5, 0.5]], [0.5]),
+        r"ValueError: node genes outside \[0, 1\]$"),
+    Row("make_genome-output-gene-1.5",
+        lambda tmp: make_genome(GenomeMode.CGP, 1, 1, [[0.5] * 4], [1.5]),
+        r"ValueError: output genes outside \[0, 1\]$"),
+    Row("make_genome-input-gene-negative",
+        lambda tmp: make_genome(GenomeMode.PCGP, 1, 1, [[0.5] * 5], [0.5], [-0.1]),
+        r"ValueError: input genes outside \[0, 1\]$"),
+    Row("derive-nan-in-fresh-node-block",
+        lambda tmp: derive(random_genome(GenomeMode.PCGP, 1, 1, 2, np.random.default_rng(0)),
+                           nodes=np.array([[0.2, 0.5, 0.5, 0.5, 0.5],
+                                           [0.7, 0.5, np.nan, 0.5, 0.5]])),
+        r"ValueError: node genes outside \[0, 1\]$"),
     Row("random_genome-negative-n_nodes",
         lambda tmp: random_genome(GenomeMode.CGP, 1, 1, -1, np.random.default_rng(0)),
         r"ValueError: n_nodes must be non-negative"),

@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings
 
-from pcgp.decode import DecodeSettings, connection_position, decode
+from pcgp.decode import DecodeSettings, decode
 from pcgp.errors import ConfigError
 from pcgp.functions import default_functions
 from pcgp.genome import (
-    GenomeMode, SizeBounds, flatten, make_genome, node_position, random_genome,
-    validate_genome,
+    GenomeMode, SizeBounds, flatten, make_genome, random_genome, validate_genome,
 )
 from pcgp.mutate import (
     MutationParams, add_probability, gene_mutation, invert_connection_position,
     mixed_node_mutate, node_addition, node_deletion, subgraph_addition, subgraph_deletion,
 )
 
+import reference
 from test_operator_laws import M, check_child, check_determinism, check_handoff, draws
 
 FSET = default_functions()
@@ -176,7 +176,7 @@ def test_invert_connection_round_trip():
         reach = s.recurrency * (1 - node_pos) + node_pos
         target = float(rng.uniform(s.input_start, reach))
         x = invert_connection_position(target, node_pos, s)
-        back = connection_position(x, node_pos, s, GenomeMode.PCGP)
+        back = reference.connection_point(x, node_pos, s, GenomeMode.PCGP)
         assert back == pytest.approx(target, abs=1e-9)
 
 
@@ -199,13 +199,12 @@ def test_subgraph_addition_hits_pool_positions():
     p = params(delta_frac=0.3, bounds=SizeBounds(10, 40))  # adds 3
     h = subgraph_addition(g, p, s, rng)
     assert h.n_nodes == 11
-    positions = np.array([node_position(h, j, s.input_start)
-                          for j in range(h.n_in + h.n_nodes)])
+    positions = np.array(reference.axis(h, s))
     new = h.nodes[h.nodes[:, -1] != marker]
     assert new.shape[0] == 3
     for row in new:
         for gene in (row[1], row[2]):
-            point = connection_position(gene, row[0], s, GenomeMode.PCGP)
+            point = reference.connection_point(gene, row[0], s, GenomeMode.PCGP)
             assert np.min(np.abs(positions - point)) < 1e-9
 
 
