@@ -55,12 +55,10 @@ from .genome import (
     Genome,
     GenomeMode,
     SizeBounds,
-    add_nodes,
     flatten,
     from_json,
     make_genome,
     random_genome,
-    remove_nodes,
     to_json,
     unflatten,
     validate_genome,

@@ -33,8 +33,6 @@ from .genome import (
     SizeBounds,
     derive,
     flatten,
-    header_length,
-    node_stride,
     require_positional,
     unflatten,
 )
@@ -73,18 +71,16 @@ def _cap_rows(rows: np.ndarray, bounds: SizeBounds, rng) -> np.ndarray:
 def single_point(a: Genome, b: Genome, rng) -> Genome:
     """Swap flat-gene suffixes at a node-block boundary.
 
-    Legal cuts are offset 0 (child becomes one parent wholesale) and the
-    start of every node block present in both parents, including the end
-    of the shorter parent's vector.
+    Cut j >= 0, drawn up to the shorter parent's node count, gives the
+    head's input and output genes and first j nodes, then the tail's
+    nodes from j on.  Cut -1 stands for offset 0: the tail parent itself.
     """
     _check_mates(a, b)
-    header = header_length(a.mode, a.n_in, a.n_out)
-    stride = node_stride(a.mode)
-    cuts = [0] + [header + j * stride for j in range(min(a.n_nodes, b.n_nodes) + 1)]
-    cut = cuts[rng.integers(len(cuts))]
+    cut = rng.integers(min(a.n_nodes, b.n_nodes) + 2) - 1
     head, tail = (a, b) if rng.integers(2) == 0 else (b, a)
-    child = np.concatenate([flatten(head)[:cut], flatten(tail)[cut:]])
-    return unflatten(a.mode, a.n_in, a.n_out, child)
+    if cut < 0:
+        return tail
+    return derive(head, np.concatenate([head.nodes[:cut], tail.nodes[cut:]]))
 
 
 def random_node(a: Genome, b: Genome, rng) -> Genome:

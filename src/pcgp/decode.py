@@ -11,21 +11,21 @@ Its connection gene x points x of the way from the axis start to that
 reach, and an output gene o points o of the way from the axis start to
 1.0.  Each point snaps to the nearest eligible entity, so at recurrency
 0 every connection lands strictly left of its node and the program is
-feedforward.  decode is the one place that states these rules;
-invert_connection_position inverts the connection rule for PCGP.
+feedforward, and with no nodes every output snaps to an input.  decode
+is the one place that states these rules; invert_connection_position
+inverts the connection rule for PCGP.
 
-decode is active-first.  It sets up the entity axis, sorting the
-inputs (nodes are stored sorted, right of them) only when the axis is
-not already strictly increasing, and snaps the outputs.  Then it walks
-backward from the outputs and decodes a node only when the walk
-reaches it: both targets, function index, arity and parameter.  The
-walk yields the active flags together with exactly the rows that the
-plan and the program key read, so scoring a genome, memo hit or miss,
-never snaps an inactive node, and a memo hit builds no plan either.
-Every other node, most of a genome in practice, is decoded by the same
-per-node routine when an attribute that needs it is first read.  A
-node's row depends only on the genome, so what an attribute holds does
-not depend on when or in what order it is read.
+decode is active-first.  It sets up the entity axis, for PCGP always
+sorting the inputs (nodes are stored sorted, right of them), and snaps
+the outputs.  Then it walks backward from the outputs and decodes a
+node only when the walk reaches it: both targets, function index, arity
+and parameter.  The walk yields the active flags together with exactly
+the rows that the plan and the program key read, so scoring a genome,
+memo hit or miss, never snaps an inactive node, and a memo hit builds
+no plan either.  Every other node, most of a genome in practice, is
+decoded by the same per-node routine when an attribute that needs it is
+first read.  A node's row depends only on the genome, so what an
+attribute holds does not depend on when or in what order it is read.
 
 Every point snaps by one rule, _nearest over _sorted_entities, which
 snap applies to an explicit candidate list too.  Take the nearest
@@ -307,14 +307,11 @@ def decode(g: Genome, settings: DecodeSettings, fset: FunctionSet) -> DecodedGra
     cgp = g.mode is GenomeMode.CGP
     start = 0.0 if cgp else settings.input_start
     if cgp:
+        # the ladder is strictly increasing, so each slot is its entity
         positions = ladder_positions(total)
-    else:
-        positions = [x * start for x in g.inputs.tolist()] + [row[0] for row in genes]
-    # the CGP ladder is strictly increasing by construction; for PCGP,
-    # sorted and free of ties (-0.0 ties 0.0) is the pairwise a < b rule
-    if cgp or (positions == sorted(positions) and len(set(positions)) == total):
         ordered, entity = positions, None
     else:
+        positions = [x * start for x in g.inputs.tolist()] + [row[0] for row in genes]
         ordered, entity = _sorted_entities(positions, n_in)
     n_f = len(fset)
     functions = fset.functions

@@ -138,9 +138,11 @@ def evaluate_population(genomes, fit, generation: int, evaluations: int) -> list
 
     The fitness value rule: a genome's fitness is float(fit(g)), so any
     value float accepts is a fitness (a numpy scalar, or the string
-    "0.25" as 0.25).  NaN becomes FAILED_FITNESS (-inf) with a warning;
-    +inf and -inf are kept.  An exception from fit, or from float (None,
-    a 1-element array), ends the batch, with no later genome scored, as
+    "0.25" as 0.25).  NaN becomes FAILED_FITNESS (-inf) with a warning,
+    and -inf is kept.  +inf is an error, ValueError("fitness evaluation
+    returned +inf"), since beside -inf it would make the logged mean
+    NaN.  An error from fit, from float (None, a 1-element array) or
+    from the +inf rule ends the batch, with no later genome scored, as
     RuntimeError("fitness evaluation failed in generation G after E
     evaluations") caused by the error.
     """
@@ -151,6 +153,8 @@ def evaluate_population(genomes, fit, generation: int, evaluations: int) -> list
             if math.isnan(value):
                 warnings.warn("fitness evaluation returned NaN; using sentinel")
                 value = FAILED_FITNESS
+            elif value == math.inf:
+                raise ValueError("fitness evaluation returned +inf")
             fits.append(value)
     except Exception as e:
         raise RuntimeError(f"fitness evaluation failed in generation {generation} "

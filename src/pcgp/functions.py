@@ -77,10 +77,6 @@ class FunctionSet:
     def __getitem__(self, i: int) -> Function:
         return self.functions[i]
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(f.name for f in self.functions)
-
     @classmethod
     def from_names(cls, names) -> "FunctionSet":
         missing = [n for n in names if n not in REGISTRY]

@@ -45,10 +45,11 @@ class SizeBounds:
     aligned_node and proportional give a child whose size lies between
     its parents' sizes.  output_graph and subgraph keep only the nodes
     they inherit, cut down to size_max, so their children can fall
-    below size_min.  Below size_min, node_deletion and subgraph_deletion
-    remove nothing and add_probability is 0, so mixed_node and
-    mixed_subgraph never change the size there.  With add_inverted the
-    add probability there is 1 - modify_rate, so they only grow it.
+    below size_min.  Below size_min, and at size_min == size_max,
+    node_deletion and subgraph_deletion remove nothing and
+    add_probability is 0, so mixed_node and mixed_subgraph never change
+    the size there.  Below size_min, add_inverted makes the add
+    probability 1 - modify_rate, so they only grow it.
     """
 
     size_min: int
@@ -162,23 +163,6 @@ def random_genome(mode: GenomeMode, n_in: int, n_out: int, n_nodes: int,
     return _build(mode, n_in, n_out, nodes, outputs, inputs)
 
 
-def add_nodes(g: Genome, new_nodes) -> Genome:
-    """Append nodes (CGP) or merge them by position (PCGP)."""
-    new_nodes = np.array(new_nodes, dtype=float).reshape(-1, node_stride(g.mode))
-    return derive(g, nodes=np.concatenate([g.nodes, new_nodes]))
-
-
-def remove_nodes(g: Genome, indices) -> Genome:
-    """Drop the listed node indices, preserving the order of the rest."""
-    indices = sorted(set(int(i) for i in indices))
-    for i in indices:
-        if not 0 <= i < g.n_nodes:
-            raise IndexError(f"node index {i} out of range for {g.n_nodes} nodes")
-    keep = np.ones(g.n_nodes, dtype=bool)
-    keep[indices] = False
-    return derive(g, nodes=g.nodes[keep])
-
-
 def flatten(g: Genome) -> np.ndarray:
     """Flat gene vector: input genes (PCGP), output genes, node genes."""
     parts = [] if g.inputs is None else [g.inputs]
@@ -186,15 +170,10 @@ def flatten(g: Genome) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def header_length(mode: GenomeMode, n_in: int, n_out: int) -> int:
-    """Genes before the first node block in the flat layout."""
-    return (n_in if mode is GenomeMode.PCGP else 0) + n_out
-
-
 def unflatten(mode: GenomeMode, n_in: int, n_out: int, flat: np.ndarray) -> Genome:
     """Inverse of flatten; the trailing genes must form whole node blocks."""
     flat = np.asarray(flat, dtype=float)
-    header = header_length(mode, n_in, n_out)
+    header = (n_in if mode is GenomeMode.PCGP else 0) + n_out
     body = flat.shape[0] - header
     stride = node_stride(mode)
     if body < 0 or body % stride:

@@ -21,8 +21,7 @@ import numpy as np
 from .decode import DecodeSettings, invert_connection_position
 from .decode import decode  # noqa: F401 - unused; evobench wraps pcgp.<module>.decode
 from .errors import ConfigError
-from .genome import (Genome, GenomeMode, SizeBounds, add_nodes, derive, node_stride,
-                     remove_nodes, require_positional)
+from .genome import Genome, GenomeMode, SizeBounds, derive, node_stride, require_positional
 
 OPERATORS = ("gene", "mixed_node", "mixed_subgraph")
 POSITIONAL_ONLY = ("mixed_subgraph",)
@@ -108,14 +107,16 @@ def node_addition(g: Genome, params: MutationParams, rng) -> Genome:
     k = min(_burst_size(params), params.bounds.size_max - g.n_nodes)
     if k <= 0:
         return g
-    return add_nodes(g, rng.random((k, node_stride(g.mode))))
+    rows = rng.random((k, node_stride(g.mode)))
+    return derive(g, nodes=np.concatenate([g.nodes, rows]))
 
 
 def node_deletion(g: Genome, params: MutationParams, rng) -> Genome:
     k = min(_burst_size(params), max(0, g.n_nodes - params.bounds.size_min))
     if k <= 0:
         return g
-    return remove_nodes(g, rng.choice(g.n_nodes, size=k, replace=False))
+    picks = rng.choice(g.n_nodes, size=k, replace=False)
+    return derive(g, nodes=np.delete(g.nodes, picks, 0))
 
 
 def add_probability(n_nodes: int, params: MutationParams) -> float:
@@ -135,15 +136,22 @@ def add_probability(n_nodes: int, params: MutationParams) -> float:
     return min(1.0, max(0.0, frac)) * (1.0 - params.modify_rate)
 
 
-def mixed_node_mutate(g: Genome, params: MutationParams, rng, graph=None) -> Genome:
-    if params.require_active:
-        _require_graph(graph, "mixed_node mutation with require_active")
+def _mixed(g: Genome, params: MutationParams, rng, graph, grow, shrink) -> Genome:
+    """One draw: gene noise at modify_rate, grow() at add_probability,
+    else shrink(); the mixed operators' only modify/grow/shrink branch."""
     u = rng.random()
     if u < params.modify_rate:
         return gene_mutation(g, params, rng, graph)
     if u < params.modify_rate + add_probability(g.n_nodes, params):
-        return node_addition(g, params, rng)
-    return node_deletion(g, params, rng)
+        return grow()
+    return shrink()
+
+
+def mixed_node_mutate(g: Genome, params: MutationParams, rng, graph=None) -> Genome:
+    if params.require_active:
+        _require_graph(graph, "mixed_node mutation with require_active")
+    return _mixed(g, params, rng, graph, lambda: node_addition(g, params, rng),
+                  lambda: node_deletion(g, params, rng))
 
 
 def subgraph_addition(g: Genome, params: MutationParams,
@@ -173,7 +181,7 @@ def subgraph_addition(g: Genome, params: MutationParams,
         for col in (1, 2):
             target = pool[rng.integers(len(pool))]
             rows[i, col] = invert_connection_position(target, rows[i, 0], settings)
-    return add_nodes(g, rows)
+    return derive(g, nodes=np.concatenate([g.nodes, rows]))
 
 
 def subgraph_deletion(g: Genome, params: MutationParams, rng, graph) -> Genome:
@@ -191,19 +199,17 @@ def subgraph_deletion(g: Genome, params: MutationParams, rng, graph) -> Genome:
     k = min(_burst_size(params), comp.size, max(0, g.n_nodes - params.bounds.size_min))
     if k <= 0:
         return g
-    return remove_nodes(g, rng.choice(comp, size=k, replace=False))
+    picks = rng.choice(comp, size=k, replace=False)
+    return derive(g, nodes=np.delete(g.nodes, picks, 0))
 
 
 def mixed_subgraph_mutate(g: Genome, params: MutationParams, settings: DecodeSettings,
                           rng, graph) -> Genome:
     _require_graph(graph, "mixed_subgraph mutation")
     require_positional(g, "mixed subgraph mutation")
-    u = rng.random()
-    if u < params.modify_rate:
-        return gene_mutation(g, params, rng, graph)
-    if u < params.modify_rate + add_probability(g.n_nodes, params):
-        return subgraph_addition(g, params, settings, rng)
-    return subgraph_deletion(g, params, rng, graph)
+    return _mixed(g, params, rng, graph,
+                  lambda: subgraph_addition(g, params, settings, rng),
+                  lambda: subgraph_deletion(g, params, rng, graph))
 
 
 def apply_mutation(g: Genome, params: MutationParams, settings: DecodeSettings,

@@ -82,6 +82,10 @@ MUTANTS = [
            (EVOLVE + "test_evaluate_population_maps_nan_to_sentinel",
             EVOLVE + "test_ga_survives_nan_fitness",
             HOSTILE + "test_hostile_input[evaluate_population-nan]")),
+    Mutant("plus-inf-fitness-kept", "evolve.py",
+           '                raise ValueError("fitness evaluation returned +inf")\n',
+           "                pass\n",
+           (HOSTILE + "test_hostile_input[evaluate_population-plus-inf]",)),
     Mutant("fitness-error-raised-bare", "evolve.py",
            "    except Exception as e:\n        raise RuntimeError(",
            "    except Exception as e:\n        raise\n        raise RuntimeError(",
@@ -120,6 +124,11 @@ MUTANTS = [
             EVOLVE + "test_drawn_configs_match_the_reference_pipeline")),
     Mutant("output-span-from-zero", "decode.py",
            "    out_span = 1.0 - start\n", "    out_span = 1.0\n",
+           (EVOLVE + "test_runs_match_the_reference_pipeline",
+            EVOLVE + "test_drawn_configs_match_the_reference_pipeline")),
+    Mutant("pcgp-inputs-left-unsorted", "decode.py",
+           "        ordered, entity = _sorted_entities(positions, n_in)\n",
+           "        ordered, entity = _sorted_entities(positions, 0)\n",
            (EVOLVE + "test_runs_match_the_reference_pipeline",
             EVOLVE + "test_drawn_configs_match_the_reference_pipeline")),
     Mutant("pcgp-inputs-unscaled", "decode.py",
@@ -167,10 +176,13 @@ MUTANTS = [
            (EVOLVE + "test_stream_matches_default_rng",)),
     # crossover's choices, each scripted by a test through the rng
     Mutant("single-point-cut-counted-from-the-end", "crossover.py",
-           "    cut = cuts[rng.integers(len(cuts))]\n",
-           "    cut = cuts[-1 - rng.integers(len(cuts))]\n",
+           "    cut = rng.integers(min(a.n_nodes, b.n_nodes) + 2) - 1\n",
+           "    cut = min(a.n_nodes, b.n_nodes) - rng.integers(min(a.n_nodes, b.n_nodes) + 2)\n",
            (CROSS + "test_single_point_cut_zero_clones_a_parent",
             CROSS + "test_single_point_enumerated_cuts")),
+    Mutant("single-point-returns-the-head-at-cut-minus-one", "crossover.py",
+           "    if cut < 0:\n        return tail\n", "    if cut < 0:\n        return head\n",
+           (CROSS + "test_single_point_cut_zero_clones_a_parent",)),
     Mutant("proportional-weights-swapped", "crossover.py",
            "np.clip((1.0 - w) * fa[:low] + w * fb[:low], lo, hi)",
            "np.clip(w * fa[:low] + (1.0 - w) * fb[:low], lo, hi)",
@@ -191,7 +203,7 @@ MUTANTS = [
            (CROSS + "test_output_graph_draw_order", CROSS + "test_output_graph_truncates_at_size_max",
             CROSS + "test_subgraph_truncates_at_size_max", EVOLVE + "test_size_rule")),
     Mutant("single-point-cut-past-a-boundary", "crossover.py",
-           "[header + j * stride for j in", "[header + j * stride + 1 for j in",
+           "tail.nodes[cut:]", "tail.nodes[cut + 1:]",
            (CROSS + "test_single_point_enumerated_cuts", EVOLVE + "test_size_rule")),
     Mutant("random-node-draws-b-apart-for-equal-sizes", "crossover.py",
            "    if a.n_nodes == b.n_nodes:\n", "    if False:\n",
@@ -266,6 +278,10 @@ MUTANTS = [
            '    return params.require_active or params.operator == "mixed_subgraph"\n',
            "    return True\n",
            (LAWS + "test_the_package_tables_equal_this_one",)),
+    Mutant("mixed-grow-and-shrink-swapped", "mutate.py",
+           "        return grow()\n    return shrink()\n",
+           "        return shrink()\n    return grow()\n",
+           (MUTATE + "test_mixed_draw_picks_modify_grow_or_shrink",)),
     Mutant("node-deletion-ignores-size-min", "mutate.py",
            "k = min(_burst_size(params), max(0, g.n_nodes - params.bounds.size_min))",
            "k = min(_burst_size(params), g.n_nodes)",

@@ -23,7 +23,7 @@ SETTINGS = DecodeSettings()
 
 
 def f_gene(name):
-    index = FSET.names.index(name)
+    index = [f.name for f in FSET.functions].index(name)
     return (index + 0.5) / len(FSET)
 
 
@@ -329,7 +329,7 @@ def test_episode_matches_step_oracle(kind, n_nodes, recurrency, weights, blowup,
     settings = DecodeSettings(recurrency=recurrency, input_start=-0.5,
                               use_weights=weights or kind == "balancer")
     if kind == "balancer":
-        add = (FSET.names.index("add") + 0.5) / len(fset)
+        add = ([f.name for f in FSET.functions].index("add") + 0.5) / len(fset)
         g = make_genome(GenomeMode.CGP, 4, 1, [[0.10, 0.33, add, 0.1],
                                                [0.45, 0.65, add, 1.0],
                                                [0.70, 0.82, add, 1.0]], [0.95])

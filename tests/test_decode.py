@@ -168,31 +168,11 @@ def test_snap_field_matches_oracle(n, seed):
         assert entity[_nearest(ordered, t, n)] == reference.snap_linear(t, cands)
 
 
-@settings(max_examples=300)
-@given(st.lists(st.integers(0, 8), min_size=1, max_size=5), st.lists(st.integers(0, 8), max_size=8),
-       st.sampled_from([8, 2**20]), st.sampled_from([-1.0, -0.3, 0.0]))
-@example(inputs=[0], nodes=[0], grid=8, input_start=-0.3)     # -0.0 beside 0.0
-@example(inputs=[0, 0], nodes=[1, 2], grid=8, input_start=-1.0)
-@example(inputs=[1], nodes=[3, 3], grid=8, input_start=-1.0)
-@example(inputs=[2, 1], nodes=[], grid=8, input_start=0.0)
-@example(inputs=[2, 1], nodes=[1, 2], grid=8, input_start=-1.0)
-def test_axis_check_agrees_with_the_pairwise_rule(inputs, nodes, grid, input_start):
-    # decode sorts the entities exactly when its axis check fails; the
-    # axis is the input genes times input_start (0 times a negative
-    # start is -0.0), then the node genes, stored ascending
-    g = pcgp([[x / grid, 0.5, 0.5, 0.5, 0.5] for x in nodes], [0.5], [x / grid for x in inputs])
-    positions = [x / grid * input_start for x in inputs] + sorted(x / grid for x in nodes)
-    increasing = all(a < b for a, b in zip(positions, positions[1:]))
-    with mock.patch.object(DECODE, "_sorted_entities", wraps=DECODE._sorted_entities) as sort:
-        decode(g, DecodeSettings(input_start=input_start), FSET)
-    assert sort.called is not increasing
-
-
 # ------------------------------------------------------------ decode: CGP
 
 def f_gene(name):
     """Gene value that lands in the middle of a function's index slot."""
-    i = FSET.names.index(name)
+    i = [f.name for f in FSET.functions].index(name)
     return (i + 0.5) / len(FSET)
 
 
@@ -547,6 +527,24 @@ def test_decode_matches_reference_in_either_reading_order(
     assert d.n_nodes == n_nodes and type(d.n_nodes) is int
     assert _observe(d, program_first=True) == want
     assert _observe(decode(g, s, FSET), program_first=False) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.integers(0, 8), min_size=1, max_size=4), st.sets(st.integers(1, 8), max_size=8),
+       st.integers(1, 3), st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([-1.0, -0.3]),
+       st.integers(0, 2**31 - 1))
+def test_decode_matches_reference_on_increasing_axes(inputs, nodes, n_out, recurrency,
+                                                     input_start, seed):
+    """PCGP genomes whose axis is already strictly increasing: distinct
+    input genes in descending order, then distinct nodes right of 0."""
+    rng = np.random.default_rng(seed)
+    rows = rng.random((len(nodes), 5))
+    rows[:, 0] = [x / 8 for x in sorted(nodes)]
+    g = pcgp(rows, rng.random(n_out), [x / 8 for x in sorted(inputs, reverse=True)])
+    s = DecodeSettings(recurrency=recurrency, input_start=input_start)
+    positions = reference.axis(g, s)
+    assert all(a < b for a, b in zip(positions, positions[1:]))
+    assert _observe(decode(g, s, FSET), program_first=True) == _expected(g, s)
 
 
 @settings(max_examples=100, deadline=None)

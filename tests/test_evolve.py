@@ -446,10 +446,10 @@ def test_evaluate_population_maps_nan_to_sentinel(numpy_scalar):
     rng = np.random.default_rng(0)
     genomes = [random_genome(GenomeMode.CGP, 1, 1, 3, rng) for _ in range(3)]
     box = np.float64 if numpy_scalar else float
-    fits = iter([box(1.0), box("nan"), box("inf")])
+    fits = iter([box(1.0), box("nan"), box("-inf")])
     with pytest.warns(UserWarning, match="NaN"):
         out = evaluate_population(genomes, lambda g: next(fits), 0, 0)
-    assert out == [1.0, FAILED_FITNESS, float("inf")]
+    assert out == [1.0, FAILED_FITNESS, float("-inf")]
     assert all(type(v) is float for v in out)
 
 

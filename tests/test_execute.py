@@ -15,7 +15,7 @@ FSET = default_functions()
 
 
 def f_gene(name, fset=FSET):
-    i = fset.names.index(name)
+    i = [f.name for f in fset.functions].index(name)
     return (i + 0.5) / len(fset)
 
 
@@ -270,7 +270,7 @@ def test_strong_components_need_no_recursion():
 
 def test_sin_cos_give_python_floats_on_scalars():
     for name, ref in (("sin", np.sin), ("cos", np.cos)):
-        fn = FSET[FSET.names.index(name)].apply
+        fn = FSET[[f.name for f in FSET.functions].index(name)].apply
         x = np.linspace(-4.0, 4.0, 9)
         assert fn(x, None, 0.5).tobytes() == ref(x).tobytes()
         for a in (x[3], float(x[3])):

@@ -11,20 +11,21 @@ from pcgp.errors import ParseError
 from pcgp.genome import (
     Genome,
     GenomeMode,
-    add_nodes,
+    SizeBounds,
     derive,
     flatten,
     from_json,
     make_genome,
     node_stride,
     random_genome,
-    remove_nodes,
     to_json,
     unflatten,
     validate_genome,
 )
+from pcgp.mutate import MutationParams, node_addition, node_deletion
 
 import reference
+from scripted import Scripted
 
 
 def cgp(nodes, outputs, n_in=2, n_out=None):
@@ -165,9 +166,16 @@ def test_pcgp_input_position_scales_by_input_start():
 
 # ----------------------------------------------------------------- edits
 
+def _grow(g, rows):
+    """node_addition of g with its fresh rows scripted; the burst is
+    len(rows) (delta_frac 1 of size_min)."""
+    params = MutationParams(SizeBounds(len(rows), 10), delta_frac=1.0)
+    return node_addition(g, params, Scripted(np.random.default_rng(0), random=[np.array(rows)]))
+
+
 def test_add_nodes_appends_for_cgp():
     g = cgp([[0.1, 0.1, 0.1, 0.1]], [0.5])
-    h = add_nodes(g, [[0.9, 0.9, 0.9, 0.9]])
+    h = _grow(g, [[0.9, 0.9, 0.9, 0.9]])
     assert h.n_nodes == 2
     assert h.nodes[1].tolist() == [0.9, 0.9, 0.9, 0.9]
     assert g.n_nodes == 1  # original untouched
@@ -175,16 +183,21 @@ def test_add_nodes_appends_for_cgp():
 
 def test_add_nodes_merges_sorted_for_pcgp():
     g = pcgp([[0.5, 0, 0, 0, 0]], [0.5], [0.5])
-    h = add_nodes(g, [[0.2, 1, 1, 1, 1], [0.8, 1, 1, 1, 1]])
+    h = _grow(g, [[0.8, 1, 1, 1, 1], [0.2, 1, 1, 1, 1]])
     assert h.nodes[:, 0].tolist() == [0.2, 0.5, 0.8]
 
 
 def test_remove_nodes():
-    g = cgp([[0.1] * 4, [0.2] * 4, [0.3] * 4], [0.5])
-    h = remove_nodes(g, [1])
-    assert h.nodes[:, 0].tolist() == [0.1, 0.3]
-    with pytest.raises(IndexError):
-        remove_nodes(g, [3])
+    """node_deletion drops distinct rows and keeps the rest in order."""
+    g = cgp([[v] * 4 for v in (0.1, 0.2, 0.3, 0.4, 0.5)], [0.5])
+    params = MutationParams(SizeBounds(2, 5), delta_frac=1.0)     # deletes 2
+    seen = set()
+    for seed in range(100):
+        kept = node_deletion(g, params, np.random.default_rng(seed)).nodes[:, 0].tolist()
+        assert len(kept) == 3 and kept == sorted(set(kept))
+        assert set(kept) <= {0.1, 0.2, 0.3, 0.4, 0.5}
+        seen.add(tuple(kept))
+    assert len(seen) == 10      # every pair of the five was deleted
 
 
 def test_derive_shares_what_it_is_not_given():

@@ -16,9 +16,9 @@ import pytest
 
 from pcgp.bench import load_csv
 from pcgp.cli import main
-from pcgp.config import build_evo_params, merge_config, validate_config
-from pcgp.decode import DecodeSettings, invert_connection_position
-from pcgp.evolve import evaluate_population
+from pcgp.config import build_evo_params, make_fitness, merge_config, validate_config
+from pcgp.decode import DecodeSettings, decode, invert_connection_position, snap
+from pcgp.evolve import evaluate_population, run_evolution
 from pcgp.functions import FunctionSet
 from pcgp.genome import Genome, GenomeMode, derive, make_genome, random_genome, validate_genome
 from pcgp.streams import Streams, _ReadySeed
@@ -51,6 +51,43 @@ def scored(fit):
 
 
 FAILED = r"RuntimeError: fitness evaluation failed in generation 3 after 40 evaluations <- "
+
+
+def cartpole_run(**cfg):
+    """A short cart-pole run of cfg: the sizes of every genome it scored,
+    its best genome's decoded graph and its log."""
+    cfg = {"task": "rl", "episode_len": 20, "budget": 60, **cfg}
+    fit, n_in, n_out = make_fitness(cfg)
+    params = build_evo_params(cfg, n_in, n_out)
+    sizes = set()
+
+    def sized(g):
+        sizes.add(g.n_nodes)
+        return fit(g)
+
+    best, log = run_evolution(sized, params)
+    return sizes, decode(best, params.settings, params.functions), log
+
+
+def zero_node_runs():
+    """Whether each output of each mode's best genome snaps to an input,
+    and every logged best_active_nodes, in runs at n_nodes 0."""
+    to_input, active = set(), set()
+    for mode in ("CGP", "PCGP"):
+        _, graph, log = cartpole_run(mode=mode, n_nodes=0)
+        to_input.update(t < graph.n_in for t in graph.output_list)
+        active.update(r.best_active_nodes for r in log)
+    return to_input, active
+
+
+def fixed_size_runs():
+    """The sizes scored in mixed_node runs with size_min == size_max,
+    under either growth bias."""
+    sizes = set()
+    for inverted in (False, True):
+        sizes |= cartpole_run(operator="mixed_node", n_nodes=6, size_min=6, size_max=6,
+                              add_inverted=inverted)[0]
+    return sizes
 
 
 def unsorted_pcgp():
@@ -137,6 +174,25 @@ ROWS = [
         lambda tmp: scored(lambda g: None), FAILED + r"TypeError: float\(\) argument must be"),
     Row("evaluate_population-numeric-string",
         lambda tmp: scored(lambda g: "0.25"), r"returns \(\[0\.25\], \[\]\)$"),
+    # beside -inf, +inf would make a generation's mean fitness NaN
+    Row("evaluate_population-plus-inf",
+        lambda tmp: scored(lambda g: float("inf")),
+        FAILED + r"ValueError: fitness evaluation returned \+inf$"),
+    # degenerate sizes: with no nodes the only entities are the inputs
+    # (decode), and at size_min == size_max the mixed operators never
+    # change the size (SizeBounds)
+    Row("run-n_nodes-0", lambda tmp: zero_node_runs(), r"returns \(\{True\}, \{0\}\)$"),
+    Row("mixed_node-size_min-equals-size_max",
+        lambda tmp: fixed_size_runs(), r"returns \{6\}$"),
+    # position ties (decode's snapping rule): the smallest index at one
+    # position, the lower position on a distance tie, -0.0 and 0.0 as one
+    # position; test_decode.py::test_snap_rule_holds_a_few_ulps_apart
+    # holds the rule for positions a few ulps apart
+    Row("snap-position-ties",
+        lambda tmp: (snap(0.3, [(3, 0.25), (1, 0.25), (2, 0.75)]),
+                     snap(0.5, [(1, 0.75), (0, 0.25)]),
+                     snap(0.0, [(2, 0.0), (1, -0.0)])),
+        r"returns \(1, 0, 1\)$"),
 ]
 
 

@@ -22,7 +22,7 @@ EPISODE = 60
 
 
 def f_gene(name):
-    return (FSET.names.index(name) + 0.5) / len(FSET)
+    return ([f.name for f in FSET.functions].index(name) + 0.5) / len(FSET)
 
 
 def key(g, s):

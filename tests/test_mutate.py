@@ -11,11 +11,13 @@ from pcgp.genome import (
     GenomeMode, SizeBounds, flatten, make_genome, random_genome, validate_genome,
 )
 from pcgp.mutate import (
-    MutationParams, add_probability, gene_mutation, invert_connection_position,
-    mixed_node_mutate, node_addition, node_deletion, subgraph_addition, subgraph_deletion,
+    MutationParams, add_probability, apply_mutation, gene_mutation,
+    invert_connection_position, mixed_node_mutate, node_addition, node_deletion,
+    subgraph_addition, subgraph_deletion,
 )
 
 import reference
+from scripted import Scripted
 from test_operator_laws import M, check_child, check_determinism, check_handoff, draws
 
 FSET = default_functions()
@@ -156,6 +158,20 @@ def test_mixed_node_branch_frequencies():
     for delta, prob in ((0, 0.6), (2, 0.2), (-2, 0.2)):
         sigma = (trials * prob * (1 - prob)) ** 0.5
         assert abs(counts[delta] - trials * prob) <= 3 * sigma, (delta, counts)
+
+
+@pytest.mark.parametrize("operator", ["mixed_node", "mixed_subgraph"])
+def test_mixed_draw_picks_modify_grow_or_shrink(operator):
+    """One draw u picks the branch: gene noise below modify_rate, growth
+    below modify_rate + add_probability, shrinking above it."""
+    g = random_genome(GenomeMode.PCGP, 2, 1, 31, np.random.default_rng(3))
+    p = params(modify_rate=0.6, operator=operator)
+    assert add_probability(31, p) == pytest.approx(0.28)
+    graph = decode(g, SET, FSET)
+    for u, sign in ((0.59, 0), (0.61, 1), (0.87, 1), (0.89, -1), (0.99, -1)):
+        rng = Scripted(np.random.default_rng(4), random=[u])
+        child = apply_mutation(g, p, SET, rng, graph)
+        assert np.sign(child.n_nodes - g.n_nodes) == sign, u
 
 
 def test_mixed_node_always_modifies_when_modify_rate_is_one():

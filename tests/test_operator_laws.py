@@ -25,7 +25,7 @@ from pcgp.errors import UnsupportedOperatorError
 from pcgp.execute import run_supervised
 from pcgp.functions import default_functions
 from pcgp.genome import (
-    GenomeMode, SizeBounds, flatten, header_length, random_genome, validate_genome,
+    GenomeMode, SizeBounds, flatten, random_genome, validate_genome,
 )
 from pcgp.mutate import (
     MutationParams, apply_mutation, reads_graph, subgraph_addition, subgraph_deletion,
@@ -132,7 +132,7 @@ def check_provenance(law, a, b, child):
         had, kept = rows(a.nodes), rows(child.nodes)
         assert child.n_nodes == a.n_nodes or kept >= had or kept <= had
         return
-    end = header_length(a.mode, a.n_in, a.n_out)     # the input and output genes
+    end = flatten(a).size - a.nodes.size     # the input and output genes
     got, ga, gb = (flatten(g)[:end] for g in (child, a, b))
     if law.provenance == "rows":
         assert np.all((got == ga) | (got == gb))
