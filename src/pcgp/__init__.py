@@ -60,7 +60,6 @@ from .genome import (
     make_genome,
     random_genome,
     to_json,
-    unflatten,
     validate_genome,
 )
 from .mutate import (

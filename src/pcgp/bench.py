@@ -99,7 +99,8 @@ def load_csv(path, task: str) -> Dataset:
     Features and regression targets must be finite numbers; anything
     else raises a DatasetError naming the row and column.  So does a
     feature column whose max - min overflows to inf, and a file that
-    cannot be read as text.
+    cannot be read as text.  A classification target is a label, its
+    stripped text, so "nan" or "inf" there is a class like any other.
     """
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}")

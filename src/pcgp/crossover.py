@@ -27,15 +27,7 @@ import numpy as np
 from .decode import output_trace, snap
 from .decode import decode  # noqa: F401 - unused; evobench wraps pcgp.<module>.decode
 from .errors import ConfigError
-from .genome import (
-    Genome,
-    GenomeMode,
-    SizeBounds,
-    derive,
-    flatten,
-    require_positional,
-    unflatten,
-)
+from .genome import Genome, GenomeMode, SizeBounds, derive, flatten, require_positional
 
 OPERATORS = ("single_point", "random_node", "aligned_node",
              "proportional", "output_graph", "subgraph")
@@ -93,13 +85,13 @@ def random_node(a: Genome, b: Genome, rng) -> Genome:
     """
     _check_mates(a, b)
     half_a, half_b = a.n_nodes // 2, (b.n_nodes + 1) // 2
-    sel_a = np.sort(rng.choice(a.n_nodes, half_a, replace=False)) if a.n_nodes else np.zeros(0, int)
+    sel_a = np.sort(rng.choice(a.n_nodes, half_a, replace=False))
     if a.n_nodes == b.n_nodes:
         mask = np.ones(b.n_nodes, dtype=bool)
         mask[sel_a] = False
         sel_b = np.flatnonzero(mask)
     else:
-        sel_b = np.sort(rng.choice(b.n_nodes, half_b, replace=False)) if b.n_nodes else np.zeros(0, int)
+        sel_b = np.sort(rng.choice(b.n_nodes, half_b, replace=False))
     rows = np.concatenate([a.nodes[sel_a], b.nodes[sel_b]])
     outputs = _coin_mix(a.outputs, b.outputs, rng)
     inputs = _coin_mix(a.inputs, b.inputs, rng) if a.mode is GenomeMode.PCGP else None
@@ -138,7 +130,8 @@ def proportional(a: Genome, b: Genome, rng) -> Genome:
 
     Each blended gene is clamped into the interval spanned by its two
     parents, so weight 0/1 reproduces a parent gene exactly and blending
-    a genome with itself is the identity.
+    a genome with itself is the identity.  The child is built by derive
+    from slices of the one fresh vector, in flatten's layout.
     """
     _check_mates(a, b)
     fa, fb = flatten(a), flatten(b)
@@ -148,7 +141,10 @@ def proportional(a: Genome, b: Genome, rng) -> Genome:
     hi = np.maximum(fa[:low], fb[:low])
     mix = np.clip((1.0 - w) * fa[:low] + w * fb[:low], lo, hi)
     tail = fa if fa.size >= fb.size else fb
-    return unflatten(a.mode, a.n_in, a.n_out, np.concatenate([mix, tail[low:]]))
+    flat = np.concatenate([mix, tail[low:]])
+    head = fa.size - a.nodes.size       # the input and output genes
+    inputs = flat[:a.n_in] if a.mode is GenomeMode.PCGP else None
+    return derive(a, flat[head:].reshape(-1, a.nodes.shape[1]), flat[head - a.n_out:head], inputs)
 
 
 def output_graph(a: Genome, b: Genome, graphs, rng, bounds: SizeBounds) -> Genome:

@@ -82,10 +82,10 @@ class DecodeSettings:
 
 
 class Plan(NamedTuple):
-    """A graph's active nodes in evaluation order, flat for the interpreter."""
+    """A graph's active nodes in evaluation order, flat for the
+    interpreter, and feedforward; it runs to the graph's output_list."""
 
     nodes: list         # (node, fn, target_a, target_b, param) per active node
-    outputs: list       # output target indices
     feedforward: bool   # no followed connection of an active node recurs
 
 
@@ -191,7 +191,7 @@ class DecodedGraph:
             here = n_in + i       # a read of here or a later entity is previous-row
             if (k >= 1 and ta >= here) or (k >= 2 and tb >= here):
                 feedforward = False
-        return Plan(nodes, self.output_list, feedforward)
+        return Plan(nodes, feedforward)
 
     @_once
     def program_key(self) -> tuple:

@@ -92,7 +92,7 @@ def step(graph: DecodedGraph, state: np.ndarray, inputs):
         raise ValueError(f"state must be an array of shape ({graph.n_nodes},)")
     cur = state.copy()
     plan = graph.plan
-    (out,) = _evaluate(graph.n_in, plan.nodes, plan.outputs, graph.use_weights,
+    (out,) = _evaluate(graph.n_in, plan.nodes, graph.output_list, graph.use_weights,
                        (inputs,), cur, _SCALAR_RULE, [])
     return np.array(out, dtype=float), cur
 
@@ -113,7 +113,7 @@ def run_batch(graph: DecodedGraph, batch: np.ndarray) -> np.ndarray:
         raise ValueError(f"batch must be (rows, {graph.n_in})")
     # a feedforward plan never reads last row's values
     cur = [0.0] * graph.n_nodes
-    (row,) = _evaluate(graph.n_in, plan.nodes, plan.outputs, graph.use_weights,
+    (row,) = _evaluate(graph.n_in, plan.nodes, graph.output_list, graph.use_weights,
                        (batch.T,), cur, _COLUMN_RULE, [])
     out = np.empty((graph.n_out, batch.shape[0]))
     for k, column in enumerate(row):
@@ -210,7 +210,7 @@ def run_sequence(graph: DecodedGraph, rows: np.ndarray) -> np.ndarray:
         columns[members] = np.fromiter(chain.from_iterable(outs), float,
                                        len(rows) * m).reshape(len(rows), m).T
     # indexing copies into C order, so reductions over the result sum row-major
-    return columns[graph.plan.outputs]
+    return columns[graph.output_list]
 
 
 def run_feedback(graph: DecodedGraph, rows, outs: list) -> list:
@@ -220,7 +220,7 @@ def run_feedback(graph: DecodedGraph, rows, outs: list) -> list:
     before the next row is drawn, so rows may be a generator that reads
     outs[-1] to make its next row.  Returns outs."""
     plan = graph.plan
-    return _evaluate(graph.n_in, plan.nodes, plan.outputs, graph.use_weights,
+    return _evaluate(graph.n_in, plan.nodes, graph.output_list, graph.use_weights,
                      rows, [0.0] * graph.n_nodes, _SCALAR_RULE, outs)
 
 

@@ -7,7 +7,11 @@ store their nodes sorted by position gene (stable on ties).  Where the
 genes place entities on the axis is stated in decode.
 
 Genomes are immutable values: an edit returns a new genome that shares
-the arrays it did not change; every array is read-only.
+the arrays it did not change; every array is read-only.  Each
+constructor has one source of genes: random_genome draws the first
+population, derive builds every child from its parent and the fresh
+arrays an operator made, and make_genome (from_json through it) copies
+genes from outside the package.
 """
 
 from __future__ import annotations
@@ -168,20 +172,6 @@ def flatten(g: Genome) -> np.ndarray:
     parts = [] if g.inputs is None else [g.inputs]
     parts += [g.outputs, g.nodes.ravel()]
     return np.concatenate(parts)
-
-
-def unflatten(mode: GenomeMode, n_in: int, n_out: int, flat: np.ndarray) -> Genome:
-    """Inverse of flatten; the trailing genes must form whole node blocks."""
-    flat = np.asarray(flat, dtype=float)
-    header = (n_in if mode is GenomeMode.PCGP else 0) + n_out
-    body = flat.shape[0] - header
-    stride = node_stride(mode)
-    if body < 0 or body % stride:
-        raise ValueError(f"flat genome of length {flat.shape[0]} does not fit the layout")
-    inputs = flat[:n_in] if mode is GenomeMode.PCGP else None
-    outputs = flat[header - n_out:header]
-    nodes = flat[header:].reshape(-1, stride)
-    return make_genome(mode, n_in, n_out, nodes, outputs, inputs)
 
 
 def to_json(g: Genome) -> str:

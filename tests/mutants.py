@@ -52,6 +52,7 @@ MUTATE = "tests/test_mutate.py::"
 LAWS = "tests/test_operator_laws.py::"
 BENCH = "tests/test_bench.py::"
 HOSTILE = "tests/test_hostile.py::"
+EXECUTE = "tests/test_execute.py::"
 
 MUTANTS = [
     Mutant("best-only-on-strict-improvement", "evolve.py",
@@ -169,11 +170,35 @@ MUTANTS = [
             "tests/test_mutate.py::test_operators_deterministic_under_seed")),
     Mutant("cycle-step-appends-its-live-row", "execute.py",
            "outs.append(cur[:] if outputs is None", "outs.append(cur if outputs is None",
-           ("tests/test_execute.py::test_run_sequence_by_columns_hand_built",
-            "tests/test_execute.py::test_step_equals_run_sequence_bitwise")),
+           (EXECUTE + "test_run_sequence_by_columns_hand_built",
+            EXECUTE + "test_step_equals_run_sequence_bitwise")),
+    Mutant("cycle-reads-last-row-from-the-fresh-columns", "execute.py",
+           "(late if lagged else columns)", "(columns if lagged else late)",
+           (EXECUTE + "test_run_sequence_by_columns_hand_built",
+            EXECUTE + "test_step_equals_run_sequence_bitwise",
+            EVOLVE + "test_runs_match_the_reference_pipeline[crossover-proportional-False-PCGP]")),
+    Mutant("self-reading-node-run-as-a-column-step", "execute.py",
+           " and here not in reads[here]:", ":",
+           (EXECUTE + "test_run_sequence_by_columns_hand_built",
+            EXECUTE + "test_step_equals_run_sequence_bitwise",
+            EXECUTE + "test_batch_refuses_recurrent_flow")),
+    Mutant("column-rule-never-zeroes", "execute.py",
+           "_COLUMN_RULE = (lambda v: math.isfinite(np.add.reduce(v, axis=None)),",
+           "_COLUMN_RULE = (lambda v: True,",
+           (EXECUTE + "test_batch_equals_stepping_bitwise",
+            EXECUTE + "test_step_equals_run_sequence_bitwise",
+            EXECUTE + "test_batch_edge_cases_match_stepping")),
     Mutant("stream-batch-crosses-a-word-boundary", "streams.py",
            "min(first + self.generations, 1 << 32 * width)", "first + self.generations",
            (EVOLVE + "test_stream_matches_default_rng",)),
+    # each stream mutant makes hypothesis shrink for over a minute
+    Mutant("stream-keeps-its-pending-half-from-numpy", "streams.py",
+           "        if self._dirty:\n", "        if False:\n",
+           (EVOLVE + "test_stream_calls_match_default_rng",
+            EVOLVE + "test_tournament_through_a_stream_matches_numpy_oracle")),
+    Mutant("stream-ignores-numpys-buffer", "streams.py",
+           "        if self._lent:\n", "        if False:\n",
+           (EVOLVE + "test_stream_calls_match_default_rng",)),
     # crossover's choices, each scripted by a test through the rng
     Mutant("single-point-cut-counted-from-the-end", "crossover.py",
            "    cut = rng.integers(min(a.n_nodes, b.n_nodes) + 2) - 1\n",
@@ -208,6 +233,14 @@ MUTANTS = [
     Mutant("random-node-draws-b-apart-for-equal-sizes", "crossover.py",
            "    if a.n_nodes == b.n_nodes:\n", "    if False:\n",
            (LAWS + "test_self_cross",)),
+    Mutant("random-node-a-half-unsorted", "crossover.py",
+           "    sel_a = np.sort(rng.choice(a.n_nodes, half_a, replace=False))\n",
+           "    sel_a = rng.choice(a.n_nodes, half_a, replace=False)\n",
+           (CROSS + "test_random_node_keeps_each_parents_stored_order",)),
+    Mutant("random-node-b-half-unsorted", "crossover.py",
+           "        sel_b = np.sort(rng.choice(b.n_nodes, half_b, replace=False))\n",
+           "        sel_b = rng.choice(b.n_nodes, half_b, replace=False)\n",
+           (CROSS + "test_random_node_keeps_each_parents_stored_order[unequal]",)),
     Mutant("aligned-node-keeps-every-leftover", "crossover.py",
            "        if rng.random() < 0.5:\n            rows.append(long_.nodes[j])",
            "        if rng.random() < 1.0:\n            rows.append(long_.nodes[j])",
@@ -220,6 +253,15 @@ MUTANTS = [
            "    tail = fa if fa.size >= fb.size else fb\n",
            "    tail = fa if fa.size < fb.size else fb\n",
            (CROSS + "test_children_always_valid", CROSS + "test_proportional_tail_from_longer_parent")),
+    Mutant("proportional-outputs-one-gene-off", "crossover.py",
+           "flat[head - a.n_out:head]", "flat[head - a.n_out - 1:head - 1]",
+           (CROSS + "test_proportional_midpoint_value",
+            CROSS + "test_proportional_self_fixpoint_any_weights",
+            GENOME + "test_flatten_round_trip")),
+    Mutant("proportional-inputs-one-gene-off", "crossover.py",
+           "    inputs = flat[:a.n_in] if", "    inputs = flat[1:a.n_in + 1] if",
+           (CROSS + "test_proportional_injected_endpoints_exact",
+            LAWS + "test_self_cross", GENOME + "test_flatten_round_trip")),
     Mutant("reads-graphs-without-subgraph", "crossover.py",
            'READS_GRAPHS = ("output_graph", "subgraph")',
            'READS_GRAPHS = ("output_graph",)',
@@ -307,6 +349,14 @@ MUTANTS = [
            "        self._check(g)\n", "",
            (BENCH + "test_classification_shape_errors", BENCH + "test_cartpole_shape_errors",
             "tests/test_memo.py::test_memoized_fitness_checks_shapes_before_decoding")),
+    Mutant("memo-never-evicts", "bench.py",
+           "            if len(self._memo) > MEMO_ENTRIES:\n", "            if False:\n",
+           ("tests/test_memo.py::test_eviction_keeps_logs_identical",)),
+    # config validation
+    Mutant("bool-spelling-1-rejected", "config.py",
+           "value in (0, 1):", "value in (0,):",
+           ("tests/test_config.py::test_type_checks",
+            "tests/test_config.py::test_validate_accepts_exactly_what_builds")),
 ]
 
 

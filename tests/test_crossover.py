@@ -104,6 +104,20 @@ def test_random_node_self_fixpoint_positional():
         assert flatten(child).tolist() == flatten(a).tolist()
 
 
+@pytest.mark.parametrize("sizes", [(7, 10), (8, 8)], ids=["unequal", "equal"])
+def test_random_node_keeps_each_parents_stored_order(sizes):
+    """a's half of the nodes, then b's, each in its parent's stored
+    order, which is CGP's evaluation order."""
+    for seed in range(10):
+        a, b = rnd(GenomeMode.CGP, sizes[0], seed), rnd(GenomeMode.CGP, sizes[1], seed + 100)
+        child = random_node(a, b, np.random.default_rng(seed)).nodes.tolist()
+        half_a = a.n_nodes // 2
+        for parent, rows in ((a, child[:half_a]), (b, child[half_a:])):
+            stored = parent.nodes.tolist()
+            index = [stored.index(row) for row in rows]
+            assert index == sorted(index)
+
+
 def test_random_node_self_is_permutation_for_plain_mode():
     a = rnd(GenomeMode.CGP, 8, 11)
     child = random_node(a, a, np.random.default_rng(12))

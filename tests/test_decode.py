@@ -358,7 +358,6 @@ def test_params_and_plan_come_from_decode():
     assert d.plan is d.plan and d.components is d.components
     assert [node[0] for node in d.plan.nodes] == np.flatnonzero(d.active).tolist()
     assert [node[4] for node in d.plan.nodes] == [params[i] for i in np.flatnonzero(d.active)]
-    assert d.plan.outputs == d.output_targets.tolist()
 
 
 LAZY = ("targets", "function_index", "output_targets", "active", "plan", "program_key",
@@ -444,7 +443,7 @@ def _observe(d, program_first):
     def program():
         plan = d.plan
         seen["plan"] = ([(i, fn, ta, tb, param.hex()) for i, fn, ta, tb, param in plan.nodes],
-                        plan.outputs, plan.feedforward)
+                        d.output_list, plan.feedforward)
         seen["key"] = d.program_key
         seen["traces"] = [output_trace(d, k) for k in range(d.n_out)]
 

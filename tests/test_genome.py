@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pcgp.crossover import proportional
 from pcgp.decode import DecodeSettings, ladder_positions
 from pcgp.errors import ParseError
 from pcgp.genome import (
@@ -19,7 +20,6 @@ from pcgp.genome import (
     node_stride,
     random_genome,
     to_json,
-    unflatten,
     validate_genome,
 )
 from pcgp.mutate import MutationParams, node_addition, node_deletion
@@ -251,11 +251,6 @@ def test_flatten_layout_pcgp():
     assert flatten(g).tolist() == [0.6, 0.9, 0.5, 0.1, 0.2, 0.3, 0.4]
 
 
-def test_unflatten_rejects_ragged_tail():
-    with pytest.raises(ValueError):
-        unflatten(GenomeMode.CGP, 1, 1, np.array([0.5, 0.1, 0.2]))
-
-
 @settings(max_examples=40)
 @given(
     st.sampled_from(list(GenomeMode)),
@@ -265,12 +260,17 @@ def test_unflatten_rejects_ragged_tail():
     st.integers(0, 2**31 - 1),
 )
 def test_flatten_round_trip(mode, n_in, n_out, n_nodes, seed):
+    """proportional reads its parents through flatten and builds its
+    child from the flat vector, so crossing g with itself gives g's
+    genes back: the inverse of flatten, 0 nodes and CGP included."""
     g = random_genome(mode, n_in, n_out, n_nodes, np.random.default_rng(seed))
-    h = unflatten(mode, n_in, n_out, flatten(g))
+    h = proportional(g, g, np.random.default_rng(seed))
     assert h.nodes.tolist() == g.nodes.tolist()
     assert h.outputs.tolist() == g.outputs.tolist()
     if mode is GenomeMode.PCGP:
         assert h.inputs.tolist() == g.inputs.tolist()
+    else:
+        assert h.inputs is None
 
 
 # --------------------------------------------------------------- random

@@ -106,6 +106,18 @@ ROWS = [
     Row("load_csv-one-column",
         lambda tmp: load_csv(written(tmp / "t.csv", "t\n1\n2\n"), "regression"),
         r"DatasetError: .*need at least one feature and a target column"),
+    # data cells (load_csv): features and regression targets are finite
+    # numbers, a class label is text
+    Row("load_csv-nan-feature",
+        lambda tmp: load_csv(written(tmp / "t.csv", "x,t\n1,a\nnan,b\n"), "classification"),
+        r"DatasetError: .* row 3 column 1 \('x'\): non-finite feature 'nan'$"),
+    Row("load_csv-inf-target",
+        lambda tmp: load_csv(written(tmp / "t.csv", "x,y\n1,2\n2,inf\n"), "regression"),
+        r"DatasetError: .* row 3 column 2 \('y'\): non-finite target 'inf'$"),
+    Row("load_csv-nan-class-label",
+        lambda tmp: load_csv(written(tmp / "t.csv", "x,t\n1,nan\n2,a\n"),
+                             "classification").labels,
+        r"returns \('nan', 'a'\)$"),
     Row("validate_config-episode_len-0",
         lambda tmp: validate_config({"episode_len": 0}),
         r"ConfigError: episode_len must be at least 1"),

@@ -7,6 +7,12 @@ import pytest
 from mutants import MUTANTS, ROOT
 
 
+def test_ledger_names_are_unique():
+    """The runner selects mutants by name."""
+    names = [m.name for m in MUTANTS]
+    assert len(set(names)) == len(names), sorted({n for n in names if names.count(n) > 1})
+
+
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
 def test_ledger_entry_applies(mutant):
     """Its old text occurs once in its file, and each test it names
