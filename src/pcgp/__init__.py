@@ -36,14 +36,12 @@ from .decode import (
     DecodeSettings,
     decode,
     output_trace,
-    snap,
 )
 from .dot import to_dot
 from .errors import (
     CgpError,
     ConfigError,
     DatasetError,
-    DecodeError,
     OutputError,
     ParseError,
     UnsupportedOperatorError,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .decode import output_trace, snap
+from .decode import _nearest, _sorted_entities, output_trace, require_graph
 from .decode import decode  # noqa: F401 - unused; evobench wraps pcgp.<module>.decode
 from .errors import ConfigError
 from .genome import Genome, GenomeMode, SizeBounds, derive, flatten, require_positional
@@ -40,11 +40,6 @@ def _check_mates(a: Genome, b: Genome):
         raise ValueError(
             f"incompatible parents: {a.mode.value}/{a.n_in}/{a.n_out} vs "
             f"{b.mode.value}/{b.n_in}/{b.n_out}")
-
-
-def _require_graphs(graphs, what: str):
-    if graphs is None:
-        raise ValueError(f"{what} crossover reads the parents' decoded graphs, but graphs is None")
 
 
 def _coin_mix(av: np.ndarray, bv: np.ndarray, rng) -> np.ndarray:
@@ -103,17 +98,20 @@ def aligned_node(a: Genome, b: Genome, rng) -> Genome:
 
     Greedy pairing walks the smaller parent left to right and snaps each
     node's position among the still-unpaired nodes of the other parent,
-    by decode's rule (snap).  Leftover nodes of the larger parent each
-    survive with probability one half.
+    along its stored (sorted) axis by decode's rule.  Leftover nodes of
+    the larger parent each survive with probability one half.
     """
     require_positional(a, "aligned node crossover")
     _check_mates(a, b)
     short, long_ = (a, b) if a.n_nodes <= b.n_nodes else (b, a)
-    unpaired = dict(enumerate(long_.nodes[:, 0].tolist()))
+    free = long_.nodes[:, 0].tolist()       # ascending, as is unpaired
+    unpaired = list(range(long_.n_nodes))
     rows = []
     for i, p in enumerate(short.nodes[:, 0].tolist()):
-        j = snap(p, unpaired.items())
-        del unpaired[j]
+        ordered, entity = _sorted_entities(free, 0)
+        k = entity[_nearest(ordered, p, len(free))]
+        del free[k]
+        j = unpaired.pop(k)
         rows.append(short.nodes[i] if rng.random() < 0.5 else long_.nodes[j])
     for j in unpaired:
         if rng.random() < 0.5:
@@ -158,7 +156,7 @@ def output_graph(a: Genome, b: Genome, graphs, rng, bounds: SizeBounds) -> Genom
     size set-up), the choice of _cap_rows, then random(n_in) for the
     input coins.
     """
-    _require_graphs(graphs, "output graph")
+    require_graph(graphs, "output graph crossover")
     require_positional(a, "output graph crossover")
     _check_mates(a, b)
     choices = [int(rng.integers(0, 2)) for _ in range(a.n_out)]
@@ -188,7 +186,7 @@ def subgraph(a: Genome, b: Genome, graphs, rng, bounds: SizeBounds) -> Genome:
 
     Input and output genes are per-gene coin flips.
     """
-    _require_graphs(graphs, "subgraph")
+    require_graph(graphs, "subgraph crossover")
     require_positional(a, "subgraph crossover")
     _check_mates(a, b)
     parts = []

@@ -27,8 +27,8 @@ decoded by the same per-node routine when an attribute that needs it is
 first read.  A node's row depends only on the genome, so what an
 attribute holds does not depend on when or in what order it is read.
 
-Every point snaps by one rule, _nearest over _sorted_entities, which
-snap applies to an explicit candidate list too.  Take the nearest
+Every point snaps by one rule, _nearest over _sorted_entities, and
+aligned_node crossover pairs nodes by it too.  Take the nearest
 position below the point and the nearest position at or above it; the
 nearer one wins, and a tie in (float) distance takes the lower
 position.  Among entities at one position the smallest index wins;
@@ -53,7 +53,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DecodeError
 from .functions import FunctionSet
 from .genome import Genome, GenomeMode
 
@@ -283,19 +282,6 @@ def _sorted_entities(positions: list, n_in: int):
     return ordered, order
 
 
-def snap(point: float, candidates) -> int:
-    """Index of the candidate (index, position) pair nearest to point, by
-    decode's rule (module docstring): the nearer of the nearest positions
-    below and at or above the point, the lower one on a distance tie, and
-    the smallest index at that position.  Raises DecodeError when there
-    are no candidates."""
-    items = sorted(candidates)
-    if not items:
-        raise DecodeError("empty candidate set")
-    ordered, entity = _sorted_entities([p for _, p in items], len(items))
-    return items[entity[_nearest(ordered, point, len(items))]][0]
-
-
 def decode(g: Genome, settings: DecodeSettings, fset: FunctionSet) -> DecodedGraph:
     """g's program graph, with the outputs and the active nodes decoded.
     Positions are read only here: the graph keeps the snapped indices."""
@@ -429,3 +415,9 @@ def output_trace(graph: DecodedGraph, output: int) -> set[int]:
     seen = _reachable(graph.n_in, graph.n_nodes, graph.row, [graph.output_list[output]],
                       arity_aware=False)
     return {i for i, hit in enumerate(seen) if hit}
+
+
+def require_graph(graph, what: str) -> None:
+    """Raise ValueError if graph, the decoded graph or pair that operator what reads, is None."""
+    if graph is None:
+        raise ValueError(f"{what} reads decoded graphs, but its graph argument is None")

@@ -5,10 +5,6 @@ class CgpError(Exception):
     """Base class for all library errors."""
 
 
-class DecodeError(CgpError):
-    """A connection point has no candidate node to snap to."""
-
-
 class ParseError(CgpError):
     """A serialized genome or config document is malformed."""
 

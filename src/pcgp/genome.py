@@ -35,9 +35,9 @@ def node_stride(mode: GenomeMode) -> int:
     return 5 if mode is GenomeMode.PCGP else 4
 
 
-# Per-node gene columns, counted from the end so both modes share them.
-# PCGP rows are [p, x, y, f, c]; CGP rows are [x, y, f, c].
-X_OFF, Y_OFF, F_OFF, C_OFF = -4, -3, -2, -1
+# The parameter gene's column, counted from the end so both modes share
+# it; no module here reads it, evobench does.
+C_OFF = -1
 
 
 @dataclass(frozen=True)
@@ -131,8 +131,11 @@ def _build(mode: GenomeMode, n_in: int, n_out: int, nodes, outputs, inputs) -> G
 def make_genome(mode: GenomeMode, n_in: int, n_out: int, nodes, outputs,
                 inputs=None) -> Genome:
     """Validating constructor: copies the caller's arrays, then checks,
-    sorts and freezes them as derive does."""
-    nodes = np.array(nodes, dtype=float).reshape(-1, node_stride(mode))
+    sorts and freezes them as derive does.  from_json keeps its own row
+    checks, since its document comes from outside."""
+    nodes = np.array(nodes, dtype=float)
+    if nodes.shape == (0,):         # only the empty list is shaped: to no rows
+        nodes = nodes.reshape(0, node_stride(mode))
     outputs = np.array(outputs, dtype=float).reshape(-1)
     if inputs is not None:
         inputs = np.array(inputs, dtype=float).reshape(-1)

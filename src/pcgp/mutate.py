@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decode import DecodeSettings, invert_connection_position
+from .decode import DecodeSettings, invert_connection_position, require_graph
 from .decode import decode  # noqa: F401 - unused; evobench wraps pcgp.<module>.decode
 from .errors import ConfigError
 from .genome import Genome, GenomeMode, SizeBounds, derive, node_stride, require_positional
@@ -54,11 +54,6 @@ def reads_graph(params: MutationParams) -> bool:
     return params.require_active or params.operator == "mixed_subgraph"
 
 
-def _require_graph(graph, what: str):
-    if graph is None:
-        raise ValueError(f"{what} reads the parent's decoded graph, but graph is None")
-
-
 def _mutate_array(arr: np.ndarray, rate: float, rng) -> np.ndarray | None:
     """A copy of arr with each gene replaced at rate, or None if none is."""
     mask = rng.random(arr.shape) < rate
@@ -80,7 +75,7 @@ def gene_mutation(g: Genome, params: MutationParams, rng, graph=None) -> Genome:
     gene replaced is shared with g; with none replaced, g is returned.
     """
     if params.require_active:
-        _require_graph(graph, "gene mutation with require_active")
+        require_graph(graph, "gene mutation with require_active")
     active = None
     if params.require_active and g.n_nodes:
         flags = graph.active
@@ -149,7 +144,7 @@ def _mixed(g: Genome, params: MutationParams, rng, graph, grow, shrink) -> Genom
 
 def mixed_node_mutate(g: Genome, params: MutationParams, rng, graph=None) -> Genome:
     if params.require_active:
-        _require_graph(graph, "mixed_node mutation with require_active")
+        require_graph(graph, "mixed_node mutation with require_active")
     return _mixed(g, params, rng, graph, lambda: node_addition(g, params, rng),
                   lambda: node_deletion(g, params, rng))
 
@@ -190,7 +185,7 @@ def subgraph_deletion(g: Genome, params: MutationParams, rng, graph) -> Genome:
     Falls back to plain node deletion when every component is a
     singleton.
     """
-    _require_graph(graph, "subgraph deletion")
+    require_graph(graph, "subgraph deletion")
     require_positional(g, "subgraph deletion")
     multi = [c for c in graph.components if c.size > 1]
     if not multi:
@@ -205,7 +200,7 @@ def subgraph_deletion(g: Genome, params: MutationParams, rng, graph) -> Genome:
 
 def mixed_subgraph_mutate(g: Genome, params: MutationParams, settings: DecodeSettings,
                           rng, graph) -> Genome:
-    _require_graph(graph, "mixed_subgraph mutation")
+    require_graph(graph, "mixed_subgraph mutation")
     require_positional(g, "mixed subgraph mutation")
     return _mixed(g, params, rng, graph,
                   lambda: subgraph_addition(g, params, settings, rng),

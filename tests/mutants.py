@@ -97,16 +97,21 @@ MUTANTS = [
            'if self.algorithm == "ga" and sum(_channel_sizes(self)[1:3]) == 0:',
            "if False:",
            (EVOLVE + "test_ga_generation_without_a_child_is_rejected",)),
-    # the snapping rule (decode._nearest, snap) and its sharers
+    # the snapping rule (decode._nearest over _sorted_entities) and its sharers
     Mutant("nearest-distance-tie-takes-the-upper", "decode.py",
            "point - sorted_pos[j - 1] <= sorted_pos[j] - point",
            "point - sorted_pos[j - 1] < sorted_pos[j] - point",
            (DECODE + "test_snap_examples", DECODE + "test_snap_rule_holds_a_few_ulps_apart")),
-    Mutant("snap-sorts-by-position-only", "decode.py",
-           "    items = sorted(candidates)\n",
-           "    items = sorted(candidates, key=lambda c: c[1])\n",
+    Mutant("tied-entities-keep-their-own-slot", "decode.py",
+           "            order[k] = order[k - 1]\n", "            pass\n",
            (DECODE + "test_snap_equal_position_tie_takes_smaller_index",
-            DECODE + "test_snap_rule_holds_a_few_ulps_apart")),
+            DECODE + "test_snap_rule_holds_a_few_ulps_apart",
+            HOSTILE + "test_hostile_input[snap-position-ties]",
+            CROSS + "test_aligned_node_pairs_the_smaller_index_of_a_tie")),
+    Mutant("aligned-node-pairs-without-the-tie-rule", "crossover.py",
+           "        k = entity[_nearest(ordered, p, len(free))]\n",
+           "        k = _nearest(ordered, p, len(free))\n",
+           (CROSS + "test_aligned_node_pairs_the_smaller_index_of_a_tie",)),
     # the entity axis, which the reference pipeline states on its own
     Mutant("cgp-axis-starts-at-input-start", "decode.py",
            "    start = 0.0 if cgp else settings.input_start\n",
@@ -188,6 +193,12 @@ MUTANTS = [
            (EXECUTE + "test_batch_equals_stepping_bitwise",
             EXECUTE + "test_step_equals_run_sequence_bitwise",
             EXECUTE + "test_batch_edge_cases_match_stepping")),
+    # names one parametrization, whose id holds spaces
+    Mutant("columns-after-the-last-cycle-never-run", "execute.py",
+           "    if columns:\n        steps.append((None, columns, None))\n    return steps\n",
+           "    return steps\n",
+           (EXECUTE + "test_run_sequence_by_columns_hand_built"
+            "[column node downstream of a cycle-False]",)),
     Mutant("stream-batch-crosses-a-word-boundary", "streams.py",
            "min(first + self.generations, 1 << 32 * width)", "first + self.generations",
            (EVOLVE + "test_stream_matches_default_rng",)),
@@ -272,7 +283,7 @@ MUTANTS = [
            'READS_GRAPHS = ("output_graph", "subgraph", "proportional")',
            (LAWS + "test_the_package_tables_equal_this_one",)),
     Mutant("output-graph-without-its-graph-check", "crossover.py",
-           '    _require_graphs(graphs, "output graph")\n', "",
+           '    require_graph(graphs, "output graph crossover")\n', "",
            (LAWS + "test_guards",)),
     Mutant("output-graph-reads-the-other-parents-graph", "crossover.py",
            "        d = graphs[c]\n", "        d = graphs[1 - c]\n",
@@ -332,17 +343,17 @@ MUTANTS = [
            "k = min(_burst_size(params), comp.size, ", "k = min(_burst_size(params), ",
            (EVOLVE + "test_size_rule",)),
     Mutant("mixed-node-without-its-graph-check", "mutate.py",
-           '        _require_graph(graph, "mixed_node mutation with require_active")\n',
+           '        require_graph(graph, "mixed_node mutation with require_active")\n',
            "        pass\n",
            (LAWS + "test_guards",)),
     Mutant("subgraph-deletion-without-its-graph-check", "mutate.py",
-           '    _require_graph(graph, "subgraph deletion")\n', "",
+           '    require_graph(graph, "subgraph deletion")\n', "",
            (LAWS + "test_guards",)),
     Mutant("mixed-subgraph-checks-the-mode-before-the-graph", "mutate.py",
-           '    _require_graph(graph, "mixed_subgraph mutation")\n'
+           '    require_graph(graph, "mixed_subgraph mutation")\n'
            '    require_positional(g, "mixed subgraph mutation")\n',
            '    require_positional(g, "mixed subgraph mutation")\n'
-           '    _require_graph(graph, "mixed_subgraph mutation")\n',
+           '    require_graph(graph, "mixed_subgraph mutation")\n',
            (LAWS + "test_guards",)),
     # the bundled tasks' fitness
     Mutant("memoized-fitness-without-its-check", "bench.py",
@@ -374,6 +385,12 @@ def caught(test_id: str, failed: set) -> bool:
     return any(f == test_id or f.startswith(test_id + "[") for f in failed)
 
 
+def failed_ids(summary: str) -> set:
+    """The ids on pytest's FAILED and ERROR summary lines, each read up
+    to the " - " before its message, so an id may hold spaces."""
+    return set(re.findall(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", summary, re.MULTILINE))
+
+
 def run(mutant: Mutant) -> str:
     """'killed', 'stale' or a description of how the mutant survived."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -394,7 +411,7 @@ def run(mutant: Mutant) -> str:
             return "killed"             # a test that hangs does not pass
     if done.returncode not in (0, 1):
         return f"survived: pytest exited {done.returncode}\n{done.stdout[-2000:]}"
-    failed = set(re.findall(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.MULTILINE))
+    failed = failed_ids(done.stdout)
     missed = [t for t in mutant.tests if not caught(t, failed)]
     return "survived: " + ", ".join(missed) + " did not fail" if missed else "killed"
 

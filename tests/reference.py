@@ -9,7 +9,8 @@ path of the package:
   themselves, as the paper does: the CGP ladder as (2k + 1) / 2K, PCGP
   input and node positions, and each point as a fraction of the way
   from the axis start to its reach.  pcgp.decode states the same rules
-  inline; nothing geometric is imported from the package.
+  inline; nothing geometric is imported from the package.  The gene
+  columns X_OFF, Y_OFF, F_OFF and C_OFF are stated here too.
 - decode_lists snaps every point with its own linear scan of the
   snapping rule, snap_linear, over an explicit candidate list, not with
   bisect over one sorted list (pcgp.decode), and decodes every node,
@@ -53,10 +54,14 @@ from pcgp.decode import DecodedGraph, DecodeSettings
 from pcgp.evolve import EvoParams, RunRecord, _channel_sizes, evaluate_population
 from pcgp.execute import step
 from pcgp.functions import FunctionSet
-from pcgp.genome import C_OFF, F_OFF, X_OFF, Y_OFF, GenomeMode, SizeBounds, random_genome
+from pcgp.genome import GenomeMode, SizeBounds, random_genome
 from pcgp.mutate import MutationParams, apply_mutation
 
 # ------------------------------------------------------------------ decode
+
+# Per-node gene columns, counted from the end so both modes share them:
+# PCGP rows are [p, x, y, f, c], CGP rows [x, y, f, c].
+X_OFF, Y_OFF, F_OFF, C_OFF = -4, -3, -2, -1
 
 
 class Decoded(NamedTuple):

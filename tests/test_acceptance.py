@@ -25,7 +25,7 @@ from pcgp.config import (
     validate_config,
 )
 from pcgp.crossover import aligned_node, proportional, random_node, single_point
-from pcgp.decode import DecodeSettings, _nearest, _sorted_entities, decode, snap
+from pcgp.decode import DecodeSettings, _nearest, _sorted_entities, decode
 from pcgp.evolve import run_evolution
 from pcgp.functions import default_functions
 from pcgp.genome import GenomeMode, SizeBounds, flatten, random_genome
@@ -107,8 +107,8 @@ def test_c01_active_graphs_acyclic_without_recurrency():
 
 def test_c02_snapping_matches_linear_scan_oracle():
     """100000 random (point, candidate-set) cases agree exactly with a
-    pure-python linear scan, both for snap and for the sorted-bisect
-    snapper that decode runs (_sorted_entities, then _nearest)."""
+    pure-python linear scan, for the sorted-bisect snapper that decode
+    runs (_sorted_entities, then _nearest)."""
     rng = np.random.default_rng(202)
     cases = 100_000
     sizes = rng.integers(1, 9, cases)
@@ -119,7 +119,6 @@ def test_c02_snapping_matches_linear_scan_oracle():
         point = float(rng.integers(-2, 10)) / 8.0 + float(rng.choice((0.0, 0.03)))
         cands = list(enumerate(positions.tolist()))
         best = min(cands, key=lambda c: (abs(c[1] - point), c[1], c[0]))[0]
-        assert snap(point, cands) == best
         ordered, entity = _sorted_entities(positions.tolist(), n)
         assert entity[_nearest(ordered, point, n)] == best
 

@@ -144,6 +144,20 @@ def test_aligned_node_pairs_by_proximity():
         assert first in (0.1, 0.12) and second in (0.88, 0.9)
 
 
+def test_aligned_node_pairs_the_smaller_index_of_a_tie():
+    # two distinct rows of b at 0.5; a's node at 0.6 is nearest that
+    # position, from above, and pairs with b's node 0 by decode's rule
+    a = make_genome(GenomeMode.PCGP, 1, 1, [pnode(0.6, c=0.1)], [0.5], [0.5])
+    b = make_genome(GenomeMode.PCGP, 1, 1, [pnode(0.5, c=0.2), pnode(0.5, c=0.3)],
+                    [0.5], [0.5])
+    # coins: the pair keeps b's node and b's leftover is dropped, then
+    # the pair keeps a's node and the leftover is kept (stored first)
+    for coins, want in (([0.9, 0.9], b.nodes[:1]), ([0.1, 0.1], [b.nodes[1], a.nodes[0]])):
+        for x, y in ((a, b), (b, a)):
+            child = aligned_node(x, y, Scripted(np.random.default_rng(0), random=coins))
+            assert child.nodes.tolist() == np.array(want).tolist()
+
+
 def test_aligned_node_leftover_rule_bounds_count():
     a, b = rnd(GenomeMode.PCGP, 3, 0), rnd(GenomeMode.PCGP, 5, 1)
     counts = {aligned_node(a, b, np.random.default_rng(s)).n_nodes for s in range(60)}

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pcgp.decode import DecodeSettings, _nearest, _sorted_entities, decode, output_trace, snap
+from pcgp.decode import DecodeSettings, _nearest, _sorted_entities, decode, output_trace
 from pcgp.dot import to_dot
-from pcgp.errors import DecodeError
 from pcgp.functions import FunctionSet, default_functions
 from pcgp.genome import GenomeMode, make_genome, random_genome
 
@@ -95,19 +94,25 @@ def test_settings_validation():
 
 # --------------------------------------------------------------- snapping
 
+def snapped(point, cands):
+    """The index decode's rule, _nearest over _sorted_entities, gives
+    point among (index, position) candidates, put in index order as
+    decode puts its entities."""
+    by_index = sorted(cands)
+    ordered, entity = _sorted_entities([p for _, p in by_index], len(by_index))
+    return by_index[entity[_nearest(ordered, point, len(by_index))]][0]
+
+
 def test_snap_examples():
-    assert snap(0.4, [(0, 0.25), (1, 0.75)]) == 0
-    assert snap(0.5, [(0, 0.25), (1, 0.75)]) == 0  # tie -> smaller position
-    assert snap(0.9, [(7, 0.33)]) == 7
+    assert snapped(0.4, [(0, 0.25), (1, 0.75)]) == 0
+    assert snapped(0.5, [(0, 0.25), (1, 0.75)]) == 0  # tie -> smaller position
+    assert snapped(0.9, [(7, 0.33)]) == 7
 
 
 def test_snap_equal_position_tie_takes_smaller_index():
-    assert snap(0.5, [(3, 0.5), (1, 0.5), (2, 0.5)]) == 1
-
-
-def test_snap_empty_candidates():
-    with pytest.raises(DecodeError):
-        snap(0.5, [])
+    # from the point itself and from above the tied positions
+    for point in (0.5, 0.6):
+        assert snapped(point, [(3, 0.5), (1, 0.5), (2, 0.5), (0, 0.9)]) == 1
 
 
 @settings(max_examples=200)
@@ -118,7 +123,7 @@ def test_snap_empty_candidates():
 )
 def test_snap_matches_linear_oracle(indices, raw_pos, point):
     cands = [(i, raw_pos[k % len(raw_pos)] / 40.0) for k, i in enumerate(indices)]
-    assert snap(point, cands) == reference.snap_linear(point, cands)
+    assert snapped(point, cands) == reference.snap_linear(point, cands)
 
 
 @st.composite
@@ -141,14 +146,10 @@ def near_ties(draw):
 @given(near_ties())
 @example((1.0, [(46, -4e-17), (34, 2e-17)]))
 def test_snap_rule_holds_a_few_ulps_apart(case):
-    """snap, decode's _nearest over _sorted_entities and the reference's
-    linear scan give one index where rounded distances tie."""
+    """decode's _nearest over _sorted_entities and the reference's linear
+    scan give one index where rounded distances tie."""
     point, cands = case
-    want = reference.snap_linear(point, cands)
-    assert snap(point, cands) == want
-    by_index = sorted(cands)
-    ordered, entity = _sorted_entities([p for _, p in by_index], len(by_index))
-    assert by_index[entity[_nearest(ordered, point, len(by_index))]][0] == want
+    assert snapped(point, cands) == reference.snap_linear(point, cands)
 
 
 @settings(max_examples=100)

@@ -17,11 +17,13 @@ import pytest
 from pcgp.bench import load_csv
 from pcgp.cli import main
 from pcgp.config import build_evo_params, make_fitness, merge_config, validate_config
-from pcgp.decode import DecodeSettings, decode, invert_connection_position, snap
+from pcgp.decode import DecodeSettings, decode, invert_connection_position
 from pcgp.evolve import evaluate_population, run_evolution
 from pcgp.functions import FunctionSet
 from pcgp.genome import Genome, GenomeMode, derive, make_genome, random_genome, validate_genome
 from pcgp.streams import Streams, _ReadySeed
+
+from test_decode import snapped
 
 
 def written(path, text):
@@ -137,6 +139,14 @@ ROWS = [
     Row("genome-n_out-0",
         lambda tmp: make_genome(GenomeMode.CGP, 1, 0, np.zeros((0, 4)), []),
         r"ValueError: need n_in >= 1 and n_out >= 1, got 1/0"),
+    # make_genome shapes only an empty node list; any other block must
+    # already be rows of the mode's width (genome._check)
+    Row("make_genome-rows-of-the-wrong-width",
+        lambda tmp: make_genome(GenomeMode.CGP, 1, 1, [[0.1, 0.2, 0.3]] * 4, [0.5]),
+        r"ValueError: expected nodes of 4 genes, got shape \(4, 3\)$"),
+    Row("make_genome-flat-node-list",
+        lambda tmp: make_genome(GenomeMode.CGP, 1, 1, [0.1] * 8, [0.5]),
+        r"ValueError: expected nodes of 4 genes, got shape \(8,\)$"),
     # the gene range check (genome._check): NaN fails it, and the message names the array
     Row("make_genome-nan-node-gene",
         lambda tmp: make_genome(GenomeMode.CGP, 1, 1, [[0.5, np.nan, 0.5, 0.5]], [0.5]),
@@ -201,9 +211,9 @@ ROWS = [
     # position; test_decode.py::test_snap_rule_holds_a_few_ulps_apart
     # holds the rule for positions a few ulps apart
     Row("snap-position-ties",
-        lambda tmp: (snap(0.3, [(3, 0.25), (1, 0.25), (2, 0.75)]),
-                     snap(0.5, [(1, 0.75), (0, 0.25)]),
-                     snap(0.0, [(2, 0.0), (1, -0.0)])),
+        lambda tmp: (snapped(0.3, [(3, 0.25), (1, 0.25), (2, 0.75)]),
+                     snapped(0.5, [(1, 0.75), (0, 0.25)]),
+                     snapped(0.0, [(2, 0.0), (1, -0.0)])),
         r"returns \(1, 0, 1\)$"),
 ]
 

@@ -12,7 +12,7 @@ from pcgp.decode import DecodeSettings, decode
 from pcgp.errors import ConfigError
 from pcgp.evolve import run_evolution
 from pcgp.functions import default_functions
-from pcgp.genome import C_OFF, X_OFF, GenomeMode, SizeBounds, make_genome, random_genome
+from pcgp.genome import GenomeMode, SizeBounds, make_genome, random_genome
 from pcgp.mutate import MutationParams, gene_mutation
 
 import reference
@@ -77,10 +77,10 @@ def _silent_mutant(g, s, rng):
     graph = decode(g, s, FSET)
     nodes = g.nodes.copy()
     idle = ~graph.active
-    nodes[idle, X_OFF:C_OFF] = rng.random((int(idle.sum()), 3))
+    nodes[idle, reference.X_OFF:reference.C_OFF] = rng.random((int(idle.sum()), 3))
     arity = np.array([graph.row(i)[3] for i in range(g.n_nodes)], dtype=int)
     unread = idle if s.use_weights else idle | (arity > 0)
-    nodes[unread, C_OFF] = rng.random(int(unread.sum()))
+    nodes[unread, reference.C_OFF] = rng.random(int(unread.sum()))
     return make_genome(g.mode, g.n_in, g.n_out, nodes, g.outputs, g.inputs)
 
 
