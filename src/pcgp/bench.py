@@ -149,24 +149,6 @@ def load_csv(path, task: str) -> Dataset:
     return Dataset(scaled, targets, task, lo, hi, labels)
 
 
-def _check_dataset(g: Genome, d: Dataset):
-    if d.n_rows == 0:
-        raise ConfigError("empty dataset")
-    if g.n_in != d.n_features:
-        raise ConfigError(
-            f"genome has {g.n_in} inputs but the dataset has {d.n_features} features")
-    if g.n_out != d.n_out:
-        raise ConfigError(
-            f"genome has {g.n_out} outputs but the task needs {d.n_out}")
-
-
-def _check_cartpole(g: Genome, episode_len: int):
-    if g.n_in != 4 or g.n_out != 1:
-        raise ConfigError("cart-pole needs 4 inputs and 1 output")
-    if episode_len < 1:
-        raise ConfigError("episode length must be positive")
-
-
 def _accuracy(graph: DecodedGraph, d: Dataset) -> float:
     outputs = run_supervised(graph, d.features)      # (n_out, rows)
     predicted = np.argmax(outputs, axis=0)
@@ -225,7 +207,9 @@ class MemoizedFitness:
     pushes with +/-10 N by the sign of its output.  Euler integration;
     the episode fails beyond 12 degrees or 2.4 m.
 
-    A call checks the genome against the task, decodes it and looks its
+    Construction checks the task: cart-pole needs episode_len >= 1 and
+    data needs at least one row.  A call checks only the genome's input
+    and output counts against the task's, decodes it and looks its
     DecodedGraph.program_key up; a miss scores the graph and stores the
     value, dropping the oldest entry beyond MEMO_ENTRIES.  The key is
     read off the active rows, and only a miss, which runs the program,
@@ -244,16 +228,20 @@ class MemoizedFitness:
         self.settings = settings
         self.fset = fset
         if data is None:
-            self._check = partial(_check_cartpole, episode_len=episode_len)
-            self._score = partial(_balance, episode_len=episode_len)
+            if episode_len < 1:
+                raise ConfigError("episode length must be positive")
+            self._shape, self._score = (4, 1), partial(_balance, episode_len=episode_len)
         else:
-            self._check = partial(_check_dataset, d=data)
+            if data.n_rows == 0:
+                raise ConfigError("empty dataset")
             score = _accuracy if data.task == "classification" else _neg_mse
-            self._score = partial(score, d=data)
+            self._shape, self._score = (data.n_features, data.n_out), partial(score, d=data)
         self._memo = {}
 
     def __call__(self, g: Genome) -> float:
-        self._check(g)
+        if (g.n_in, g.n_out) != self._shape:
+            raise ConfigError(f"genome has {g.n_in} inputs and {g.n_out} outputs "
+                              "but the task needs {} and {}".format(*self._shape))
         graph = decode(g, self.settings, self.fset)
         key = graph.program_key
         value = self._memo.get(key)

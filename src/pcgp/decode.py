@@ -34,14 +34,14 @@ nearer one wins, and a tie in (float) distance takes the lower
 position.  Among entities at one position the smallest index wins;
 -0.0 and 0.0 count as one position.
 
-At recurrency 0 a node's connections snap among a prefix of the sorted
+CGP's axis is its ladder, sorted like a PCGP axis and cached.  At
+recurrency 0 a node's connections snap among a prefix of the sorted
 entities: the inputs and the nodes strictly left of it.  Inputs sit at
-or left of 0 and nodes at or right of it, and PCGP nodes are stored
-sorted by position, so the sorted order is the inputs, then the nodes
-in stored order.  The prefix for node i therefore ends at n_in + i for
-CGP, whose ladder is strictly increasing, and for PCGP before the first
-node at node i's position, which bisect_left finds among the stored
-node positions.  Nodes tied with node i are thus never its candidates.
+or left of 0 and nodes, stored in position order, at or right of it, so
+the sorted order is the inputs, then the nodes in stored order.  The
+prefix ends at the first entity at the node's position, or at n_in if
+that is an input; the tie map holds that entity, so nodes tied with the
+node are never its candidates.
 """
 
 from __future__ import annotations
@@ -234,10 +234,9 @@ class DecodedGraph:
         return [_frozen(members, int, -1) for members in groups]
 
 
-@lru_cache(maxsize=64)
 def ladder_positions(count: int) -> tuple:
     """Evenly spaced cell-centre positions for `count` rungs on [0, 1],
-    as a cached tuple of python floats: CGP's entity axis."""
+    as a tuple of python floats: CGP's entity axis."""
     return tuple(((np.arange(count) + 0.5) / count).tolist())
 
 
@@ -282,6 +281,14 @@ def _sorted_entities(positions: list, n_in: int):
     return ordered, order
 
 
+@lru_cache(maxsize=64)
+def _ladder_axis(n_in: int, total: int) -> tuple:
+    """_sorted_entities of CGP's ladder, read-only: the ladder is
+    strictly increasing, so each slot is its own entity."""
+    ordered, entity = _sorted_entities(list(ladder_positions(total)), n_in)
+    return tuple(ordered), tuple(entity)
+
+
 def decode(g: Genome, settings: DecodeSettings, fset: FunctionSet) -> DecodedGraph:
     """g's program graph, with the outputs and the active nodes decoded.
     Positions are read only here: the graph keeps the snapped indices."""
@@ -290,13 +297,11 @@ def decode(g: Genome, settings: DecodeSettings, fset: FunctionSet) -> DecodedGra
     n_nodes = len(genes)
     total = n_in + n_nodes
     r = settings.recurrency
-    cgp = g.mode is GenomeMode.CGP
-    start = 0.0 if cgp else settings.input_start
-    if cgp:
-        # the ladder is strictly increasing, so each slot is its entity
-        positions = ladder_positions(total)
-        ordered, entity = positions, None
+    if g.mode is GenomeMode.CGP:
+        start = 0.0
+        ordered, entity = _ladder_axis(n_in, total)
     else:
+        start = settings.input_start
         positions = [x * start for x in g.inputs.tolist()] + [row[0] for row in genes]
         ordered, entity = _sorted_entities(positions, n_in)
     n_f = len(fset)
@@ -305,19 +310,18 @@ def decode(g: Genome, settings: DecodeSettings, fset: FunctionSet) -> DecodedGra
 
     def fill(i):
         *_, x, y, f, c = genes[i]
-        p = positions[n_in + i]
-        # the sorted prefix this node's connections snap among
+        p = ordered[n_in + i]       # only the inputs are reordered
+        # the sorted prefix this node's connections snap among: at r = 0
+        # up to the first entity at the node's position, the inputs at least
         if r != 0.0:
             hi = total
-        elif cgp:
-            hi = n_in + i
         else:
-            hi = bisect_left(positions, p, n_in, n_in + i)
+            hi = entity[n_in + i]
+            if hi < n_in:
+                hi = n_in
         span = r * (1.0 - p) + p - start
-        a = _nearest(ordered, x * span + start, hi)
-        b = _nearest(ordered, y * span + start, hi)
-        if entity is not None:
-            a, b = entity[a], entity[b]
+        a = entity[_nearest(ordered, x * span + start, hi)]
+        b = entity[_nearest(ordered, y * span + start, hi)]
         fi = int(f * n_f)
         if fi == n_f:
             fi -= 1
@@ -325,10 +329,8 @@ def decode(g: Genome, settings: DecodeSettings, fset: FunctionSet) -> DecodedGra
         return row
 
     out_span = 1.0 - start
-    outputs = [_nearest(ordered, o * out_span + start, total)
+    outputs = [entity[_nearest(ordered, o * out_span + start, total)]
                for o in g.outputs.tolist()]
-    if entity is not None:
-        outputs = [entity[k] for k in outputs]
     # the walk reaches each node once, so each active node is filled once
     active = _reachable(n_in, n_nodes, fill, outputs, arity_aware=True)
     return DecodedGraph(n_in, g.n_out, n_nodes, outputs, active, rows, fill, fset,

@@ -100,8 +100,8 @@ class EvoParams:
             raise ConfigError(f"n_nodes {self.n_nodes} outside size bounds "
                               f"[{bounds.size_min}, {bounds.size_max}]")
         for name in ("elitism", "crossover_fraction", "mutation_fraction"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be non-negative and finite")
         if self.crossover is not None and self.crossover not in CROSSOVER_OPERATORS:
             raise ConfigError(f"unknown crossover operator {self.crossover!r}")
         if self.mode is GenomeMode.CGP:

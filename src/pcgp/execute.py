@@ -85,12 +85,13 @@ def _evaluate(n_in, nodes, outputs, weighted, rows, cur, rule, outs: list) -> li
 def step(graph: DecodedGraph, state: np.ndarray, inputs):
     """One synchronous update; returns (outputs, new state).  state is
     an array of shape (n_nodes,), as step returns it; a run starts from
-    np.zeros(graph.n_nodes)."""
+    np.zeros(graph.n_nodes).  The update runs on a float copy of state,
+    so an int or bool state gives what the equal float state gives."""
     if len(inputs) != graph.n_in:
         raise ValueError(f"expected {graph.n_in} inputs, got {len(inputs)}")
     if not isinstance(state, np.ndarray) or state.shape != (graph.n_nodes,):
         raise ValueError(f"state must be an array of shape ({graph.n_nodes},)")
-    cur = state.copy()
+    cur = state.astype(float)
     plan = graph.plan
     (out,) = _evaluate(graph.n_in, plan.nodes, graph.output_list, graph.use_weights,
                        (inputs,), cur, _SCALAR_RULE, [])

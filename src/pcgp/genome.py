@@ -97,12 +97,12 @@ def _check(mode: GenomeMode, n_in: int, n_out: int, nodes, outputs, inputs) -> N
     if nodes.ndim != 2 or nodes.shape[1] != stride:
         raise ValueError(f"expected nodes of {stride} genes, got shape {nodes.shape}")
     if outputs.shape != (n_out,):
-        raise ValueError(f"expected {n_out} output genes, got {outputs.size}")
+        raise ValueError(f"expected {n_out} output genes, got shape {outputs.shape}")
     if mode is GenomeMode.PCGP:
         if inputs is None:
             raise ValueError("PCGP genomes need input position genes")
         if inputs.shape != (n_in,):
-            raise ValueError(f"expected {n_in} input position genes, got {inputs.size}")
+            raise ValueError(f"expected {n_in} input position genes, got shape {inputs.shape}")
     elif inputs is not None:
         raise ValueError("CGP genomes carry no input position genes")
     if nodes.size and not (np.minimum.reduce(nodes, None) >= 0.0
@@ -136,9 +136,9 @@ def make_genome(mode: GenomeMode, n_in: int, n_out: int, nodes, outputs,
     nodes = np.array(nodes, dtype=float)
     if nodes.shape == (0,):         # only the empty list is shaped: to no rows
         nodes = nodes.reshape(0, node_stride(mode))
-    outputs = np.array(outputs, dtype=float).reshape(-1)
+    outputs = np.array(outputs, dtype=float)
     if inputs is not None:
-        inputs = np.array(inputs, dtype=float).reshape(-1)
+        inputs = np.array(inputs, dtype=float)
     return _build(mode, n_in, n_out, nodes, outputs, inputs)
 
 

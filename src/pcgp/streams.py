@@ -123,6 +123,8 @@ class Streams:
     """
 
     def __init__(self, seed: int, slots: int):
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
         self.seed = np.array(_words(seed), dtype=np.uint32)[:, None, None]
         self.slots = slots
         self.generations = max(1, _BATCH_ROWS // slots)

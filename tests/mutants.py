@@ -114,8 +114,8 @@ MUTANTS = [
            (CROSS + "test_aligned_node_pairs_the_smaller_index_of_a_tie",)),
     # the entity axis, which the reference pipeline states on its own
     Mutant("cgp-axis-starts-at-input-start", "decode.py",
-           "    start = 0.0 if cgp else settings.input_start\n",
-           "    start = settings.input_start\n",
+           "        start = 0.0\n",
+           "        start = settings.input_start\n",
            (DECODE + "test_chain_fixture_targets",
             EVOLVE + "test_runs_match_the_reference_pipeline",
             EVOLVE + "test_drawn_configs_match_the_reference_pipeline")),
@@ -137,6 +137,17 @@ MUTANTS = [
            "        ordered, entity = _sorted_entities(positions, 0)\n",
            (EVOLVE + "test_runs_match_the_reference_pipeline",
             EVOLVE + "test_drawn_configs_match_the_reference_pipeline")),
+    # the recurrency-0 prefix: up to the first entity at the node's
+    # position (the tie map), the inputs at least
+    Mutant("prefix-without-the-input-clamp", "decode.py",
+           "            if hi < n_in:\n                hi = n_in\n", "",
+           (DECODE + "test_pcgp_node_tied_with_an_input_keeps_every_input_at_zero_recurrency",
+            DECODE + "test_decode_matches_reference_in_either_reading_order")),
+    Mutant("prefix-ignores-tied-nodes", "decode.py",
+           "            hi = entity[n_in + i]\n", "            hi = n_in + i\n",
+           (DECODE + "test_pcgp_tied_positions_not_candidates_at_zero_recurrency",
+            DECODE + "test_decode_matches_reference_in_either_reading_order",
+            EVOLVE + "test_runs_match_the_reference_pipeline[crossover-subgraph-False-PCGP]")),
     Mutant("pcgp-inputs-unscaled", "decode.py",
            "[x * start for x in g.inputs.tolist()]", "[-x for x in g.inputs.tolist()]",
            (EVOLVE + "test_runs_match_the_reference_pipeline",
@@ -357,9 +368,17 @@ MUTANTS = [
            (LAWS + "test_guards",)),
     # the bundled tasks' fitness
     Mutant("memoized-fitness-without-its-check", "bench.py",
-           "        self._check(g)\n", "",
+           "        if (g.n_in, g.n_out) != self._shape:\n", "        if False:\n",
            (BENCH + "test_classification_shape_errors", BENCH + "test_cartpole_shape_errors",
             "tests/test_memo.py::test_memoized_fitness_checks_shapes_before_decoding")),
+    # the task's own checks, made once at construction
+    Mutant("cartpole-episode-length-unchecked", "bench.py",
+           "            if episode_len < 1:\n", "            if False:\n",
+           (BENCH + "test_cartpole_shape_errors",
+            "tests/test_memo.py::test_memoized_fitness_checks_shapes_before_decoding")),
+    Mutant("empty-dataset-accepted", "bench.py",
+           "            if data.n_rows == 0:\n", "            if False:\n",
+           (BENCH + "test_empty_dataset_rejected",)),
     Mutant("memo-never-evicts", "bench.py",
            "            if len(self._memo) > MEMO_ENTRIES:\n", "            if False:\n",
            ("tests/test_memo.py::test_eviction_keeps_logs_identical",)),

@@ -273,6 +273,15 @@ def test_pcgp_tied_positions_not_candidates_at_zero_recurrency():
     assert d.targets.tolist() == [[0, 0], [0, 0]]  # forced to the input
 
 
+def test_pcgp_node_tied_with_an_input_keeps_every_input_at_zero_recurrency():
+    # inputs at -0.0 (index 0) and -0.5 (index 1); the node at 0.0 ties
+    # input 0, which sorts last, yet both inputs stay its candidates:
+    # points -0.1 and -0.45 snap to inputs 0 and 1
+    g = pcgp([[0.0, 0.9, 0.55, f_gene("add"), 0.5]], [0.5], [0.0, 0.5])
+    d = decode(g, DecodeSettings(recurrency=0.0, input_start=-1.0), FSET)
+    assert d.row(0) == (0, 1, 0, 2, 0.5)
+
+
 def test_pcgp_self_candidate_at_positive_recurrency():
     g = pcgp([[1.0, 1.0, 1.0, f_gene("add"), 0.5]], [1.0], [0.5])
     d = decode(g, DecodeSettings(recurrency=0.5, input_start=-1.0), FSET)

@@ -19,6 +19,7 @@ from pcgp.cli import main
 from pcgp.config import build_evo_params, make_fitness, merge_config, validate_config
 from pcgp.decode import DecodeSettings, decode, invert_connection_position
 from pcgp.evolve import evaluate_population, run_evolution
+from pcgp.execute import step
 from pcgp.functions import FunctionSet
 from pcgp.genome import Genome, GenomeMode, derive, make_genome, random_genome, validate_genome
 from pcgp.streams import Streams, _ReadySeed
@@ -92,6 +93,14 @@ def fixed_size_runs():
     return sizes
 
 
+def stepped(dtype):
+    """step's outputs from a zero state of dtype on one add node reading
+    its single input twice, at input 0.3."""
+    g = make_genome(GenomeMode.CGP, 1, 1, [[0.1, 0.1, 0.5, 0.5]], [0.9])
+    graph = decode(g, DecodeSettings(), FunctionSet.from_names(("add",)))
+    return step(graph, np.zeros(1, dtype), [0.3])[0].tolist()
+
+
 def unsorted_pcgp():
     """A PCGP genome built around the checks, its nodes out of position order."""
     nodes = np.array([[0.7, 0.5, 0.5, 0.5, 0.5], [0.2, 0.5, 0.5, 0.5, 0.5]])
@@ -134,6 +143,16 @@ ROWS = [
     Row("EvoParams-negative-elitism",
         lambda tmp: build_evo_params(merge_config({"elitism": -0.1}), 1, 1),
         r"ConfigError: elitism must be non-negative"),
+    # NaN and inf shares would reach the GA's rounding as a bare
+    # ValueError or OverflowError, and 1+lambda would keep them
+    Row("EvoParams-nan-elitism",
+        lambda tmp: build_evo_params(merge_config({"elitism": float("nan")}), 1, 1),
+        r"ConfigError: elitism must be non-negative"),
+    Row("EvoParams-inf-mutation_fraction",
+        lambda tmp: build_evo_params(
+            merge_config({"algorithm": "ga", "crossover_fraction": 0.0,
+                          "mutation_fraction": float("inf")}), 1, 1),
+        r"ConfigError: mutation_fraction must be non-negative"),
     Row("FunctionSet-empty",
         lambda tmp: FunctionSet(()), r"ValueError: function set must be non-empty"),
     Row("genome-n_out-0",
@@ -147,6 +166,13 @@ ROWS = [
     Row("make_genome-flat-node-list",
         lambda tmp: make_genome(GenomeMode.CGP, 1, 1, [0.1] * 8, [0.5]),
         r"ValueError: expected nodes of 4 genes, got shape \(8,\)$"),
+    # output and input genes are not re-chunked either
+    Row("make_genome-output-column",
+        lambda tmp: make_genome(GenomeMode.CGP, 1, 2, [], [[0.2], [0.8]]),
+        r"ValueError: expected 2 output genes, got shape \(2, 1\)$"),
+    Row("make_genome-input-row-block",
+        lambda tmp: make_genome(GenomeMode.PCGP, 2, 1, [], [0.5], [[0.1, 0.2]]),
+        r"ValueError: expected 2 input position genes, got shape \(1, 2\)$"),
     # the gene range check (genome._check): NaN fails it, and the message names the array
     Row("make_genome-nan-node-gene",
         lambda tmp: make_genome(GenomeMode.CGP, 1, 1, [[0.5, np.nan, 0.5, 0.5]], [0.5]),
@@ -179,6 +205,12 @@ ROWS = [
     Row("Streams-negative-generation",
         lambda tmp: Streams(0, 1)(-1, 0),
         r"ValueError: generation must be non-negative, got -1"),
+    Row("Streams-negative-seed",
+        lambda tmp: Streams(-1, 3), r"ValueError: seed must be non-negative, got -1"),
+    # step updates a float copy of the state it is given
+    Row("step-integer-state",
+        lambda tmp: (stepped(float), stepped(int), stepped(bool)),
+        r"returns \(\[0\.6\], \[0\.6\], \[0\.6\]\)$"),
     Row("cli-unwritable-out",
         lambda tmp: cli("run", "e0_rl", "--budget", 10, "--out", under_a_file(tmp)),
         r"returns .exit 2, error: cannot write .*logs"),
