@@ -58,7 +58,6 @@ from .genome import (
     make_genome,
     random_genome,
     to_json,
-    validate_genome,
 )
 from .mutate import (
     MutationParams,

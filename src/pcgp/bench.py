@@ -99,7 +99,8 @@ def load_csv(path, task: str) -> Dataset:
     Features and regression targets must be finite numbers; anything
     else raises a DatasetError naming the row and column.  So does a
     feature column whose max - min overflows to inf, and a file that
-    cannot be read as text.  A classification target is a label, its
+    cannot be read as text or as CSV (a field over the csv module's
+    limit, 131072 characters).  A classification target is a label, its
     stripped text, so "nan" or "inf" there is a class like any other.
     """
     if task not in TASKS:
@@ -107,7 +108,7 @@ def load_csv(path, task: str) -> Dataset:
     try:
         with open(path, newline="") as fh:
             rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
-    except (OSError, UnicodeDecodeError) as e:
+    except (OSError, UnicodeDecodeError, csv.Error) as e:
         raise DatasetError(f"cannot read {path}: {e}") from None
     if not rows:
         raise DatasetError(f"empty file: {path}")

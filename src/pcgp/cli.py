@@ -56,6 +56,8 @@ def _parse_overrides(pairs):
             out[key] = json.loads(value)
         except json.JSONDecodeError:
             out[key] = value          # bare strings need no quoting
+        except (ValueError, RecursionError) as e:   # the digit limit, deep nesting
+            raise ParseError(f"override {key}: invalid JSON ({e})") from None
     return out
 
 

@@ -87,10 +87,10 @@ def load_config(path) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: invalid JSON ({e})") from None
     except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read config {path}: {e}") from None
+    except (ValueError, RecursionError) as e:   # the digit limit and deep nesting too
+        raise ParseError(f"{path}: invalid JSON ({e})") from None
     if not isinstance(cfg, dict):
         raise ParseError(f"{path}: config must be a JSON object")
     return cfg

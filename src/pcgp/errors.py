@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each reader of outside data is to raise only its own CgpError subclass,
+whatever the input: load_csv raises DatasetError; load_config, a --set
+override and from_json raise ParseError; validate_config, and EvoParams
+for run objects built without it, raise ConfigError.  The CLI prints
+every CgpError as "error: ..." and exits 2.  tests/test_hostile.py holds
+a row for each input known to have broken this.
+"""
 
 
 class CgpError(Exception):

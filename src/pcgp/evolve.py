@@ -89,6 +89,11 @@ class EvoParams:
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(
                 f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
+        for name in ("n_in", "n_out", "n_nodes", "lambda_", "population", "budget",
+                     "workers", "tournament_size", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):    # as validate_config
+                raise ConfigError(f"{name.rstrip('_')} must be an integer, got {value!r}")
         for name, minimum in (("lambda_", 1), ("population", 2), ("budget", 1),
                               ("workers", 1), ("tournament_size", 1), ("seed", 0)):
             if getattr(self, name) < minimum:

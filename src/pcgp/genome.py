@@ -6,12 +6,12 @@ PCGP genomes additionally carry one position gene per program input, and
 store their nodes sorted by position gene (stable on ties).  Where the
 genes place entities on the axis is stated in decode.
 
-Genomes are immutable values: an edit returns a new genome that shares
-the arrays it did not change; every array is read-only.  Each
-constructor has one source of genes: random_genome draws the first
-population, derive builds every child from its parent and the fresh
-arrays an operator made, and make_genome (from_json through it) copies
-genes from outside the package.
+Genomes are immutable values, checked when built: an edit returns a
+new genome that shares the arrays it did not change; every array is
+read-only.  Each builder has one source of genes: random_genome draws
+the first population, derive builds every child from its parent and
+the fresh arrays an operator made, and make_genome (from_json through
+it) copies genes from outside the package.
 """
 
 from __future__ import annotations
@@ -64,18 +64,38 @@ class SizeBounds:
             raise ValueError(f"invalid size bounds [{self.size_min}, {self.size_max}]")
 
 
-@dataclass(frozen=True)
 class Genome:
-    mode: GenomeMode
-    n_in: int
-    n_out: int
-    nodes: np.ndarray            # (n_nodes, stride)
-    outputs: np.ndarray          # (n_out,)
-    inputs: np.ndarray | None    # (n_in,), PCGP only
+    """A checked genome: the constructor checks the arrays it is given
+    (_check), stable-sorts PCGP nodes by position gene and makes every
+    array read-only, taking them over without a copy.  Its fields are
+    treated as read-only.  Two genomes are equal when their modes, n_in,
+    n_out and flatten bytes are: what to_json round-trips, so -0.0 and
+    0.0 differ.  Genomes are unhashable (__hash__ is None)."""
+
+    __slots__ = ("mode", "n_in", "n_out", "nodes", "outputs", "inputs")
+
+    def __init__(self, mode: GenomeMode, n_in: int, n_out: int, nodes, outputs, inputs):
+        _check(mode, n_in, n_out, nodes, outputs, inputs)
+        if mode is GenomeMode.PCGP:
+            # stable sort keeps prior order on position ties (so skip it if sorted)
+            positions = nodes[:, 0].tolist()
+            if positions != sorted(positions):
+                nodes = nodes[np.argsort(nodes[:, 0], kind="stable")]
+        for arr in (nodes, outputs, inputs):
+            if arr is not None:
+                arr.setflags(write=False)
+        self.mode, self.n_in, self.n_out = mode, n_in, n_out
+        self.nodes, self.outputs, self.inputs = nodes, outputs, inputs
 
     @property
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return ((self.mode, self.n_in, self.n_out) == (other.mode, other.n_in, other.n_out)
+                and flatten(self).tobytes() == flatten(other).tobytes())
 
 
 def require_positional(g: Genome, what: str) -> None:
@@ -113,33 +133,17 @@ def _check(mode: GenomeMode, n_in: int, n_out: int, nodes, outputs, inputs) -> N
             raise ValueError(f"{name} genes outside [0, 1]")
 
 
-def _build(mode: GenomeMode, n_in: int, n_out: int, nodes, outputs, inputs) -> Genome:
-    """The genome of these arrays, kept as they are: checks them, sorts
-    PCGP nodes, freezes."""
-    _check(mode, n_in, n_out, nodes, outputs, inputs)
-    if mode is GenomeMode.PCGP:
-        # stable sort keeps prior order on position ties (so skip it if sorted)
-        positions = nodes[:, 0].tolist()
-        if positions != sorted(positions):
-            nodes = nodes[np.argsort(nodes[:, 0], kind="stable")]
-    for arr in (nodes, outputs, inputs):
-        if arr is not None:
-            arr.setflags(write=False)
-    return Genome(mode, n_in, n_out, nodes, outputs, inputs)
-
-
 def make_genome(mode: GenomeMode, n_in: int, n_out: int, nodes, outputs,
                 inputs=None) -> Genome:
-    """Validating constructor: copies the caller's arrays, then checks,
-    sorts and freezes them as derive does.  from_json keeps its own row
-    checks, since its document comes from outside."""
+    """The Genome of copies of the caller's arrays.  from_json keeps its
+    own row checks, since its document comes from outside."""
     nodes = np.array(nodes, dtype=float)
     if nodes.shape == (0,):         # only the empty list is shaped: to no rows
         nodes = nodes.reshape(0, node_stride(mode))
     outputs = np.array(outputs, dtype=float)
     if inputs is not None:
         inputs = np.array(inputs, dtype=float)
-    return _build(mode, n_in, n_out, nodes, outputs, inputs)
+    return Genome(mode, n_in, n_out, nodes, outputs, inputs)
 
 
 def derive(g: Genome, nodes=None, outputs=None, inputs=None) -> Genome:
@@ -152,7 +156,7 @@ def derive(g: Genome, nodes=None, outputs=None, inputs=None) -> Genome:
     """
     if nodes is None and outputs is None and inputs is None:
         return g
-    return _build(g.mode, g.n_in, g.n_out, g.nodes if nodes is None else nodes,
+    return Genome(g.mode, g.n_in, g.n_out, g.nodes if nodes is None else nodes,
                   g.outputs if outputs is None else outputs,
                   g.inputs if inputs is None else inputs)
 
@@ -167,7 +171,7 @@ def random_genome(mode: GenomeMode, n_in: int, n_out: int, n_nodes: int,
     nodes = rng.random((n_nodes, stride))
     outputs = rng.random(n_out)
     inputs = rng.random(n_in) if mode is GenomeMode.PCGP else None
-    return _build(mode, n_in, n_out, nodes, outputs, inputs)
+    return Genome(mode, n_in, n_out, nodes, outputs, inputs)
 
 
 def flatten(g: Genome) -> np.ndarray:
@@ -199,7 +203,7 @@ def from_json(text: str) -> Genome:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:   # the digit limit and deep nesting too
         raise ParseError(f"not valid JSON: {e}") from e
     try:
         mode = GenomeMode(doc["mode"])
@@ -223,10 +227,3 @@ def from_json(text: str) -> Genome:
         return make_genome(mode, n_in, n_out, nodes, outputs, inputs)
     except (ValueError, TypeError) as e:
         raise ParseError(str(e)) from e
-
-
-def validate_genome(g: Genome) -> None:
-    """Raise ValueError if any genome invariant is violated."""
-    _check(g.mode, g.n_in, g.n_out, g.nodes, g.outputs, g.inputs)
-    if g.mode is GenomeMode.PCGP and g.n_nodes and np.any(np.diff(g.nodes[:, 0]) < 0):
-        raise ValueError("PCGP nodes not sorted by position gene")

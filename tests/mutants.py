@@ -165,16 +165,22 @@ MUTANTS = [
     Mutant("check-skips-the-input-shape", "genome.py",
            "        if inputs.shape != (n_in,):\n",
            "        if False:\n",
-           (GENOME + "test_derive_checks_shapes", GENOME + "test_validate_catches_forged_state")),
+           (GENOME + "test_derive_checks_shapes", GENOME + "test_genome_rejects_forged_state")),
     # shared arrays are frozen, given ones fresh: only given ones are checked
     Mutant("range-check-skips-shared-arrays", "genome.py",
            "        if arr is not None and not all(0.0 <= v <= 1.0",
            "        if arr is not None and arr.flags.writeable and not all(0.0 <= v <= 1.0",
-           (GENOME + "test_derive_checks_the_ranges_of_shared_arrays",)),
+           (GENOME + "test_genome_checks_frozen_arrays",)),
     Mutant("node-block-left-writeable", "genome.py",
-           "    for arr in (nodes, outputs, inputs):\n        if arr is not None:\n",
-           "    for arr in (outputs, inputs):\n        if arr is not None:\n",
+           "        for arr in (nodes, outputs, inputs):\n            if arr is not None:\n",
+           "        for arr in (outputs, inputs):\n            if arr is not None:\n",
            (GENOME + "test_arrays_read_only", GENOME + "test_derive_shares_what_it_is_not_given")),
+    Mutant("equality-ignores-inputs", "genome.py",
+           "                and flatten(self).tobytes() == flatten(other).tobytes())\n",
+           "                and self.nodes.tobytes() == other.nodes.tobytes()\n"
+           "                and self.outputs.tobytes() == other.outputs.tobytes())\n",
+           (GENOME + "test_equality_is_mode_counts_and_gene_bytes",
+            HOSTILE + "test_hostile_input[Genome-equality]")),
     Mutant("require-positional-lets-cgp-through", "genome.py",
            "    if g.mode is not GenomeMode.PCGP:\n        raise UnsupportedOperatorError",
            "    if False:\n        raise UnsupportedOperatorError",
@@ -382,6 +388,37 @@ MUTANTS = [
     Mutant("memo-never-evicts", "bench.py",
            "            if len(self._memo) > MEMO_ENTRIES:\n", "            if False:\n",
            ("tests/test_memo.py::test_eviction_keeps_logs_identical",)),
+    # readers of outside data raise their own error for deep nesting and
+    # long integers, as for any other malformed document
+    Mutant("from-json-catches-only-decode-errors", "genome.py",
+           "    except (ValueError, RecursionError) as e:   # the digit limit and deep nesting too\n"
+           "        raise ParseError(f\"not valid JSON",
+           "    except json.JSONDecodeError as e:\n        raise ParseError(f\"not valid JSON",
+           (HOSTILE + "test_hostile_input[from_json-deep-nesting]",
+            HOSTILE + "test_hostile_input[from_json-long-n_in]")),
+    Mutant("load-config-catches-only-decode-errors", "config.py",
+           "    except (ValueError, RecursionError) as e:   # the digit limit and deep nesting too\n",
+           "    except json.JSONDecodeError as e:\n",
+           (HOSTILE + "test_hostile_input[load_config-deep-nesting]",
+            HOSTILE + "test_hostile_input[load_config-long-integer]",
+            HOSTILE + "test_hostile_input[cli-validate-deep-config-in-a-process]")),
+    Mutant("override-catches-only-decode-errors", "cli.py",
+           "        except (ValueError, RecursionError) as e:   # the digit limit, deep nesting\n"
+           "            raise ParseError(f\"override {key}: invalid JSON ({e})\") from None\n",
+           "",
+           (HOSTILE + "test_hostile_input[cli-set-deep-nesting]",
+            HOSTILE + "test_hostile_input[cli-set-long-integer]")),
+    Mutant("load-csv-lets-csv-errors-through", "bench.py",
+           "    except (OSError, UnicodeDecodeError, csv.Error) as e:\n",
+           "    except (OSError, UnicodeDecodeError) as e:\n",
+           (HOSTILE + "test_hostile_input[load_csv-field-over-the-limit]",)),
+    Mutant("evo-params-integer-fields-untyped", "evolve.py",
+           "            if isinstance(value, bool) or not isinstance(value, int):    # as validate_config\n",
+           "            if False:\n",
+           (HOSTILE + "test_hostile_input[EvoParams-fractional-lambda]",
+            HOSTILE + "test_hostile_input[EvoParams-nan-population]",
+            HOSTILE + "test_hostile_input[EvoParams-nan-budget]",
+            HOSTILE + "test_hostile_input[EvoParams-bool-lambda]")),
     # config validation
     Mutant("bool-spelling-1-rejected", "config.py",
            "value in (0, 1):", "value in (0,):",

@@ -30,6 +30,7 @@ path of the package:
   ndarray.mean, not a sorted list, max and np.mean of a list.
 - The oracle_* builders are written field by field, not derived from
   the dataclass fields (config._build).
+- well_formed states the genome rule apart from genome._check.
 
 The loops derive each slot's stream with default_rng([seed,
 generation, slot]), which pcgp.streams.Streams reproduces by hashing
@@ -56,6 +57,21 @@ from pcgp.execute import step
 from pcgp.functions import FunctionSet
 from pcgp.genome import GenomeMode, SizeBounds, random_genome
 from pcgp.mutate import MutationParams, apply_mutation
+
+# ------------------------------------------------------------------ genome
+
+
+def well_formed(g) -> bool:
+    """The mode's shapes, every gene in [0, 1], PCGP nodes in position
+    order and every array read-only."""
+    pcgp = g.mode is GenomeMode.PCGP
+    arrays = (g.nodes, g.outputs) + ((g.inputs,) if pcgp else ())
+    return (g.nodes.ndim == 2 and g.nodes.shape[1] == (5 if pcgp else 4)
+            and g.outputs.shape == (g.n_out,)
+            and (g.inputs.shape == (g.n_in,) if pcgp else g.inputs is None)
+            and all(((a >= 0) & (a <= 1)).all() and not a.flags.writeable for a in arrays)
+            and not (pcgp and (np.diff(g.nodes[:, 0]) < 0).any()))
+
 
 # ------------------------------------------------------------------ decode
 

@@ -20,7 +20,6 @@ from pcgp.genome import (
     node_stride,
     random_genome,
     to_json,
-    validate_genome,
 )
 from pcgp.mutate import MutationParams, node_addition, node_deletion
 
@@ -228,13 +227,14 @@ def test_derive_checks_shapes():
             derive(g, **given)
 
 
-def test_derive_checks_the_ranges_of_shared_arrays():
+def test_genome_checks_frozen_arrays():
+    """derive hands Genome its parent's frozen arrays beside the fresh
+    ones, and Genome range-checks both."""
     g = cgp([[0.1, 0.2, 0.3, 0.4]], [0.5])
     outputs = np.array([1.5])
     outputs.setflags(write=False)       # frozen, as every genome array is
-    forged = Genome(GenomeMode.CGP, 2, 1, g.nodes, outputs, None)
     with pytest.raises(ValueError, match="output genes outside"):
-        derive(forged, nodes=np.full((1, 4), 0.5))
+        Genome(GenomeMode.CGP, 2, 1, g.nodes, outputs, None)
     with pytest.raises(ValueError, match="node genes outside"):
         derive(g, nodes=np.full((1, 4), np.nan))
 
@@ -286,7 +286,7 @@ def test_random_genome_within_range():
     f = flatten(g)
     assert f.min() >= 0.0 and f.max() <= 1.0
     assert f.shape == (2 + 50 * 4,)
-    validate_genome(g)
+    assert reference.well_formed(g)
 
 
 # ---------------------------------------------------------------- JSON
@@ -357,16 +357,34 @@ def test_from_json_counts_must_be_integers(key, count):
     assert (g.n_in, g.n_out) == (2, 2)
 
 
-def test_validate_catches_forged_state():
+def test_genome_rejects_forged_state():
     g = cgp([[0.1, 0.2, 0.3, 0.4]], [0.5])
-    validate_genome(g)
-    bad = Genome(GenomeMode.CGP, 1, 1, g.nodes, np.array([1.5]), None)
+    assert Genome(GenomeMode.CGP, 2, 1, g.nodes, g.outputs, None) == g
     with pytest.raises(ValueError):
-        validate_genome(bad)
-    nan = Genome(GenomeMode.CGP, 1, 1, g.nodes, np.array([np.nan]), None)
+        Genome(GenomeMode.CGP, 1, 1, g.nodes, np.array([1.5]), None)
     with pytest.raises(ValueError, match="output genes"):
-        validate_genome(nan)
+        Genome(GenomeMode.CGP, 1, 1, g.nodes, np.array([np.nan]), None)
     p = pcgp([[0.5, 0.1, 0.2, 0.3, 0.4]], [0.5], [0.6, 0.7])
-    column = Genome(GenomeMode.PCGP, 2, 1, p.nodes, p.outputs, p.inputs.reshape(2, 1))
     with pytest.raises(ValueError, match="input position genes"):
-        validate_genome(column)
+        Genome(GenomeMode.PCGP, 2, 1, p.nodes, p.outputs, p.inputs.reshape(2, 1))
+
+
+# ------------------------------------------------------------ equality
+
+@settings(max_examples=40)
+@given(st.sampled_from(list(GenomeMode)), st.integers(1, 3), st.integers(0, 4),
+       st.integers(0, 2**31 - 1))
+def test_equality_is_mode_counts_and_gene_bytes(mode, n_in, n_nodes, seed):
+    """A genome equals its JSON round trip, and differs from any genome
+    with one gene changed, an input gene too, or with another n_in."""
+    g = random_genome(mode, n_in, 1, n_nodes, np.random.default_rng(seed))
+    assert from_json(to_json(g)) == g
+    names = ("nodes", "outputs") + (("inputs",) if mode is GenomeMode.PCGP else ())
+    for name in names:
+        arr = getattr(g, name)
+        for index in np.ndindex(arr.shape):
+            changed = arr.copy()
+            changed[index] = 0.75 if changed[index] == 0.25 else 0.25
+            assert derive(g, **{name: changed}) != g
+    if mode is GenomeMode.CGP:
+        assert make_genome(mode, n_in + 1, 1, g.nodes, g.outputs) != g

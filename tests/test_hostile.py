@@ -6,8 +6,11 @@ and its message, or the value returned.  A new input check adds a row.
 """
 
 import contextlib
+import dataclasses
 import io
 import re
+import subprocess
+import sys
 import warnings
 from collections import namedtuple
 
@@ -16,12 +19,14 @@ import pytest
 
 from pcgp.bench import load_csv
 from pcgp.cli import main
-from pcgp.config import build_evo_params, make_fitness, merge_config, validate_config
+from pcgp.config import (
+    build_evo_params, load_config, make_fitness, merge_config, validate_config,
+)
 from pcgp.decode import DecodeSettings, decode, invert_connection_position
 from pcgp.evolve import evaluate_population, run_evolution
 from pcgp.execute import step
 from pcgp.functions import FunctionSet
-from pcgp.genome import Genome, GenomeMode, derive, make_genome, random_genome, validate_genome
+from pcgp.genome import Genome, GenomeMode, derive, from_json, make_genome, random_genome
 from pcgp.streams import Streams, _ReadySeed
 
 from test_decode import snapped
@@ -43,6 +48,22 @@ def cli(*argv):
     with contextlib.redirect_stderr(err):
         code = main([str(a) for a in argv])
     return f"exit {code}, {err.getvalue().strip()}"
+
+
+def cli_process(*argv):
+    """The exit code and stderr of `python -m pcgp.cli argv` in a new process."""
+    done = subprocess.run([sys.executable, "-m", "pcgp.cli", *map(str, argv)],
+                          capture_output=True, text=True)
+    return f"exit {done.returncode}, {done.stderr.strip()}"
+
+
+DEEP = "[" * 100000                     # past the interpreter's recursion limit
+LONG_INT = "1" * 5000                   # past int's 4300-digit parsing limit
+
+
+def evo_params(**changes):
+    """The default EvoParams of a 1-input, 1-output problem, with changes."""
+    return dataclasses.replace(build_evo_params(merge_config({}), 1, 1), **changes)
 
 
 def scored(fit):
@@ -101,10 +122,23 @@ def stepped(dtype):
     return step(graph, np.zeros(1, dtype), [0.3])[0].tolist()
 
 
-def unsorted_pcgp():
-    """A PCGP genome built around the checks, its nodes out of position order."""
-    nodes = np.array([[0.7, 0.5, 0.5, 0.5, 0.5], [0.2, 0.5, 0.5, 0.5, 0.5]])
-    return Genome(GenomeMode.PCGP, 1, 1, nodes, np.array([0.5]), np.array([0.5]))
+def sorted_pcgp_nodes():
+    """The (position, x) genes of a PCGP genome built from nodes out of
+    position order, two of them tied at 0.7."""
+    nodes = np.array([[0.7, 0.9, 0.5, 0.5, 0.5], [0.2, 0.5, 0.5, 0.5, 0.5],
+                      [0.7, 0.1, 0.5, 0.5, 0.5]])
+    g = Genome(GenomeMode.PCGP, 1, 1, nodes, np.array([0.5]), np.array([0.5]))
+    return g.nodes[:, :2].tolist()
+
+
+def compared():
+    """g == a genome of g's genes, one that differs from g only in its
+    input gene, g with -0.0 for a 0.0 gene, and a non-genome."""
+    g = make_genome(GenomeMode.PCGP, 1, 1, [[0.0, 0.5, 0.5, 0.5, 0.5]], [0.5], [0.5])
+    return (g == make_genome(GenomeMode.PCGP, 1, 1, g.nodes, g.outputs, g.inputs),
+            g == derive(g, inputs=np.array([0.25])),
+            g == derive(g, nodes=np.array([[-0.0, 0.5, 0.5, 0.5, 0.5]])),
+            g == "genome")
 
 
 # name, call(tmp_path), outcome: a regex matched from the start of
@@ -125,10 +159,38 @@ ROWS = [
     Row("load_csv-inf-target",
         lambda tmp: load_csv(written(tmp / "t.csv", "x,y\n1,2\n2,inf\n"), "regression"),
         r"DatasetError: .* row 3 column 2 \('y'\): non-finite target 'inf'$"),
+    Row("load_csv-field-over-the-limit",
+        lambda tmp: load_csv(written(tmp / "t.csv", "x,t\n1," + "a" * 131073 + "\n"),
+                             "classification"),
+        r"DatasetError: cannot read .*t\.csv: field larger than field limit \(131072\)$"),
     Row("load_csv-nan-class-label",
         lambda tmp: load_csv(written(tmp / "t.csv", "x,t\n1,nan\n2,a\n"),
                              "classification").labels,
         r"returns \('nan', 'a'\)$"),
+    # JSON readers: nesting past the recursion limit and integers past
+    # the digit limit are malformed documents, not tracebacks
+    Row("load_config-deep-nesting",
+        lambda tmp: load_config(written(tmp / "deep.json", DEEP)),
+        r"ParseError: .*deep\.json: invalid JSON \(maximum recursion depth exceeded"),
+    Row("load_config-long-integer",
+        lambda tmp: load_config(written(tmp / "long.json", f'{{"budget": {LONG_INT}}}')),
+        r"ParseError: .*long\.json: invalid JSON \(Exceeds the limit \(4300 digits\)"),
+    Row("from_json-deep-nesting", lambda tmp: from_json(DEEP),
+        r"ParseError: not valid JSON: maximum recursion depth exceeded.* <- RecursionError: "),
+    Row("from_json-long-n_in",
+        lambda tmp: from_json(f'{{"mode": "CGP", "n_in": {LONG_INT}, "n_out": 1, '
+                              '"nodes": [], "outputs": [0.5]}'),
+        r"ParseError: not valid JSON: Exceeds the limit \(4300 digits\).* <- ValueError: "),
+    Row("cli-set-deep-nesting",
+        lambda tmp: cli("validate", "e0_rl", "--set", "n_nodes=" + DEEP),
+        r"returns .exit 2, error: override n_nodes: invalid JSON \(maximum recursion depth"),
+    Row("cli-set-long-integer",
+        lambda tmp: cli("validate", "e0_rl", "--set", "budget=" + LONG_INT),
+        r"returns .exit 2, error: override budget: invalid JSON \(Exceeds the limit"),
+    Row("cli-validate-deep-config-in-a-process",
+        lambda tmp: cli_process("validate", written(tmp / "deep.json", DEEP)),
+        r"returns .exit 2, error: .*deep\.json: invalid JSON \(maximum recursion depth"
+        r" exceeded while decoding a JSON array from a unicode string\).$"),
     Row("validate_config-episode_len-0",
         lambda tmp: validate_config({"episode_len": 0}),
         r"ConfigError: episode_len must be at least 1"),
@@ -148,6 +210,16 @@ ROWS = [
     Row("EvoParams-nan-elitism",
         lambda tmp: build_evo_params(merge_config({"elitism": float("nan")}), 1, 1),
         r"ConfigError: elitism must be non-negative"),
+    # integer fields must be ints, as validate_config's type tables
+    # require: 2.5 and NaN are not counts, and True is not a number
+    Row("EvoParams-fractional-lambda", lambda tmp: evo_params(lambda_=2.5),
+        r"ConfigError: lambda must be an integer, got 2\.5$"),
+    Row("EvoParams-nan-population", lambda tmp: evo_params(population=float("nan")),
+        r"ConfigError: population must be an integer, got nan$"),
+    Row("EvoParams-nan-budget", lambda tmp: evo_params(budget=float("nan")),
+        r"ConfigError: budget must be an integer, got nan$"),
+    Row("EvoParams-bool-lambda", lambda tmp: evo_params(lambda_=True),
+        r"ConfigError: lambda must be an integer, got True$"),
     Row("EvoParams-inf-mutation_fraction",
         lambda tmp: build_evo_params(
             merge_config({"algorithm": "ga", "crossover_fraction": 0.0,
@@ -191,9 +263,15 @@ ROWS = [
     Row("random_genome-negative-n_nodes",
         lambda tmp: random_genome(GenomeMode.CGP, 1, 1, -1, np.random.default_rng(0)),
         r"ValueError: n_nodes must be non-negative"),
-    Row("validate_genome-unsorted-pcgp-nodes",
-        lambda tmp: validate_genome(unsorted_pcgp()),
-        r"ValueError: PCGP nodes not sorted by position gene"),
+    # Genome's constructor stores PCGP nodes in position order, stable on ties
+    Row("Genome-sorts-pcgp-nodes-stably", lambda tmp: sorted_pcgp_nodes(),
+        r"returns \[\[0\.2, 0\.5\], \[0\.7, 0\.9\], \[0\.7, 0\.1\]\]$"),
+    # equality is mode, counts and flatten bytes, so -0.0 is not 0.0;
+    # genomes are unhashable
+    Row("Genome-equality", lambda tmp: compared(), r"returns \(True, False, False, False\)$"),
+    Row("Genome-hash",
+        lambda tmp: hash(random_genome(GenomeMode.CGP, 1, 1, 2, np.random.default_rng(0))),
+        r"TypeError: unhashable type: 'Genome'$"),
     # at input_start 0 a node at 0.0 without recurrency reaches nothing
     Row("invert_connection_position-zero-reach",
         lambda tmp: invert_connection_position(

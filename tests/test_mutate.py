@@ -7,9 +7,7 @@ from hypothesis import given, settings as hsettings
 from pcgp.decode import DecodeSettings, decode
 from pcgp.errors import ConfigError
 from pcgp.functions import default_functions
-from pcgp.genome import (
-    GenomeMode, SizeBounds, flatten, make_genome, random_genome, validate_genome,
-)
+from pcgp.genome import GenomeMode, SizeBounds, make_genome, random_genome
 from pcgp.mutate import (
     MutationParams, add_probability, apply_mutation, gene_mutation,
     invert_connection_position, mixed_node_mutate, node_addition, node_deletion,
@@ -81,7 +79,7 @@ def test_require_active_without_active_nodes_terminates():
     assert not d.active.any()
     h = gene_mutation(g, params(node_rate=0.0, output_rate=1.0, require_active=True),
                       np.random.default_rng(2), d)
-    validate_genome(h)
+    assert reference.well_formed(h)
 
 
 def test_operator_name_validated():
